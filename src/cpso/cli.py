@@ -2,16 +2,19 @@
 
 Output is JSON (default) or CSV.  Reals are serialized with 12
 significant digits, enough to distinguish six-decimal table values and
-the 1e-12 tolerance regime.  Data-level failures (all runs failing
-feasible initialization) are reported as FAIL rows with exit status 0;
-only operator errors (unknown names, malformed flags or config files)
-exit nonzero.
+the 1e-12 tolerance regime.  JSON is strict RFC 8259: a real with no
+finite value, such as the statistics of a FAIL row, is written as
+``null``.  Data-level failures (all runs failing feasible
+initialization) are reported as FAIL rows with exit status 0; only
+operator errors (unknown names, malformed flags or config files) exit
+nonzero.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import List, Optional, Sequence, TextIO
 
@@ -20,7 +23,7 @@ from .handlers import KINDS, ChtConfig
 from .harness import ExperimentConfig, SummaryRow, run_experiment, sweep
 from .problem import Tolerances
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 CSV_COLUMNS = (
     "problem",
@@ -66,6 +69,12 @@ def _real(x: float) -> str:
     return format(float(x), ".12g")
 
 
+def _json_real(x: float) -> Optional[float]:
+    """``x`` as a JSON number, or None (``null``) when it is not finite."""
+    x = float(x)
+    return x if math.isfinite(x) else None
+
+
 def _row_dict(row: SummaryRow, detail: bool = False) -> dict:
     cfg = row.config
     out = {
@@ -86,8 +95,8 @@ def _row_dict(row: SummaryRow, detail: bool = False) -> dict:
         },
         "summary": {
             "failed": row.failed,
-            "best_conflict": row.best_conflict,
-            "best_cv": row.best_cv,
+            "best_conflict": _json_real(row.best_conflict),
+            "best_cv": _json_real(row.best_cv),
             "best_nac": row.best_nac,
             "best_run": row.best_run,
             "best_position": (
@@ -95,9 +104,9 @@ def _row_dict(row: SummaryRow, detail: bool = False) -> dict:
                 if row.best_position is None
                 else [float(v) for v in row.best_position]
             ),
-            "mean_conflict": row.mean_conflict,
-            "mean_cv": row.mean_cv,
-            "mean_nac": row.mean_nac,
+            "mean_conflict": _json_real(row.mean_conflict),
+            "mean_cv": _json_real(row.mean_cv),
+            "mean_nac": _json_real(row.mean_nac),
             "failures": row.failures,
             "fes": cfg.fes,
             "extra_evals": row.extra_evals,
@@ -110,8 +119,8 @@ def _row_dict(row: SummaryRow, detail: bool = False) -> dict:
             {
                 "index": r.index,
                 "termination": r.termination,
-                "conflict": r.conflict,
-                "cv": r.cv,
+                "conflict": _json_real(r.conflict),
+                "cv": _json_real(r.cv),
                 "nac": r.nac,
                 "evaluations": r.evaluations,
             }
@@ -157,7 +166,7 @@ def _emit_rows(rows: List[SummaryRow], fmt: str, out: TextIO, detail: bool) -> N
     else:
         records = [_row_dict(r, detail) for r in rows]
         payload = records[0] if len(records) == 1 else records
-        json.dump(payload, out, indent=2, default=float)
+        json.dump(payload, out, indent=2, default=float, allow_nan=False)
         out.write("\n")
 
 
@@ -351,7 +360,7 @@ def cmd_feasibility(args: argparse.Namespace) -> int:
                 file=out,
             )
         else:
-            json.dump(record, out, indent=2)
+            json.dump(record, out, indent=2, allow_nan=False)
             out.write("\n")
     finally:
         if close:

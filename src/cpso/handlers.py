@@ -78,9 +78,6 @@ class ChtConfig:
             object.__setattr__(
                 self, "max_repair_trials", _DEFAULT_TRIALS[self.kind]
             )
-        if self.uses_rec and self.rec is None:
-            # The schedule is built from the problem box at run setup.
-            pass
 
     @property
     def requires_feasible_init(self) -> bool:
@@ -200,17 +197,108 @@ def reported_conflict(point: EvaluatedPoint, cht: ChtConfig) -> float:
     return point.conflict
 
 
-def _bmem_factors(box_only: bool) -> np.ndarray:
-    downs = np.round(np.arange(0.9, 0.05, -0.1), 10)
-    if box_only:
-        # Only scaling down is allowed against interval constraints.
-        return np.append(downs, 0.0)
-    ups = np.round(np.arange(1.1, 1.95, 0.1), 10)
-    out = np.empty(19)
-    out[0:18:2] = downs
-    out[1:18:2] = ups
-    out[18] = 0.0
-    return out
+# bmem trial ladders.  The full ladder alternates down- and up-scalings
+# and ends with 0.0 (keep the position).  The down-only ladder serves a
+# full step that breaks nothing but the box, since only scaling down is
+# allowed against interval constraints; it ends with 0.0 after 0.1 and is
+# padded with zeros to the same width.
+_BMEM_DOWNS = np.round(np.arange(0.9, 0.05, -0.1), 10)
+_BMEM_UPS = np.round(np.arange(1.1, 1.95, 0.1), 10)
+_BMEM_LADDER = np.append(np.column_stack((_BMEM_DOWNS, _BMEM_UPS)).ravel(), 0.0)
+_BMEM_DOWN_LADDER = np.append(_BMEM_DOWNS, np.zeros(_BMEM_UPS.size + 1))
+
+
+@dataclass
+class BatchRepair:
+    """Outcome of repairing k infeasible moves; row ``r`` is move ``r``."""
+
+    positions: np.ndarray       # (k, n) accepted trial, or the old position
+    velocities: np.ndarray      # (k, n) scaled velocity, or zero when kept
+    trials_charged: np.ndarray  # (k,) trial evaluations charged per move
+    accepted: np.ndarray        # (k,) bool, False when the old position is kept
+    evaluation: BatchEval       # one row per accepted move, in move order
+
+
+def _repair_factors(
+    variant: str,
+    full: BatchEval,
+    tolerances: Tolerances,
+    rng: np.random.Generator,
+    max_trials: int,
+) -> np.ndarray:
+    """``(k, T)`` trial factors, one row per move, in trial order."""
+    k = len(full)
+    if variant == "bm":
+        return np.broadcast_to(0.5 ** np.arange(1, max_trials + 1), (k, max_trials))
+    if variant == "bmem":
+        box_only = np.all(full.ineq_violations <= tolerances.ineq, axis=1) & np.all(
+            full.eq_violations <= tolerances.eq, axis=1
+        )
+        width = min(max_trials, _BMEM_LADDER.size)
+        return np.where(
+            box_only[:, None], _BMEM_DOWN_LADDER[:width], _BMEM_LADDER[:width]
+        )
+    return rng.uniform(0.0, 1.5, (k, max_trials))
+
+
+def repair_moves(
+    x_old: np.ndarray,
+    v: np.ndarray,
+    full: BatchEval,
+    problem: Problem,
+    tolerances: Tolerances,
+    variant: str,
+    rng: np.random.Generator,
+    max_trials: int,
+) -> BatchRepair:
+    """Repair k moves whose full steps ``x_old + v`` are all infeasible.
+
+    ``full`` is the evaluation of the full steps, one row per move.  Trial
+    factors scale the ORIGINAL velocity: halvings for ``bm``, the
+    alternating 0.9/1.1 ladder for ``bmem`` (down-scalings only for a move
+    whose full step violates box bounds alone), and for ``bmpem`` fresh
+    uniform [0, 1.5) factors, drawn as one ``(k, max_trials)`` block whose
+    rows are the moves in order.  Per move, the first feasible trial wins
+    and its scaled velocity becomes the stored velocity; a 0.0 factor or
+    exhaustion keeps the old position with zero velocity.
+
+    Every move's trials before its first 0.0 factor are evaluated as one
+    batch, but each move is charged its trials in order, up to the
+    accepted one, the 0.0 factor or the end of the ladder.
+    """
+    if variant not in _REPAIR_KINDS:
+        raise ValueError(f"not a repair technique: {variant!r}")
+    factors = _repair_factors(variant, full, tolerances, rng, max_trials)
+    k, width = factors.shape
+    # A trailing column past the last trial makes both argmaxes total.
+    stop = np.ones((k, width + 1), dtype=bool)
+    stop[:, :width] = factors == 0.0
+    live = stop.argmax(axis=1)  # trials before the first 0.0 factor
+    rows, trials = np.nonzero(np.arange(width) < live[:, None])
+    candidates = problem.snap_to_grid(
+        x_old[rows] + factors[rows, trials][:, None] * v[rows]
+    )
+    ev = evaluate_batch(problem, candidates)
+
+    ok = np.zeros((k, width + 1), dtype=bool)
+    ok[rows, trials] = ev.feasible(tolerances)
+    first = ok.argmax(axis=1)
+    accepted = ok[np.arange(k), first]
+    # Row of ``ev`` holding each accepted move's first feasible trial.
+    accepted_rows = (np.cumsum(live) - live + first)[accepted]
+
+    positions = np.array(x_old, dtype=float)
+    positions[accepted] = ev.positions[accepted_rows]
+    velocities = np.zeros_like(positions)
+    scale = factors[accepted, first[accepted]]
+    velocities[accepted] = scale[:, None] * v[accepted]
+    return BatchRepair(
+        positions=positions,
+        velocities=velocities,
+        trials_charged=np.where(accepted, first + 1, live),
+        accepted=accepted,
+        evaluation=ev.take(accepted_rows),
+    )
 
 
 @dataclass
@@ -218,8 +306,7 @@ class RepairResult:
     position: np.ndarray
     velocity: np.ndarray
     evals_used: int
-    evaluation: Optional[BatchEval]  # None when the old position is kept
-    accepted_row: int = 0
+    evaluation: Optional[BatchEval]  # one row; None when the old position is kept
 
 
 def repair_move(
@@ -232,67 +319,32 @@ def repair_move(
     max_trials: int,
     full_eval: Optional[BatchEval] = None,
 ) -> RepairResult:
-    """Find a feasible scaled step, or keep the position.
+    """Repair one move: :func:`repair_moves` on a single row.
 
-    The full step is tried first.  Failing that, trial factors scale the
-    ORIGINAL velocity: halvings for ``bm``, the alternating 0.9/1.1
-    ladder for ``bmem`` (down-scalings only when the full step violates
-    box bounds alone), fresh uniform [0, 1.5) draws for ``bmpem`` (drawn
-    as one block when repair starts).  The first feasible trial wins and
-    its scaled velocity becomes the particle's stored velocity; a 0.0
-    factor or exhaustion keeps the old position with zero velocity.
-
-    ``evals_used`` counts candidate positions checked; trial candidates
-    are evaluated as one batch but charged sequentially up to the
-    accepted one.
+    The full step is tried first; when it is feasible it is kept as is.
+    ``full_eval``, the full step's one-row evaluation, may be passed when
+    the caller already has it.  ``evals_used`` counts candidate positions
+    charged: the full step plus the trials charged by the repair.
     """
     if variant not in _REPAIR_KINDS:
         raise ValueError(f"not a repair technique: {variant!r}")
     x_old = np.asarray(x_old, dtype=float)
     v = np.asarray(v, dtype=float)
-
-    # The caller may pass the full step's evaluation when it already has
-    # one; it is still charged as the first trial.
     if full_eval is not None:
         full = full_eval
     else:
         full = evaluate_batch(problem, problem.snap_to_grid(x_old + v)[None, :])
     if full.feasible(tolerances)[0]:
-        return RepairResult(full.positions[0], v.copy(), 1, full, 0)
+        return RepairResult(full.positions[0], v.copy(), 1, full)
 
-    if variant == "bm":
-        factors = 0.5 ** np.arange(1, max_trials + 1)
-    elif variant == "bmem":
-        box_only = (
-            np.all(full.ineq_violations[0] <= tolerances.ineq)
-            and np.all(full.eq_violations[0] <= tolerances.eq)
-        )
-        factors = _bmem_factors(box_only)[:max_trials]
-    else:
-        factors = rng.uniform(0.0, 1.5, max_trials)
-
-    nonzero = factors != 0.0
-    candidates = problem.snap_to_grid(x_old + factors[nonzero, None] * v)
-    ev = evaluate_batch(problem, candidates)
-    feasible = ev.feasible(tolerances)
-
-    # Walk the trial order, mapping back to rows of the nonzero batch.
-    row = -1
-    for trial, factor in enumerate(factors):
-        if factor == 0.0:
-            # Keep the current (feasible) position without re-evaluating.
-            return RepairResult(x_old.copy(), np.zeros_like(v), 1 + row + 1, None)
-        row += 1
-        if feasible[row]:
-            return RepairResult(
-                ev.positions[row],
-                factor * v,
-                1 + row + 1,
-                ev,
-                row,
-            )
+    rep = repair_moves(
+        x_old[None, :], v[None, :], full, problem, tolerances, variant, rng, max_trials
+    )
     return RepairResult(
-        x_old.copy(), np.zeros_like(v), 1 + int(nonzero.sum()), None
+        rep.positions[0],
+        rep.velocities[0],
+        1 + int(rep.trials_charged[0]),
+        rep.evaluation if rep.accepted[0] else None,
     )
 
 

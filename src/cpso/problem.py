@@ -204,14 +204,18 @@ class BatchEval:
             cv=self.cv[rows],
         )
 
-    def put(self, i: int, other: "BatchEval", j: int) -> None:
-        """Overwrite row ``i`` with row ``j`` of ``other``."""
-        self.positions[i] = other.positions[j]
-        self.conflict[i] = other.conflict[j]
-        self.ineq_violations[i] = other.ineq_violations[j]
-        self.eq_violations[i] = other.eq_violations[j]
-        self.box_violations[i] = other.box_violations[j]
-        self.cv[i] = other.cv[j]
+    def assign(self, rows: np.ndarray, other: "BatchEval") -> None:
+        """Overwrite the selected rows with the rows of ``other``, in order.
+
+        ``rows`` is a boolean mask or an index array; ``other`` holds one
+        row per selected row.
+        """
+        self.positions[rows] = other.positions
+        self.conflict[rows] = other.conflict
+        self.ineq_violations[rows] = other.ineq_violations
+        self.eq_violations[rows] = other.eq_violations
+        self.box_violations[rows] = other.box_violations
+        self.cv[rows] = other.cv
 
     def copy(self) -> "BatchEval":
         return BatchEval(

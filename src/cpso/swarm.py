@@ -9,11 +9,14 @@ Randomness contract (per step, one generator per run):
 1. One ``rng.random((size, dimension, 2))`` block, consumed in C order:
    particle-major, then dimension, with the individuality draw before
    the sociality draw in each dimension.
-2. For the probabilistic-memory techniques, one extra scalar uniform per
-   particle (ascending index order) whenever that particle's memory
-   comparison involves an infeasible point.
-3. For repair with random factors, one block of ``max_repair_trials``
-   uniforms per particle needing repair, ascending index order.
+2. For the probabilistic-memory techniques, one ``rng.random(k)`` block
+   for the k particles whose memory comparison involves an infeasible
+   point: one uniform per such particle, in ascending index order.  It
+   holds the same values as k scalar draws taken particle by particle.
+3. For repair with random factors, one ``(k, max_repair_trials)``
+   uniform block for the k particles needing repair: one row per such
+   particle, in ascending index order.  It holds the same values as k
+   per-particle blocks of ``max_repair_trials`` uniforms.
 
 Initialization consumes one ``(count, dimension)`` uniform block per
 sampling request; feasible initialization draws candidate chunks of 256
@@ -27,7 +30,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .handlers import ChtConfig, RepairResult, penalized_batch, repair_move
+from .handlers import ChtConfig, penalized_batch, repair_moves
 from .problem import BatchEval, EvaluatedPoint, Problem, Tolerances, evaluate_batch
 
 _INIT_CHUNK = 256
@@ -184,6 +187,48 @@ def position_update(x: np.ndarray, v_new: np.ndarray, problem: Problem) -> np.nd
     return problem.snap_to_grid(x + v_new)
 
 
+def lbest_index(
+    neighbors: np.ndarray, primary: np.ndarray, secondary: np.ndarray
+) -> np.ndarray:
+    """Neighbourhood-best index for every row of ``neighbors``.
+
+    Row ``i`` of the boolean ``(s, s)`` matrix marks the candidates of
+    particle ``i``.  The winner has the smallest ``primary`` key, then
+    the smallest ``secondary`` key, then the lowest index.  Keys may be
+    infinite but not NaN.
+    """
+    p = np.where(neighbors, primary, np.inf)
+    best = neighbors & (p == p.min(axis=1, keepdims=True))
+    q = np.where(best, secondary, np.inf)
+    best &= q == q.min(axis=1, keepdims=True)
+    return best.argmax(axis=1)
+
+
+def probabilistic_replacement(
+    cand: BatchEval,
+    inc: BatchEval,
+    cand_feasible: np.ndarray,
+    inc_feasible: np.ndarray,
+    prob: float,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Memory-replacement mask of the probabilistic priority rules.
+
+    When candidate and incumbent are both feasible the lower conflict
+    wins and nothing is drawn.  Every other particle gets one uniform,
+    drawn as one block in ascending index order: below ``prob`` the
+    priority rules decide (feasible first, then lower cv), otherwise the
+    lower conflict wins.  Ties keep the incumbent.
+    """
+    draw = ~(cand_feasible & inc_feasible)
+    u = np.zeros(len(cand))
+    u[draw] = rng.random(np.count_nonzero(draw))
+    by_priority = np.where(
+        cand_feasible != inc_feasible, cand_feasible, cand.cv < inc.cv
+    )
+    return np.where(draw & (u < prob), by_priority, cand.conflict < inc.conflict)
+
+
 class Swarm:
     """Mutable swarm state: positions, velocities, memories, counters.
 
@@ -215,7 +260,6 @@ class Swarm:
         self.iw = np.array([c.iw for c in coeffs])
         self.sw = np.array([c.sw for c in coeffs])
         self.neighbors = config.topology.neighbor_matrix()
-        self._neighbor_lists = [np.flatnonzero(row) for row in self.neighbors]
         self.current = evaluate_batch(problem, positions)
         self.init_evaluations = init_evaluations + s
         self.repair_evaluations = 0
@@ -251,17 +295,6 @@ class Swarm:
         secondary = np.where(feas, ev.conflict, ev.cv)
         return primary, secondary
 
-    def _lbest_positions(self, tol: Tolerances) -> np.ndarray:
-        primary, secondary = self._keys(self.pbest, tol)
-        s = self.config.size
-        idx = np.empty(s, dtype=int)
-        order = np.arange(s)
-        for i in range(s):
-            c = self._neighbor_lists[i]
-            # lexsort: last key is most significant; ties keep lowest index.
-            idx[i] = c[np.lexsort((order[c], secondary[c], primary[c]))[0]]
-        return self.pbest.positions[idx]
-
     # -- stepping -----------------------------------------------------------
 
     def step(self) -> None:
@@ -270,7 +303,10 @@ class Swarm:
         tol = self._tolerances_at(t)
         self.tolerances = tol
 
-        lbest = self._lbest_positions(tol)
+        # The memories do not change before the memory update, so their
+        # keys serve both the lbest lookup and the incumbents' side there.
+        keys = self._keys(self.pbest, tol)
+        lbest = self.pbest.positions[lbest_index(self.neighbors, *keys)]
         s, n = self.positions.shape
         u = self.rng.random((s, n, 2))
         v_new = (
@@ -284,87 +320,69 @@ class Swarm:
         x_new = self.problem.snap_to_grid(self.positions + v_new)
         new_eval = evaluate_batch(self.problem, x_new)
         self.evaluations += s
+        feasible = None if self.cht.uses_penalty else new_eval.feasible(tol)
 
         if self.cht.is_repair:
-            self._repair_step(x_new, v_new, new_eval, tol)
-        else:
-            self.positions = x_new
-            self.velocities = v_new
-            self.current = new_eval
-
-        self._update_memories(tol)
-        self.t = t
-
-    def _repair_step(self, x_new, v_new, new_eval, tol):
-        feasible = new_eval.feasible(tol)
-        for i in np.flatnonzero(~feasible):
-            res: RepairResult = repair_move(
-                self.positions[i],
-                v_new[i],
-                self.problem,
-                tol,
-                self.cht.kind,
-                self.rng,
-                self.cht.max_repair_trials,
-                full_eval=new_eval.take(np.array([i])),
-            )
-            extra = res.evals_used - 1  # the full step is already charged
-            self.repair_evaluations += extra
-            self.evaluations += extra
-            x_new[i] = res.position
-            v_new[i] = res.velocity
-            if res.evaluation is None:
-                new_eval.put(i, self.current, i)  # position kept
-            else:
-                new_eval.put(i, res.evaluation, res.accepted_row)
+            self._repair(x_new, v_new, new_eval, feasible, tol)
         self.positions = x_new
         self.velocities = v_new
         self.current = new_eval
 
-    def _update_memories(self, tol: Tolerances) -> None:
+        replace = self._replacements(feasible, keys)
+        self.pbest.assign(replace, new_eval.take(replace))
+        self.t = t
+
+    def _repair(self, x_new, v_new, new_eval, feasible, tol) -> None:
+        """Repair every infeasible move in place, all in one batch."""
+        bad = np.flatnonzero(~feasible)
+        if bad.size == 0:
+            return
+        rep = repair_moves(
+            self.positions[bad],
+            v_new[bad],
+            new_eval.take(bad),
+            self.problem,
+            tol,
+            self.cht.kind,
+            self.rng,
+            self.cht.max_repair_trials,
+        )
+        charged = int(rep.trials_charged.sum())  # full steps are already charged
+        self.repair_evaluations += charged
+        self.evaluations += charged
+        x_new[bad] = rep.positions
+        v_new[bad] = rep.velocities
+        # A kept position keeps its evaluation.
+        new_eval.assign(bad, self.current.take(bad))
+        new_eval.assign(bad[rep.accepted], rep.evaluation)
+
+    def _replacements(self, cand_feasible, inc_keys) -> np.ndarray:
+        """Mask of the memories that the current points replace.
+
+        ``cand_feasible`` is the current points' feasibility mask (None
+        for penalty search) and ``inc_keys`` the memories' sort keys.
+        """
         cht = self.cht
         cand, inc = self.current, self.pbest
-        if cht.probabilistic_memory:
-            self._update_memories_probabilistic(tol)
-            return
+        lower_conflict = cand.conflict < inc.conflict
         if cht.kind == "pf":
-            replace = cand.feasible(tol) & (cand.conflict < inc.conflict)
-        elif cht.uses_penalty:
-            fp_c = penalized_batch(
+            return cand_feasible & lower_conflict
+        if cht.uses_penalty:
+            fp = penalized_batch(
                 cand, cht.penalty_k, cht.penalty_alpha, cht.unit_exponent_below_one
             )
-            fp_i = penalized_batch(
-                inc, cht.penalty_k, cht.penalty_alpha, cht.unit_exponent_below_one
-            )
-            replace = fp_c < fp_i
-        elif cht.is_repair:
-            replace = cand.conflict < inc.conflict
-        else:
-            cf, nf = cand.feasible(tol), inc.feasible(tol)
-            replace = (cf & ~nf) | (
-                cf & nf & (cand.conflict < inc.conflict)
-            ) | (~cf & ~nf & (cand.cv < inc.cv))
-        for i in np.flatnonzero(replace):
-            self.pbest.put(i, cand, i)
-
-    def _update_memories_probabilistic(self, tol: Tolerances) -> None:
-        """Priority rules, overridden with probability 1 - prob by a raw
-        conflict comparison whenever an infeasible point is involved.
-        One uniform is drawn per particle needing a draw, index order."""
-        cand, inc = self.current, self.pbest
-        cf, nf = cand.feasible(tol), inc.feasible(tol)
-        for i in range(self.config.size):
-            if cf[i] and nf[i]:
-                replace = cand.conflict[i] < inc.conflict[i]
-            elif self.rng.random() < self.cht.prob:
-                if cf[i] != nf[i]:
-                    replace = cf[i]
-                else:
-                    replace = cand.cv[i] < inc.cv[i]
-            else:
-                replace = cand.conflict[i] < inc.conflict[i]
-            if replace:
-                self.pbest.put(i, cand, i)
+            return fp < inc_keys[1]
+        if cht.is_repair:
+            return lower_conflict
+        cf = cand_feasible
+        nf = inc_keys[0] == 0.0  # the primary key flags infeasibility
+        if cht.probabilistic_memory:
+            return probabilistic_replacement(cand, inc, cf, nf, cht.prob, self.rng)
+        return (
+            (cf & ~nf)
+            | (cf & nf & lower_conflict)
+            | (~cf & ~nf & (cand.cv < inc.cv))
+        )
 
     # -- results ------------------------------------------------------------
 
@@ -373,9 +391,8 @@ class Swarm:
 
         Returns ``(particle_index, point)``; ties keep the lowest index.
         """
-        primary, secondary = self._keys(self.pbest, self.tolerances)
-        order = np.arange(self.config.size)
-        i = int(np.lexsort((order, secondary, primary))[0])
+        everyone = np.ones((1, self.config.size), dtype=bool)
+        i = int(lbest_index(everyone, *self._keys(self.pbest, self.tolerances))[0])
         return i, self.pbest.point(i, self.tolerances)
 
 

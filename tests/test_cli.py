@@ -45,7 +45,7 @@ def test_run_csv_byte_identical_reruns(capsys):
 def test_run_json_round_trip(capsys):
     assert main(RUN_ARGS + ["--detail"]) == 0
     record = json.loads(capsys.readouterr().out)
-    assert record["schema_version"] == 1
+    assert record["schema_version"] == 2
     assert record["config"]["problem"] == "g08"
     assert record["config"]["runs"] == 2
     assert record["summary"]["failed"] is False
@@ -107,6 +107,25 @@ def test_fail_row_still_exits_zero(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "FAIL" not in out
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_fail_row_json_is_strict(capsys):
+    # g13's equality constraints leave no feasible start under 1e-12.
+    code = main(
+        ["run", "--problem", "g13", "--cht", "pf", "--nn", "2", "--particles", "6",
+         "--steps", "5", "--runs", "2", "--detail"]
+    )
+    assert code == 0
+    record = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    summary = record["summary"]
+    assert summary["failed"] is True
+    for key in ("best_conflict", "best_cv", "mean_conflict", "mean_cv", "mean_nac"):
+        assert summary[key] is None
+    assert [(r["conflict"], r["cv"]) for r in record["runs"]] == [(None, None)] * 2
 
 
 def test_list_cardinality(capsys):

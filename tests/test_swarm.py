@@ -11,6 +11,7 @@ from cpso.swarm import (
     Topology,
     assign_coefficients,
     init_swarm,
+    lbest_index,
     position_update,
     velocity_update,
 )
@@ -252,7 +253,8 @@ def test_step_reproducible_from_documented_rng_order(toy1):
     x0 = swarm.positions.copy()
     v0 = swarm.velocities.copy()
     pbest0 = swarm.pbest.positions.copy()
-    lbest = swarm._lbest_positions(swarm.tolerances)
+    keys = swarm._keys(swarm.pbest, swarm.tolerances)
+    lbest = pbest0[lbest_index(swarm.neighbors, *keys)]
     rng_clone = np.random.default_rng(np.random.SeedSequence(7))
     # consume exactly what init and the three steps consumed
     rng_clone.random((9, 2))
