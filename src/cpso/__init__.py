@@ -8,17 +8,7 @@ from .benchmarks import (
     get_problem,
     registry_names,
 )
-from .handlers import (
-    ChtConfig,
-    ComparisonOutcome,
-    KINDS,
-    compare_priority,
-    compare_probabilistic,
-    penalized_conflict,
-    repair_bisection,
-    reported_conflict,
-    update_pbest,
-)
+from .handlers import KINDS, ChtConfig
 from .harness import (
     ExperimentConfig,
     RunResult,
@@ -36,21 +26,16 @@ from .problem import (
     Tolerances,
     evaluate,
     evaluate_batch,
-    is_feasible,
-    tolerance_at,
 )
 from .swarm import (
     COEFFICIENT_PRESETS,
     CoefficientSet,
     InitializationFailure,
-    Particle,
     Swarm,
     SwarmConfig,
     Topology,
     assign_coefficients,
     init_swarm,
-    position_update,
-    velocity_update,
 )
 
 __version__ = "0.1.0"

@@ -20,24 +20,22 @@ bmpem     retrial factors drawn uniformly from [0, 1.5)
 
 The probabilistic rule of ``pfppr`` applies only to personal-best
 memory updates; neighbourhood-best lookups always use the plain rules.
+
+Each rule has one array implementation, which the swarm engine calls
+on all particles at once: :func:`priority_keys` (the priority
+comparison as sort keys), :func:`replacement_mask` (every technique's
+memory update), :func:`repair_moves` (the repair ladders) and
+:func:`penalized_batch` (the ``apm`` penalty).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
-from .problem import (
-    BatchEval,
-    EvaluatedPoint,
-    Problem,
-    RecSchedule,
-    Tolerances,
-    evaluate_batch,
-    is_feasible,
-)
+from .problem import BatchEval, Problem, RecSchedule, Tolerances, evaluate_batch
 
 KINDS = (
     "pf",
@@ -54,6 +52,10 @@ KINDS = (
 _REPAIR_KINDS = ("bm", "bmem", "bmpem")
 _DEFAULT_TRIALS = {"bm": 20, "bmem": 19, "bmpem": 19}
 
+# apm charges ``_PENALTY_K * sum(violation ** _PENALTY_ALPHA)``.
+_PENALTY_K = 1e6
+_PENALTY_ALPHA = 2.0
+
 
 @dataclass(frozen=True)
 class ChtConfig:
@@ -61,23 +63,18 @@ class ChtConfig:
 
     kind: str
     prob: float = 0.9
-    penalty_k: float = 1e6
-    penalty_alpha: float = 2.0
-    max_repair_trials: int = 0  # 0 = per-kind default
     rec: Optional[RecSchedule] = None
-    unit_exponent_below_one: bool = False  # opt-in alpha switch for apm
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown CHT {self.kind!r}; valid: {', '.join(KINDS)}")
         if not (0.0 <= self.prob <= 1.0):
             raise ValueError("prob must be in [0, 1]")
-        if self.penalty_k <= 0 or self.penalty_alpha <= 0:
-            raise ValueError("penalty coefficients must be positive")
-        if self.max_repair_trials == 0 and self.kind in _REPAIR_KINDS:
-            object.__setattr__(
-                self, "max_repair_trials", _DEFAULT_TRIALS[self.kind]
-            )
+
+    @property
+    def max_repair_trials(self) -> int:
+        """Repair trials per infeasible move; 0 for non-repair techniques."""
+        return _DEFAULT_TRIALS.get(self.kind, 0)
 
     @property
     def requires_feasible_init(self) -> bool:
@@ -99,102 +96,69 @@ class ChtConfig:
     def probabilistic_memory(self) -> bool:
         return self.kind in ("pfppr", "pfppr+rec")
 
-    def with_rec(self, rec: RecSchedule) -> "ChtConfig":
-        return ChtConfig(
-            kind=self.kind,
-            prob=self.prob,
-            penalty_k=self.penalty_k,
-            penalty_alpha=self.penalty_alpha,
-            max_repair_trials=self.max_repair_trials,
-            rec=rec,
-            unit_exponent_below_one=self.unit_exponent_below_one,
-        )
 
+def priority_keys(ev: BatchEval, feasible: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Sort keys ``(primary, secondary)`` of the priority rules.
 
-@dataclass(frozen=True)
-class ComparisonOutcome:
-    winner: str  # "first" | "second"
-    basis: str   # "conflict" | "feasibility" | "violation" | "probabilistic-override"
-
-
-def compare_priority(
-    a: EvaluatedPoint, b: EvaluatedPoint, tolerances: Tolerances
-) -> ComparisonOutcome:
-    """Feasible beats infeasible; otherwise lower conflict (both feasible)
-    or lower cv (both infeasible).  Exact ties keep the incumbent ``a``."""
-    fa, fb = is_feasible(a, tolerances), is_feasible(b, tolerances)
-    if fa and not fb:
-        return ComparisonOutcome("first", "feasibility")
-    if fb and not fa:
-        return ComparisonOutcome("second", "feasibility")
-    if fa and fb:
-        winner = "second" if b.conflict < a.conflict else "first"
-        return ComparisonOutcome(winner, "conflict")
-    winner = "second" if b.cv < a.cv else "first"
-    return ComparisonOutcome(winner, "violation")
-
-
-def compare_probabilistic(
-    a: EvaluatedPoint,
-    b: EvaluatedPoint,
-    tolerances: Tolerances,
-    rng: np.random.Generator,
-    prob: float,
-) -> ComparisonOutcome:
-    """Priority rules with an escape hatch when infeasibility is involved.
-
-    Both feasible: identical to :func:`compare_priority` (no draw).
-    Otherwise one uniform draw decides: below ``prob`` the priority
-    rules apply, above it the comparison falls back to raw conflict.
+    ``feasible`` is the rows' feasibility mask.  The primary key is 1.0
+    for an infeasible row and 0.0 otherwise; the secondary key is the
+    conflict of a feasible row and the cv of an infeasible one.  So
+    feasible beats infeasible, then lower conflict (both feasible) or
+    lower cv (both infeasible) wins, compared lexicographically.
     """
-    fa, fb = is_feasible(a, tolerances), is_feasible(b, tolerances)
-    if fa and fb:
-        return compare_priority(a, b, tolerances)
-    if rng.random() < prob:
-        return compare_priority(a, b, tolerances)
-    winner = "second" if b.conflict < a.conflict else "first"
-    return ComparisonOutcome(winner, "probabilistic-override")
+    return (~feasible).astype(float), np.where(feasible, ev.conflict, ev.cv)
 
 
-def penalized_conflict(
-    point: EvaluatedPoint,
-    k: float = 1e6,
-    alpha: float = 2.0,
-    unit_exponent_below_one: bool = False,
-) -> float:
-    """Conflict plus ``k * sum(violation ** alpha)`` over every term.
-
-    With ``unit_exponent_below_one``, violations below one are charged
-    linearly instead of being weakened by the exponent.
-    """
-    v = np.concatenate(
-        (point.ineq_violations, point.eq_violations, point.box_violations)
-    )
-    return point.conflict + _penalty_sum(v, k, alpha, unit_exponent_below_one)
-
-
-def penalized_batch(
-    ev: BatchEval,
-    k: float,
-    alpha: float,
-    unit_exponent_below_one: bool = False,
-) -> np.ndarray:
+def penalized_batch(ev: BatchEval) -> np.ndarray:
+    """Conflict plus ``1e6 * sum(violation ** 2)`` over every term."""
     v = np.concatenate(
         (ev.ineq_violations, ev.eq_violations, ev.box_violations), axis=1
     )
-    return ev.conflict + _penalty_sum(v, k, alpha, unit_exponent_below_one, axis=1)
+    return ev.conflict + _PENALTY_K * (v**_PENALTY_ALPHA).sum(axis=1)
 
 
-def _penalty_sum(v, k, alpha, unit_below_one, axis=None):
-    powered = v**alpha
-    if unit_below_one:
-        powered = np.where(v < 1.0, v, powered)
-    return k * powered.sum(axis=axis)
+def replacement_mask(
+    cht: ChtConfig,
+    cand: BatchEval,
+    cand_feasible: Optional[np.ndarray],
+    inc: BatchEval,
+    inc_keys: Tuple[np.ndarray, np.ndarray],
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Which memories ``inc`` the candidates ``cand`` replace, row by row.
 
+    ``cand_feasible`` is the candidates' feasibility mask (unused, and
+    may be None, for ``apm``).  ``inc_keys`` are the memories' sort keys
+    as the swarm ranks them: :func:`priority_keys`, or for ``apm`` zeros
+    and the penalized conflict.  Ties keep the memory.
 
-def reported_conflict(point: EvaluatedPoint, cht: ChtConfig) -> float:
-    """Raw conflict for statistics; penalties steer the search only."""
-    return point.conflict
+    - ``pf``: a feasible candidate with lower conflict replaces.
+    - ``bm``/``bmem``/``bmpem``: lower conflict replaces.
+    - ``apm``: lower penalized conflict replaces.
+    - priority techniques: the candidate replaces when its priority keys
+      are lower.  The probabilistic ones draw one uniform for every row
+      where an infeasible point is involved, as one ``rng.random(k)``
+      block in ascending row order; at or above ``cht.prob`` that row
+      falls back to lower conflict.
+    """
+    lower_conflict = cand.conflict < inc.conflict
+    if cht.kind == "pf":
+        return cand_feasible & lower_conflict
+    if cht.is_repair:
+        return lower_conflict
+    if cht.uses_penalty:
+        return penalized_batch(cand) < inc_keys[1]
+    cand_primary, cand_secondary = priority_keys(cand, cand_feasible)
+    inc_primary, inc_secondary = inc_keys
+    replace = (cand_primary < inc_primary) | (
+        (cand_primary == inc_primary) & (cand_secondary < inc_secondary)
+    )
+    if cht.probabilistic_memory:
+        draw = (cand_primary + inc_primary) > 0.0
+        override = np.zeros(len(cand), dtype=bool)
+        override[draw] = rng.random(np.count_nonzero(draw)) >= cht.prob
+        replace = np.where(override, lower_conflict, replace)
+    return replace
 
 
 # bmem trial ladders.  The full ladder alternates down- and up-scalings
@@ -299,117 +263,3 @@ def repair_moves(
         accepted=accepted,
         evaluation=ev.take(accepted_rows),
     )
-
-
-@dataclass
-class RepairResult:
-    position: np.ndarray
-    velocity: np.ndarray
-    evals_used: int
-    evaluation: Optional[BatchEval]  # one row; None when the old position is kept
-
-
-def repair_move(
-    x_old: np.ndarray,
-    v: np.ndarray,
-    problem: Problem,
-    tolerances: Tolerances,
-    variant: str,
-    rng: np.random.Generator,
-    max_trials: int,
-    full_eval: Optional[BatchEval] = None,
-) -> RepairResult:
-    """Repair one move: :func:`repair_moves` on a single row.
-
-    The full step is tried first; when it is feasible it is kept as is.
-    ``full_eval``, the full step's one-row evaluation, may be passed when
-    the caller already has it.  ``evals_used`` counts candidate positions
-    charged: the full step plus the trials charged by the repair.
-    """
-    if variant not in _REPAIR_KINDS:
-        raise ValueError(f"not a repair technique: {variant!r}")
-    x_old = np.asarray(x_old, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if full_eval is not None:
-        full = full_eval
-    else:
-        full = evaluate_batch(problem, problem.snap_to_grid(x_old + v)[None, :])
-    if full.feasible(tolerances)[0]:
-        return RepairResult(full.positions[0], v.copy(), 1, full)
-
-    rep = repair_moves(
-        x_old[None, :], v[None, :], full, problem, tolerances, variant, rng, max_trials
-    )
-    return RepairResult(
-        rep.positions[0],
-        rep.velocities[0],
-        1 + int(rep.trials_charged[0]),
-        rep.evaluation if rep.accepted[0] else None,
-    )
-
-
-def repair_bisection(
-    x_old: np.ndarray,
-    v: np.ndarray,
-    problem: Problem,
-    tolerances: Tolerances,
-    variant: str,
-    rng: np.random.Generator,
-    max_trials: int,
-) -> Tuple[np.ndarray, np.ndarray, int]:
-    """Repair a move; returns ``(x_new, v_applied, evals_used)``.
-
-    Precondition: ``x_old`` is feasible under the given tolerances.
-    """
-    old_ev = evaluate_batch(problem, x_old[None, :])
-    if not old_ev.feasible(tolerances)[0]:
-        raise ValueError("repair requires a feasible starting position")
-    res = repair_move(x_old, v, problem, tolerances, variant, rng, max_trials)
-    return res.position, res.velocity, res.evals_used
-
-
-def update_pbest(
-    particle,
-    candidate: EvaluatedPoint,
-    cht: ChtConfig,
-    tolerances: Tolerances,
-    rng: np.random.Generator,
-):
-    """Apply the technique's memory rule to a particle-like object.
-
-    ``particle`` needs mutable ``pbest_position`` / ``pbest_eval``
-    attributes.  The swarm engine uses the vectorized equivalent in
-    :mod:`cpso.swarm`; this entry point mirrors it one particle at a
-    time for direct use and testing.
-    """
-    incumbent = particle.pbest_eval
-    if incumbent is None:
-        if cht.kind == "pf" and not is_feasible(candidate, tolerances):
-            return particle
-        particle.pbest_position = np.array(candidate.position)
-        particle.pbest_eval = candidate
-        return particle
-
-    if cht.kind == "pf":
-        replace = (
-            is_feasible(candidate, tolerances)
-            and candidate.conflict < incumbent.conflict
-        )
-    elif cht.uses_penalty:
-        replace = penalized_conflict(
-            candidate, cht.penalty_k, cht.penalty_alpha, cht.unit_exponent_below_one
-        ) < penalized_conflict(
-            incumbent, cht.penalty_k, cht.penalty_alpha, cht.unit_exponent_below_one
-        )
-    elif cht.probabilistic_memory:
-        outcome = compare_probabilistic(incumbent, candidate, tolerances, rng, cht.prob)
-        replace = outcome.winner == "second"
-    elif cht.is_repair:
-        replace = candidate.conflict < incumbent.conflict
-    else:
-        replace = compare_priority(incumbent, candidate, tolerances).winner == "second"
-
-    if replace:
-        particle.pbest_position = np.array(candidate.position)
-        particle.pbest_eval = candidate
-    return particle

@@ -15,15 +15,21 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .benchmarks import get_problem
-from .handlers import ChtConfig, compare_priority
-from .problem import EvaluatedPoint, RecSchedule, Tolerances
-from .swarm import InitializationFailure, Swarm, SwarmConfig, Topology, init_swarm
+from .handlers import ChtConfig, priority_keys
+from .problem import (
+    BatchEval,
+    EvaluatedPoint,
+    EvaluationFault,
+    RecSchedule,
+    Tolerances,
+)
+from .swarm import InitializationFailure, SwarmConfig, Topology, init_swarm, lbest_index
 
 TraceFn = Callable[[int, int, float, float], None]
 
@@ -35,7 +41,8 @@ class ExperimentConfig:
     ``nn`` counts neighbours excluding the particle itself; 2 and 10 map
     to ring windows 3 and 11, ``particles - 1`` to fully connected.
     The relaxed-equality schedule options apply only to ``*+rec``
-    techniques and are resolved against the problem box at run time.
+    techniques; their schedule is built against the problem box, and
+    validated when the config is built.
     """
 
     problem: str
@@ -58,6 +65,7 @@ class ExperimentConfig:
             raise ValueError("runs must be >= 1")
         if self.master_seed < 0:
             raise ValueError("master_seed must be nonnegative")
+        self.resolved_cht()
 
     @property
     def fes(self) -> int:
@@ -75,7 +83,7 @@ class ExperimentConfig:
             decrease=self.rec_decrease,
             rate=self.rec_rate,
         )
-        return self.cht.with_rec(schedule)
+        return replace(self.cht, rec=schedule)
 
 
 @dataclass
@@ -188,6 +196,18 @@ def run_single(
     )
 
 
+def _stack(points: Sequence[EvaluatedPoint]) -> BatchEval:
+    """The points as the rows of one batch, in order."""
+    return BatchEval(
+        positions=np.array([p.position for p in points]),
+        conflict=np.array([p.conflict for p in points]),
+        ineq_violations=np.array([p.ineq_violations for p in points]),
+        eq_violations=np.array([p.eq_violations for p in points]),
+        box_violations=np.array([p.box_violations for p in points]),
+        cv=np.array([p.cv for p in points]),
+    )
+
+
 def _run_task(args: Tuple[ExperimentConfig, int]) -> RunResult:
     config, run_index = args
     return run_single(config, run_index)
@@ -215,13 +235,15 @@ def summarize(config: ExperimentConfig, results: Sequence[RunResult]) -> Summary
             elapsed=elapsed,
             runs=list(results),
         )
-    # Best over runs by the priority comparison; ties keep the lowest
-    # run index, so an infeasible low-conflict run never outranks a
-    # feasible one.
+    # Best over runs by the priority keys; ties keep the lowest run
+    # index, so an infeasible low-conflict run never outranks a feasible
+    # one.  A single completed run needs no ranking.
     best = done[0]
-    for r in done[1:]:
-        if compare_priority(best.best, r.best, config.tolerances).winner == "second":
-            best = r
+    if len(done) > 1:
+        bests = _stack([r.best for r in done])
+        keys = priority_keys(bests, bests.feasible(config.tolerances))
+        everyone = np.ones((1, len(done)), dtype=bool)
+        best = done[int(lbest_index(everyone, *keys)[0])]
     extra = sum(r.evaluations for r in done) - len(done) * config.fes
     return SummaryRow(
         config=config,
@@ -263,7 +285,8 @@ def sweep(configs: Sequence[ExperimentConfig], jobs: int = 1) -> List[SummaryRow
     """Run many experiments; one row per config, in input order.
 
     A row-level error (bad problem name, evaluation fault) is recorded
-    in that row instead of aborting the sweep.
+    in that row instead of aborting the sweep; any other exception
+    propagates.
     """
     if not configs:
         raise ValueError("sweep needs at least one experiment")
@@ -271,7 +294,7 @@ def sweep(configs: Sequence[ExperimentConfig], jobs: int = 1) -> List[SummaryRow
     for config in configs:
         try:
             rows.append(run_experiment(config, jobs=jobs))
-        except Exception as exc:
+        except (KeyError, EvaluationFault) as exc:
             rows.append(
                 SummaryRow(
                     config=config,

@@ -307,15 +307,6 @@ def evaluate(
     return evaluate_batch(problem, x[None, :]).point(0, tolerances)
 
 
-def is_feasible(point: EvaluatedPoint, tolerances: Tolerances) -> bool:
-    """True iff every violation is within its governing tolerance."""
-    return bool(
-        np.all(point.ineq_violations <= tolerances.ineq)
-        and np.all(point.eq_violations <= tolerances.eq)
-        and np.all(point.box_violations <= tolerances.ineq)
-    )
-
-
 @dataclass(frozen=True)
 class RecSchedule:
     """Time-decreasing equality tolerance.
@@ -362,8 +353,3 @@ class RecSchedule:
             frac = (t - 1) / (t_switch - 1)
             return self.initial_tol + frac * (self.final_tol - self.initial_tol)
         return max(self.final_tol, self.initial_tol * self.rate ** (t - 1))
-
-
-def tolerance_at(schedule: RecSchedule, t: int, t_max: int) -> float:
-    """Equality tolerance in force at step ``t`` of a ``t_max``-step run."""
-    return schedule.tolerance_at(t, t_max)

@@ -2,7 +2,9 @@
 
 The swarm advances synchronously: every neighbourhood-best lookup in
 step ``t`` reads memories as they stood at the end of step ``t - 1``, so
-the processing order of particles within a step is immaterial.
+the processing order of particles within a step is immaterial.  A step
+applies the technique's rules from :mod:`cpso.handlers` to all particles
+at once, and :func:`lbest_index` picks every neighbourhood best.
 
 Randomness contract (per step, one generator per run):
 
@@ -26,11 +28,17 @@ positions per particle and keeps the first feasible one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from .handlers import ChtConfig, penalized_batch, repair_moves
+from .handlers import (
+    ChtConfig,
+    penalized_batch,
+    priority_keys,
+    repair_moves,
+    replacement_mask,
+)
 from .problem import BatchEval, EvaluatedPoint, Problem, Tolerances, evaluate_batch
 
 _INIT_CHUNK = 256
@@ -126,10 +134,6 @@ class Topology:
                 out[idx, (idx + off) % s] = True
         return out
 
-    def candidates(self, i: int) -> np.ndarray:
-        """Sorted candidate indices for particle ``i`` (always contains i)."""
-        return np.flatnonzero(self.neighbor_matrix()[i])
-
 
 @dataclass(frozen=True)
 class SwarmConfig:
@@ -149,44 +153,6 @@ class SwarmConfig:
             raise ValueError("topology size must match swarm size")
 
 
-@dataclass
-class Particle:
-    """One particle's view of the swarm state (scalar API convenience)."""
-
-    index: int
-    position: np.ndarray
-    velocity: np.ndarray
-    coefficients: CoefficientSet
-    current_eval: Optional[EvaluatedPoint] = None
-    pbest_position: Optional[np.ndarray] = None
-    pbest_eval: Optional[EvaluatedPoint] = None
-
-
-def velocity_update(
-    v: np.ndarray,
-    x: np.ndarray,
-    pbest: np.ndarray,
-    lbest: np.ndarray,
-    coefficients: CoefficientSet,
-    rng: np.random.Generator,
-    vmax: np.ndarray,
-) -> np.ndarray:
-    """One particle's velocity update with clamping.
-
-    Uniform draws are consumed dimension-major, individuality before
-    sociality within each dimension.
-    """
-    u = rng.random((v.size, 2))
-    c = coefficients
-    v_new = c.w * v + c.iw * u[:, 0] * (pbest - x) + c.sw * u[:, 1] * (lbest - x)
-    return np.clip(v_new, -vmax, vmax)
-
-
-def position_update(x: np.ndarray, v_new: np.ndarray, problem: Problem) -> np.ndarray:
-    """``x + v`` with discrete dimensions snapped to their grid."""
-    return problem.snap_to_grid(x + v_new)
-
-
 def lbest_index(
     neighbors: np.ndarray, primary: np.ndarray, secondary: np.ndarray
 ) -> np.ndarray:
@@ -202,31 +168,6 @@ def lbest_index(
     q = np.where(best, secondary, np.inf)
     best &= q == q.min(axis=1, keepdims=True)
     return best.argmax(axis=1)
-
-
-def probabilistic_replacement(
-    cand: BatchEval,
-    inc: BatchEval,
-    cand_feasible: np.ndarray,
-    inc_feasible: np.ndarray,
-    prob: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Memory-replacement mask of the probabilistic priority rules.
-
-    When candidate and incumbent are both feasible the lower conflict
-    wins and nothing is drawn.  Every other particle gets one uniform,
-    drawn as one block in ascending index order: below ``prob`` the
-    priority rules decide (feasible first, then lower cv), otherwise the
-    lower conflict wins.  Ties keep the incumbent.
-    """
-    draw = ~(cand_feasible & inc_feasible)
-    u = np.zeros(len(cand))
-    u[draw] = rng.random(np.count_nonzero(draw))
-    by_priority = np.where(
-        cand_feasible != inc_feasible, cand_feasible, cand.cv < inc.cv
-    )
-    return np.where(draw & (u < prob), by_priority, cand.conflict < inc.conflict)
 
 
 class Swarm:
@@ -284,16 +225,9 @@ class Swarm:
         Penalty search orders by penalized conflict alone; every other
         technique orders by (infeasible flag, conflict-or-cv).
         """
-        cht = self.cht
-        if cht.uses_penalty:
-            fp = penalized_batch(
-                ev, cht.penalty_k, cht.penalty_alpha, cht.unit_exponent_below_one
-            )
-            return np.zeros(len(ev)), fp
-        feas = ev.feasible(tol)
-        primary = (~feas).astype(float)
-        secondary = np.where(feas, ev.conflict, ev.cv)
-        return primary, secondary
+        if self.cht.uses_penalty:
+            return np.zeros(len(ev)), penalized_batch(ev)
+        return priority_keys(ev, ev.feasible(tol))
 
     # -- stepping -----------------------------------------------------------
 
@@ -328,7 +262,9 @@ class Swarm:
         self.velocities = v_new
         self.current = new_eval
 
-        replace = self._replacements(feasible, keys)
+        replace = replacement_mask(
+            self.cht, new_eval, feasible, self.pbest, keys, self.rng
+        )
         self.pbest.assign(replace, new_eval.take(replace))
         self.t = t
 
@@ -355,34 +291,6 @@ class Swarm:
         # A kept position keeps its evaluation.
         new_eval.assign(bad, self.current.take(bad))
         new_eval.assign(bad[rep.accepted], rep.evaluation)
-
-    def _replacements(self, cand_feasible, inc_keys) -> np.ndarray:
-        """Mask of the memories that the current points replace.
-
-        ``cand_feasible`` is the current points' feasibility mask (None
-        for penalty search) and ``inc_keys`` the memories' sort keys.
-        """
-        cht = self.cht
-        cand, inc = self.current, self.pbest
-        lower_conflict = cand.conflict < inc.conflict
-        if cht.kind == "pf":
-            return cand_feasible & lower_conflict
-        if cht.uses_penalty:
-            fp = penalized_batch(
-                cand, cht.penalty_k, cht.penalty_alpha, cht.unit_exponent_below_one
-            )
-            return fp < inc_keys[1]
-        if cht.is_repair:
-            return lower_conflict
-        cf = cand_feasible
-        nf = inc_keys[0] == 0.0  # the primary key flags infeasibility
-        if cht.probabilistic_memory:
-            return probabilistic_replacement(cand, inc, cf, nf, cht.prob, self.rng)
-        return (
-            (cf & ~nf)
-            | (cf & nf & lower_conflict)
-            | (~cf & ~nf & (cand.cv < inc.cv))
-        )
 
     # -- results ------------------------------------------------------------
 

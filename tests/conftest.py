@@ -1,9 +1,11 @@
-"""Shared fixtures: small analytic problems with known geometry."""
+"""Shared fixtures: small analytic problems with known geometry, and
+synthetic evaluated rows."""
 
 import numpy as np
 import pytest
 
-from cpso.problem import Problem
+from cpso.handlers import ChtConfig, penalized_batch, priority_keys, replacement_mask
+from cpso.problem import BatchEval, Problem, Tolerances
 
 
 def make_toy1() -> Problem:
@@ -40,6 +42,47 @@ def make_halfline(limit: float = 0.0, lower: float = -100.0, upper: float = 100.
         objective=lambda x: x[:, 0],
         inequalities=(lambda x, c=limit: x[:, 0] - c,),
     )
+
+
+def batch(conflict, ineq=0.0, eq=0.0, box=0.0) -> BatchEval:
+    """Synthesize evaluated rows from violation amounts.
+
+    One row per entry of ``conflict``; each row has one inequality, one
+    equality and one box term, given as a scalar for every row or one
+    value per row.  Positions are zero.
+    """
+    conflict = np.atleast_1d(np.asarray(conflict, dtype=float))
+    m = conflict.size
+    ineq, eq, box = (
+        np.broadcast_to(np.asarray(a, dtype=float), (m,)).reshape(m, 1).copy()
+        for a in (ineq, eq, box)
+    )
+    return BatchEval(
+        positions=np.zeros((m, 1)),
+        conflict=conflict,
+        ineq_violations=ineq,
+        eq_violations=eq,
+        box_violations=box,
+        cv=(ineq + eq + box)[:, 0],
+    )
+
+
+def random_batch(rng, m) -> BatchEval:
+    """``m`` random rows: normal conflicts, about half of the rows feasible
+    and the rest violating their inequality by 1e-9 to 2."""
+    conflict = rng.normal(size=m)
+    ineq = np.where(rng.random(m) < 0.5, 0.0, rng.uniform(1e-9, 2.0, m))
+    return batch(conflict, ineq=ineq)
+
+
+def replaces(kind, inc, cand, rng=None, prob=0.9, tol=Tolerances()):
+    """Replacement mask of technique ``kind``: memories ``inc``, candidates ``cand``."""
+    cht = ChtConfig(kind, prob=prob)
+    if cht.uses_penalty:
+        keys = np.zeros(len(inc)), penalized_batch(inc)
+    else:
+        keys = priority_keys(inc, inc.feasible(tol))
+    return replacement_mask(cht, cand, cand.feasible(tol), inc, keys, rng)
 
 
 class FixedRng:

@@ -10,19 +10,12 @@ import numpy as np
 import pytest
 
 from cpso.benchmarks import estimate_feasibility_ratio, get_problem
-from cpso.handlers import (
-    ChtConfig,
-    compare_priority,
-    compare_probabilistic,
-    penalized_conflict,
-    repair_move,
-)
-from cpso.problem import RecSchedule, Tolerances, evaluate
+from cpso.handlers import ChtConfig, penalized_batch, repair_moves
+from cpso.problem import RecSchedule, Tolerances, evaluate_batch
 from cpso.harness import ExperimentConfig, run_experiment
 from cpso.swarm import SwarmConfig, Topology, init_swarm
 
-from conftest import FixedRng, make_toy1
-from test_handlers import random_point
+from conftest import make_toy1, random_batch, replaces
 
 TOL = Tolerances()
 SEED = 1
@@ -180,18 +173,23 @@ def test_feasibility_ratios():
 def test_property_repair_postcondition():
     toy = make_toy1()
     rng = np.random.default_rng(SEED)
+    starts = []
+    while len(starts) < 1000:
+        x = rng.uniform(-2.0, 2.0, 2)
+        if x.sum() <= 1.0:
+            starts.append(x)
+    x_old = np.array(starts)
+    v = rng.normal(0.0, 2.0, (1000, 2))
     ok = True
-    for i in range(1000):
-        while True:
-            x_old = rng.uniform(-2.0, 2.0, 2)
-            if x_old.sum() <= 1.0:
-                break
-        v = rng.normal(0.0, 2.0, 2)
-        res = repair_move(x_old, v, toy, TOL, ("bm", "bmem", "bmpem")[i % 3], rng, 19)
-        if res.evaluation is None:
-            ok &= bool(np.array_equal(res.position, x_old))
-        else:
-            ok &= bool(evaluate(toy, res.position, TOL).nac == 0)
+    for k, variant in enumerate(("bm", "bmem", "bmpem")):
+        rows = np.arange(k, 1000, 3)
+        full = evaluate_batch(toy, x_old[rows] + v[rows])
+        bad = ~full.feasible(TOL)
+        start = x_old[rows[bad]]
+        moves = v[rows[bad]], full.take(bad)
+        rep = repair_moves(start, *moves, toy, TOL, variant, rng, 19)
+        ok &= bool(np.all(evaluate_batch(toy, rep.positions).feasible(TOL)))
+        ok &= bool(np.array_equal(rep.positions[~rep.accepted], start[~rep.accepted]))
     report("repair feasibility postcondition", ok, "1000 cases")
 
 
@@ -210,35 +208,31 @@ def test_property_velocity_clamp():
 
 def test_property_comparator_structure():
     rng = np.random.default_rng(SEED)
-    ok = True
-    for _ in range(10_000):
-        a, b = random_point(rng), random_point(rng)
+    a, b = random_batch(rng, 10_000), random_batch(rng, 10_000)
 
-        def key(p):
-            feas = p.cv <= TOL.ineq
-            return (0 if feas else 1, p.conflict if feas else p.cv)
+    def keys(ev):
+        feas = ev.cv <= TOL.ineq
+        return zip(np.where(feas, 0, 1), np.where(feas, ev.conflict, ev.cv))
 
-        ok &= (compare_priority(a, b, TOL).winner == "first") == (key(a) <= key(b))
+    a_kept = ~replaces("pfpr", a, b)
+    ok = list(a_kept) == [ka <= kb for ka, kb in zip(keys(a), keys(b))]
     report("priority comparator lexicographic", ok, "10000 pairs")
 
 
 def test_property_probabilistic_prob_one():
     rng = np.random.default_rng(SEED)
-    ok = True
-    for _ in range(1000):
-        a, b = random_point(rng), random_point(rng)
-        got = compare_probabilistic(a, b, TOL, FixedRng(rng.random()), 1.0)
-        ok &= got.winner == compare_priority(a, b, TOL).winner
+    a, b = random_batch(rng, 1000), random_batch(rng, 1000)
+    got = replaces("pfppr", a, b, rng, prob=1.0)
+    ok = bool(np.array_equal(got, replaces("pfpr", a, b)))
     report("probabilistic rule at threshold one", ok, "1000 pairs")
 
 
 def test_property_penalty_bound():
-    rng = np.random.default_rng(SEED)
-    ok = True
-    for _ in range(1000):
-        p = random_point(rng)
-        fp = penalized_conflict(p)
-        ok &= fp >= p.conflict and (fp == p.conflict) == (p.cv == 0.0)
+    ev = random_batch(np.random.default_rng(SEED), 1000)
+    fp = penalized_batch(ev)
+    ok = bool(np.all(fp >= ev.conflict)) and bool(
+        np.array_equal(fp == ev.conflict, ev.cv == 0.0)
+    )
     report("penalized conflict lower bound", ok, "1000 points")
 
 

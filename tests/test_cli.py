@@ -85,6 +85,14 @@ def test_unknown_cht_exits_nonzero(capsys):
     assert "pfpr" in capsys.readouterr().err
 
 
+def test_invalid_rec_tolerance_exits_nonzero(capsys):
+    # --tol-eq above the schedule's initial tolerance (half g08's mean span)
+    argv = ["run", "--problem", "g08", "--cht", "pfpr+rec", "--tol-eq", "1000"]
+    code = main(argv + ["--steps", "2", "--runs", "1", "--particles", "6"])
+    assert code == 2
+    assert "initial_tol must be >= final_tol" in capsys.readouterr().err
+
+
 def test_fail_row_still_exits_zero(capsys):
     code = main(
         [
@@ -213,6 +221,13 @@ def test_sweep_malformed_reports_line_number():
         parse_sweep_file("[run]\nproblem = g08\nbogus-key = 1\ncht = pfpr\n")
     with pytest.raises(UsageError, match="line 2"):
         parse_sweep_file("[run]\nno equals sign here\n")
+
+
+def test_sweep_invalid_rec_tolerance_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "rec.cfg"
+    path.write_text("[run]\nproblem = g08\ncht = pfpr+rec\ntol-eq = 1000\n")
+    assert main(["sweep", str(path)]) == 2
+    assert "initial_tol must be >= final_tol" in capsys.readouterr().err
 
 
 def test_sweep_without_sections_is_usage_error(tmp_path, capsys):

@@ -1,47 +1,27 @@
 import numpy as np
 import pytest
 
-from cpso.handlers import (
-    ChtConfig,
-    KINDS,
-    compare_priority,
-    compare_probabilistic,
-    penalized_conflict,
-    repair_bisection,
-    repair_move,
-    reported_conflict,
-    update_pbest,
-)
-from cpso.problem import EvaluatedPoint, Problem, Tolerances, evaluate
-from cpso.swarm import Particle
+from cpso.handlers import ChtConfig, KINDS, penalized_batch, priority_keys, repair_moves
+from cpso.problem import Problem, Tolerances, evaluate_batch
+from cpso.swarm import SwarmConfig, Topology, init_swarm, lbest_index
 
-from conftest import FixedRng, make_halfline, make_toy1
+from conftest import FixedRng, batch, make_halfline, random_batch, replaces
 
 TOL = Tolerances()
+REPAIRS = ("bm", "bmem", "bmpem")
 
 
-def point(conflict, ineq=(), eq=(), box=()):
-    """Synthesize an evaluated point from violation amounts."""
-    ineq = np.asarray(ineq, dtype=float)
-    eq = np.asarray(eq, dtype=float)
-    box = np.asarray(box, dtype=float)
-    cv = ineq.sum() + eq.sum() + box.sum()
-    nac = int((ineq > TOL.ineq).sum() + (eq > TOL.eq).sum() + (box > TOL.ineq).sum())
-    return EvaluatedPoint(
-        position=np.zeros(1),
-        conflict=float(conflict),
-        ineq_violations=ineq,
-        eq_violations=eq,
-        box_violations=box,
-        cv=float(cv),
-        nac=nac,
-    )
+def ranked_first(ev, tol=TOL):
+    """Row that ranks first, as runs and memories are ranked: lowest
+    priority keys, then lowest index."""
+    everyone = np.ones((1, len(ev)), dtype=bool)
+    return int(lbest_index(everyone, *priority_keys(ev, ev.feasible(tol)))[0])
 
 
-def random_point(rng):
-    if rng.random() < 0.5:
-        return point(rng.normal())
-    return point(rng.normal(), ineq=[rng.uniform(1e-9, 2.0)])
+def reference_keys(ev):
+    """The priority order written out: (infeasible, conflict or cv) per row."""
+    feasible = ev.cv <= TOL.ineq
+    return list(zip(np.where(feasible, 0, 1), np.where(feasible, ev.conflict, ev.cv)))
 
 
 # ------------------------------------------------------------- configuration
@@ -52,9 +32,8 @@ def test_config_kinds_and_defaults():
     assert ChtConfig("bm").max_repair_trials == 20
     assert ChtConfig("bmem").max_repair_trials == 19
     assert ChtConfig("bmpem").max_repair_trials == 19
+    assert ChtConfig("pfpr").max_repair_trials == 0
     assert ChtConfig("pfppr").prob == 0.9
-    assert ChtConfig("apm").penalty_k == 1e6
-    assert ChtConfig("apm").penalty_alpha == 2.0
 
 
 def test_config_rejects_bad_values():
@@ -62,8 +41,6 @@ def test_config_rejects_bad_values():
         ChtConfig("unknown")
     with pytest.raises(ValueError):
         ChtConfig("pfppr", prob=1.5)
-    with pytest.raises(ValueError):
-        ChtConfig("apm", penalty_k=0.0)
 
 
 def test_config_flags():
@@ -80,118 +57,106 @@ def test_config_flags():
 
 
 def test_priority_both_feasible_lower_conflict():
-    out = compare_priority(point(1.0), point(3.0), TOL)
-    assert out.winner == "first" and out.basis == "conflict"
+    assert ranked_first(batch([1.0, 3.0])) == 0
 
 
 def test_priority_feasible_beats_infeasible():
-    a = point(2.0)
-    b = point(0.0, ineq=[0.1])
-    out = compare_priority(a, b, TOL)
-    assert out.winner == "first" and out.basis == "feasibility"
+    assert ranked_first(batch([2.0, 0.0], ineq=[0.0, 0.1])) == 0
 
 
 def test_priority_both_infeasible_lower_cv():
-    a = point(0.0, ineq=[0.5])
-    b = point(9.0, ineq=[0.2])
-    out = compare_priority(a, b, TOL)
-    assert out.winner == "second" and out.basis == "violation"
+    assert ranked_first(batch([0.0, 9.0], ineq=[0.5, 0.2])) == 1
 
 
 def test_priority_tie_keeps_incumbent():
-    assert compare_priority(point(1.0), point(1.0), TOL).winner == "first"
-    a = point(0.0, ineq=[0.3])
-    b = point(5.0, ineq=[0.3])
-    assert compare_priority(a, b, TOL).winner == "first"
+    assert ranked_first(batch([1.0, 1.0])) == 0
+    assert ranked_first(batch([0.0, 5.0], ineq=0.3)) == 0
+    assert not replaces("pfpr", batch([1.0]), batch([1.0]))[0]
+    assert not replaces("pfpr", batch([0.0], ineq=0.3), batch([5.0], ineq=0.3))[0]
 
 
 def test_priority_is_lexicographic_and_transitive():
     rng = np.random.default_rng(7)
-    for _ in range(2000):
-        a, b, c = (random_point(rng) for _ in range(3))
-
-        def key(p):
-            feas = p.cv <= TOL.ineq
-            return (0 if feas else 1, p.conflict if feas else p.cv)
-
-        wins_ab = compare_priority(a, b, TOL).winner == "first"
-        assert wins_ab == (key(a) <= key(b))
-        # transitivity of "does not lose"
-        if wins_ab and compare_priority(b, c, TOL).winner == "first":
-            assert compare_priority(a, c, TOL).winner == "first"
+    a, b, c = (random_batch(rng, 2000) for _ in range(3))
+    ka, kb, kc = reference_keys(a), reference_keys(b), reference_keys(c)
+    b_wins = replaces("pfpr", a, b)
+    assert list(b_wins) == [y < x for x, y in zip(ka, kb)]
+    # transitivity of "does not lose"
+    c_beats_b = replaces("pfpr", b, c)
+    c_beats_a = replaces("pfpr", a, c)
+    assert not np.any(~b_wins & ~c_beats_b & c_beats_a)
+    # the ranking picks the first row with the lowest key
+    for _ in range(500):
+        trio = random_batch(rng, 3)
+        keys = reference_keys(trio)
+        assert ranked_first(trio) == keys.index(min(keys))
 
 
 def test_probabilistic_both_feasible_never_draws():
-    class Exploding:
-        def random(self):
-            raise AssertionError("no draw expected")
-
-    out = compare_probabilistic(point(2.0), point(1.0), TOL, Exploding(), 0.9)
-    assert out.winner == "second" and out.basis == "conflict"
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    assert list(replaces("pfppr", batch([2.0, 1.0]), batch([1.0, 3.0]), rng)) == [
+        True,
+        False,
+    ]
+    assert rng.bit_generator.state == state
 
 
 def test_probabilistic_forced_branches():
-    a = point(2.0)
-    b = point(0.0, ineq=[0.5])
-    below = compare_probabilistic(a, b, TOL, FixedRng(0.5), 0.9)
-    assert below.winner == "first" and below.basis == "feasibility"
-    above = compare_probabilistic(a, b, TOL, FixedRng(0.95), 0.9)
-    assert above.winner == "second" and above.basis == "probabilistic-override"
+    # Row 0: infeasible memory, feasible candidate of higher conflict.
+    # Row 1: both infeasible, the candidate has lower cv, higher conflict.
+    # Row 2: both infeasible, the candidate has higher cv, lower conflict.
+    inc = batch([0.0, 0.0, 9.0], ineq=[0.5, 0.5, 0.2])
+    cand = batch([2.0, 9.0, 0.0], ineq=[0.0, 0.2, 0.5])
+    below = replaces("pfppr", inc, cand, FixedRng(0.5), prob=0.9)
+    assert list(below) == [True, True, False]  # the priority rules decide
+    for u in (0.9, 0.95):  # at or above prob, lower conflict decides
+        above = replaces("pfppr", inc, cand, FixedRng(u), prob=0.9)
+        assert list(above) == [False, False, True]
 
 
 def test_probabilistic_with_prob_one_equals_priority():
     rng = np.random.default_rng(8)
-    for _ in range(1000):
-        a, b = random_point(rng), random_point(rng)
-        u = rng.random()
-        got = compare_probabilistic(a, b, TOL, FixedRng(u), 1.0)
-        want = compare_priority(a, b, TOL)
-        assert got.winner == want.winner
-        assert got.basis == want.basis
+    inc, cand = random_batch(rng, 1000), random_batch(rng, 1000)
+    got = replaces("pfppr", inc, cand, np.random.default_rng(9), prob=1.0)
+    assert np.array_equal(got, replaces("pfpr", inc, cand))
 
 
 # ------------------------------------------------------------------- penalty
 
 
 def test_penalty_zero_violation_is_identity():
-    assert penalized_conflict(point(3.25)) == 3.25
+    assert penalized_batch(batch([3.25]))[0] == 3.25
 
 
 def test_penalty_inequality_example():
-    assert penalized_conflict(point(10.0, ineq=[0.1])) == pytest.approx(10010.0)
+    assert penalized_batch(batch([10.0], ineq=0.1))[0] == pytest.approx(10010.0)
 
 
 def test_penalty_equality_example():
-    assert penalized_conflict(point(10.0, eq=[1e-3])) == pytest.approx(11.0)
+    assert penalized_batch(batch([10.0], eq=1e-3))[0] == pytest.approx(11.0)
 
 
 def test_penalty_charges_box_terms():
-    assert penalized_conflict(point(0.0, box=[2.0])) == pytest.approx(4e6)
+    assert penalized_batch(batch([0.0], box=2.0))[0] == pytest.approx(4e6)
 
 
 def test_penalty_never_below_conflict():
-    rng = np.random.default_rng(9)
-    for _ in range(1000):
-        p = random_point(rng)
-        fp = penalized_conflict(p)
-        assert fp >= p.conflict
-        assert (fp == p.conflict) == (p.cv == 0.0)
-
-
-def test_penalty_unit_exponent_option():
-    # 0.1^2 weakens the charge; the opt-in switch keeps it linear.
-    assert penalized_conflict(
-        point(0.0, ineq=[0.1]), unit_exponent_below_one=True
-    ) == pytest.approx(1e5)
-
-
-def test_reported_conflict_is_always_raw():
-    p = point(10.0, ineq=[0.1])
-    assert reported_conflict(p, ChtConfig("apm")) == 10.0
-    assert reported_conflict(point(-1.5), ChtConfig("pf")) == -1.5
+    ev = random_batch(np.random.default_rng(9), 1000)
+    fp = penalized_batch(ev)
+    assert np.all(fp >= ev.conflict)
+    assert np.array_equal(fp == ev.conflict, ev.cv == 0.0)
 
 
 # -------------------------------------------------------------------- repair
+
+
+def repair_one(x_old, v, problem, tolerances, variant, rng, max_trials):
+    """Repair one move whose full step is infeasible."""
+    x_old, v = np.array([x_old], dtype=float), np.array([v], dtype=float)
+    full = evaluate_batch(problem, problem.snap_to_grid(x_old + v))
+    assert not full.feasible(tolerances)[0]
+    return repair_moves(x_old, v, full, problem, tolerances, variant, rng, max_trials)
 
 
 def test_bm_halving_example():
@@ -199,24 +164,20 @@ def test_bm_halving_example():
     # the quarter step lands exactly on the boundary.
     prob = make_halfline()
     zero_tol = Tolerances(ineq=0.0, eq=0.0)
-    x, v, evals = repair_bisection(
-        np.array([-1.0]), np.array([4.0]), prob, zero_tol, "bm", FixedRng(0.5), 20
-    )
-    assert x == pytest.approx([0.0])
-    assert v == pytest.approx([1.0])
-    assert evals == 3
+    rep = repair_one([-1.0], [4.0], prob, zero_tol, "bm", FixedRng(0.5), 20)
+    assert rep.positions[0] == pytest.approx([0.0])
+    assert rep.velocities[0] == pytest.approx([1.0])
+    assert rep.trials_charged[0] == 2
 
 
 def test_bmem_alternating_example():
     prob = make_halfline(limit=0.5)
     zero_tol = Tolerances(ineq=0.0, eq=0.0)
-    x, v, evals = repair_bisection(
-        np.array([-0.5]), np.array([1.2]), prob, zero_tol, "bmem", FixedRng(0.5), 19
-    )
+    rep = repair_one([-0.5], [1.2], prob, zero_tol, "bmem", FixedRng(0.5), 19)
     # schedule: full 0.7 inf, 0.9 -> 0.58 inf, 1.1 -> 0.82 inf, 0.8 -> 0.46 ok
-    assert x == pytest.approx([0.46])
-    assert v == pytest.approx([0.96])
-    assert evals == 4
+    assert rep.positions[0] == pytest.approx([0.46])
+    assert rep.velocities[0] == pytest.approx([0.96])
+    assert rep.trials_charged[0] == 3
 
 
 def test_bmem_box_only_skips_upscaling():
@@ -226,142 +187,110 @@ def test_bmem_box_only_skips_upscaling():
         upper=np.array([1.0]),
         objective=lambda x: x[:, 0],
     )
-    res = repair_move(
-        np.array([0.5]), np.array([1.0]), box_only, TOL, "bmem", FixedRng(0.5), 19
-    )
+    rep = repair_one([0.5], [1.0], box_only, TOL, "bmem", FixedRng(0.5), 19)
     # downs only: 0.9..0.6 overshoot the box, 0.5 lands on the bound
-    assert res.position == pytest.approx([1.0])
-    assert res.velocity == pytest.approx([0.5])
-    assert res.evals_used == 6
+    assert rep.positions[0] == pytest.approx([1.0])
+    assert rep.velocities[0] == pytest.approx([0.5])
+    assert rep.trials_charged[0] == 5
 
 
 def test_bmem_zero_factor_keeps_position_without_eval():
     prob = make_halfline(limit=-50.0, lower=-60.0)
-    res = repair_move(
-        np.array([-55.0]),
-        np.array([1000.0]),
-        prob,
-        Tolerances(ineq=0.0, eq=0.0),
-        "bmem",
-        FixedRng(0.5),
-        19,
+    rep = repair_one(
+        [-55.0], [1000.0], prob, Tolerances(ineq=0.0, eq=0.0), "bmem", FixedRng(0.5), 19
     )
     # every nonzero factor overshoots; the 0.0 trial keeps the position
-    assert res.position == pytest.approx([-55.0])
-    assert res.velocity == pytest.approx([0.0])
-    assert res.evaluation is None
-    assert res.evals_used == 19  # full step + 18 nonzero trials, no eval for 0.0
+    assert rep.positions[0] == pytest.approx([-55.0])
+    assert rep.velocities[0] == pytest.approx([0.0])
+    assert not rep.accepted[0]
+    assert len(rep.evaluation) == 0
+    assert rep.trials_charged[0] == 18  # 18 nonzero trials, no eval for 0.0
 
 
 def test_bm_exhaustion_returns_old_position():
     prob = make_halfline(lower=-10.0, upper=1e9)
-    x, v, evals = repair_bisection(
-        np.array([0.0]),
-        np.array([1e9]),
-        prob,
-        Tolerances(ineq=0.0, eq=0.0),
-        "bm",
-        FixedRng(0.5),
-        20,
+    rep = repair_one(
+        [0.0], [1e9], prob, Tolerances(ineq=0.0, eq=0.0), "bm", FixedRng(0.5), 20
     )
-    assert x == pytest.approx([0.0])
-    assert v == pytest.approx([0.0])
-    assert evals == 21
+    assert rep.positions[0] == pytest.approx([0.0])
+    assert rep.velocities[0] == pytest.approx([0.0])
+    assert not rep.accepted[0]
+    assert rep.trials_charged[0] == 20
 
 
 def test_already_feasible_step_unchanged():
+    # Every particle sits on its memory and all memories coincide, so the
+    # step is inertia alone: -3 + w <= -2.27 stays inside x <= 0.
     prob = make_halfline()
-    for variant in ("bm", "bmem", "bmpem"):
-        x, v, evals = repair_bisection(
-            np.array([-3.0]),
-            np.array([1.0]),
-            prob,
-            TOL,
-            variant,
-            np.random.default_rng(0),
-            20,
-        )
-        assert x == pytest.approx([-2.0])
-        assert v == pytest.approx([1.0])
-        assert evals == 1
+    for variant in REPAIRS:
+        config = SwarmConfig(size=9, steps=5, topology=Topology.from_nn(2, 9), seed=0)
+        swarm = init_swarm(prob, config, ChtConfig(variant))
+        swarm.positions[:] = -3.0
+        swarm.velocities[:] = 1.0
+        swarm.current = evaluate_batch(prob, swarm.positions)
+        swarm.pbest = swarm.current.copy()
+        clone = np.random.default_rng()
+        clone.bit_generator.state = swarm.rng.bit_generator.state
+        swarm.step()
+        assert np.array_equal(swarm.velocities[:, 0], swarm.w)
+        assert np.array_equal(swarm.positions[:, 0], -3.0 + swarm.w)
+        assert swarm.repair_evaluations == 0
+        clone.random((9, 1, 2))  # the velocity block, and no repair draws
+        assert swarm.rng.bit_generator.state == clone.bit_generator.state
 
 
 def test_bmpem_factors_drawn_from_unit_and_a_half():
     prob = make_halfline()
     # a factor of 0.75 maps the step 4 to 3, landing at x = 0
-    res = repair_move(
-        np.array([-3.0]), np.array([4.0]), prob, TOL, "bmpem", FixedRng(0.5), 19
-    )
-    assert res.position == pytest.approx([0.0])
-    assert res.velocity == pytest.approx([3.0])
-
-
-def test_repair_requires_feasible_start():
-    prob = make_halfline()
-    with pytest.raises(ValueError):
-        repair_bisection(
-            np.array([5.0]), np.array([1.0]), prob, TOL, "bm", FixedRng(0.5), 20
-        )
+    rep = repair_one([-3.0], [4.0], prob, TOL, "bmpem", FixedRng(0.5), 19)
+    assert rep.positions[0] == pytest.approx([0.0])
+    assert rep.velocities[0] == pytest.approx([3.0])
+    assert rep.trials_charged[0] == 1
 
 
 def test_repair_feasible_or_unchanged_property(toy1):
-    rng = np.random.default_rng(10)
-    variants = ("bm", "bmem", "bmpem")
-    for i in range(1000):
-        # random feasible start and random velocity
-        while True:
-            x_old = rng.uniform(-2.0, 2.0, 2)
-            if x_old.sum() <= 1.0:
-                break
-        v = rng.normal(0.0, 2.0, 2)
-        variant = variants[i % 3]
-        res = repair_move(x_old, v, toy1, TOL, variant, rng, 19)
-        if res.evaluation is None:
-            assert np.array_equal(res.position, x_old)
-        else:
-            pt = evaluate(toy1, res.position, TOL)
-            assert pt.cv <= TOL.ineq * pt.ineq_violations.size
-        assert res.evals_used <= 20
+    # Through the engine, from a feasible swarm: every position stays
+    # feasible, a particle whose move was dropped (zero velocity) keeps
+    # its position, and a step charges at most a full ladder per particle.
+    for variant in REPAIRS:
+        topology = Topology.from_nn(2, 12)
+        config = SwarmConfig(size=12, steps=60, topology=topology, seed=10)
+        swarm = init_swarm(toy1, config, ChtConfig(variant))
+        ladder = ChtConfig(variant).max_repair_trials
+        for _ in range(60):
+            x_old = swarm.positions.copy()
+            charged = swarm.repair_evaluations
+            swarm.step()
+            assert np.all(swarm.current.feasible(TOL))
+            assert np.array_equal(swarm.current.positions, swarm.positions)
+            dropped = np.all(swarm.velocities == 0.0, axis=1)
+            assert np.array_equal(swarm.positions[dropped], x_old[dropped])
+            assert swarm.repair_evaluations - charged <= 12 * ladder
 
 
 # ------------------------------------------------------------- memory update
 
 
-def make_particle(pbest=None):
-    return Particle(
-        index=0,
-        position=np.zeros(1),
-        velocity=np.zeros(1),
-        coefficients=None,
-        pbest_position=None if pbest is None else np.zeros(1),
-        pbest_eval=pbest,
-    )
-
-
 def test_pf_never_stores_infeasible():
-    p = make_particle(point(1.0))
-    update_pbest(p, point(0.0, ineq=[0.1]), ChtConfig("pf"), TOL, FixedRng(0.5))
-    assert p.pbest_eval.conflict == 1.0
+    assert not replaces("pf", batch([1.0]), batch([0.0], ineq=0.1))[0]
+    assert replaces("pf", batch([1.0]), batch([0.5]))[0]
 
 
 def test_pfpr_replaces_on_lower_cv():
-    p = make_particle(point(0.0, ineq=[0.5]))
-    update_pbest(p, point(4.0, ineq=[0.2]), ChtConfig("pfpr"), TOL, FixedRng(0.5))
-    assert p.pbest_eval.cv == pytest.approx(0.2)
+    assert replaces("pfpr", batch([0.0], ineq=0.5), batch([4.0], ineq=0.2))[0]
 
 
 def test_apm_replaces_on_lower_penalized_value():
-    p = make_particle(point(10.5))
-    update_pbest(p, point(10.4), ChtConfig("apm"), TOL, FixedRng(0.5))
-    assert p.pbest_eval.conflict == 10.4
+    assert replaces("apm", batch([10.5]), batch([10.4]))[0]
+    # 10.4 + 1e6 * 0.1 ** 2 is far above 10.5
+    assert not replaces("apm", batch([10.5]), batch([10.4], ineq=0.1))[0]
 
 
 def test_pfppr_override_stores_low_conflict_infeasible():
-    p = make_particle(point(2.0))
-    cand = point(0.0, ineq=[0.5])
-    update_pbest(p, cand, ChtConfig("pfppr"), TOL, FixedRng(0.95))
-    assert p.pbest_eval is cand
+    inc = batch([2.0])
+    cand = batch([0.0], ineq=0.5)
+    replace = replaces("pfppr", inc, cand, FixedRng(0.95))
+    inc.assign(replace, cand.take(replace))
+    assert inc.conflict[0] == 0.0 and inc.cv[0] == 0.5
     # below the threshold the priority rules protect the feasible memory
-    p2 = make_particle(point(2.0))
-    update_pbest(p2, cand, ChtConfig("pfppr"), TOL, FixedRng(0.5))
-    assert p2.pbest_eval.conflict == 2.0
+    assert not replaces("pfppr", batch([2.0]), cand, FixedRng(0.5))[0]

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from cpso import harness
 from cpso.handlers import ChtConfig
 from cpso.harness import ExperimentConfig, run_experiment, run_single, summarize, sweep
+from cpso.problem import Tolerances
 
 
 def make_config(**overrides):
@@ -122,8 +124,14 @@ def test_rec_schedule_resolved_from_problem():
     cht = cfg.resolved_cht()
     # half the mean span of the [-1, 1] x [-1, 1] box
     assert cht.rec.initial_tol == pytest.approx(1.0)
+    assert cht.kind == "pfpr+rec" and cht.prob == cfg.cht.prob
     row = run_experiment(cfg)
     assert row.failures == 0
+    # a final tolerance above the initial one is rejected when the config is built
+    with pytest.raises(ValueError, match="initial_tol"):
+        make_config(
+            problem="g11", cht=ChtConfig("pfpr+rec"), tolerances=Tolerances(eq=2.0)
+        )
 
 
 def test_sweep_preserves_order_and_isolates_errors():
@@ -136,6 +144,15 @@ def test_sweep_preserves_order_and_isolates_errors():
     assert rows[1].error is not None and "nosuch" in rows[1].error
     assert rows[1].failed
     assert rows[0].best_conflict == rows[2].best_conflict
+
+
+def test_sweep_propagates_programming_errors(monkeypatch):
+    def broken(config, jobs=1):
+        raise TypeError("bug")
+
+    monkeypatch.setattr(harness, "run_experiment", broken)
+    with pytest.raises(TypeError, match="bug"):
+        sweep([make_config(steps=20)])
 
 
 def test_sweep_rejects_empty_list():

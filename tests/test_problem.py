@@ -8,8 +8,6 @@ from cpso.problem import (
     Tolerances,
     evaluate,
     evaluate_batch,
-    is_feasible,
-    tolerance_at,
 )
 
 from conftest import make_toy1, make_toy_eq
@@ -17,12 +15,16 @@ from conftest import make_toy1, make_toy_eq
 TOL = Tolerances()
 
 
+def feasible(problem, x, tolerances=TOL):
+    return bool(evaluate_batch(problem, [x]).feasible(tolerances)[0])
+
+
 def test_toy1_interior_point(toy1):
     pt = evaluate(toy1, [0.0, 0.0], TOL)
     assert pt.conflict == 0.0
     assert pt.cv == 0.0
     assert pt.nac == 0
-    assert is_feasible(pt, TOL)
+    assert feasible(toy1, [0.0, 0.0])
 
 
 def test_toy1_violating_point(toy1):
@@ -109,23 +111,19 @@ def test_evaluation_is_pure(toy1):
 
 def test_feasibility_within_tolerance_band(toy1):
     # g1 = 1e-13 is inside the default 1e-12 band.
-    pt = evaluate(toy1, [1.0 + 1e-13, 0.0], TOL)
-    assert is_feasible(pt, TOL)
+    assert feasible(toy1, [1.0 + 1e-13, 0.0])
 
 
 def test_equality_tolerance_classification(toy_eq):
-    pt = evaluate(toy_eq, [0.001, 0.0], Tolerances(eq=1e-2))
-    assert is_feasible(pt, Tolerances(eq=1e-2))
-    assert not is_feasible(pt, Tolerances(eq=1e-12))
+    assert feasible(toy_eq, [0.001, 0.0], Tolerances(eq=1e-2))
+    assert not feasible(toy_eq, [0.001, 0.0], Tolerances(eq=1e-12))
 
 
 def test_feasibility_monotone_in_tolerances(toy_eq):
     rng = np.random.default_rng(2)
     loose = Tolerances(ineq=1e-2, eq=1e-2)
-    for x in rng.uniform(-2.5, 2.5, (300, 2)):
-        pt = evaluate(toy_eq, x, TOL)
-        if is_feasible(pt, TOL):
-            assert is_feasible(pt, loose)
+    ev = evaluate_batch(toy_eq, rng.uniform(-2.5, 2.5, (300, 2)))
+    assert np.all(ev.feasible(loose)[ev.feasible(TOL)])
 
 
 def test_nac_at_zero_tolerance_counts_positive_entries(toy1):
@@ -156,36 +154,36 @@ def test_schedule_initial_value_from_box():
     )
     sched = RecSchedule.for_problem(box)
     assert sched.initial_tol == 5.0
-    assert tolerance_at(sched, 1, 1000) == 5.0
+    assert sched.tolerance_at(1, 1000) == 5.0
 
 
 def test_schedule_hits_final_at_switch():
     sched = RecSchedule(initial_tol=5.0)
     for t_max in (10, 100, 8500, 10000):
         t_switch = int(np.ceil(0.8 * t_max))
-        assert tolerance_at(sched, t_switch, t_max) == 1e-12
-        assert tolerance_at(sched, t_switch - 1, t_max) > 1e-12
-        assert tolerance_at(sched, t_max, t_max) == 1e-12
+        assert sched.tolerance_at(t_switch, t_max) == 1e-12
+        assert sched.tolerance_at(t_switch - 1, t_max) > 1e-12
+        assert sched.tolerance_at(t_max, t_max) == 1e-12
 
 
 def test_schedule_linear_midpoint():
     sched = RecSchedule(initial_tol=5.0)
     t_max = 1001  # switch at 801, midpoint 401
-    assert tolerance_at(sched, 401, t_max) == pytest.approx(2.5, abs=0.01)
+    assert sched.tolerance_at(401, t_max) == pytest.approx(2.5, abs=0.01)
 
 
 def test_schedule_nonincreasing():
     for decrease in ("linear", "exponential"):
         sched = RecSchedule(initial_tol=3.0, decrease=decrease)
-        values = [tolerance_at(sched, t, 200) for t in range(1, 201)]
+        values = [sched.tolerance_at(t, 200) for t in range(1, 201)]
         assert all(a >= b for a, b in zip(values, values[1:]))
         assert values[-1] == 1e-12
 
 
 def test_schedule_exponential_rate():
     sched = RecSchedule(initial_tol=2.0, decrease="exponential", rate=0.5)
-    assert tolerance_at(sched, 2, 1000) == 1.0
-    assert tolerance_at(sched, 3, 1000) == 0.5
+    assert sched.tolerance_at(2, 1000) == 1.0
+    assert sched.tolerance_at(3, 1000) == 0.5
 
 
 def test_schedule_validation():

@@ -3,7 +3,7 @@ import pytest
 
 from cpso.benchmarks import get_problem
 from cpso.handlers import ChtConfig
-from cpso.problem import Tolerances, evaluate_batch
+from cpso.problem import Problem, Tolerances, evaluate_batch
 from cpso.swarm import (
     COEFFICIENT_PRESETS,
     InitializationFailure,
@@ -12,8 +12,6 @@ from cpso.swarm import (
     assign_coefficients,
     init_swarm,
     lbest_index,
-    position_update,
-    velocity_update,
 )
 
 from conftest import FixedRng, make_toy1
@@ -62,27 +60,30 @@ def test_coefficient_index_out_of_range():
 # ------------------------------------------------------------------ topology
 
 
+def candidates(topology, i):
+    """Sorted candidate indices of particle ``i``: row ``i`` of the matrix."""
+    return list(np.flatnonzero(topology.neighbor_matrix()[i]))
+
+
 def test_ring_window3_candidates():
     topo = Topology("ring", 5, window=3)
-    assert list(topo.candidates(0)) == [0, 1, 4]
-    assert list(topo.candidates(2)) == [1, 2, 3]
+    assert candidates(topo, 0) == [0, 1, 4]
+    assert candidates(topo, 2) == [1, 2, 3]
 
 
 def test_ring_even_window_favors_successor():
     topo = Topology("ring", 6, window=4)
-    assert list(topo.candidates(0)) == [0, 1, 2, 5]
+    assert candidates(topo, 0) == [0, 1, 2, 5]
 
 
 def test_fully_connected_sees_everyone():
-    topo = Topology("fully-connected", 7)
-    for i in range(7):
-        assert len(topo.candidates(i)) == 7
+    assert Topology("fully-connected", 7).neighbor_matrix().all()
 
 
 def test_wheel_spokes_see_hub():
     topo = Topology("wheel", 6, hub=0)
-    assert list(topo.candidates(3)) == [0, 3]
-    assert len(topo.candidates(0)) == 6
+    assert candidates(topo, 3) == [0, 3]
+    assert len(candidates(topo, 0)) == 6
 
 
 def test_from_nn_mapping():
@@ -105,53 +106,73 @@ def test_topology_validation():
 # ------------------------------------------------------------------- updates
 
 
-def test_velocity_vanishes_at_joint_attractor():
-    x = np.array([0.3, -0.7])
-    v = velocity_update(
-        np.zeros(2), x, x, x, COEFFICIENT_PRESETS[0], FixedRng(0.42), np.full(2, 10.0)
+def line(lower=-2.0, upper=2.0):
+    """Unconstrained 1-D problem: minimize x on [lower, upper]."""
+    return Problem(
+        name="line",
+        lower=np.array([lower]),
+        upper=np.array([upper]),
+        objective=lambda x: x[:, 0],
     )
-    assert v == pytest.approx([0.0, 0.0])
+
+
+def staged_swarm(problem, positions, velocities, memories, rng, nn=2):
+    """A pfpr swarm with the given state and generator, ready to step."""
+    size = len(positions)
+    config = make_config(size=size, nn=nn)
+    swarm = init_swarm(problem, config, ChtConfig("pfpr"))
+    swarm.positions = np.array(positions, dtype=float)
+    swarm.velocities = np.array(velocities, dtype=float)
+    swarm.current = evaluate_batch(problem, swarm.positions)
+    swarm.pbest = evaluate_batch(problem, np.array(memories, dtype=float))
+    swarm.rng = rng
+    return swarm
+
+
+def test_velocity_vanishes_at_joint_attractor():
+    # Particle 0 sits at rest on its memory, the swarm's best, so its
+    # memory and neighbourhood best are its position; whatever the draws,
+    # it stays while the others are pulled towards it.
+    x = [[-1.5], [0.5], [1.0], [0.2], [-0.3], [0.9]]
+    swarm = staged_swarm(line(), x, np.zeros((6, 1)), x, FixedRng(0.42), nn=5)
+    swarm.step()
+    assert swarm.velocities[0] == pytest.approx([0.0])
+    assert swarm.positions[0] == pytest.approx([-1.5])
+    assert np.all(swarm.velocities[1:] < 0.0)
 
 
 def test_velocity_forced_unit_draws():
-    v = velocity_update(
-        np.zeros(1),
-        np.zeros(1),
-        np.ones(1),
-        np.ones(1),
-        COEFFICIENT_PRESETS[0],
-        FixedRng(1.0),
-        np.full(1, 10.0),
-    )
-    assert v == pytest.approx([4.0])
+    # x = 0, v = 0 and every memory at 1: with unit draws the velocity is
+    # iw + sw, 4 for the first and last presets.
+    zeros, ones = np.zeros((6, 1)), np.ones((6, 1))
+    swarm = staged_swarm(line(-10.0, 10.0), zeros, zeros, ones, FixedRng(1.0))
+    swarm.step()
+    assert swarm.velocities[:, 0] == pytest.approx(swarm.iw + swarm.sw)
+    assert swarm.velocities[0] == pytest.approx([4.0])
 
 
 def test_velocity_clamped_to_half_span():
-    v = velocity_update(
-        np.array([5.0 / 0.5]),
-        np.zeros(1),
-        np.zeros(1),
-        np.zeros(1),
-        COEFFICIENT_PRESETS[0],
-        FixedRng(0.0),
-        np.full(1, 2.0),
-    )
-    assert v == pytest.approx([2.0])
+    # No attraction (x on every memory, zero draws): w * v of 5 or more
+    # clamps to vmax = 2, in both directions.
+    v = [[10.0], [-10.0], [10.0], [-10.0], [10.0], [-10.0]]
+    swarm = staged_swarm(line(), np.zeros((6, 1)), v, np.zeros((6, 1)), FixedRng(0.0))
+    swarm.step()
+    assert swarm.velocities[:, 0] == pytest.approx([2.0, -2.0] * 3)
 
 
 def test_position_update_continuous(toy1):
-    assert position_update(np.array([1.0, 0.0]), np.array([0.5, 0.0]), toy1)[
-        0
-    ] == pytest.approx(1.5)
+    x = np.array([1.5, 0.0])
+    snapped = toy1.snap_to_grid(x)
+    assert np.array_equal(snapped, x)
+    assert snapped is not x
 
 
 def test_position_update_snaps_discrete():
     vessel = get_problem("pressure-vessel-mixed")
-    x = position_update(
-        np.array([1.0, 1.0, 50.0, 100.0]), np.array([0.03, 0.03125, 0.0, 0.0]), vessel
-    )
+    x = vessel.snap_to_grid(np.array([1.03, 1.03125, 50.3, 100.7]))
     assert x[0] == pytest.approx(1.0)
     assert x[1] == pytest.approx(1.0)  # exact half-step tie goes down
+    assert list(x[2:]) == [50.3, 100.7]  # continuous dimensions untouched
 
 
 # ------------------------------------------------------------ initialization

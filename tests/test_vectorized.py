@@ -10,9 +10,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpso.handlers import repair_move, repair_moves
+from cpso.handlers import ChtConfig, priority_keys, repair_moves, replacement_mask
 from cpso.problem import BatchEval, Tolerances, evaluate, evaluate_batch
-from cpso.swarm import Topology, lbest_index, probabilistic_replacement
+from cpso.swarm import Topology, lbest_index
 
 from conftest import make_toy1
 
@@ -109,20 +109,6 @@ def test_batched_repair_equals_one_row_calls(moves, variant, seed):
 
 @settings(deadline=None)
 @given(infeasible_moves(), st.sampled_from(REPAIRS), st.integers(0, 2**32))
-def test_repair_move_is_a_one_row_repair(moves, variant, seed):
-    x_old, v, _ = moves
-    rep, _ = _repair(moves, variant, seed)
-    rng = np.random.default_rng(seed)
-    for r in range(len(x_old)):
-        res = repair_move(x_old[r], v[r], TOY, TOL, variant, rng, 19)
-        assert np.array_equal(res.position, rep.positions[r])
-        assert np.array_equal(res.velocity, rep.velocities[r])
-        assert res.evals_used == 1 + rep.trials_charged[r]
-        assert (res.evaluation is not None) == rep.accepted[r]
-
-
-@settings(deadline=None)
-@given(infeasible_moves(), st.sampled_from(REPAIRS), st.integers(0, 2**32))
 def test_repair_postcondition(moves, variant, seed):
     x_old, _, _ = moves
     rep, _ = _repair(moves, variant, seed)
@@ -180,7 +166,8 @@ def memory_pairs(draw):
 def test_pfppr_block_equals_per_particle_draws(pair, prob, seed):
     cand, inc, cf, nf = pair
     rng = np.random.default_rng(seed)
-    got = probabilistic_replacement(cand, inc, cf, nf, prob, rng)
+    cht = ChtConfig("pfppr", prob=prob)
+    got = replacement_mask(cht, cand, cf, inc, priority_keys(inc, nf), rng)
 
     one_rng = np.random.default_rng(seed)
     expect = []
