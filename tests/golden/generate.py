@@ -2,7 +2,10 @@
 
 Every technique on a ring (nn=2) and a fully connected neighbourhood, on
 g08, g04, g11 and pressure-vessel-mixed (discrete grid), plus a g13
-``pf`` cell whose runs all fail feasible initialization.  Per cell the
+``pf`` cell whose runs all fail feasible initialization, and two cells
+whose feasible initialization does most of the work: g06 ``pf`` (a box
+0.0067% feasible) and welded-beam ``bm``, with an attempt budget that is
+not a multiple of the 256-row candidate chunk.  Per cell the
 corpus stores the summary row (reals as ``float.hex``), and per run the
 evaluation counters and a SHA-256 digest of the final personal-best
 positions and conflicts.
@@ -37,10 +40,14 @@ SEED = 2021
 # Enough for every cell that can start feasibly (g08 is the sparsest at
 # ~0.9%), small enough that the cells that cannot fail quickly.
 MAX_INIT_ATTEMPTS = 4096
+# Init-heavy cells: a budget that ends on a short chunk (40000 = 156 * 256
+# + 64), a few times g06's mean of ~15k candidates per particle.
+INIT_CELLS = (("g06", "pf"), ("welded-beam", "bm"))
+INIT_MAX_ATTEMPTS = 40_000
 
 
 def cells() -> List[ExperimentConfig]:
-    def cell(problem, kind, nn):
+    def cell(problem, kind, nn, max_init_attempts=MAX_INIT_ATTEMPTS):
         return ExperimentConfig(
             problem=problem,
             cht=ChtConfig(kind),
@@ -49,7 +56,7 @@ def cells() -> List[ExperimentConfig]:
             steps=STEPS,
             runs=RUNS,
             master_seed=SEED,
-            max_init_attempts=MAX_INIT_ATTEMPTS,
+            max_init_attempts=max_init_attempts,
         )
 
     out = [
@@ -59,6 +66,7 @@ def cells() -> List[ExperimentConfig]:
         for nn in (2, PARTICLES - 1)
     ]
     out.append(cell("g13", "pf", 2))
+    out.extend(cell(p, kind, 2, INIT_MAX_ATTEMPTS) for p, kind in INIT_CELLS)
     return out
 
 
