@@ -16,7 +16,7 @@ import argparse
 import json
 import math
 import sys
-from typing import List, Optional, Sequence, TextIO
+from typing import List, Optional, Sequence, TextIO, Tuple
 
 from .benchmarks import all_entries, get_entry, estimate_feasibility_ratio
 from .handlers import KINDS, ChtConfig
@@ -239,7 +239,7 @@ def parse_sweep_file(text: str) -> List[ExperimentConfig]:
     rec-decrease, rec-rate, prob.
     """
     defaults: dict = {}
-    sections: List[dict] = []
+    sections: List[Tuple[int, dict]] = []  # (header line, key -> (value, line))
     current = defaults
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -247,7 +247,7 @@ def parse_sweep_file(text: str) -> List[ExperimentConfig]:
             continue
         if line == "[run]":
             current = dict(defaults)
-            sections.append(current)
+            sections.append((lineno, current))
             continue
         if line.startswith("["):
             raise UsageError(f"line {lineno}: unknown section {line!r}")
@@ -262,13 +262,16 @@ def parse_sweep_file(text: str) -> List[ExperimentConfig]:
         current[key] = (value, lineno)
     if not sections:
         raise UsageError("config file defines no [run] sections")
-    return [_section_config(s) for s in sections]
+    return [_section_config(section, header) for header, section in sections]
 
 
-def _section_config(section: dict) -> ExperimentConfig:
+def _section_config(section: dict, header: int) -> ExperimentConfig:
+    """The experiment of one ``[run]`` section whose header is on line ``header``."""
+    where = f"line {header} ([run])"
+
     def need(key):
         if key not in section:
-            raise UsageError(f"missing required key {key!r} in a [run] section")
+            raise UsageError(f"{where}: missing required key {key!r}")
         return section[key]
 
     def conv(key, fn, default=None):
@@ -280,14 +283,16 @@ def _section_config(section: dict) -> ExperimentConfig:
         except (ValueError, KeyError):
             raise UsageError(f"line {lineno}: bad value for {key}: {value!r}") from None
 
-    problem = need("problem")[0]
+    problem, lineno = need("problem")
     try:
         get_entry(problem)
     except KeyError as exc:
-        raise UsageError(str(exc)) from None
-    kind = need("cht")[0]
+        raise UsageError(f"line {lineno}: {exc}") from None
+    kind, lineno = need("cht")
     if kind not in KINDS:
-        raise UsageError(f"unknown CHT {kind!r}; valid names: {', '.join(KINDS)}")
+        raise UsageError(
+            f"line {lineno}: unknown CHT {kind!r}; valid names: {', '.join(KINDS)}"
+        )
     decrease = conv(
         "rec-decrease",
         lambda v: {"linear": "linear", "exp": "exponential"}[v],
@@ -311,7 +316,7 @@ def _section_config(section: dict) -> ExperimentConfig:
             rec_rate=conv("rec-rate", float, 0.995),
         )
     except ValueError as exc:
-        raise UsageError(str(exc)) from None
+        raise UsageError(f"{where}: {exc}") from None
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:

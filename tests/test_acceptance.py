@@ -41,6 +41,7 @@ def run(problem, kind, nn, particles, steps, runs):
     return row, time.perf_counter() - t0
 
 
+@pytest.mark.slow
 def test_g08_exactness():
     row, elapsed = run("g08", "pfpr", 2, 40, 2000, 5)
     ok = (
@@ -56,6 +57,7 @@ def test_g08_exactness():
     )
 
 
+@pytest.mark.slow
 def test_g12_exactness():
     t0 = time.perf_counter()
     ok = True
@@ -72,6 +74,7 @@ def test_g12_exactness():
     report("g12 exactness", ok, f"{'; '.join(details)} {elapsed:.1f}s")
 
 
+@pytest.mark.slow
 def test_g04_convergence():
     row, elapsed = run("g04", "pfpr", 10, 40, 8500, 5)
     ok = (
@@ -86,6 +89,7 @@ def test_g04_convergence():
     )
 
 
+@pytest.mark.slow
 def test_welded_beam_convergence():
     row, elapsed = run("welded-beam", "bm", 2, 20, 10000, 5)
     ok = abs(row.best_conflict - 1.724852) < 1e-3 and elapsed < 300.0
@@ -96,6 +100,7 @@ def test_welded_beam_convergence():
     )
 
 
+@pytest.mark.slow
 def test_himmelblau_convergence():
     row, elapsed = run("himmelblau", "bmem", 10, 20, 10000, 3)
     ok = abs(row.best_conflict - (-31025.561420)) < 1e-1 and elapsed < 300.0
@@ -106,6 +111,7 @@ def test_himmelblau_convergence():
     )
 
 
+@pytest.mark.slow
 def test_g11_relaxed_equality_effect():
     with_rec, _ = run("g11", "pfpr+rec", 2, 40, 8500, 5)
     without, _ = run("g11", "pfpr", 2, 40, 8500, 5)
@@ -121,6 +127,7 @@ def test_g11_relaxed_equality_effect():
     )
 
 
+@pytest.mark.slow
 def test_fail_reproduction():
     t0 = time.perf_counter()
     ok = True
@@ -143,6 +150,7 @@ def test_fail_reproduction():
     report("infeasible-start FAIL rows", ok, f"{elapsed:.1f}s")
 
 
+@pytest.mark.slow
 def test_feasibility_ratios():
     targets = {
         "g02": 99.9964,

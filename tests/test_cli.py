@@ -223,6 +223,24 @@ def test_sweep_malformed_reports_line_number():
         parse_sweep_file("[run]\nno equals sign here\n")
 
 
+@pytest.mark.parametrize(
+    "third, message",
+    [
+        ("cht = pfpr\nnn = 10\nparticles = 6\n", "nn + 1 must not exceed the particle count"),
+        ("cht = pfpr+rec\ntol-eq = 1000\n", "initial_tol must be >= final_tol"),
+        ("nn = 3\n", "missing required key 'cht'"),
+    ],
+)
+def test_sweep_section_errors_name_the_section(tmp_path, capsys, third, message):
+    # Sections open on lines 2, 6 and 10; the third is the faulty one.
+    text = "particles = 10\n" + "[run]\nproblem = g08\ncht = pfpr\n\n" * 2
+    text += "[run]\nproblem = g08\n" + third
+    path = tmp_path / "three.cfg"
+    path.write_text(text)
+    assert main(["sweep", str(path)]) == 2
+    assert f"cpso: error: line 10 ([run]): {message}" in capsys.readouterr().err
+
+
 def test_sweep_invalid_rec_tolerance_is_usage_error(tmp_path, capsys):
     path = tmp_path / "rec.cfg"
     path.write_text("[run]\nproblem = g08\ncht = pfpr+rec\ntol-eq = 1000\n")

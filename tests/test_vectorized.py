@@ -2,17 +2,28 @@
 
 Each function replaces a per-particle loop, so each is checked against
 the loop it replaces: the lbest lookup against a per-particle
-``lexsort``, the batched repair against one-row calls, and both blocks
-of per-particle draws against draws taken one particle at a time.
+``lexsort``, the batched repair against one-row calls, both blocks of
+per-particle draws against draws taken one particle at a time, and the
+blocked feasible initialization against drawing and evaluating one
+256-row chunk at a time.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cpso.benchmarks import get_problem
 from cpso.handlers import ChtConfig, priority_keys, repair_moves, replacement_mask
-from cpso.problem import BatchEval, Tolerances, evaluate, evaluate_batch
-from cpso.swarm import Topology, lbest_index
+from cpso.problem import (
+    BatchEval,
+    EvaluationFault,
+    Problem,
+    Tolerances,
+    evaluate,
+    evaluate_batch,
+)
+from cpso.swarm import InitializationFailure, SwarmConfig, Topology, init_swarm, lbest_index
 
 from conftest import make_toy1
 
@@ -180,3 +191,123 @@ def test_pfppr_block_equals_per_particle_draws(pair, prob, seed):
             expect.append(cand.conflict[i] < inc.conflict[i])
     assert list(got) == expect
     assert rng.bit_generator.state == one_rng.bit_generator.state
+
+
+# -------------------------------------------------------- feasible start
+
+INIT_PROBLEMS = {
+    name: get_problem(name)
+    for name in ("g06", "welded-beam", "g13", "pressure-vessel-mixed")
+}
+BUDGETS = (1, 100, 255, 256, 257, 300, 1000, 4096, 5000, 20_000)
+
+
+def per_chunk_init(problem, seed, size, budget):
+    """The per-particle loop ``init_swarm`` replaces: one chunk per call.
+
+    Returns ``(positions, rejected, failure message, generator, rows
+    drawn)``.
+    """
+    rng = np.random.default_rng(seed)
+    positions = np.empty((size, problem.dimension))
+    extra = drawn = 0
+    for i in range(size):
+        attempts = 0
+        while attempts < budget:
+            m = min(256, budget - attempts)
+            chunk = problem.sample_uniform(rng, m)
+            drawn += m
+            hit = np.flatnonzero(evaluate_batch(problem, chunk).feasible(TOL))
+            if hit.size:
+                positions[i] = chunk[hit[0]]
+                attempts += int(hit[0]) + 1
+                break
+            attempts += m
+        else:
+            message = (
+                f"particle {i} found no feasible position in "
+                f"{budget} attempts on {problem.name}"
+            )
+            return None, None, message, rng, drawn
+        extra += attempts - 1
+    return positions, extra, None, rng, drawn
+
+
+def stream_init(problem, seed, size, budget):
+    """``init_swarm`` with ``pf``: the first four results of :func:`per_chunk_init`."""
+    # default_rng returns a Generator unaltered, so rng is the swarm's.
+    rng = np.random.default_rng(seed)
+    config = SwarmConfig(size, 1, Topology.from_nn(2, size), rng)
+    try:
+        swarm = init_swarm(problem, config, ChtConfig("pf"), budget)
+    except InitializationFailure as failure:
+        return None, None, str(failure), rng
+    # The initial batch evaluation charges one evaluation per particle.
+    return swarm.positions, swarm.init_evaluations - size, None, rng
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.sampled_from(sorted(INIT_PROBLEMS)),
+    st.integers(3, 12),
+    st.sampled_from(BUDGETS),
+    st.integers(0, 2**32),
+)
+def test_feasible_init_equals_per_chunk_loop(name, size, budget, seed):
+    problem = INIT_PROBLEMS[name]
+    got = stream_init(problem, seed, size, budget)
+    expect = per_chunk_init(problem, seed, size, budget)
+    if expect[0] is None:
+        assert got[0] is None
+    else:
+        assert np.array_equal(got[0], expect[0])
+    assert got[1:3] == expect[1:3]
+    assert got[3].bit_generator.state == expect[3].bit_generator.state
+
+
+def _faulty_halfline(bad_points):
+    """x <= -99.9 on [-100, 100] (0.05% feasible, ~8 chunks per particle),
+    with a non-finite objective exactly at ``bad_points``, all in the box."""
+    evaluated = []
+
+    def objective(x):
+        evaluated.extend(x[:, 0])
+        return np.where(np.isin(x[:, 0], bad_points), np.nan, x[:, 0])
+
+    problem = Problem(
+        name="faulty-halfline",
+        lower=np.array([-100.0]),
+        upper=np.array([100.0]),
+        objective=objective,
+        inequalities=(lambda x: x[:, 0] + 99.9,),
+    )
+    return problem, evaluated
+
+
+FAULT_SEED, FAULT_SIZE, FAULT_BUDGET = 7, 5, 20_000
+
+
+def test_feasible_init_ignores_faults_in_rows_never_read():
+    clean, _ = _faulty_halfline([])
+    positions, extra, _, rng, drawn = per_chunk_init(clean, FAULT_SEED, FAULT_SIZE, FAULT_BUDGET)
+    stream = clean.sample_uniform(np.random.default_rng(FAULT_SEED), drawn + 4096)
+    # Only a block's overdraw reaches the rows past the last chunk read.
+    problem, evaluated = _faulty_halfline(stream[drawn:, 0])
+    got = stream_init(problem, FAULT_SEED, FAULT_SIZE, FAULT_BUDGET)
+    assert np.isin(stream[drawn:, 0], evaluated).any()
+    assert np.array_equal(got[0], positions)
+    assert got[1] == extra
+    assert got[3].bit_generator.state == rng.bit_generator.state
+
+
+@pytest.mark.parametrize("where", [0.1, 0.5, 0.999])
+def test_feasible_init_fault_in_a_read_chunk_raises_as_per_chunk(where):
+    clean, _ = _faulty_halfline([])
+    drawn = per_chunk_init(clean, FAULT_SEED, FAULT_SIZE, FAULT_BUDGET)[4]
+    stream = clean.sample_uniform(np.random.default_rng(FAULT_SEED), drawn)
+    problem, _ = _faulty_halfline(stream[int(where * drawn), 0])
+    with pytest.raises(EvaluationFault) as expect:
+        per_chunk_init(problem, FAULT_SEED, FAULT_SIZE, FAULT_BUDGET)
+    with pytest.raises(EvaluationFault) as got:
+        stream_init(problem, FAULT_SEED, FAULT_SIZE, FAULT_BUDGET)
+    assert str(got.value) == str(expect.value)
