@@ -5,7 +5,12 @@ g08, g04, g11 and pressure-vessel-mixed (discrete grid), plus a g13
 ``pf`` cell whose runs all fail feasible initialization, and two cells
 whose feasible initialization does most of the work: g06 ``pf`` (a box
 0.0067% feasible) and welded-beam ``bm``, with an attempt budget that is
-not a multiple of the 256-row candidate chunk.  Per cell the
+not a multiple of the 256-row candidate chunk, and three cells with
+wide constraint blocks at 20 particles: g01 ``pfpr`` (9 inequalities),
+g07 ``apm`` (8 inequalities) and g02 ``pfpr`` (a 20-D box).  The cv
+values a cell reports mostly sum few nonzero terms, so the cells do not
+pin the last bits of wide row sums; the evaluation tests in
+``tests/test_vectorized.py`` do.  Per cell the
 corpus stores the summary row (reals as ``float.hex``), and per run the
 evaluation counters and a SHA-256 digest of the final personal-best
 positions and conflicts.
@@ -44,15 +49,21 @@ MAX_INIT_ATTEMPTS = 4096
 # + 64), a few times g06's mean of ~15k candidates per particle.
 INIT_CELLS = (("g06", "pf"), ("welded-beam", "bm"))
 INIT_MAX_ATTEMPTS = 40_000
+# Wide-block cells: 20 particles, so that each evaluated block is at
+# least 20 rows.
+WIDE_CELLS = (("g01", "pfpr"), ("g07", "apm"), ("g02", "pfpr"))
+WIDE_PARTICLES = 20
 
 
 def cells() -> List[ExperimentConfig]:
-    def cell(problem, kind, nn, max_init_attempts=MAX_INIT_ATTEMPTS):
+    def cell(
+        problem, kind, nn, max_init_attempts=MAX_INIT_ATTEMPTS, particles=PARTICLES
+    ):
         return ExperimentConfig(
             problem=problem,
             cht=ChtConfig(kind),
             nn=nn,
-            particles=PARTICLES,
+            particles=particles,
             steps=STEPS,
             runs=RUNS,
             master_seed=SEED,
@@ -67,6 +78,9 @@ def cells() -> List[ExperimentConfig]:
     ]
     out.append(cell("g13", "pf", 2))
     out.extend(cell(p, kind, 2, INIT_MAX_ATTEMPTS) for p, kind in INIT_CELLS)
+    out.extend(
+        cell(p, kind, 2, particles=WIDE_PARTICLES) for p, kind in WIDE_CELLS
+    )
     return out
 
 
