@@ -5,9 +5,11 @@ significant digits, enough to distinguish six-decimal table values and
 the 1e-12 tolerance regime.  JSON is strict RFC 8259: a real with no
 finite value, such as the statistics of a FAIL row, is written as
 ``null``.  Data-level failures (all runs failing feasible
-initialization) are reported as FAIL rows with exit status 0; only
-operator errors (unknown names, malformed flags or config files) exit
-nonzero.
+initialization) are reported as FAIL rows with exit status 0.  Operator
+errors (unknown names, malformed flags or config files) exit with status
+2.  A problem function that returns a non-finite value inside the box
+ends ``run`` and ``feasibility`` with status 1 and an error line; a
+``sweep`` records it in that cell's row instead.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import List, Optional, Sequence, TextIO, Tuple
 from .benchmarks import all_entries, get_entry, estimate_feasibility_ratio
 from .handlers import KINDS, ChtConfig
 from .harness import ExperimentConfig, SummaryRow, run_experiment, sweep
-from .problem import Tolerances
+from .problem import EvaluationFault, Tolerances
 
 SCHEMA_VERSION = 2
 
@@ -452,6 +454,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         print(f"cpso: error: {exc}", file=sys.stderr)
         return 2
+    except EvaluationFault as exc:
+        print(f"cpso: error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

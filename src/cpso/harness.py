@@ -14,7 +14,6 @@ without changing results.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -274,6 +273,10 @@ def run_experiment(
     """
     indices = range(config.runs)
     if jobs > 1 and trace is None:
+        # Imported here: it pulls in multiprocessing, which serial runs
+        # never use.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_run_task, [(config, i) for i in indices]))
     else:

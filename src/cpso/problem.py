@@ -177,9 +177,9 @@ class BatchEval:
     def feasible(self, tolerances: Tolerances) -> np.ndarray:
         """Boolean feasibility mask under the given tolerances."""
         return (
-            np.all(self.ineq_violations <= tolerances.ineq, axis=1)
-            & np.all(self.eq_violations <= tolerances.eq, axis=1)
-            & np.all(self.box_violations <= tolerances.ineq, axis=1)
+            (self.ineq_violations <= tolerances.ineq).all(axis=1)
+            & (self.eq_violations <= tolerances.eq).all(axis=1)
+            & (self.box_violations <= tolerances.ineq).all(axis=1)
         )
 
     def point(self, i: int, tolerances: Tolerances) -> EvaluatedPoint:
@@ -228,29 +228,20 @@ class BatchEval:
         )
 
 
-def _sanitize(values: np.ndarray, in_box: np.ndarray, what: str) -> np.ndarray:
-    """Replace non-finite outputs for out-of-box points; fault inside the box.
-
-    Out-of-box positions are legal (particles overshoot) but the problem
-    functions only promise finite output inside the box, so non-finite
-    values there are mapped to +inf, which deprioritizes the point in
-    every comparison.
-    """
-    finite = np.isfinite(values)
-    if finite.all():
-        return values
-    bad_rows = ~finite if values.ndim == 1 else ~finite.all(axis=1)
-    if np.any(bad_rows & in_box):
-        idx = int(np.flatnonzero(bad_rows & in_box)[0])
-        raise EvaluationFault(f"non-finite {what} at in-box point index {idx}")
-    return np.where(finite, values, np.inf)
-
-
 def evaluate_batch(problem: Problem, positions: np.ndarray) -> BatchEval:
     """Evaluate a batch of points: conflicts and raw violation amounts.
 
     ``cv`` is the plain sum of inequality excesses, equality magnitudes
     and box excesses; no tolerance is subtracted anywhere.
+
+    The outputs of every function are checked for finiteness at once.
+    Out-of-box positions are legal (particles overshoot) but the problem
+    functions only promise finite output inside the box, so non-finite
+    values there become +inf, which deprioritizes the point in every
+    comparison.  A non-finite value at an in-box point raises
+    :class:`EvaluationFault`, naming the first faulty function in the
+    order objective, inequality 0.., equality 0.. and its first in-box
+    row.
     """
     x = np.atleast_2d(np.asarray(positions, dtype=float))
     if x.shape[1] != problem.dimension:
@@ -260,34 +251,41 @@ def evaluate_batch(problem: Problem, positions: np.ndarray) -> BatchEval:
     if not np.isfinite(x).all():
         raise ValueError("positions must be finite")
 
-    in_box = np.all((x >= problem.lower) & (x <= problem.upper), axis=1)
-
-    conflict = _sanitize(
-        np.asarray(problem.objective(x), dtype=float), in_box, "objective"
-    )
-
+    m = x.shape[0]
     q = problem.n_inequalities
-    ineq = np.empty((x.shape[0], q))
-    for j, g in enumerate(problem.inequalities):
-        raw = _sanitize(
-            np.asarray(g(x), dtype=float), in_box, f"inequality {j}"
-        )
-        ineq[:, j] = np.maximum(0.0, raw)
+    functions = (problem.objective, *problem.inequalities, *problem.equalities)
+    raw = np.empty((len(functions), m))  # function-major
+    for k, f in enumerate(functions):
+        raw[k] = f(x)
+    finite = np.isfinite(raw)
+    if not finite.all():
+        in_box = np.all((x >= problem.lower) & (x <= problem.upper), axis=1)
+        faults = np.flatnonzero(~finite & in_box)
+        if faults.size:
+            k, idx = divmod(int(faults[0]), m)
+            what = (
+                "objective",
+                *(f"inequality {j}" for j in range(q)),
+                *(f"equality {j}" for j in range(problem.n_equalities)),
+            )[k]
+            raise EvaluationFault(f"non-finite {what} at in-box point index {idx}")
+        raw[~finite] = np.inf
 
-    me = problem.n_equalities
-    eq = np.empty((x.shape[0], me))
-    for j, h in enumerate(problem.equalities):
-        raw = _sanitize(
-            np.asarray(h(x), dtype=float), in_box, f"equality {j}"
-        )
-        eq[:, j] = np.abs(raw)
+    # Point-major and C-contiguous before the row sums: NumPy sums rows of
+    # 8 or more terms in an unrolled order that follows the memory layout,
+    # so summing transposed views would change the bits of ``cv``.
+    violations = np.ascontiguousarray(raw[1:].T)
+    ineq = violations[:, :q]
+    eq = violations[:, q:]
+    np.maximum(0.0, ineq, out=ineq)
+    np.abs(eq, out=eq)
 
     box = np.maximum(0.0, x - problem.upper) + np.maximum(0.0, problem.lower - x)
 
     cv = ineq.sum(axis=1) + eq.sum(axis=1) + box.sum(axis=1)
     return BatchEval(
         positions=x,
-        conflict=conflict,
+        conflict=raw[0],
         ineq_violations=ineq,
         eq_violations=eq,
         box_violations=box,

@@ -45,7 +45,6 @@ from .handlers import (
     replacement_mask,
 )
 from .problem import (
-    BatchEval,
     EvaluatedPoint,
     EvaluationFault,
     Problem,
@@ -179,12 +178,15 @@ def lbest_index(
     particle ``i``.  The winner has the smallest ``primary`` key, then
     the smallest ``secondary`` key, then the lowest index.  Keys may be
     infinite but not NaN.
+
+    The particles are ranked once by a stable sort on the two keys, so
+    equal keys rank by index; each row's winner is then the candidate of
+    lowest rank.
     """
-    p = np.where(neighbors, primary, np.inf)
-    best = neighbors & (p == p.min(axis=1, keepdims=True))
-    q = np.where(best, secondary, np.inf)
-    best &= q == q.min(axis=1, keepdims=True)
-    return best.argmax(axis=1)
+    order = np.lexsort((secondary, primary))
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return np.where(neighbors, rank, order.size).argmin(axis=1)
 
 
 class Swarm:
@@ -193,7 +195,9 @@ class Swarm:
     Build with :func:`init_swarm`.  ``evaluations`` counts every
     objective evaluation charged to the run, including initialization
     rejections and repair trials; ``repair_evaluations`` and
-    ``init_evaluations`` break those out.
+    ``init_evaluations`` break those out.  ``current_feasible`` and
+    ``pbest_feasible`` are the feasibility masks of ``current`` and
+    ``pbest`` under ``tolerances``, kept up to date by each step.
     """
 
     def __init__(
@@ -224,6 +228,16 @@ class Swarm:
         self.evaluations = self.init_evaluations
         self.pbest = self.current.copy()
         self.tolerances = self._tolerances_at(1 if cht.uses_rec else 0)
+        # Feasibility masks of the current positions and of the memories,
+        # carried from step to step (None for apm, which never reads
+        # them).  Only a +rec schedule moves the tolerance, so only then
+        # is the memories' mask recomputed each step.
+        self.current_feasible = (
+            None if cht.uses_penalty else self.current.feasible(self.tolerances)
+        )
+        self.pbest_feasible = (
+            None if cht.uses_penalty else self.current_feasible.copy()
+        )
 
     # -- tolerance schedule -------------------------------------------------
 
@@ -236,15 +250,15 @@ class Swarm:
 
     # -- comparator keys ----------------------------------------------------
 
-    def _keys(self, ev: BatchEval, tol: Tolerances) -> Tuple[np.ndarray, np.ndarray]:
-        """Lexicographic sort keys (primary, secondary) for the technique.
+    def _keys(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The memories' lexicographic sort keys (primary, secondary).
 
         Penalty search orders by penalized conflict alone; every other
         technique orders by (infeasible flag, conflict-or-cv).
         """
         if self.cht.uses_penalty:
-            return np.zeros(len(ev)), penalized_batch(ev)
-        return priority_keys(ev, ev.feasible(tol))
+            return np.zeros(len(self.pbest)), penalized_batch(self.pbest)
+        return priority_keys(self.pbest, self.pbest_feasible)
 
     # -- stepping -----------------------------------------------------------
 
@@ -254,9 +268,11 @@ class Swarm:
         tol = self._tolerances_at(t)
         self.tolerances = tol
 
+        if self.cht.uses_rec:
+            self.pbest_feasible = self.pbest.feasible(tol)
         # The memories do not change before the memory update, so their
         # keys serve both the lbest lookup and the incumbents' side there.
-        keys = self._keys(self.pbest, tol)
+        keys = self._keys()
         lbest = self.pbest.positions[lbest_index(self.neighbors, *keys)]
         s, n = self.positions.shape
         u = self.rng.random((s, n, 2))
@@ -278,15 +294,22 @@ class Swarm:
         self.positions = x_new
         self.velocities = v_new
         self.current = new_eval
+        self.current_feasible = feasible
 
         replace = replacement_mask(
             self.cht, new_eval, feasible, self.pbest, keys, self.rng
         )
         self.pbest.assign(replace, new_eval.take(replace))
+        if feasible is not None:
+            self.pbest_feasible[replace] = feasible[replace]
         self.t = t
 
     def _repair(self, x_new, v_new, new_eval, feasible, tol) -> None:
-        """Repair every infeasible move in place, all in one batch."""
+        """Repair every infeasible move in place, all in one batch.
+
+        ``new_eval`` and its mask ``feasible`` are updated to describe
+        the repaired positions.
+        """
         bad = np.flatnonzero(~feasible)
         if bad.size == 0:
             return
@@ -305,9 +328,10 @@ class Swarm:
         self.evaluations += charged
         x_new[bad] = rep.positions
         v_new[bad] = rep.velocities
-        # A kept position keeps its evaluation.
+        # A kept position keeps its evaluation; an accepted trial is feasible.
         new_eval.assign(bad, self.current.take(bad))
         new_eval.assign(bad[rep.accepted], rep.evaluation)
+        feasible[bad] = rep.accepted | self.current_feasible[bad]
 
     # -- results ------------------------------------------------------------
 
@@ -317,7 +341,7 @@ class Swarm:
         Returns ``(particle_index, point)``; ties keep the lowest index.
         """
         everyone = np.ones((1, self.config.size), dtype=bool)
-        i = int(lbest_index(everyone, *self._keys(self.pbest, self.tolerances))[0])
+        i = int(lbest_index(everyone, *self._keys())[0])
         return i, self.pbest.point(i, self.tolerances)
 
 

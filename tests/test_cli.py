@@ -1,7 +1,11 @@
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 
+from cpso import harness
+from cpso.benchmarks import get_problem
 from cpso.cli import main, parse_sweep_file, CSV_COLUMNS, UsageError
 
 RUN_ARGS = [
@@ -115,6 +119,17 @@ def test_fail_row_still_exits_zero(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "FAIL" not in out
+
+
+def test_run_evaluation_fault_is_an_error_line(monkeypatch, capsys):
+    g08 = get_problem("g08")
+    nan_objective = dataclasses.replace(g08, objective=lambda x: np.full(len(x), np.nan))
+    monkeypatch.setattr(harness, "get_problem", lambda name: nan_objective)
+    code = main(RUN_ARGS)
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "cpso: error: non-finite objective at in-box point index 0\n"
 
 
 def _reject_constant(name):

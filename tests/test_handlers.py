@@ -3,7 +3,7 @@ import pytest
 
 from cpso.handlers import ChtConfig, KINDS, penalized_batch, priority_keys, repair_moves
 from cpso.problem import Problem, Tolerances, evaluate_batch
-from cpso.swarm import SwarmConfig, Topology, init_swarm, lbest_index
+from cpso.swarm import Swarm, SwarmConfig, Topology, init_swarm, lbest_index
 
 from conftest import FixedRng, batch, make_halfline, random_batch, replaces
 
@@ -224,11 +224,9 @@ def test_already_feasible_step_unchanged():
     prob = make_halfline()
     for variant in REPAIRS:
         config = SwarmConfig(size=9, steps=5, topology=Topology.from_nn(2, 9), seed=0)
-        swarm = init_swarm(prob, config, ChtConfig(variant))
-        swarm.positions[:] = -3.0
+        collapsed = np.full((9, 1), -3.0)
+        swarm = Swarm(prob, config, ChtConfig(variant), np.random.default_rng(0), collapsed, 0)
         swarm.velocities[:] = 1.0
-        swarm.current = evaluate_batch(prob, swarm.positions)
-        swarm.pbest = swarm.current.copy()
         clone = np.random.default_rng()
         clone.bit_generator.state = swarm.rng.bit_generator.state
         swarm.step()

@@ -1,12 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from cpso.benchmarks import get_problem
-from cpso.handlers import ChtConfig
-from cpso.problem import Problem, Tolerances, evaluate_batch
+from cpso.handlers import KINDS, ChtConfig, priority_keys
+from cpso.problem import Problem, RecSchedule, Tolerances, evaluate_batch
 from cpso.swarm import (
     COEFFICIENT_PRESETS,
     InitializationFailure,
+    Swarm,
     SwarmConfig,
     Topology,
     assign_coefficients,
@@ -120,12 +123,10 @@ def staged_swarm(problem, positions, velocities, memories, rng, nn=2):
     """A pfpr swarm with the given state and generator, ready to step."""
     size = len(positions)
     config = make_config(size=size, nn=nn)
-    swarm = init_swarm(problem, config, ChtConfig("pfpr"))
-    swarm.positions = np.array(positions, dtype=float)
+    swarm = Swarm(problem, config, ChtConfig("pfpr"), rng, np.array(positions, dtype=float), 0)
     swarm.velocities = np.array(velocities, dtype=float)
-    swarm.current = evaluate_batch(problem, swarm.positions)
     swarm.pbest = evaluate_batch(problem, np.array(memories, dtype=float))
-    swarm.rng = rng
+    swarm.pbest_feasible = swarm.pbest.feasible(swarm.tolerances)
     return swarm
 
 
@@ -218,11 +219,9 @@ def test_config_validation():
 
 
 def test_zero_attraction_fixed_point(toy1):
-    swarm = init_swarm(toy1, make_config(), ChtConfig("pfpr"))
-    # collapse the swarm: identical positions, memories, zero velocities
-    swarm.positions[:] = np.array([-1.0, -1.0])
-    swarm.current = evaluate_batch(toy1, swarm.positions)
-    swarm.pbest = swarm.current.copy()
+    # a collapsed swarm: identical positions, memories, zero velocities
+    collapsed = np.full((9, 2), -1.0)
+    swarm = Swarm(toy1, make_config(), ChtConfig("pfpr"), np.random.default_rng(0), collapsed, 0)
     for _ in range(3):
         swarm.step()
         assert np.all(swarm.positions == np.array([-1.0, -1.0]))
@@ -274,7 +273,7 @@ def test_step_reproducible_from_documented_rng_order(toy1):
     x0 = swarm.positions.copy()
     v0 = swarm.velocities.copy()
     pbest0 = swarm.pbest.positions.copy()
-    keys = swarm._keys(swarm.pbest, swarm.tolerances)
+    keys = priority_keys(swarm.pbest, swarm.pbest.feasible(swarm.tolerances))
     lbest = pbest0[lbest_index(swarm.neighbors, *keys)]
     rng_clone = np.random.default_rng(np.random.SeedSequence(7))
     # consume exactly what init and the three steps consumed
@@ -299,6 +298,30 @@ def test_pf_memory_stays_feasible(toy1):
     for _ in range(40):
         swarm.step()
         assert np.all(swarm.pbest.feasible(TOL))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("name", ["g04", "g11"])
+def test_carried_feasibility_masks_describe_the_state(name, kind):
+    # The swarm carries its feasibility masks from step to step instead
+    # of recomputing them.  It starts from uniform positions whatever the
+    # technique, so repair also keeps infeasible positions, and g11's
+    # equality makes the +rec tolerance move.
+    problem = get_problem(name)
+    cht = ChtConfig(kind)
+    if cht.uses_rec:
+        cht = dataclasses.replace(cht, rec=RecSchedule.for_problem(problem))
+    rng = np.random.default_rng(3)
+    config = make_config(size=12, steps=30)
+    swarm = Swarm(problem, config, cht, rng, problem.sample_uniform(rng, 12), 0)
+    for _ in range(30):
+        swarm.step()
+        if cht.uses_penalty:
+            assert swarm.pbest_feasible is None and swarm.current_feasible is None
+            continue
+        tol = swarm.tolerances
+        assert np.array_equal(swarm.pbest_feasible, swarm.pbest.feasible(tol))
+        assert np.array_equal(swarm.current_feasible, swarm.current.feasible(tol))
 
 
 def test_repair_keeps_positions_feasible(toy1):

@@ -3,9 +3,10 @@
 Each function replaces a per-particle loop, so each is checked against
 the loop it replaces: the lbest lookup against a per-particle
 ``lexsort``, the batched repair against one-row calls, both blocks of
-per-particle draws against draws taken one particle at a time, and the
+per-particle draws against draws taken one particle at a time, the
 blocked feasible initialization against drawing and evaluating one
-256-row chunk at a time.
+256-row chunk at a time, and the fused evaluation against sanitizing
+each function's output on its own.
 """
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpso.benchmarks import get_problem
+from cpso.benchmarks import get_problem, registry_names
 from cpso.handlers import ChtConfig, priority_keys, repair_moves, replacement_mask
 from cpso.problem import (
     BatchEval,
@@ -311,3 +312,103 @@ def test_feasible_init_fault_in_a_read_chunk_raises_as_per_chunk(where):
     with pytest.raises(EvaluationFault) as got:
         stream_init(problem, FAULT_SEED, FAULT_SIZE, FAULT_BUDGET)
     assert str(got.value) == str(expect.value)
+
+
+# ------------------------------------------------------------ evaluation
+
+
+def _sanitize(values, in_box, what):
+    """One function's output: +inf for non-finite values outside the box."""
+    finite = np.isfinite(values)
+    if finite.all():
+        return values
+    if np.any(~finite & in_box):
+        idx = int(np.flatnonzero(~finite & in_box)[0])
+        raise EvaluationFault(f"non-finite {what} at in-box point index {idx}")
+    return np.where(finite, values, np.inf)
+
+
+def per_function_evaluate(problem, x):
+    """The loop ``evaluate_batch`` replaces: one finiteness check per function."""
+    in_box = np.all((x >= problem.lower) & (x <= problem.upper), axis=1)
+    conflict = _sanitize(np.asarray(problem.objective(x), dtype=float), in_box, "objective")
+    ineq = np.empty((x.shape[0], problem.n_inequalities))
+    for j, g in enumerate(problem.inequalities):
+        raw = _sanitize(np.asarray(g(x), dtype=float), in_box, f"inequality {j}")
+        ineq[:, j] = np.maximum(0.0, raw)
+    eq = np.empty((x.shape[0], problem.n_equalities))
+    for j, h in enumerate(problem.equalities):
+        raw = _sanitize(np.asarray(h(x), dtype=float), in_box, f"equality {j}")
+        eq[:, j] = np.abs(raw)
+    box = np.maximum(0.0, x - problem.upper) + np.maximum(0.0, problem.lower - x)
+    cv = ineq.sum(axis=1) + eq.sum(axis=1) + box.sum(axis=1)
+    return BatchEval(x, conflict, ineq, eq, box, cv)
+
+
+FIELDS = ("positions", "conflict", "ineq_violations", "eq_violations", "box_violations", "cv")
+
+
+@pytest.mark.parametrize("m", [1, 20, 40, 500])
+@pytest.mark.parametrize("name", registry_names())
+def test_evaluate_batch_equals_per_function_sanitize(name, m):
+    problem = get_problem(name)
+    rng = np.random.default_rng([m, len(name)])
+    # Up to 30% of the span outside the box on either side; 6-63% of the
+    # rows stay inside it, depending on the dimension.
+    reach = rng.uniform(0.0, 0.3, (m, 1)) * problem.span
+    x = problem.snap_to_grid(
+        problem.lower - reach + rng.random((m, problem.dimension)) * (problem.span + 2 * reach)
+    )
+    got = evaluate_batch(problem, x)
+    expect = per_function_evaluate(problem, x)
+    for field in FIELDS:
+        a, b = getattr(got, field), getattr(expect, field)
+        assert a.shape == b.shape and a.dtype == b.dtype, field
+        assert a.tobytes() == b.tobytes(), field
+
+
+def test_evaluate_batch_non_finite_and_signed_zero_outputs():
+    # Non-finite values outside the box become +inf; an inequality of
+    # -0.0 is a violation of +0.0, as np.maximum(0.0, -0.0) gives.
+    problem = Problem(
+        name="log",
+        lower=np.array([1.0]),
+        upper=np.array([2.0]),
+        objective=lambda x: np.log(x[:, 0] - 0.5),
+        inequalities=(lambda x: -np.sqrt(x[:, 0]), lambda x: np.full(len(x), -0.0)),
+        equalities=(lambda x: np.where(x[:, 0] > 2.5, -np.inf, 0.0),),
+    )
+    x = np.array([[1.5], [0.5], [-1.0], [3.0]])
+    with np.errstate(all="ignore"):
+        got = evaluate_batch(problem, x)
+        expect = per_function_evaluate(problem, x)
+    assert list(got.conflict[1:3]) == [np.inf, np.inf]
+    assert got.ineq_violations[2, 0] == np.inf
+    assert got.eq_violations[3, 0] == np.inf
+    for field in FIELDS:
+        assert getattr(got, field).tobytes() == getattr(expect, field).tobytes(), field
+
+
+def test_evaluate_batch_fault_names_first_faulty_function():
+    # Non-finite values in three functions at once.  The objective's is
+    # outside the box (row 1), so it becomes +inf; inequality 1 (rows 2
+    # and 4) precedes equality 0 (row 0) in the order objective,
+    # inequalities, equalities, so it is the one reported, at its first
+    # in-box row.
+    def nan_at(rows):
+        return lambda x: np.where(np.isin(np.arange(len(x)), rows), np.nan, x[:, 0])
+
+    problem = Problem(
+        name="faulty",
+        lower=np.array([0.0, 0.0]),
+        upper=np.array([1.0, 1.0]),
+        objective=nan_at([1]),
+        inequalities=(lambda x: x[:, 0] - 1.0, nan_at([2, 4])),
+        equalities=(nan_at([0]),),
+    )
+    x = np.array([[0.5, 0.5], [1.5, 0.5], [0.2, 0.3], [0.1, 0.9], [0.4, 0.4]])
+    message = "non-finite inequality 1 at in-box point index 2"
+    with pytest.raises(EvaluationFault, match=message):
+        per_function_evaluate(problem, x)
+    with pytest.raises(EvaluationFault, match=message):
+        evaluate_batch(problem, x)
