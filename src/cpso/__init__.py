@@ -19,12 +19,10 @@ from .harness import (
 )
 from .problem import (
     BatchEval,
-    EvaluatedPoint,
     EvaluationFault,
     Problem,
     RecSchedule,
     Tolerances,
-    evaluate,
     evaluate_batch,
 )
 from .swarm import (

@@ -26,16 +26,25 @@ on all particles at once: :func:`priority_keys` (the priority
 comparison as sort keys), :func:`replacement_mask` (every technique's
 memory update), :func:`repair_moves` (the repair ladders) and
 :func:`penalized_batch` (the ``apm`` penalty).
+
+The rows they take may belong to several runs, run after run.  Then
+``rng`` holds one generator per run and ``runs`` gives each row's run,
+and every random block is drawn as one block per run, each from its own
+run's generator, in run order (:func:`draw_per_run`): each run sees
+exactly the draws it would see alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .problem import BatchEval, Problem, RecSchedule, Tolerances, evaluate_batch
+from .problem import BatchEval, Problem, RecSchedule, Tolerances, evaluate_rows
+
+# One generator, or one per run when the rows belong to several runs.
+Generators = Union[np.random.Generator, Sequence[np.random.Generator]]
 
 KINDS = (
     "pf",
@@ -97,6 +106,26 @@ class ChtConfig:
         return self.kind in ("pfppr", "pfppr+rec")
 
 
+def draw_per_run(
+    rng: Generators,
+    runs: Optional[np.ndarray],
+    k: int,
+    draw: Callable[[np.random.Generator, int], np.ndarray],
+) -> np.ndarray:
+    """``draw(generator, count)`` for ``k`` rows, one block per run.
+
+    With ``runs`` None, ``rng`` is one generator and the block is
+    ``draw(rng, k)``.  Otherwise ``runs`` holds the run of each of the
+    ``k`` rows, in non-decreasing order, and ``rng`` one generator per
+    run: run ``r``'s block is drawn from ``rng[r]``, and the blocks are
+    joined in run order.
+    """
+    if runs is None:
+        return draw(rng, k)
+    counts = np.bincount(runs, minlength=len(rng))
+    return np.concatenate([draw(g, int(c)) for g, c in zip(rng, counts)])
+
+
 def priority_keys(ev: BatchEval, feasible: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Sort keys ``(primary, secondary)`` of the priority rules.
 
@@ -120,35 +149,38 @@ def penalized_batch(ev: BatchEval) -> np.ndarray:
 def replacement_mask(
     cht: ChtConfig,
     cand: BatchEval,
-    cand_feasible: Optional[np.ndarray],
+    cand_keys: Optional[Tuple[np.ndarray, np.ndarray]],
     inc: BatchEval,
     inc_keys: Tuple[np.ndarray, np.ndarray],
-    rng: np.random.Generator,
+    rng: Generators,
+    runs: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Which memories ``inc`` the candidates ``cand`` replace, row by row.
 
-    ``cand_feasible`` is the candidates' feasibility mask (unused, and
-    may be None, for ``apm``).  ``inc_keys`` are the memories' sort keys
-    as the swarm ranks them: :func:`priority_keys`, or for ``apm`` zeros
-    and the penalized conflict.  Ties keep the memory.
+    ``cand_keys`` and ``inc_keys`` are the candidates' and the memories'
+    sort keys as the swarm ranks them: :func:`priority_keys`, or for
+    ``apm`` zeros and the penalized conflict.  The repair techniques
+    compare conflicts alone, so their ``cand_keys`` may be None.  Ties
+    keep the memory.
 
-    - ``pf``: a feasible candidate with lower conflict replaces.
+    - ``pf``: a feasible candidate (primary key 0) with lower conflict
+      replaces.
     - ``bm``/``bmem``/``bmpem``: lower conflict replaces.
     - ``apm``: lower penalized conflict replaces.
     - priority techniques: the candidate replaces when its priority keys
       are lower.  The probabilistic ones draw one uniform for every row
       where an infeasible point is involved, as one ``rng.random(k)``
-      block in ascending row order; at or above ``cht.prob`` that row
-      falls back to lower conflict.
+      block in ascending row order (per run, see :func:`draw_per_run`);
+      at or above ``cht.prob`` that row falls back to lower conflict.
     """
     lower_conflict = cand.conflict < inc.conflict
-    if cht.kind == "pf":
-        return cand_feasible & lower_conflict
     if cht.is_repair:
         return lower_conflict
+    cand_primary, cand_secondary = cand_keys
+    if cht.kind == "pf":
+        return (cand_primary == 0.0) & lower_conflict
     if cht.uses_penalty:
-        return penalized_batch(cand) < inc_keys[1]
-    cand_primary, cand_secondary = priority_keys(cand, cand_feasible)
+        return cand_secondary < inc_keys[1]
     inc_primary, inc_secondary = inc_keys
     replace = (cand_primary < inc_primary) | (
         (cand_primary == inc_primary) & (cand_secondary < inc_secondary)
@@ -156,7 +188,13 @@ def replacement_mask(
     if cht.probabilistic_memory:
         draw = (cand_primary + inc_primary) > 0.0
         override = np.zeros(len(cand), dtype=bool)
-        override[draw] = rng.random(np.count_nonzero(draw)) >= cht.prob
+        u = draw_per_run(
+            rng,
+            None if runs is None else runs[draw],
+            np.count_nonzero(draw),
+            lambda g, k: g.random(k),
+        )
+        override[draw] = u >= cht.prob
         replace = np.where(override, lower_conflict, replace)
     return replace
 
@@ -187,7 +225,8 @@ def _repair_factors(
     variant: str,
     full: BatchEval,
     tolerances: Tolerances,
-    rng: np.random.Generator,
+    rng: Generators,
+    runs: Optional[np.ndarray],
     max_trials: int,
 ) -> np.ndarray:
     """``(k, T)`` trial factors, one row per move, in trial order."""
@@ -202,7 +241,9 @@ def _repair_factors(
         return np.where(
             box_only[:, None], _BMEM_DOWN_LADDER[:width], _BMEM_LADDER[:width]
         )
-    return rng.uniform(0.0, 1.5, (k, max_trials))
+    return draw_per_run(
+        rng, runs, k, lambda g, c: g.uniform(0.0, 1.5, (c, max_trials))
+    )
 
 
 def repair_moves(
@@ -212,8 +253,9 @@ def repair_moves(
     problem: Problem,
     tolerances: Tolerances,
     variant: str,
-    rng: np.random.Generator,
+    rng: Generators,
     max_trials: int,
+    runs: Optional[np.ndarray] = None,
 ) -> BatchRepair:
     """Repair k moves whose full steps ``x_old + v`` are all infeasible.
 
@@ -222,17 +264,18 @@ def repair_moves(
     alternating 0.9/1.1 ladder for ``bmem`` (down-scalings only for a move
     whose full step violates box bounds alone), and for ``bmpem`` fresh
     uniform [0, 1.5) factors, drawn as one ``(k, max_trials)`` block whose
-    rows are the moves in order.  Per move, the first feasible trial wins
+    rows are the moves in order (per run, see :func:`draw_per_run`).  Per move, the first feasible trial wins
     and its scaled velocity becomes the stored velocity; a 0.0 factor or
     exhaustion keeps the old position with zero velocity.
 
     Every move's trials before its first 0.0 factor are evaluated as one
-    batch, but each move is charged its trials in order, up to the
-    accepted one, the 0.0 factor or the end of the ladder.
+    batch (in slices, see :func:`~cpso.problem.evaluate_rows`), but each
+    move is charged its trials in order, up to the accepted one, the 0.0
+    factor or the end of the ladder.
     """
     if variant not in _REPAIR_KINDS:
         raise ValueError(f"not a repair technique: {variant!r}")
-    factors = _repair_factors(variant, full, tolerances, rng, max_trials)
+    factors = _repair_factors(variant, full, tolerances, rng, runs, max_trials)
     k, width = factors.shape
     # A trailing column past the last trial makes both argmaxes total.
     stop = np.ones((k, width + 1), dtype=bool)
@@ -242,7 +285,7 @@ def repair_moves(
     candidates = problem.snap_to_grid(
         x_old[rows] + factors[rows, trials][:, None] * v[rows]
     )
-    ev = evaluate_batch(problem, candidates)
+    ev = evaluate_rows(problem, candidates)
 
     ok = np.zeros((k, width + 1), dtype=bool)
     ok[rows, trials] = ev.feasible(tolerances)

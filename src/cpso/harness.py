@@ -7,8 +7,17 @@ active-constraint count.
 
 Seeding contract: run ``i`` of an experiment draws its generator from
 ``numpy.random.SeedSequence([master_seed, i])``, so adding runs never
-perturbs earlier ones and runs can execute in any order or in parallel
-without changing results.
+perturbs earlier ones and runs can execute in any order, together or in
+parallel without changing results.
+
+Execution: each run is initialized on its own by
+:func:`~cpso.swarm.init_swarm`; the runs that start are joined into one
+:class:`~cpso.swarm.Swarm` and stepped in lockstep, so that every step
+evaluates all runs' particles in one batch.  Each run still draws from
+its own generator in its own order, so a run's results do not depend
+on the runs it steps with.  If an evaluation faults, the cell is run
+again one run at a time, so the fault raised is the one the first
+faulting run raises alone.
 """
 
 from __future__ import annotations
@@ -21,14 +30,15 @@ import numpy as np
 
 from .benchmarks import get_problem
 from .handlers import ChtConfig, priority_keys
-from .problem import (
-    BatchEval,
-    EvaluatedPoint,
-    EvaluationFault,
-    RecSchedule,
-    Tolerances,
+from .problem import EvaluationFault, RecSchedule, Tolerances
+from .swarm import (
+    InitializationFailure,
+    Swarm,
+    SwarmConfig,
+    Topology,
+    init_swarm,
+    lbest_index,
 )
-from .swarm import InitializationFailure, SwarmConfig, Topology, init_swarm, lbest_index
 
 TraceFn = Callable[[int, int, float, float], None]
 
@@ -87,31 +97,31 @@ class ExperimentConfig:
 
 @dataclass
 class RunResult:
-    """Outcome of one independent run."""
+    """Outcome of one independent run.
+
+    A completed run reports its best memory: ``position``, ``conflict``,
+    ``cv``, ``nac`` and ``keys``, its priority keys under the cell's
+    tolerances, by which :func:`summarize` ranks runs.  ``trace`` holds
+    the best memory's conflict and cv after every step, one row per
+    step, when the run was traced.
+    """
 
     index: int
     termination: str  # "completed" | "init-failed"
-    best: Optional[EvaluatedPoint]
     evaluations: int
     init_evaluations: int
     repair_evaluations: int
     elapsed: float
+    position: Optional[np.ndarray] = None
+    conflict: float = float("nan")
+    cv: float = float("nan")
+    nac: int = -1
+    keys: Optional[Tuple[float, float]] = None
+    trace: Optional[np.ndarray] = None
 
     @property
     def completed(self) -> bool:
         return self.termination == "completed"
-
-    @property
-    def conflict(self) -> float:
-        return self.best.conflict if self.best is not None else float("nan")
-
-    @property
-    def cv(self) -> float:
-        return self.best.cv if self.best is not None else float("nan")
-
-    @property
-    def nac(self) -> int:
-        return self.best.nac if self.best is not None else -1
 
 
 @dataclass
@@ -143,6 +153,102 @@ class SummaryRow:
         return self.error is not None or self.failures == self.config.runs
 
 
+def _run_group(
+    config: ExperimentConfig, indices: Sequence[int], trace: bool = False
+) -> List[RunResult]:
+    """Runs ``indices`` of ``config``, stepped in lockstep, in index order.
+
+    Each run is initialized on its own; the runs that start are joined
+    and stepped together, and every run's final best is read from one
+    :func:`~cpso.swarm.lbest_index` call.  A run's ``elapsed`` is its
+    own initialization plus an equal share of the lockstep steps.  With
+    ``trace``, each completed run records its best memory's conflict
+    and cv after every step.
+    """
+    problem = get_problem(config.problem)
+    cht = config.resolved_cht()
+    topology = Topology.from_nn(config.nn, config.particles)
+    results = {}
+    swarms, started, init_s = [], [], []
+    for i in indices:
+        swarm_config = SwarmConfig(
+            size=config.particles,
+            steps=config.steps,
+            topology=topology,
+            seed=np.random.SeedSequence([config.master_seed, i]),
+            tolerances=config.tolerances,
+        )
+        start = time.perf_counter()
+        try:
+            swarms.append(
+                init_swarm(problem, swarm_config, cht, config.max_init_attempts)
+            )
+        except InitializationFailure:
+            results[i] = RunResult(
+                index=i,
+                termination="init-failed",
+                evaluations=0,
+                init_evaluations=0,
+                repair_evaluations=0,
+                elapsed=time.perf_counter() - start,
+            )
+            continue
+        started.append(i)
+        init_s.append(time.perf_counter() - start)
+    if swarms:
+        results.update(_step_runs(config, Swarm.join(swarms), started, init_s, trace))
+    return [results[i] for i in indices]
+
+
+def _step_runs(
+    config: ExperimentConfig,
+    group: Swarm,
+    indices: Sequence[int],
+    init_s: Sequence[float],
+    trace: bool,
+) -> dict:
+    """Step ``group``, whose runs are ``indices``, to the end; index -> result."""
+    start = time.perf_counter()
+    log = np.empty((group.runs, config.steps, 2)) if trace else None
+    for t in range(config.steps):
+        group.step()
+        if log is not None:
+            rows = group.best_rows()
+            log[:, t, 0] = group.pbest.conflict[rows]
+            log[:, t, 1] = group.pbest.cv[rows]
+    best = group.pbest.take(group.best_rows())
+    primary, secondary = priority_keys(best, best.feasible(config.tolerances))
+    nac = best.nac(group.tolerances)
+    share = (time.perf_counter() - start) / group.runs
+    return {
+        i: RunResult(
+            index=i,
+            termination="completed",
+            evaluations=int(group.run_evaluations[r]),
+            init_evaluations=int(group.run_init_evaluations[r]),
+            repair_evaluations=int(group.run_repair_evaluations[r]),
+            elapsed=init_s[r] + share,
+            position=best.positions[r],
+            conflict=float(best.conflict[r]),
+            cv=float(best.cv[r]),
+            nac=int(nac[r]),
+            keys=(float(primary[r]), float(secondary[r])),
+            trace=None if log is None else log[r],
+        )
+        for r, i in enumerate(indices)
+    }
+
+
+def _write_trace(trace: Optional[TraceFn], results: Sequence[RunResult]) -> None:
+    """Pass every step of ``results``' traces to ``trace``, run by run."""
+    if trace is None:
+        return
+    for r in results:
+        if r.trace is not None:
+            for t, (conflict, cv) in enumerate(r.trace.tolist(), start=1):
+                trace(r.index, t, conflict, cv)
+
+
 def run_single(
     config: ExperimentConfig,
     run_index: int,
@@ -151,65 +257,18 @@ def run_single(
     """Execute one seeded run and return its best memory.
 
     The returned best is the winner under the technique's plain
-    comparator across all personal bests at the final step.
+    comparator across all personal bests at the final step.  ``trace``
+    receives the run's best after every step once the run has ended.
     """
     if not 0 <= run_index < config.runs:
         raise ValueError("run index out of range")
-    problem = get_problem(config.problem)
-    cht = config.resolved_cht()
-    topology = Topology.from_nn(config.nn, config.particles)
-    swarm_config = SwarmConfig(
-        size=config.particles,
-        steps=config.steps,
-        topology=topology,
-        seed=np.random.SeedSequence([config.master_seed, run_index]),
-        tolerances=config.tolerances,
-    )
-    start = time.perf_counter()
-    try:
-        swarm = init_swarm(problem, swarm_config, cht, config.max_init_attempts)
-    except InitializationFailure:
-        return RunResult(
-            index=run_index,
-            termination="init-failed",
-            best=None,
-            evaluations=0,
-            init_evaluations=0,
-            repair_evaluations=0,
-            elapsed=time.perf_counter() - start,
-        )
-    for _ in range(config.steps):
-        swarm.step()
-        if trace is not None:
-            _, point = swarm.best()
-            trace(run_index, swarm.t, point.conflict, point.cv)
-    _, best = swarm.best()
-    return RunResult(
-        index=run_index,
-        termination="completed",
-        best=best,
-        evaluations=swarm.evaluations,
-        init_evaluations=swarm.init_evaluations,
-        repair_evaluations=swarm.repair_evaluations,
-        elapsed=time.perf_counter() - start,
-    )
+    result = _run_group(config, [run_index], trace is not None)[0]
+    _write_trace(trace, [result])
+    return result
 
 
-def _stack(points: Sequence[EvaluatedPoint]) -> BatchEval:
-    """The points as the rows of one batch, in order."""
-    return BatchEval(
-        positions=np.array([p.position for p in points]),
-        conflict=np.array([p.conflict for p in points]),
-        ineq_violations=np.array([p.ineq_violations for p in points]),
-        eq_violations=np.array([p.eq_violations for p in points]),
-        box_violations=np.array([p.box_violations for p in points]),
-        cv=np.array([p.cv for p in points]),
-    )
-
-
-def _run_task(args: Tuple[ExperimentConfig, int]) -> RunResult:
-    config, run_index = args
-    return run_single(config, run_index)
+def _run_task(args: Tuple[ExperimentConfig, Sequence[int], bool]) -> List[RunResult]:
+    return _run_group(*args)
 
 
 def summarize(config: ExperimentConfig, results: Sequence[RunResult]) -> SummaryRow:
@@ -239,17 +298,16 @@ def summarize(config: ExperimentConfig, results: Sequence[RunResult]) -> Summary
     # one.  A single completed run needs no ranking.
     best = done[0]
     if len(done) > 1:
-        bests = _stack([r.best for r in done])
-        keys = priority_keys(bests, bests.feasible(config.tolerances))
+        primary, secondary = np.array([r.keys for r in done]).T
         everyone = np.ones((1, len(done)), dtype=bool)
-        best = done[int(lbest_index(everyone, *keys)[0])]
+        best = done[int(lbest_index(everyone, primary, secondary)[0])]
     extra = sum(r.evaluations for r in done) - len(done) * config.fes
     return SummaryRow(
         config=config,
         best_conflict=best.conflict,
         best_cv=best.cv,
         best_nac=best.nac,
-        best_position=np.array(best.best.position),
+        best_position=np.array(best.position),
         best_run=best.index,
         mean_conflict=float(np.mean([r.conflict for r in done])),
         mean_cv=float(np.mean([r.cv for r in done])),
@@ -268,19 +326,30 @@ def run_experiment(
 ) -> SummaryRow:
     """Run all ``config.runs`` independent runs and summarize them.
 
-    With ``jobs > 1`` runs execute on worker processes; tracing forces
-    serial execution so the log stream stays ordered.
+    The runs step in lockstep (see the module docstring).  With
+    ``jobs > 1`` the runs are split into ``jobs`` contiguous groups that
+    step in lockstep on worker processes.  ``trace`` receives every
+    run's best after every step, run by run, once all runs have ended.
     """
-    indices = range(config.runs)
-    if jobs > 1 and trace is None:
-        # Imported here: it pulls in multiprocessing, which serial runs
-        # never use.
-        from concurrent.futures import ProcessPoolExecutor
+    indices = list(range(config.runs))
+    try:
+        if jobs > 1 and config.runs > 1:
+            # Imported here: it pulls in multiprocessing, which serial runs
+            # never use.
+            from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_task, [(config, i) for i in indices]))
-    else:
-        results = [run_single(config, i, trace) for i in indices]
+            groups = [g.tolist() for g in np.array_split(indices, min(jobs, config.runs))]
+            tasks = [(config, g, trace is not None) for g in groups]
+            with ProcessPoolExecutor(max_workers=len(groups)) as pool:
+                results = [r for rs in pool.map(_run_task, tasks) for r in rs]
+        else:
+            results = _run_group(config, indices, trace is not None)
+    except EvaluationFault:
+        if config.runs == 1:
+            raise
+        # One run at a time, in order, as serial execution faults.
+        return summarize(config, [run_single(config, i, trace) for i in indices])
+    _write_trace(trace, results)
     return summarize(config, results)
 
 

@@ -4,7 +4,7 @@ A problem is a box-bounded minimization task with ordered inequality
 constraints (satisfied when ``g(x) <= 0``) and equality constraints
 (satisfied when ``g(x) == 0``).  Box bounds are treated as additional
 inequality terms and charged into the violation aggregate, so points
-outside the box are legal inputs to :func:`evaluate`.
+outside the box are legal inputs to :func:`evaluate_batch`.
 
 All constraint and objective callables are vectorized: they accept an
 array of shape ``(m, n)`` and return shape ``(m,)``.
@@ -139,19 +139,6 @@ class Problem:
         return self.snap_to_grid(pts)
 
 
-@dataclass(frozen=True)
-class EvaluatedPoint:
-    """A position together with its conflict and violation breakdown."""
-
-    position: np.ndarray
-    conflict: float
-    ineq_violations: np.ndarray
-    eq_violations: np.ndarray
-    box_violations: np.ndarray
-    cv: float
-    nac: int
-
-
 @dataclass
 class BatchEval:
     """Evaluation of many points at once; row ``i`` describes point ``i``."""
@@ -180,18 +167,6 @@ class BatchEval:
             (self.ineq_violations <= tolerances.ineq).all(axis=1)
             & (self.eq_violations <= tolerances.eq).all(axis=1)
             & (self.box_violations <= tolerances.ineq).all(axis=1)
-        )
-
-    def point(self, i: int, tolerances: Tolerances) -> EvaluatedPoint:
-        """Materialize row ``i`` as an :class:`EvaluatedPoint`."""
-        return EvaluatedPoint(
-            position=self.positions[i].copy(),
-            conflict=float(self.conflict[i]),
-            ineq_violations=self.ineq_violations[i].copy(),
-            eq_violations=self.eq_violations[i].copy(),
-            box_violations=self.box_violations[i].copy(),
-            cv=float(self.cv[i]),
-            nac=int(self.nac(tolerances)[i]),
         )
 
     def take(self, rows: np.ndarray) -> "BatchEval":
@@ -226,6 +201,23 @@ class BatchEval:
             box_violations=self.box_violations.copy(),
             cv=self.cv.copy(),
         )
+
+    @classmethod
+    def concat(cls, parts: Sequence["BatchEval"]) -> "BatchEval":
+        """The rows of ``parts``, in order, as one batch."""
+        return cls(
+            *(np.concatenate([getattr(p, f) for p in parts]) for f in _FIELDS)
+        )
+
+
+_FIELDS = (
+    "positions",
+    "conflict",
+    "ineq_violations",
+    "eq_violations",
+    "box_violations",
+    "cv",
+)
 
 
 def evaluate_batch(problem: Problem, positions: np.ndarray) -> BatchEval:
@@ -293,16 +285,32 @@ def evaluate_batch(problem: Problem, positions: np.ndarray) -> BatchEval:
     )
 
 
-def evaluate(
-    problem: Problem, x: Sequence[float], tolerances: Tolerances
-) -> EvaluatedPoint:
-    """Evaluate a single point."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size != problem.dimension:
-        raise ValueError(
-            f"expected a vector of length {problem.dimension}, got shape {x.shape}"
+# Largest batch the engine evaluates in one call.  Each call's temporaries
+# grow with its rows, while the cost per row stops falling long before:
+# on g06, 218 ns per row at 4,096 rows and 245 ns at 122,880.
+MAX_BATCH_ROWS = 4096
+
+
+def evaluate_rows(problem: Problem, positions: np.ndarray) -> BatchEval:
+    """:func:`evaluate_batch` in slices of at most ``MAX_BATCH_ROWS`` rows.
+
+    Every row is evaluated on its own, so the result is the one call's,
+    bit for bit.  So is a fault: when a slice faults, the whole batch is
+    evaluated at once to raise the fault one call would raise.
+    """
+    m = len(positions)
+    if m <= MAX_BATCH_ROWS:
+        return evaluate_batch(problem, positions)
+    try:
+        return BatchEval.concat(
+            [
+                evaluate_batch(problem, positions[a : a + MAX_BATCH_ROWS])
+                for a in range(0, m, MAX_BATCH_ROWS)
+            ]
         )
-    return evaluate_batch(problem, x[None, :]).point(0, tolerances)
+    except EvaluationFault:
+        evaluate_batch(problem, positions)
+        raise
 
 
 @dataclass(frozen=True)

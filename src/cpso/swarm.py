@@ -6,7 +6,15 @@ the processing order of particles within a step is immaterial.  A step
 applies the technique's rules from :mod:`cpso.handlers` to all particles
 at once, and :func:`lbest_index` picks every neighbourhood best.
 
-Randomness contract (per step, one generator per run):
+A :class:`Swarm` holds one or more independent runs of one cell, their
+rows one run after another, and steps them in lockstep: one evaluation,
+one lbest ranking, one repair batch and one memory update serve every
+run.  Runs share nothing but the step index, and so the tolerance in
+force.  Each run draws from its own generator, as below, so a run ends
+exactly where it ends stepping alone, whichever runs step with it.
+
+Randomness contract (per step, one generator per run, each run's
+blocks drawn from its own generator, run after run):
 
 1. One ``rng.random((size, dimension, 2))`` block, consumed in C order:
    particle-major, then dimension, with the individuality draw before
@@ -32,24 +40,29 @@ block of their total size.
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 from dataclasses import dataclass, field
-from typing import Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from .handlers import (
     ChtConfig,
+    Generators,
+    draw_per_run,
     penalized_batch,
     priority_keys,
     repair_moves,
     replacement_mask,
 )
 from .problem import (
-    EvaluatedPoint,
+    BatchEval,
     EvaluationFault,
     Problem,
     Tolerances,
     evaluate_batch,
+    evaluate_rows,
 )
 
 _INIT_CHUNK = 256
@@ -172,32 +185,52 @@ class SwarmConfig:
 def lbest_index(
     neighbors: np.ndarray, primary: np.ndarray, secondary: np.ndarray
 ) -> np.ndarray:
-    """Neighbourhood-best index for every row of ``neighbors``.
+    """Neighbourhood-best row for every row of ``neighbors``, in every run.
 
-    Row ``i`` of the boolean ``(s, s)`` matrix marks the candidates of
-    particle ``i``.  The winner has the smallest ``primary`` key, then
-    the smallest ``secondary`` key, then the lowest index.  Keys may be
-    infinite but not NaN.
+    Row ``i`` of the boolean ``(k, s)`` matrix marks the candidates of
+    particle ``i`` among the ``s`` particles of one run.  The keys hold
+    one entry per row of R runs of ``s`` rows each, run after run.  The
+    result has ``R * k`` entries, run-major: entry ``r * k + i`` is the
+    row, among all ``R * s``, of the winner among run ``r``'s candidates
+    of particle ``i``.  The winner has the smallest ``primary`` key,
+    then the smallest ``secondary`` key, then the lowest index.  Keys
+    may be infinite but not NaN.
 
-    The particles are ranked once by a stable sort on the two keys, so
-    equal keys rank by index; each row's winner is then the candidate of
-    lowest rank.
+    The rows are ranked once by a stable sort on the two keys, so equal
+    keys rank by index; each row's winner is then the candidate of
+    lowest rank.  A ranking of all runs' rows orders each run's rows as
+    ranking that run alone would, so one sort serves every run.
     """
     order = np.lexsort((secondary, primary))
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
-    return np.where(neighbors, rank, order.size).argmin(axis=1)
+    s = neighbors.shape[1]
+    best = np.where(neighbors, rank.reshape(-1, 1, s), order.size).argmin(axis=2)
+    if len(best) > 1:
+        best += np.arange(0, order.size, s)[:, None]
+    return best.ravel()
 
 
 class Swarm:
-    """Mutable swarm state: positions, velocities, memories, counters.
+    """Mutable state of the runs of one cell, stepped in lockstep.
 
-    Build with :func:`init_swarm`.  ``evaluations`` counts every
-    objective evaluation charged to the run, including initialization
-    rejections and repair trials; ``repair_evaluations`` and
-    ``init_evaluations`` break those out.  ``current_feasible`` and
-    ``pbest_feasible`` are the feasibility masks of ``current`` and
-    ``pbest`` under ``tolerances``, kept up to date by each step.
+    :func:`init_swarm` builds one run; :meth:`join` makes one swarm of
+    several runs of the same cell.  With ``s`` particles per run, the
+    rows of ``positions``, ``velocities``, ``current``, ``pbest`` and
+    the masks are run-major: run ``r`` owns rows ``r * s`` to
+    ``(r + 1) * s - 1``, so a one-run swarm has ``(s, n)`` arrays.  Run
+    ``r`` draws from ``rngs[r]`` only, in the order of the module's
+    randomness contract, so a run steps exactly as it would alone.
+
+    ``run_evaluations`` counts, per run, every objective evaluation
+    charged to it, including initialization rejections and repair
+    trials; ``run_init_evaluations`` and ``run_repair_evaluations``
+    break those out.  ``evaluations``, ``init_evaluations`` and
+    ``repair_evaluations`` are their totals over the runs.
+    ``current_feasible`` and ``pbest_feasible`` are the feasibility
+    masks of ``current`` and ``pbest`` under ``tolerances``, and for
+    ``apm`` ``pbest_penalty`` is the memories' penalized conflict, all
+    kept up to date by each step.
     """
 
     def __init__(
@@ -212,7 +245,7 @@ class Swarm:
         self.problem = problem
         self.config = config
         self.cht = cht
-        self.rng = rng
+        self.rngs = [rng]
         self.t = 0
         s = config.size
         self.positions = positions
@@ -223,21 +256,81 @@ class Swarm:
         self.sw = np.array([c.sw for c in coeffs])
         self.neighbors = config.topology.neighbor_matrix()
         self.current = evaluate_batch(problem, positions)
-        self.init_evaluations = init_evaluations + s
-        self.repair_evaluations = 0
-        self.evaluations = self.init_evaluations
+        self.run_init_evaluations = np.array([init_evaluations + s])
+        self.run_repair_evaluations = np.zeros(1, dtype=np.int64)
+        self.run_evaluations = self.run_init_evaluations.copy()
         self.pbest = self.current.copy()
         self.tolerances = self._tolerances_at(1 if cht.uses_rec else 0)
         # Feasibility masks of the current positions and of the memories,
         # carried from step to step (None for apm, which never reads
         # them).  Only a +rec schedule moves the tolerance, so only then
-        # is the memories' mask recomputed each step.
+        # is the memories' mask recomputed each step.  apm carries the
+        # memories' penalty instead.
         self.current_feasible = (
             None if cht.uses_penalty else self.current.feasible(self.tolerances)
         )
         self.pbest_feasible = (
             None if cht.uses_penalty else self.current_feasible.copy()
         )
+        self.pbest_penalty = (
+            penalized_batch(self.pbest) if cht.uses_penalty else None
+        )
+
+    @classmethod
+    def join(cls, swarms: Sequence["Swarm"]) -> "Swarm":
+        """One swarm holding the runs of ``swarms``, in order.
+
+        The swarms must be runs of one cell at the same step: their
+        configs may differ in the seed alone.  The joined swarm keeps the
+        first one's ``config``; a single swarm is returned as it is.
+        """
+        first = swarms[0]
+        if len(swarms) == 1:
+            return first
+        cell = dataclasses.replace(first.config, seed=None)
+        for other in swarms[1:]:
+            if (
+                dataclasses.replace(other.config, seed=None) != cell
+                or other.problem is not first.problem
+                or other.cht != first.cht
+                or other.t != first.t
+            ):
+                raise ValueError("only runs of one cell at one step can join")
+        group = copy.copy(first)
+        group.rngs = [g for sw in swarms for g in sw.rngs]
+        for name in _RUN_STATE:
+            parts = [getattr(sw, name) for sw in swarms]
+            if parts[0] is not None:
+                concat = BatchEval.concat if name in ("current", "pbest") else np.concatenate
+                setattr(group, name, concat(parts))
+        return group
+
+    @property
+    def runs(self) -> int:
+        return len(self.rngs)
+
+    @property
+    def evaluations(self) -> int:
+        return int(self.run_evaluations.sum())
+
+    @property
+    def init_evaluations(self) -> int:
+        return int(self.run_init_evaluations.sum())
+
+    @property
+    def repair_evaluations(self) -> int:
+        return int(self.run_repair_evaluations.sum())
+
+    def _generators(self, rows=None) -> Tuple[Generators, Optional[np.ndarray]]:
+        """``(rng, runs)`` arguments of a draw over ``rows`` (all when None).
+
+        See :func:`cpso.handlers.draw_per_run`; a one-run swarm passes its
+        generator alone.
+        """
+        if self.runs == 1:
+            return self.rngs[0], None
+        runs = np.arange(len(self.positions)) // self.config.size
+        return self.rngs, runs if rows is None else runs[rows]
 
     # -- tolerance schedule -------------------------------------------------
 
@@ -257,13 +350,13 @@ class Swarm:
         technique orders by (infeasible flag, conflict-or-cv).
         """
         if self.cht.uses_penalty:
-            return np.zeros(len(self.pbest)), penalized_batch(self.pbest)
+            return np.zeros(len(self.pbest)), self.pbest_penalty
         return priority_keys(self.pbest, self.pbest_feasible)
 
     # -- stepping -----------------------------------------------------------
 
     def step(self) -> None:
-        """Advance one synchronous step."""
+        """Advance every run one synchronous step."""
         t = self.t + 1
         tol = self._tolerances_at(t)
         self.tolerances = tol
@@ -274,8 +367,8 @@ class Swarm:
         # keys serve both the lbest lookup and the incumbents' side there.
         keys = self._keys()
         lbest = self.pbest.positions[lbest_index(self.neighbors, *keys)]
-        s, n = self.positions.shape
-        u = self.rng.random((s, n, 2))
+        m, n = self.positions.shape
+        u = draw_per_run(*self._generators(), m, lambda g, k: g.random((k, n, 2)))
         v_new = (
             self.w[:, None] * self.velocities
             + self.iw[:, None] * u[:, :, 0] * (self.pbest.positions - self.positions)
@@ -285,27 +378,35 @@ class Swarm:
         np.clip(v_new, -vmax, vmax, out=v_new)
 
         x_new = self.problem.snap_to_grid(self.positions + v_new)
-        new_eval = evaluate_batch(self.problem, x_new)
-        self.evaluations += s
+        new_eval = evaluate_rows(self.problem, x_new)
+        self.run_evaluations += self.config.size
         feasible = None if self.cht.uses_penalty else new_eval.feasible(tol)
 
         if self.cht.is_repair:
             self._repair(x_new, v_new, new_eval, feasible, tol)
+            cand_keys = None
+        elif self.cht.uses_penalty:
+            cand_keys = np.zeros(m), penalized_batch(new_eval)
+        else:
+            cand_keys = priority_keys(new_eval, feasible)
         self.positions = x_new
         self.velocities = v_new
         self.current = new_eval
         self.current_feasible = feasible
 
+        rng, runs = self._generators()
         replace = replacement_mask(
-            self.cht, new_eval, feasible, self.pbest, keys, self.rng
+            self.cht, new_eval, cand_keys, self.pbest, keys, rng, runs
         )
         self.pbest.assign(replace, new_eval.take(replace))
         if feasible is not None:
             self.pbest_feasible[replace] = feasible[replace]
+        else:
+            self.pbest_penalty[replace] = cand_keys[1][replace]
         self.t = t
 
     def _repair(self, x_new, v_new, new_eval, feasible, tol) -> None:
-        """Repair every infeasible move in place, all in one batch.
+        """Repair every infeasible move of every run in place, in one batch.
 
         ``new_eval`` and its mask ``feasible`` are updated to describe
         the repaired positions.
@@ -313,6 +414,7 @@ class Swarm:
         bad = np.flatnonzero(~feasible)
         if bad.size == 0:
             return
+        rng, runs = self._generators(bad)
         rep = repair_moves(
             self.positions[bad],
             v_new[bad],
@@ -320,12 +422,19 @@ class Swarm:
             self.problem,
             tol,
             self.cht.kind,
-            self.rng,
+            rng,
             self.cht.max_repair_trials,
+            runs,
         )
-        charged = int(rep.trials_charged.sum())  # full steps are already charged
-        self.repair_evaluations += charged
-        self.evaluations += charged
+        # Full steps are already charged.
+        if runs is None:
+            charged = rep.trials_charged.sum()
+        else:
+            charged = np.bincount(
+                runs, weights=rep.trials_charged, minlength=self.runs
+            ).astype(np.int64)
+        self.run_repair_evaluations += charged
+        self.run_evaluations += charged
         x_new[bad] = rep.positions
         v_new[bad] = rep.velocities
         # A kept position keeps its evaluation; an accepted trial is feasible.
@@ -335,14 +444,33 @@ class Swarm:
 
     # -- results ------------------------------------------------------------
 
-    def best(self) -> Tuple[int, EvaluatedPoint]:
-        """Best memory under the technique's plain comparator.
+    def best_rows(self) -> np.ndarray:
+        """Each run's best memory under the technique's plain comparator.
 
-        Returns ``(particle_index, point)``; ties keep the lowest index.
+        Returns one row index of ``pbest`` per run, in run order; ties
+        keep the lowest index.
         """
         everyone = np.ones((1, self.config.size), dtype=bool)
-        i = int(lbest_index(everyone, *self._keys())[0])
-        return i, self.pbest.point(i, self.tolerances)
+        return lbest_index(everyone, *self._keys())
+
+
+# Attributes with one row per particle or one entry per run; joining
+# swarms concatenates them.
+_RUN_STATE = (
+    "positions",
+    "velocities",
+    "w",
+    "iw",
+    "sw",
+    "current",
+    "pbest",
+    "current_feasible",
+    "pbest_feasible",
+    "pbest_penalty",
+    "run_evaluations",
+    "run_init_evaluations",
+    "run_repair_evaluations",
+)
 
 
 def init_swarm(

@@ -78,11 +78,13 @@ def random_batch(rng, m) -> BatchEval:
 def replaces(kind, inc, cand, rng=None, prob=0.9, tol=Tolerances()):
     """Replacement mask of technique ``kind``: memories ``inc``, candidates ``cand``."""
     cht = ChtConfig(kind, prob=prob)
-    if cht.uses_penalty:
-        keys = np.zeros(len(inc)), penalized_batch(inc)
-    else:
-        keys = priority_keys(inc, inc.feasible(tol))
-    return replacement_mask(cht, cand, cand.feasible(tol), inc, keys, rng)
+
+    def keys(ev):
+        if cht.uses_penalty:
+            return np.zeros(len(ev)), penalized_batch(ev)
+        return priority_keys(ev, ev.feasible(tol))
+
+    return replacement_mask(cht, cand, keys(cand), inc, keys(inc), rng)
 
 
 class FixedRng:

@@ -34,6 +34,7 @@ from typing import List
 from cpso import harness
 from cpso.handlers import KINDS, ChtConfig
 from cpso.harness import ExperimentConfig
+from cpso.swarm import Swarm
 
 CORPUS = Path(__file__).with_name("corpus.json")
 
@@ -92,31 +93,35 @@ def _hex(x) -> str:
     return float(x).hex()
 
 
-def _digest(swarm) -> str:
+def _digest(pbest) -> str:
     h = hashlib.sha256()
-    h.update(swarm.pbest.positions.tobytes())
-    h.update(swarm.pbest.conflict.tobytes())
+    h.update(pbest.positions.tobytes())
+    h.update(pbest.conflict.tobytes())
     return h.hexdigest()
 
 
 def record(config: ExperimentConfig) -> dict:
     """Run one cell serially and return its corpus entry."""
-    swarms = []
-    real = harness.init_swarm
+    groups = []
+    real = Swarm.__dict__["join"]
 
-    def recording(*args, **kwargs):
-        swarm = real(*args, **kwargs)
-        swarms.append(swarm)
-        return swarm
+    def recording(swarms):
+        group = real.__func__(Swarm, swarms)
+        groups.append(group)
+        return group
 
-    harness.init_swarm = recording
+    Swarm.join = recording
     try:
         row = harness.run_experiment(config)
     finally:
-        harness.init_swarm = real
+        Swarm.join = real
 
-    # Runs execute in index order, and only completed runs built a swarm.
-    completed = iter(swarms)
+    # The completed runs step as one swarm, in index order, each owning
+    # ``particles`` consecutive memories.
+    s = config.particles
+    bests = iter(
+        g.pbest.take(slice(r * s, (r + 1) * s)) for g in groups for r in range(g.runs)
+    )
     runs = []
     for r in row.runs:
         runs.append(
@@ -125,7 +130,7 @@ def record(config: ExperimentConfig) -> dict:
                 "evaluations": r.evaluations,
                 "init_evaluations": r.init_evaluations,
                 "repair_evaluations": r.repair_evaluations,
-                "pbest_digest": _digest(next(completed)) if r.completed else None,
+                "pbest_digest": _digest(next(bests)) if r.completed else None,
             }
         )
     return {

@@ -7,6 +7,8 @@ import pytest
 from cpso import harness
 from cpso.benchmarks import get_problem
 from cpso.cli import main, parse_sweep_file, CSV_COLUMNS, UsageError
+from cpso.handlers import ChtConfig
+from cpso.swarm import SwarmConfig, Topology, init_swarm
 
 RUN_ARGS = [
     "run",
@@ -75,6 +77,24 @@ def test_run_trace_logs_every_step(tmp_path, capsys):
     run, step, conflict, cv = lines[1].split(",")
     assert (run, step) == ("0", "1")
     float(conflict), float(cv)
+    # Each line is its run's best memory after that step, as the run
+    # stepping alone has it, run by run.
+    problem = get_problem("g08")
+    expect = [lines[0]]
+    for i in range(2):
+        config = SwarmConfig(10, 50, Topology.from_nn(2, 10), np.random.SeedSequence([7, i]))
+        swarm = init_swarm(problem, config, ChtConfig("pfpr"))
+        for t in range(1, 51):
+            swarm.step()
+            best = swarm.best_rows()[0]
+            conflict, cv = swarm.pbest.conflict[best], swarm.pbest.cv[best]
+            expect.append(f"{i},{t},{conflict:.12g},{cv:.12g}")
+    assert lines == expect
+    # Worker processes write the same file.
+    jobs = tmp_path / "jobs.csv"
+    assert main(RUN_ARGS + ["--trace", str(jobs), "--jobs", "2"]) == 0
+    capsys.readouterr()
+    assert jobs.read_bytes() == trace.read_bytes()
 
 
 def test_unknown_problem_exits_nonzero(capsys):

@@ -228,13 +228,13 @@ def test_already_feasible_step_unchanged():
         swarm = Swarm(prob, config, ChtConfig(variant), np.random.default_rng(0), collapsed, 0)
         swarm.velocities[:] = 1.0
         clone = np.random.default_rng()
-        clone.bit_generator.state = swarm.rng.bit_generator.state
+        clone.bit_generator.state = swarm.rngs[0].bit_generator.state
         swarm.step()
         assert np.array_equal(swarm.velocities[:, 0], swarm.w)
         assert np.array_equal(swarm.positions[:, 0], -3.0 + swarm.w)
         assert swarm.repair_evaluations == 0
         clone.random((9, 1, 2))  # the velocity block, and no repair draws
-        assert swarm.rng.bit_generator.state == clone.bit_generator.state
+        assert swarm.rngs[0].bit_generator.state == clone.bit_generator.state
 
 
 def test_bmpem_factors_drawn_from_unit_and_a_half():

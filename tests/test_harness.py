@@ -36,7 +36,7 @@ def test_run_single_deterministic():
     b = run_single(cfg, 0)
     assert a.conflict == b.conflict
     assert a.cv == b.cv
-    assert np.array_equal(a.best.position, b.best.position)
+    assert np.array_equal(a.position, b.position)
     assert a.evaluations == b.evaluations
 
 

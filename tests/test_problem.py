@@ -6,7 +6,6 @@ from cpso.problem import (
     Problem,
     RecSchedule,
     Tolerances,
-    evaluate,
     evaluate_batch,
 )
 
@@ -19,28 +18,33 @@ def feasible(problem, x, tolerances=TOL):
     return bool(evaluate_batch(problem, [x]).feasible(tolerances)[0])
 
 
+def one(problem, x):
+    """The evaluation of the single point ``x``: a one-row batch."""
+    return evaluate_batch(problem, np.array([x], dtype=float))
+
+
 def test_toy1_interior_point(toy1):
-    pt = evaluate(toy1, [0.0, 0.0], TOL)
-    assert pt.conflict == 0.0
-    assert pt.cv == 0.0
-    assert pt.nac == 0
+    pt = one(toy1, [0.0, 0.0])
+    assert pt.conflict[0] == 0.0
+    assert pt.cv[0] == 0.0
+    assert pt.nac(TOL)[0] == 0
     assert feasible(toy1, [0.0, 0.0])
 
 
 def test_toy1_violating_point(toy1):
-    pt = evaluate(toy1, [1.0, 1.0], TOL)
-    assert pt.conflict == 2.0
-    assert pt.ineq_violations == pytest.approx([1.0])
-    assert pt.cv == 1.0
-    assert pt.nac == 1
+    pt = one(toy1, [1.0, 1.0])
+    assert pt.conflict[0] == 2.0
+    assert pt.ineq_violations[0] == pytest.approx([1.0])
+    assert pt.cv[0] == 1.0
+    assert pt.nac(TOL)[0] == 1
 
 
 def test_toy1_out_of_box_point(toy1):
-    pt = evaluate(toy1, [3.0, 0.0], TOL)
-    assert pt.ineq_violations == pytest.approx([2.0])
-    assert pt.box_violations == pytest.approx([1.0, 0.0])
-    assert pt.cv == 3.0
-    assert pt.nac == 2
+    pt = one(toy1, [3.0, 0.0])
+    assert pt.ineq_violations[0] == pytest.approx([2.0])
+    assert pt.box_violations[0] == pytest.approx([1.0, 0.0])
+    assert pt.cv[0] == 3.0
+    assert pt.nac(TOL)[0] == 2
 
 
 def test_cv_is_sum_of_violation_vectors(toy1):
@@ -69,12 +73,12 @@ def test_cv_zero_iff_all_terms_zero(toy1):
 
 def test_dimension_mismatch_rejected(toy1):
     with pytest.raises(ValueError):
-        evaluate(toy1, [0.0, 0.0, 0.0], TOL)
+        one(toy1, [0.0, 0.0, 0.0])
 
 
 def test_non_finite_position_rejected(toy1):
     with pytest.raises(ValueError):
-        evaluate(toy1, [np.nan, 0.0], TOL)
+        one(toy1, [np.nan, 0.0])
 
 
 def test_non_finite_output_inside_box_faults():
@@ -85,7 +89,7 @@ def test_non_finite_output_inside_box_faults():
         objective=lambda x: np.log(x[:, 0]),
     )
     with np.errstate(invalid="ignore"), pytest.raises(EvaluationFault):
-        evaluate(bad, [-0.5], TOL)
+        one(bad, [-0.5])
 
 
 def test_non_finite_output_outside_box_becomes_inf():
@@ -96,17 +100,17 @@ def test_non_finite_output_outside_box_becomes_inf():
         objective=lambda x: np.sqrt(x[:, 0] - 1.0),
     )
     with np.errstate(invalid="ignore"):
-        pt = evaluate(sqrt, [0.0], TOL)
-    assert pt.conflict == np.inf
-    assert pt.box_violations == pytest.approx([1.0])
+        pt = one(sqrt, [0.0])
+    assert pt.conflict[0] == np.inf
+    assert pt.box_violations[0] == pytest.approx([1.0])
 
 
 def test_evaluation_is_pure(toy1):
-    a = evaluate(toy1, [0.3, -0.7], TOL)
-    b = evaluate(toy1, [0.3, -0.7], TOL)
-    assert a.conflict == b.conflict
+    a = one(toy1, [0.3, -0.7])
+    b = one(toy1, [0.3, -0.7])
+    assert a.conflict[0] == b.conflict[0]
     assert np.array_equal(a.ineq_violations, b.ineq_violations)
-    assert a.cv == b.cv and a.nac == b.nac
+    assert a.cv[0] == b.cv[0] and a.nac(TOL)[0] == b.nac(TOL)[0]
 
 
 def test_feasibility_within_tolerance_band(toy1):
@@ -138,8 +142,8 @@ def test_nac_at_zero_tolerance_counts_positive_entries(toy1):
 
 
 def test_cv_zero_implies_nac_zero(toy1):
-    pt = evaluate(toy1, [-1.0, -1.0], TOL)
-    assert pt.cv == 0.0 and pt.nac == 0
+    pt = one(toy1, [-1.0, -1.0])
+    assert pt.cv[0] == 0.0 and pt.nac(TOL)[0] == 0
 
 
 # --------------------------------------------------- equality tolerance decay

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cpso.benchmarks import get_problem
-from cpso.handlers import KINDS, ChtConfig, priority_keys
+from cpso.handlers import KINDS, ChtConfig, penalized_batch, priority_keys
 from cpso.problem import Problem, RecSchedule, Tolerances, evaluate_batch
 from cpso.swarm import (
     COEFFICIENT_PRESETS,
@@ -303,8 +303,8 @@ def test_pf_memory_stays_feasible(toy1):
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("name", ["g04", "g11"])
 def test_carried_feasibility_masks_describe_the_state(name, kind):
-    # The swarm carries its feasibility masks from step to step instead
-    # of recomputing them.  It starts from uniform positions whatever the
+    # The swarm carries its feasibility masks (apm: the memories'
+    # penalty) from step to step instead of recomputing them.  It starts from uniform positions whatever the
     # technique, so repair also keeps infeasible positions, and g11's
     # equality makes the +rec tolerance move.
     problem = get_problem(name)
@@ -318,7 +318,10 @@ def test_carried_feasibility_masks_describe_the_state(name, kind):
         swarm.step()
         if cht.uses_penalty:
             assert swarm.pbest_feasible is None and swarm.current_feasible is None
+            penalty = penalized_batch(swarm.pbest)
+            assert swarm.pbest_penalty.tobytes() == penalty.tobytes()
             continue
+        assert swarm.pbest_penalty is None
         tol = swarm.tolerances
         assert np.array_equal(swarm.pbest_feasible, swarm.pbest.feasible(tol))
         assert np.array_equal(swarm.current_feasible, swarm.current.feasible(tol))

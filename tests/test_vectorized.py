@@ -21,7 +21,6 @@ from cpso.problem import (
     EvaluationFault,
     Problem,
     Tolerances,
-    evaluate,
     evaluate_batch,
 )
 from cpso.swarm import InitializationFailure, SwarmConfig, Topology, init_swarm, lbest_index
@@ -127,7 +126,7 @@ def test_repair_postcondition(moves, variant, seed):
     assert np.array_equal(rep.evaluation.positions, rep.positions[rep.accepted])
     for r in range(len(x_old)):
         if rep.accepted[r]:
-            assert evaluate(TOY, rep.positions[r], TOL).nac == 0
+            assert evaluate_batch(TOY, rep.positions[r : r + 1]).nac(TOL)[0] == 0
         else:
             assert np.array_equal(rep.positions[r], x_old[r])
             assert np.all(rep.velocities[r] == 0.0)
@@ -179,7 +178,9 @@ def test_pfppr_block_equals_per_particle_draws(pair, prob, seed):
     cand, inc, cf, nf = pair
     rng = np.random.default_rng(seed)
     cht = ChtConfig("pfppr", prob=prob)
-    got = replacement_mask(cht, cand, cf, inc, priority_keys(inc, nf), rng)
+    got = replacement_mask(
+        cht, cand, priority_keys(cand, cf), inc, priority_keys(inc, nf), rng
+    )
 
     one_rng = np.random.default_rng(seed)
     expect = []
