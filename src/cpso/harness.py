@@ -183,12 +183,12 @@ def _run_group(
             swarms.append(
                 init_swarm(problem, swarm_config, cht, config.max_init_attempts)
             )
-        except InitializationFailure:
+        except InitializationFailure as failure:
             results[i] = RunResult(
                 index=i,
                 termination="init-failed",
-                evaluations=0,
-                init_evaluations=0,
+                evaluations=failure.evaluations,
+                init_evaluations=failure.evaluations,
                 repair_evaluations=0,
                 elapsed=time.perf_counter() - start,
             )
@@ -289,7 +289,7 @@ def summarize(config: ExperimentConfig, results: Sequence[RunResult]) -> Summary
             mean_cv=float("nan"),
             mean_nac=float("nan"),
             failures=failures,
-            extra_evals=0,
+            extra_evals=sum(r.evaluations for r in results),
             elapsed=elapsed,
             runs=list(results),
         )
@@ -301,7 +301,9 @@ def summarize(config: ExperimentConfig, results: Sequence[RunResult]) -> Summary
         primary, secondary = np.array([r.keys for r in done]).T
         everyone = np.ones((1, len(done)), dtype=bool)
         best = done[int(lbest_index(everyone, primary, secondary)[0])]
-    extra = sum(r.evaluations for r in done) - len(done) * config.fes
+    # Every evaluation beyond the step budget of the completed runs,
+    # the failed runs' initialization samples included.
+    extra = sum(r.evaluations for r in results) - len(done) * config.fes
     return SummaryRow(
         config=config,
         best_conflict=best.conflict,

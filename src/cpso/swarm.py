@@ -74,7 +74,16 @@ _INIT_BLOCK_CHUNKS = 16
 
 
 class InitializationFailure(RuntimeError):
-    """A particle could not be seeded feasibly within the attempt budget."""
+    """A particle could not be seeded feasibly within the attempt budget.
+
+    ``evaluations`` counts the candidates read before giving up, the
+    accepted ones of the particles already seeded included: each cost
+    one evaluation.
+    """
+
+    def __init__(self, message: str, evaluations: int):
+        super().__init__(message)
+        self.evaluations = evaluations
 
 
 @dataclass(frozen=True)
@@ -489,7 +498,8 @@ def init_swarm(
     chunk where the previous particle found its position, and a chunk
     cut short by the attempt budget ends it.  The attempt count is the
     number of candidates read up to and including the accepted one;
-    exceeding the budget raises :class:`InitializationFailure`.  The
+    exceeding the budget raises :class:`InitializationFailure`, which
+    carries the evaluations spent.  The
     stream is drawn and evaluated in blocks of many chunks, and the
     generator is left exactly where drawing one chunk at a time leaves
     it.
@@ -592,6 +602,7 @@ def _feasible_positions(
     if i < size:
         raise InitializationFailure(
             f"particle {i} found no feasible position in "
-            f"{budget} attempts on {problem.name}"
+            f"{budget} attempts on {problem.name}",
+            evaluations=extra + i + budget,
         )
     return positions, extra

@@ -20,8 +20,10 @@ Write the corpus with::
     PYTHONPATH=src python tests/golden/generate.py
 
 ``tests/test_golden.py`` recomputes every cell and compares bit for bit.
-Regenerate only when a NumPy upgrade changes the last bits, and log that
-in CHANGES.md; never regenerate to absorb an engine change.
+Regenerate only when a NumPy upgrade changes the last bits, or for a
+result change declared in CHANGES.md, and then only the cells it
+changes; log either in CHANGES.md.  Never regenerate to absorb an
+engine change that claims to keep results.
 """
 
 from __future__ import annotations

@@ -169,6 +169,9 @@ def test_fail_row_json_is_strict(capsys):
     for key in ("best_conflict", "best_cv", "mean_conflict", "mean_cv", "mean_nac"):
         assert summary[key] is None
     assert [(r["conflict"], r["cv"]) for r in record["runs"]] == [(None, None)] * 2
+    # Each run is charged the million candidates its first particle drew.
+    assert [r["evaluations"] for r in record["runs"]] == [1_000_000] * 2
+    assert summary["extra_evals"] == 2_000_000
 
 
 def test_list_cardinality(capsys):

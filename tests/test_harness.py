@@ -101,6 +101,30 @@ def test_all_failed_runs_mark_fail_row():
     assert row.failures == 2
     assert np.isnan(row.best_conflict)
     assert all(r.termination == "init-failed" for r in row.runs)
+    # Particle 0 of each run read its whole budget, and is charged for it.
+    assert [(r.evaluations, r.init_evaluations) for r in row.runs] == [(5000, 5000)] * 2
+    assert row.extra_evals == 10_000
+
+
+def test_init_failed_runs_charge_their_samples():
+    # welded-beam pf under a 100-candidate budget: some runs start, some
+    # fail after seeding a few particles.
+    cfg = make_config(
+        problem="welded-beam", cht=ChtConfig("pf"), particles=8, steps=5, runs=5,
+        master_seed=1, max_init_attempts=100,
+    )
+    row = run_experiment(cfg)
+    failed = [r for r in row.runs if not r.completed]
+    assert 0 < len(failed) < cfg.runs
+    for r in failed:
+        # The failing particle read its whole budget.
+        assert r.evaluations == r.init_evaluations >= 100
+        assert r.repair_evaluations == 0
+    # Some failed after seeding particles, whose candidates count too.
+    assert any(r.evaluations > 100 for r in failed)
+    assert row.extra_evals == sum(r.evaluations for r in row.runs) - (
+        cfg.runs - len(failed)
+    ) * cfg.fes
 
 
 def test_summarize_order_insensitive():

@@ -208,7 +208,7 @@ def per_chunk_init(problem, seed, size, budget):
     """The per-particle loop ``init_swarm`` replaces: one chunk per call.
 
     Returns ``(positions, rejected, failure message, generator, rows
-    drawn)``.
+    drawn)``; on failure, ``rejected`` counts every candidate read.
     """
     rng = np.random.default_rng(seed)
     positions = np.empty((size, problem.dimension))
@@ -230,7 +230,7 @@ def per_chunk_init(problem, seed, size, budget):
                 f"particle {i} found no feasible position in "
                 f"{budget} attempts on {problem.name}"
             )
-            return None, None, message, rng, drawn
+            return None, extra + i + budget, message, rng, drawn
         extra += attempts - 1
     return positions, extra, None, rng, drawn
 
@@ -243,7 +243,7 @@ def stream_init(problem, seed, size, budget):
     try:
         swarm = init_swarm(problem, config, ChtConfig("pf"), budget)
     except InitializationFailure as failure:
-        return None, None, str(failure), rng
+        return None, failure.evaluations, str(failure), rng
     # The initial batch evaluation charges one evaluation per particle.
     return swarm.positions, swarm.init_evaluations - size, None, rng
 
