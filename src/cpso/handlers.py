@@ -264,9 +264,10 @@ def repair_moves(
     alternating 0.9/1.1 ladder for ``bmem`` (down-scalings only for a move
     whose full step violates box bounds alone), and for ``bmpem`` fresh
     uniform [0, 1.5) factors, drawn as one ``(k, max_trials)`` block whose
-    rows are the moves in order (per run, see :func:`draw_per_run`).  Per move, the first feasible trial wins
-    and its scaled velocity becomes the stored velocity; a 0.0 factor or
-    exhaustion keeps the old position with zero velocity.
+    rows are the moves in order (per run, see :func:`draw_per_run`).  Per
+    move, the first feasible trial wins and its scaled velocity becomes
+    the stored velocity; a 0.0 factor or exhaustion keeps the old
+    position with zero velocity.
 
     Every move's trials before its first 0.0 factor are evaluated as one
     batch (in slices, see :func:`~cpso.problem.evaluate_rows`), but each

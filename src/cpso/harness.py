@@ -168,8 +168,7 @@ def _run_group(
     problem = get_problem(config.problem)
     cht = config.resolved_cht()
     topology = Topology.from_nn(config.nn, config.particles)
-    results = {}
-    swarms, started, init_s = [], [], []
+    results, swarms, init_s = {}, {}, {}
     for i in indices:
         swarm_config = SwarmConfig(
             size=config.particles,
@@ -180,8 +179,8 @@ def _run_group(
         )
         start = time.perf_counter()
         try:
-            swarms.append(
-                init_swarm(problem, swarm_config, cht, config.max_init_attempts)
+            swarms[i] = init_swarm(
+                problem, swarm_config, cht, config.max_init_attempts
             )
         except InitializationFailure as failure:
             results[i] = RunResult(
@@ -193,21 +192,11 @@ def _run_group(
                 elapsed=time.perf_counter() - start,
             )
             continue
-        started.append(i)
-        init_s.append(time.perf_counter() - start)
-    if swarms:
-        results.update(_step_runs(config, Swarm.join(swarms), started, init_s, trace))
-    return [results[i] for i in indices]
+        init_s[i] = time.perf_counter() - start
+    if not swarms:
+        return [results[i] for i in indices]
 
-
-def _step_runs(
-    config: ExperimentConfig,
-    group: Swarm,
-    indices: Sequence[int],
-    init_s: Sequence[float],
-    trace: bool,
-) -> dict:
-    """Step ``group``, whose runs are ``indices``, to the end; index -> result."""
+    group = Swarm.join(list(swarms.values()))
     start = time.perf_counter()
     log = np.empty((group.runs, config.steps, 2)) if trace else None
     for t in range(config.steps):
@@ -220,14 +209,14 @@ def _step_runs(
     primary, secondary = priority_keys(best, best.feasible(config.tolerances))
     nac = best.nac(group.tolerances)
     share = (time.perf_counter() - start) / group.runs
-    return {
-        i: RunResult(
+    for r, i in enumerate(swarms):
+        results[i] = RunResult(
             index=i,
             termination="completed",
             evaluations=int(group.run_evaluations[r]),
             init_evaluations=int(group.run_init_evaluations[r]),
             repair_evaluations=int(group.run_repair_evaluations[r]),
-            elapsed=init_s[r] + share,
+            elapsed=init_s[i] + share,
             position=best.positions[r],
             conflict=float(best.conflict[r]),
             cv=float(best.cv[r]),
@@ -235,8 +224,7 @@ def _step_runs(
             keys=(float(primary[r]), float(secondary[r])),
             trace=None if log is None else log[r],
         )
-        for r, i in enumerate(indices)
-    }
+    return [results[i] for i in indices]
 
 
 def _write_trace(trace: Optional[TraceFn], results: Sequence[RunResult]) -> None:
@@ -265,10 +253,6 @@ def run_single(
     result = _run_group(config, [run_index], trace is not None)[0]
     _write_trace(trace, [result])
     return result
-
-
-def _run_task(args: Tuple[ExperimentConfig, Sequence[int], bool]) -> List[RunResult]:
-    return _run_group(*args)
 
 
 def summarize(config: ExperimentConfig, results: Sequence[RunResult]) -> SummaryRow:
@@ -340,10 +324,15 @@ def run_experiment(
             # never use.
             from concurrent.futures import ProcessPoolExecutor
 
-            groups = [g.tolist() for g in np.array_split(indices, min(jobs, config.runs))]
-            tasks = [(config, g, trace is not None) for g in groups]
-            with ProcessPoolExecutor(max_workers=len(groups)) as pool:
-                results = [r for rs in pool.map(_run_task, tasks) for r in rs]
+            groups = [
+                g.tolist() for g in np.array_split(indices, min(jobs, config.runs))
+            ]
+            n = len(groups)
+            with ProcessPoolExecutor(max_workers=n) as pool:
+                done = pool.map(
+                    _run_group, [config] * n, groups, [trace is not None] * n
+                )
+                results = [r for group in done for r in group]
         else:
             results = _run_group(config, indices, trace is not None)
     except EvaluationFault:

@@ -286,8 +286,9 @@ def evaluate_batch(problem: Problem, positions: np.ndarray) -> BatchEval:
 
 
 # Largest batch the engine evaluates in one call.  Each call's temporaries
-# grow with its rows, while the cost per row stops falling long before:
-# on g06, 218 ns per row at 4,096 rows and 245 ns at 122,880.
+# grow with its rows, while the cost per row stops falling about here
+# (g06 on a 2-core host, min of 7: 267 ns per row at 256 rows, 119 ns at
+# 4,096, 148 ns at 122,880).
 MAX_BATCH_ROWS = 4096
 
 

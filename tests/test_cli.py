@@ -60,6 +60,15 @@ def test_run_json_round_trip(capsys):
     assert json.loads(json.dumps(record)) == record
 
 
+def test_run_jobs_output_byte_identical(capsys):
+    # Three runs on two workers: groups of two and one run.
+    args = RUN_ARGS[:-4] + ["--runs", "3", "--seed", "7", "--detail"]
+    assert main(args) == 0
+    serial = capsys.readouterr().out
+    assert main(args + ["--jobs", "2"]) == 0
+    assert capsys.readouterr().out == serial
+
+
 def test_run_writes_output_file(tmp_path, capsys):
     out = tmp_path / "row.csv"
     assert main(RUN_ARGS + ["--format", "csv", "--out", str(out)]) == 0
