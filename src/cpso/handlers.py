@@ -37,14 +37,15 @@ exactly the draws it would see alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .problem import BatchEval, Problem, RecSchedule, Tolerances, evaluate_rows
+from .problem import BatchEval, Problem, RecSchedule, Tolerances, evaluate_batch
 
-# One generator, or one per run when the rows belong to several runs.
-Generators = Union[np.random.Generator, Sequence[np.random.Generator]]
+if TYPE_CHECKING:  # at run time, np.random would import numpy.random early
+    # One generator, or one per run when the rows belong to several runs.
+    Generators = Union[np.random.Generator, Sequence[np.random.Generator]]
 
 KINDS = (
     "pf",
@@ -270,9 +271,8 @@ def repair_moves(
     position with zero velocity.
 
     Every move's trials before its first 0.0 factor are evaluated as one
-    batch (in slices, see :func:`~cpso.problem.evaluate_rows`), but each
-    move is charged its trials in order, up to the accepted one, the 0.0
-    factor or the end of the ladder.
+    batch, but each move is charged its trials in order, up to the
+    accepted one, the 0.0 factor or the end of the ladder.
     """
     if variant not in _REPAIR_KINDS:
         raise ValueError(f"not a repair technique: {variant!r}")
@@ -286,7 +286,7 @@ def repair_moves(
     candidates = problem.snap_to_grid(
         x_old[rows] + factors[rows, trials][:, None] * v[rows]
     )
-    ev = evaluate_rows(problem, candidates)
+    ev = evaluate_batch(problem, candidates)
 
     ok = np.zeros((k, width + 1), dtype=bool)
     ok[rows, trials] = ev.feasible(tolerances)

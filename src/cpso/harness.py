@@ -196,7 +196,9 @@ def _run_group(
     if not swarms:
         return [results[i] for i in indices]
 
-    group = Swarm.join(list(swarms.values()))
+    started = list(swarms)
+    # Popped, so that the runs' own copies of their state are freed.
+    group = Swarm.join([swarms.pop(i) for i in started])
     start = time.perf_counter()
     log = np.empty((group.runs, config.steps, 2)) if trace else None
     for t in range(config.steps):
@@ -209,7 +211,7 @@ def _run_group(
     primary, secondary = priority_keys(best, best.feasible(config.tolerances))
     nac = best.nac(group.tolerances)
     share = (time.perf_counter() - start) / group.runs
-    for r, i in enumerate(swarms):
+    for r, i in enumerate(started):
         results[i] = RunResult(
             index=i,
             termination="completed",

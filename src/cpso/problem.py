@@ -285,11 +285,13 @@ def evaluate_batch(problem: Problem, positions: np.ndarray) -> BatchEval:
     )
 
 
-# Largest batch the engine evaluates in one call.  Each call's temporaries
-# grow with its rows, while the cost per row stops falling about here
-# (g06 on a 2-core host, min of 7: 267 ns per row at 256 rows, 119 ns at
-# 4,096, 148 ns at 122,880).
-MAX_BATCH_ROWS = 4096
+# Largest batch a lockstep step evaluates in one call.  The cost per row
+# is at its floor by then (2-core host, min of 7, ns per row at 512 /
+# 2,048 / 4,096 rows: g06 197 / 125 / 123, welded-beam 338 / 194 / 209,
+# g04 193 / 120 / 129), while each call's temporaries grow with its rows:
+# 30 welded-beam bm runs repairing in batches of 4,096 trial rows peaked
+# 0.45 MiB higher than in batches of 2,048.
+MAX_BATCH_ROWS = 2048
 
 
 def evaluate_rows(problem: Problem, positions: np.ndarray) -> BatchEval:

@@ -49,7 +49,6 @@ import numpy as np
 
 from .handlers import (
     ChtConfig,
-    Generators,
     draw_per_run,
     penalized_batch,
     priority_keys,
@@ -57,6 +56,7 @@ from .handlers import (
     replacement_mask,
 )
 from .problem import (
+    MAX_BATCH_ROWS,
     BatchEval,
     EvaluationFault,
     Problem,
@@ -330,7 +330,7 @@ class Swarm:
     def repair_evaluations(self) -> int:
         return int(self.run_repair_evaluations.sum())
 
-    def _generators(self, rows=None) -> Tuple[Generators, Optional[np.ndarray]]:
+    def _generators(self, rows=None) -> tuple:
         """``(rng, runs)`` arguments of a draw over ``rows`` (all when None).
 
         See :func:`cpso.handlers.draw_per_run`; a one-run swarm passes its
@@ -415,14 +415,21 @@ class Swarm:
         self.t = t
 
     def _repair(self, x_new, v_new, new_eval, feasible, tol) -> None:
-        """Repair every infeasible move of every run in place, in one batch.
+        """Repair every infeasible move of every run in place.
 
         ``new_eval`` and its mask ``feasible`` are updated to describe
-        the repaired positions.
+        the repaired positions.  The moves are repaired in batches whose
+        trials fit one evaluation of ``MAX_BATCH_ROWS`` rows; each run's
+        draws come in order, so the batches give the same results as one.
         """
         bad = np.flatnonzero(~feasible)
-        if bad.size == 0:
-            return
+        moves = MAX_BATCH_ROWS // self.cht.max_repair_trials
+        for a in range(0, bad.size, moves):
+            batch = bad[a : a + moves]
+            self._repair_batch(batch, x_new, v_new, new_eval, feasible, tol)
+
+    def _repair_batch(self, bad, x_new, v_new, new_eval, feasible, tol) -> None:
+        """Repair the infeasible moves ``bad`` in place, in one batch."""
         rng, runs = self._generators(bad)
         rep = repair_moves(
             self.positions[bad],

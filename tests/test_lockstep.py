@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpso import harness, problem as problem_module, swarm as swarm_module
+from cpso import handlers, harness, problem as problem_module, swarm as swarm_module
 from cpso.handlers import KINDS, ChtConfig
 from cpso.harness import ExperimentConfig, run_experiment, run_single, summarize
 from cpso.problem import MAX_BATCH_ROWS, EvaluationFault, Problem
@@ -161,8 +161,8 @@ def test_lockstep_batches_stay_under_the_row_cap(monkeypatch):
         sizes.append(len(positions))
         return real(problem, positions)
 
-    monkeypatch.setattr(problem_module, "evaluate_batch", counting)
-    monkeypatch.setattr(swarm_module, "evaluate_batch", counting)
+    for module in (problem_module, swarm_module, handlers):
+        monkeypatch.setattr(module, "evaluate_batch", counting)
     group = Swarm.join(started)
     for _ in range(3):
         group.step()
