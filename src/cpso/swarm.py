@@ -214,9 +214,10 @@ def lbest_index(
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
     s = neighbors.shape[1]
+    if order.size == s:
+        return np.where(neighbors, rank, s).argmin(axis=1)
     best = np.where(neighbors, rank.reshape(-1, 1, s), order.size).argmin(axis=2)
-    if len(best) > 1:
-        best += np.arange(0, order.size, s)[:, None]
+    best += np.arange(0, order.size, s)[:, None]
     return best.ravel()
 
 
@@ -232,9 +233,9 @@ class Swarm:
     randomness contract, so a run steps exactly as it would alone.
 
     ``run_evaluations`` counts, per run, every objective evaluation
-    charged to it, including initialization rejections and repair
-    trials; ``run_init_evaluations`` and ``run_repair_evaluations``
-    break those out.  ``evaluations``, ``init_evaluations`` and
+    charged to it: ``run_init_evaluations`` (initialization, rejections
+    included), one per particle and step, and ``run_repair_evaluations``
+    (repair trials).  ``evaluations``, ``init_evaluations`` and
     ``repair_evaluations`` are their totals over the runs.
     ``current_feasible`` and ``pbest_feasible`` are the feasibility
     masks of ``current`` and ``pbest`` under ``tolerances``, and for
@@ -267,7 +268,6 @@ class Swarm:
         self.current = evaluate_batch(problem, positions)
         self.run_init_evaluations = np.array([init_evaluations + s])
         self.run_repair_evaluations = np.zeros(1, dtype=np.int64)
-        self.run_evaluations = self.run_init_evaluations.copy()
         self.pbest = self.current.copy()
         self.tolerances = self._tolerances_at(1 if cht.uses_rec else 0)
         # Feasibility masks of the current positions and of the memories,
@@ -319,6 +319,11 @@ class Swarm:
         return len(self.rngs)
 
     @property
+    def run_evaluations(self) -> np.ndarray:
+        steps = self.t * self.config.size
+        return self.run_init_evaluations + steps + self.run_repair_evaluations
+
+    @property
     def evaluations(self) -> int:
         return int(self.run_evaluations.sum())
 
@@ -330,16 +335,15 @@ class Swarm:
     def repair_evaluations(self) -> int:
         return int(self.run_repair_evaluations.sum())
 
-    def _generators(self, rows=None) -> tuple:
-        """``(rng, runs)`` arguments of a draw over ``rows`` (all when None).
+    def _generators(self) -> tuple:
+        """``(rng, runs)`` arguments of a draw over all rows.
 
         See :func:`cpso.handlers.draw_per_run`; a one-run swarm passes its
         generator alone.
         """
-        if self.runs == 1:
+        if len(self.rngs) == 1:
             return self.rngs[0], None
-        runs = np.arange(len(self.positions)) // self.config.size
-        return self.rngs, runs if rows is None else runs[rows]
+        return self.rngs, np.arange(len(self.positions)) // self.config.size
 
     # -- tolerance schedule -------------------------------------------------
 
@@ -377,7 +381,8 @@ class Swarm:
         keys = self._keys()
         lbest = self.pbest.positions[lbest_index(self.neighbors, *keys)]
         m, n = self.positions.shape
-        u = draw_per_run(*self._generators(), m, lambda g, k: g.random((k, n, 2)))
+        rng, runs = self._generators()
+        u = draw_per_run(rng, runs, m, lambda g, k: g.random((k, n, 2)))
         v_new = (
             self.w[:, None] * self.velocities
             + self.iw[:, None] * u[:, :, 0] * (self.pbest.positions - self.positions)
@@ -388,11 +393,10 @@ class Swarm:
 
         x_new = self.problem.snap_to_grid(self.positions + v_new)
         new_eval = evaluate_rows(self.problem, x_new)
-        self.run_evaluations += self.config.size
         feasible = None if self.cht.uses_penalty else new_eval.feasible(tol)
 
         if self.cht.is_repair:
-            self._repair(x_new, v_new, new_eval, feasible, tol)
+            self._repair(x_new, v_new, new_eval, feasible, tol, rng, runs)
             cand_keys = None
         elif self.cht.uses_penalty:
             cand_keys = np.zeros(m), penalized_batch(new_eval)
@@ -403,7 +407,6 @@ class Swarm:
         self.current = new_eval
         self.current_feasible = feasible
 
-        rng, runs = self._generators()
         replace = replacement_mask(
             self.cht, new_eval, cand_keys, self.pbest, keys, rng, runs
         )
@@ -414,7 +417,7 @@ class Swarm:
             self.pbest_penalty[replace] = cand_keys[1][replace]
         self.t = t
 
-    def _repair(self, x_new, v_new, new_eval, feasible, tol) -> None:
+    def _repair(self, x_new, v_new, new_eval, feasible, tol, rng, runs) -> None:
         """Repair every infeasible move of every run in place.
 
         ``new_eval`` and its mask ``feasible`` are updated to describe
@@ -426,11 +429,15 @@ class Swarm:
         moves = MAX_BATCH_ROWS // self.cht.max_repair_trials
         for a in range(0, bad.size, moves):
             batch = bad[a : a + moves]
-            self._repair_batch(batch, x_new, v_new, new_eval, feasible, tol)
+            batch_runs = None if runs is None else runs[batch]
+            self._repair_batch(
+                batch, x_new, v_new, new_eval, feasible, tol, rng, batch_runs
+            )
 
-    def _repair_batch(self, bad, x_new, v_new, new_eval, feasible, tol) -> None:
-        """Repair the infeasible moves ``bad`` in place, in one batch."""
-        rng, runs = self._generators(bad)
+    def _repair_batch(
+        self, bad, x_new, v_new, new_eval, feasible, tol, rng, runs
+    ) -> None:
+        """Repair the infeasible moves ``bad``, of runs ``runs``, in one batch."""
         rep = repair_moves(
             self.positions[bad],
             v_new[bad],
@@ -442,15 +449,13 @@ class Swarm:
             self.cht.max_repair_trials,
             runs,
         )
-        # Full steps are already charged.
+        # Full steps are charged by the step count.
         if runs is None:
-            charged = rep.trials_charged.sum()
+            self.run_repair_evaluations[0] += rep.trials_charged.sum()
         else:
-            charged = np.bincount(
+            self.run_repair_evaluations += np.bincount(
                 runs, weights=rep.trials_charged, minlength=self.runs
             ).astype(np.int64)
-        self.run_repair_evaluations += charged
-        self.run_evaluations += charged
         x_new[bad] = rep.positions
         v_new[bad] = rep.velocities
         # A kept position keeps its evaluation; an accepted trial is feasible.
@@ -483,7 +488,6 @@ _RUN_STATE = (
     "current_feasible",
     "pbest_feasible",
     "pbest_penalty",
-    "run_evaluations",
     "run_init_evaluations",
     "run_repair_evaluations",
 )
