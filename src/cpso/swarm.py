@@ -309,9 +309,10 @@ class Swarm:
         group.rngs = [g for sw in swarms for g in sw.rngs]
         for name in _RUN_STATE:
             parts = [getattr(sw, name) for sw in swarms]
-            if parts[0] is not None:
-                concat = BatchEval.concat if name in ("current", "pbest") else np.concatenate
-                setattr(group, name, concat(parts))
+            if isinstance(parts[0], BatchEval):
+                setattr(group, name, BatchEval.concat(parts))
+            elif parts[0] is not None:
+                setattr(group, name, np.concatenate(parts))
         return group
 
     @property
