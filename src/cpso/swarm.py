@@ -8,8 +8,8 @@ at once, and :func:`lbest_index` picks every neighbourhood best.
 
 A :class:`Swarm` holds one or more independent runs of one cell, their
 rows one run after another, and steps them in lockstep: one evaluation,
-one lbest ranking, one repair batch and one memory update serve every
-run.  Runs share nothing but the step index, and so the tolerance in
+one lbest ranking, shared repair batches and one memory update serve
+every run.  Runs share nothing but the step index, and so the tolerance in
 force.  Each run draws from its own generator, as below, so a run ends
 exactly where it ends stepping alone, whichever runs step with it.
 
