@@ -7,13 +7,12 @@ whose feasible initialization does most of the work: g06 ``pf`` (a box
 0.0067% feasible) and welded-beam ``bm``, with an attempt budget that is
 not a multiple of the 256-row candidate chunk, and three cells with
 wide constraint blocks at 20 particles: g01 ``pfpr`` (9 inequalities),
-g07 ``apm`` (8 inequalities) and g02 ``pfpr`` (a 20-D box).  The cv
-values a cell reports mostly sum few nonzero terms, so the cells do not
-pin the last bits of wide row sums; the evaluation tests in
-``tests/test_vectorized.py`` do.  Per cell the
-corpus stores the summary row (reals as ``float.hex``), and per run the
-evaluation counters and a SHA-256 digest of the final personal-best
-positions and conflicts.
+g07 ``apm`` (8 inequalities) and g02 ``pfpr`` (a 20-D box).  Per cell
+the corpus stores the summary row (reals as ``float.hex``), and per run
+the evaluation counters and a SHA-256 digest of the final personal-best
+positions, conflicts and cv.  The summary's cv values mostly sum few
+nonzero terms, so it is the digest, over every memory, that pins the
+last bits of wide row sums.
 
 Write the corpus with::
 
@@ -99,6 +98,7 @@ def _digest(pbest) -> str:
     h = hashlib.sha256()
     h.update(pbest.positions.tobytes())
     h.update(pbest.conflict.tobytes())
+    h.update(pbest.cv.tobytes())
     return h.hexdigest()
 
 
