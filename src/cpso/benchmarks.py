@@ -23,7 +23,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from .problem import BatchEval, Problem, Tolerances, evaluate_batch
+from .problem import MAX_BATCH_ROWS, BatchEval, Problem, Tolerances, evaluate_batch
 
 __all__ = [
     "SuiteEntry",
@@ -700,12 +700,16 @@ def estimate_feasibility_ratio(
     samples: int,
     tolerances: Tolerances,
     seed: int,
-    chunk: int = 200_000,
 ) -> float:
     """Percentage of uniform box samples that are feasible.
 
     Deterministic for a fixed seed.  Discrete dimensions are snapped to
-    their grid before testing, mirroring swarm initialization.
+    their grid before testing, mirroring swarm initialization.  The
+    samples are drawn and evaluated in blocks of ``MAX_BATCH_ROWS``
+    rows, so memory stays bounded; consecutive uniform blocks hold the
+    same values as one block of their total size, so the ratio does not
+    depend on the block size.  An evaluation fault names its point's
+    index within its block.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -713,7 +717,7 @@ def estimate_feasibility_ratio(
     feasible = 0
     remaining = samples
     while remaining > 0:
-        m = min(chunk, remaining)
+        m = min(MAX_BATCH_ROWS, remaining)
         pts = problem.sample_uniform(rng, m)
         ev = evaluate_batch(problem, pts)
         feasible += int(np.count_nonzero(ev.feasible(tolerances)))

@@ -134,9 +134,15 @@ class Problem:
         return x
 
     def sample_uniform(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """Draw ``count`` points uniformly in the box, snapped to the grid."""
-        pts = self.lower + rng.random((count, self.dimension)) * self.span
-        return self.snap_to_grid(pts)
+        """Draw ``count`` points uniformly in the box, snapped to the grid.
+
+        The points are ``lower + rng.random((count, dimension)) * span``,
+        bit for bit, computed in place.
+        """
+        pts = rng.random((count, self.dimension))
+        pts *= self.span
+        pts += self.lower
+        return pts if self.grid_steps is None else self.snap_to_grid(pts)
 
 
 @dataclass
@@ -163,11 +169,12 @@ class BatchEval:
 
     def feasible(self, tolerances: Tolerances) -> np.ndarray:
         """Boolean feasibility mask under the given tolerances."""
-        return (
-            (self.ineq_violations <= tolerances.ineq).all(axis=1)
-            & (self.eq_violations <= tolerances.eq).all(axis=1)
-            & (self.box_violations <= tolerances.ineq).all(axis=1)
-        )
+        mask = _rows_all(self.box_violations <= tolerances.ineq)
+        if self.ineq_violations.shape[1]:
+            mask &= _rows_all(self.ineq_violations <= tolerances.ineq)
+        if self.eq_violations.shape[1]:
+            mask &= _rows_all(self.eq_violations <= tolerances.eq)
+        return mask
 
     def take(self, rows: np.ndarray) -> "BatchEval":
         return BatchEval(
@@ -208,6 +215,16 @@ class BatchEval:
         return cls(
             *(np.concatenate([getattr(p, f) for p in parts]) for f in _FIELDS)
         )
+
+
+def _rows_all(block: np.ndarray) -> np.ndarray:
+    """``block.all(axis=1)`` for a boolean ``(m, k)`` block.
+
+    A row-wise reduction pays a fixed cost per row; reducing the
+    transposed copy runs along the long axis instead.  Booleans have no
+    rounding, so the order cannot change the result.
+    """
+    return np.ascontiguousarray(block.T).all(axis=0)
 
 
 _FIELDS = (
@@ -265,19 +282,36 @@ def evaluate_batch(problem: Problem, positions: np.ndarray) -> BatchEval:
 
     # Point-major and C-contiguous before the row sums: NumPy sums rows of
     # 8 or more terms in an unrolled order that follows the memory layout,
-    # so summing transposed views would change the bits of ``cv``.
+    # so summing transposed views would change the bits of ``cv``.  The
+    # conflicts are copied out, so that ``raw`` is freed before the box
+    # excesses are computed and is not held by the batch.
+    conflict = raw[0].copy()
     violations = np.ascontiguousarray(raw[1:].T)
+    del raw, finite
     ineq = violations[:, :q]
     eq = violations[:, q:]
     np.maximum(0.0, ineq, out=ineq)
     np.abs(eq, out=eq)
 
-    box = np.maximum(0.0, x - problem.upper) + np.maximum(0.0, problem.lower - x)
+    # |x - clip(x, lower, upper)|, in place: at most one side is exceeded,
+    # and x - lower is -(lower - x) exactly, so this is
+    # max(0, x - upper) + max(0, lower - x) bit for bit.
+    box = np.minimum(x, problem.upper)
+    np.maximum(box, problem.lower, out=box)
+    np.subtract(x, box, out=box)
+    np.abs(box, out=box)
 
-    cv = ineq.sum(axis=1) + eq.sum(axis=1) + box.sum(axis=1)
+    # cv = ineq + eq + box row sums, in that order.  A group of exact
+    # zeros (no equalities; no box excess, as for every sampled point) is
+    # skipped: no sum is -0.0, so adding +0.0 leaves it unchanged.
+    cv = ineq.sum(axis=1)
+    if problem.n_equalities:
+        cv += eq.sum(axis=1)
+    if box.any():
+        cv += box.sum(axis=1)
     return BatchEval(
         positions=x,
-        conflict=raw[0],
+        conflict=conflict,
         ineq_violations=ineq,
         eq_violations=eq,
         box_violations=box,
@@ -285,10 +319,11 @@ def evaluate_batch(problem: Problem, positions: np.ndarray) -> BatchEval:
     )
 
 
-# Largest batch a lockstep step evaluates in one call.  The cost per row
-# is at its floor by then (2-core host, min of 7, ns per row at 512 /
-# 2,048 / 4,096 rows: g06 197 / 125 / 123, welded-beam 338 / 194 / 209,
-# g04 193 / 120 / 129), while each call's temporaries grow with its rows:
+# Largest batch a lockstep step, or one block of the feasibility
+# estimator, evaluates in one call.  The cost per row is at its floor by
+# then (2-core host, min of 7, ns per row at 512 / 2,048 / 4,096 rows:
+# g06 197 / 125 / 123, welded-beam 338 / 194 / 209, g04 193 / 120 /
+# 129), while each call's temporaries grow with its rows:
 # 30 welded-beam bm runs repairing in batches of 4,096 trial rows peaked
 # 0.45 MiB higher than in batches of 2,048.
 MAX_BATCH_ROWS = 2048

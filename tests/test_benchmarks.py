@@ -131,6 +131,17 @@ def test_ratio_reproducible_and_seed_stable():
     assert abs(c - 26.9552) < 4 * sigma
 
 
+@pytest.mark.parametrize("samples", [2_047, 6_145, 200_000])
+@pytest.mark.parametrize("name", ["g04", "g11", "pressure-vessel-mixed"])
+def test_ratio_equals_one_block(name, samples):
+    # The estimator streams blocks of MAX_BATCH_ROWS rows; consecutive
+    # uniform blocks hold the values of one block of their total size.
+    p = get_problem(name)
+    block = p.sample_uniform(np.random.default_rng(13), samples)
+    feasible = np.count_nonzero(evaluate_batch(p, block).feasible(TOL))
+    assert estimate_feasibility_ratio(p, samples, TOL, seed=13) == 100.0 * feasible / samples
+
+
 def test_ratio_single_sample_is_all_or_nothing():
     p = get_problem("g02")
     assert estimate_feasibility_ratio(p, 1, TOL, seed=0) in (0.0, 100.0)

@@ -4,8 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from cpso import harness
-from cpso.benchmarks import get_problem
+from cpso import cli, harness
+from cpso.benchmarks import get_entry, get_problem
 from cpso.cli import main, parse_sweep_file, CSV_COLUMNS, UsageError
 from cpso.handlers import ChtConfig
 from cpso.swarm import SwarmConfig, Topology, init_swarm
@@ -155,6 +155,21 @@ def test_run_evaluation_fault_is_an_error_line(monkeypatch, capsys):
     nan_objective = dataclasses.replace(g08, objective=lambda x: np.full(len(x), np.nan))
     monkeypatch.setattr(harness, "get_problem", lambda name: nan_objective)
     code = main(RUN_ARGS)
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "cpso: error: non-finite objective at in-box point index 0\n"
+
+
+def test_feasibility_evaluation_fault_is_an_error_line(monkeypatch, capsys):
+    entry = get_entry("g08")
+    nan_objective = dataclasses.replace(
+        entry.problem, objective=lambda x: np.full(len(x), np.nan)
+    )
+    monkeypatch.setattr(
+        cli, "get_entry", lambda name: dataclasses.replace(entry, problem=nan_objective)
+    )
+    code = main(["feasibility", "--problem", "g08", "--samples", "5000"])
     assert code == 1
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -5,8 +5,9 @@ the loop it replaces: the lbest lookup against a per-particle
 ``lexsort``, the batched repair against one-row calls, both blocks of
 per-particle draws against draws taken one particle at a time, the
 blocked feasible initialization against drawing and evaluating one
-256-row chunk at a time, and the fused evaluation against sanitizing
-each function's output on its own.
+256-row chunk at a time, the fused evaluation against sanitizing
+each function's output on its own, the feasibility mask against row
+reductions, and in-place sampling against its affine formula.
 """
 
 import numpy as np
@@ -20,6 +21,7 @@ from cpso.problem import (
     BatchEval,
     EvaluationFault,
     Problem,
+    RecSchedule,
     Tolerances,
     evaluate_batch,
 )
@@ -349,23 +351,25 @@ def per_function_evaluate(problem, x):
 FIELDS = ("positions", "conflict", "ineq_violations", "eq_violations", "box_violations", "cv")
 
 
-@pytest.mark.parametrize("m", [1, 20, 40, 500])
+@pytest.mark.parametrize("m", [1, 20, 40, 500, 4096])
 @pytest.mark.parametrize("name", registry_names())
 def test_evaluate_batch_equals_per_function_sanitize(name, m):
     problem = get_problem(name)
     rng = np.random.default_rng([m, len(name)])
     # Up to 30% of the span outside the box on either side; 6-63% of the
-    # rows stay inside it, depending on the dimension.
+    # rows stay inside it, depending on the dimension.  A sampled batch
+    # lies wholly inside it.
     reach = rng.uniform(0.0, 0.3, (m, 1)) * problem.span
-    x = problem.snap_to_grid(
+    overshooting = problem.snap_to_grid(
         problem.lower - reach + rng.random((m, problem.dimension)) * (problem.span + 2 * reach)
     )
-    got = evaluate_batch(problem, x)
-    expect = per_function_evaluate(problem, x)
-    for field in FIELDS:
-        a, b = getattr(got, field), getattr(expect, field)
-        assert a.shape == b.shape and a.dtype == b.dtype, field
-        assert a.tobytes() == b.tobytes(), field
+    for x in (overshooting, problem.sample_uniform(rng, m)):
+        got = evaluate_batch(problem, x)
+        expect = per_function_evaluate(problem, x)
+        for field in FIELDS:
+            a, b = getattr(got, field), getattr(expect, field)
+            assert a.shape == b.shape and a.dtype == b.dtype, field
+            assert a.tobytes() == b.tobytes(), field
 
 
 def test_evaluate_batch_non_finite_and_signed_zero_outputs():
@@ -413,3 +417,86 @@ def test_evaluate_batch_fault_names_first_faulty_function():
         per_function_evaluate(problem, x)
     with pytest.raises(EvaluationFault, match=message):
         evaluate_batch(problem, x)
+
+
+# ------------------------------------------------------ feasibility mask
+
+
+def per_row_feasible(ev, tol):
+    """The row reductions ``BatchEval.feasible`` replaces."""
+    return (
+        (ev.ineq_violations <= tol.ineq).all(axis=1)
+        & (ev.eq_violations <= tol.eq).all(axis=1)
+        & (ev.box_violations <= tol.ineq).all(axis=1)
+    )
+
+
+MASK_VALUES = st.sampled_from(
+    [0.0, -0.0, 5e-13, 1e-12, 2e-12, 1e-4, 0.5, 2.5, 7.0, np.inf]
+)
+# Zero, the default, a loose tolerance and tolerances the size of a +rec
+# schedule's initial one (half the mean box span: 1.0 on g11, 2.84 on
+# g13), some equal to violation values above.
+MASK_TOLERANCES = st.sampled_from([0.0, 1e-12, 1e-4, 0.5, 2.5, 7.0])
+
+
+@st.composite
+def violation_batches(draw):
+    m = draw(st.integers(0, 40))
+    q, e, n = draw(st.integers(0, 9)), draw(st.integers(0, 3)), draw(st.integers(1, 5))
+
+    def block(k):
+        values = draw(st.lists(MASK_VALUES, min_size=m * k, max_size=m * k))
+        return np.array(values, dtype=float).reshape(m, k)
+
+    ineq, eq, box = block(q), block(e), block(n)
+    return BatchEval(np.zeros((m, n)), np.zeros(m), ineq, eq, box, np.zeros(m))
+
+
+@settings(deadline=None)
+@given(violation_batches(), MASK_TOLERANCES, MASK_TOLERANCES)
+def test_feasible_equals_per_row_reduction(ev, ineq_tol, eq_tol):
+    tol = Tolerances(ineq=ineq_tol, eq=eq_tol)
+    got = ev.feasible(tol)
+    assert got.dtype == bool
+    assert np.array_equal(got, per_row_feasible(ev, tol))
+
+
+# No inequalities (g11, g13), no equalities (g04, welded-beam), both
+# kinds (g05) and a discrete grid, at points up to half a span outside
+# the box, under the default and +rec-sized tolerances.
+@settings(deadline=None, max_examples=40)
+@given(
+    st.sampled_from(["g11", "g13", "g04", "welded-beam", "g05", "pressure-vessel-mixed"]),
+    st.integers(1, 300),
+    st.floats(0.0, 0.5),
+    st.integers(0, 2**32 - 1),
+)
+def test_feasible_equals_per_row_reduction_on_problems(name, m, reach, seed):
+    problem = get_problem(name)
+    rng = np.random.default_rng(seed)
+    x = problem.lower - reach * problem.span + rng.random(
+        (m, problem.dimension)
+    ) * (1 + 2 * reach) * problem.span
+    with np.errstate(over="ignore"):  # g13's exp outside the box
+        ev = evaluate_batch(problem, problem.snap_to_grid(x))
+    rec = RecSchedule.for_problem(problem).initial_tol
+    for tol in (TOL, Tolerances(eq=rec), Tolerances(ineq=rec, eq=rec)):
+        assert np.array_equal(ev.feasible(tol), per_row_feasible(ev, tol))
+
+
+# -------------------------------------------------------------- sampling
+
+
+@pytest.mark.parametrize("count", [0, 1, 7, 2048])
+@pytest.mark.parametrize("name", ["g02", "welded-beam", "pressure-vessel-mixed"])
+def test_sample_uniform_equals_affine_then_snap(name, count):
+    problem = get_problem(name)
+    got_rng, expect_rng = np.random.default_rng(count), np.random.default_rng(count)
+    got = problem.sample_uniform(got_rng, count)
+    expect = problem.snap_to_grid(
+        problem.lower + expect_rng.random((count, problem.dimension)) * problem.span
+    )
+    assert got.shape == expect.shape and got.dtype == expect.dtype
+    assert got.tobytes() == expect.tobytes()
+    assert got_rng.bit_generator.state == expect_rng.bit_generator.state
