@@ -63,6 +63,11 @@ _SWEEP_KEYS = {
 }
 
 
+# ``rec-decrease`` values, as flags and config files spell them, and the
+# RecSchedule variant each names.
+_REC_DECREASE = {"linear": "linear", "exp": "exponential"}
+
+
 class UsageError(Exception):
     """Operator error: bad names, flags, or config files."""
 
@@ -187,7 +192,7 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
         raise UsageError(
             f"unknown CHT {args.cht!r}; valid names: {', '.join(KINDS)}"
         )
-    decrease = {"linear": "linear", "exp": "exponential"}[args.rec_decrease]
+    decrease = _REC_DECREASE[args.rec_decrease]
     cht = ChtConfig(kind=args.cht, prob=args.prob)
     try:
         return ExperimentConfig(
@@ -295,11 +300,7 @@ def _section_config(section: dict, header: int) -> ExperimentConfig:
         raise UsageError(
             f"line {lineno}: unknown CHT {kind!r}; valid names: {', '.join(KINDS)}"
         )
-    decrease = conv(
-        "rec-decrease",
-        lambda v: {"linear": "linear", "exp": "exponential"}[v],
-        "linear",
-    )
+    decrease = conv("rec-decrease", _REC_DECREASE.__getitem__, "linear")
     try:
         return ExperimentConfig(
             problem=problem,
@@ -417,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--tol-ineq", type=float, default=1e-12)
     run.add_argument("--tol-eq", type=float, default=1e-12)
     run.add_argument("--rec-switch", type=float, default=0.8)
-    run.add_argument("--rec-decrease", choices=("linear", "exp"), default="linear")
+    run.add_argument("--rec-decrease", choices=tuple(_REC_DECREASE), default="linear")
     run.add_argument("--prob", type=float, default=0.9)
     run.add_argument("--trace", default=None, help="per-step best log path")
     run.add_argument("--detail", action="store_true", help="include per-run detail")

@@ -21,11 +21,13 @@ bmpem     retrial factors drawn uniformly from [0, 1.5)
 The probabilistic rule of ``pfppr`` applies only to personal-best
 memory updates; neighbourhood-best lookups always use the plain rules.
 
-Each rule has one array implementation, which the swarm engine calls
-on all particles at once: :func:`priority_keys` (the priority
-comparison as sort keys), :func:`replacement_mask` (every technique's
-memory update), :func:`repair_moves` (the repair ladders) and
-:func:`penalized_batch` (the ``apm`` penalty).
+Each rule has one implementation, which the swarm engine calls on all
+particles at once: :func:`sort_keys` (how a technique ranks points:
+:func:`priority_keys`, the priority comparison as sort keys, or
+:func:`penalized_batch`, the ``apm`` penalty),
+:meth:`ChtConfig.tolerances_at` (the tolerances in force at each step),
+:func:`replacement_mask` (every technique's memory update) and
+:func:`repair_moves` (the repair ladders).
 
 The rows they take may belong to several runs, run after run.  Then
 ``rng`` holds one generator per run and ``runs`` gives each row's run,
@@ -106,6 +108,18 @@ class ChtConfig:
     def probabilistic_memory(self) -> bool:
         return self.kind in ("pfppr", "pfppr+rec")
 
+    def tolerances_at(self, base: Tolerances, t: int, steps: int) -> Tolerances:
+        """The tolerances in force at step ``t`` (1-based) of ``steps``.
+
+        ``base`` holds throughout, except that a ``+rec`` technique's
+        schedule sets the equality tolerance.
+        """
+        if not self.uses_rec:
+            return base
+        if self.rec is None:
+            raise ValueError("REC technique configured without a schedule")
+        return Tolerances(ineq=base.ineq, eq=self.rec.tolerance_at(t, steps))
+
 
 def draw_per_run(
     rng: Generators,
@@ -147,10 +161,25 @@ def penalized_batch(ev: BatchEval) -> np.ndarray:
     return ev.conflict + _PENALTY_K * (v**_PENALTY_ALPHA).sum(axis=1)
 
 
+def sort_keys(
+    cht: ChtConfig, ev: BatchEval, feasible: Optional[np.ndarray]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The rows' lexicographic sort keys ``(primary, secondary)`` under ``cht``.
+
+    ``apm`` ranks by penalized conflict alone (zeros, then
+    :func:`penalized_batch`) and ignores ``feasible``, which may be
+    None; every other technique ranks by :func:`priority_keys` under the
+    mask ``feasible``.
+    """
+    if cht.uses_penalty:
+        return np.zeros(len(ev)), penalized_batch(ev)
+    return priority_keys(ev, feasible)
+
+
 def replacement_mask(
     cht: ChtConfig,
     cand: BatchEval,
-    cand_keys: Optional[Tuple[np.ndarray, np.ndarray]],
+    cand_keys: Tuple[np.ndarray, np.ndarray],
     inc: BatchEval,
     inc_keys: Tuple[np.ndarray, np.ndarray],
     rng: Generators,
@@ -159,20 +188,19 @@ def replacement_mask(
     """Which memories ``inc`` the candidates ``cand`` replace, row by row.
 
     ``cand_keys`` and ``inc_keys`` are the candidates' and the memories'
-    sort keys as the swarm ranks them: :func:`priority_keys`, or for
-    ``apm`` zeros and the penalized conflict.  The repair techniques
-    compare conflicts alone, so their ``cand_keys`` may be None.  Ties
-    keep the memory.
+    :func:`sort_keys`; the repair techniques compare conflicts alone and
+    do not read them.  Ties keep the memory.
 
     - ``pf``: a feasible candidate (primary key 0) with lower conflict
       replaces.
     - ``bm``/``bmem``/``bmpem``: lower conflict replaces.
-    - ``apm``: lower penalized conflict replaces.
-    - priority techniques: the candidate replaces when its priority keys
-      are lower.  The probabilistic ones draw one uniform for every row
-      where an infeasible point is involved, as one ``rng.random(k)``
-      block in ascending row order (per run, see :func:`draw_per_run`);
-      at or above ``cht.prob`` that row falls back to lower conflict.
+    - ``apm`` and the priority techniques: the candidate replaces when
+      its keys are lower (for ``apm`` both primary keys are zero, so
+      lower penalized conflict replaces).  The probabilistic ones draw
+      one uniform for every row where an infeasible point is involved,
+      as one ``rng.random(k)`` block in ascending row order (per run,
+      see :func:`draw_per_run`); at or above ``cht.prob`` that row falls
+      back to lower conflict.
     """
     lower_conflict = cand.conflict < inc.conflict
     if cht.is_repair:
@@ -180,8 +208,6 @@ def replacement_mask(
     cand_primary, cand_secondary = cand_keys
     if cht.kind == "pf":
         return (cand_primary == 0.0) & lower_conflict
-    if cht.uses_penalty:
-        return cand_secondary < inc_keys[1]
     inc_primary, inc_secondary = inc_keys
     replace = (cand_primary < inc_primary) | (
         (cand_primary == inc_primary) & (cand_secondary < inc_secondary)

@@ -129,22 +129,23 @@ class SummaryRow:
     """Aggregated best/mean statistics for one experiment.
 
     Mean fields average over completed runs only; an experiment whose
-    runs all failed to initialize is a FAIL row (``failed`` is true and
-    the numeric fields are NaN).
+    runs all failed to initialize, or whose ``error`` is set, is a FAIL
+    row (``failed`` is true and the statistics keep their defaults: NaN,
+    and -1 for the best run and its nac).
     """
 
     config: ExperimentConfig
-    best_conflict: float
-    best_cv: float
-    best_nac: int
-    best_position: Optional[np.ndarray]
-    best_run: int
-    mean_conflict: float
-    mean_cv: float
-    mean_nac: float
     failures: int
     extra_evals: int
     elapsed: float
+    best_conflict: float = float("nan")
+    best_cv: float = float("nan")
+    best_nac: int = -1
+    best_position: Optional[np.ndarray] = None
+    best_run: int = -1
+    mean_conflict: float = float("nan")
+    mean_cv: float = float("nan")
+    mean_nac: float = float("nan")
     runs: Optional[List[RunResult]] = None
     error: Optional[str] = None
 
@@ -266,14 +267,6 @@ def summarize(config: ExperimentConfig, results: Sequence[RunResult]) -> Summary
     if not done:
         return SummaryRow(
             config=config,
-            best_conflict=float("nan"),
-            best_cv=float("nan"),
-            best_nac=-1,
-            best_position=None,
-            best_run=-1,
-            mean_conflict=float("nan"),
-            mean_cv=float("nan"),
-            mean_nac=float("nan"),
             failures=failures,
             extra_evals=sum(r.evaluations for r in results),
             elapsed=elapsed,
@@ -363,14 +356,6 @@ def sweep(configs: Sequence[ExperimentConfig], jobs: int = 1) -> List[SummaryRow
             rows.append(
                 SummaryRow(
                     config=config,
-                    best_conflict=float("nan"),
-                    best_cv=float("nan"),
-                    best_nac=-1,
-                    best_position=None,
-                    best_run=-1,
-                    mean_conflict=float("nan"),
-                    mean_cv=float("nan"),
-                    mean_nac=float("nan"),
                     failures=config.runs,
                     extra_evals=0,
                     elapsed=0.0,

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import functools
 from dataclasses import dataclass, field
 from typing import Sequence, Tuple
 
@@ -50,10 +51,9 @@ import numpy as np
 from .handlers import (
     ChtConfig,
     draw_per_run,
-    penalized_batch,
-    priority_keys,
     repair_moves,
     replacement_mask,
+    sort_keys,
 )
 from .problem import (
     MAX_BATCH_ROWS,
@@ -70,6 +70,10 @@ _INIT_CHUNK = 256
 # call has a fixed cost that a bigger block spreads over more rows, but
 # a block's temporaries add to peak memory: a 64-chunk cap ran the
 # perfbench table-30run workload ~1% faster at 4.2% more peak RSS.
+# Init blocks (up to 16 * 256 = 4,096 rows) are not bound by
+# MAX_BATCH_ROWS: that cap keeps a lockstep step's evaluation from
+# growing with the number of runs, while an init block belongs to one
+# run and this cap bounds it.
 _INIT_BLOCK_CHUNKS = 16
 
 
@@ -153,8 +157,14 @@ class Topology:
             return cls("fully-connected", swarm_size)
         return cls("ring", swarm_size, window=nn + 1)
 
+    @functools.cached_property
     def neighbor_matrix(self) -> np.ndarray:
-        """Boolean ``(s, s)`` matrix; row i marks {i} and its neighbours."""
+        """Boolean ``(s, s)`` matrix; row i marks {i} and its neighbours.
+
+        Built once and read-only: the runs of a cell share one topology,
+        so the swarms they hold until every run has started share one
+        matrix.
+        """
         s = self.swarm_size
         out = np.zeros((s, s), dtype=bool)
         if self.kind == "fully-connected":
@@ -170,6 +180,7 @@ class Topology:
             idx = np.arange(s)
             for off in range(-left, right + 1):
                 out[idx, (idx + off) % s] = True
+        out.flags.writeable = False
         return out
 
 
@@ -237,10 +248,10 @@ class Swarm:
     included), one per particle and step, and ``run_repair_evaluations``
     (repair trials).  ``evaluations``, ``init_evaluations`` and
     ``repair_evaluations`` are their totals over the runs.
-    ``current_feasible`` and ``pbest_feasible`` are the feasibility
-    masks of ``current`` and ``pbest`` under ``tolerances``, and for
-    ``apm`` ``pbest_penalty`` is the memories' penalized conflict, all
-    kept up to date by each step.
+    ``current_feasible`` is the feasibility mask of ``current`` under
+    ``tolerances`` (None for ``apm``), and ``pbest_primary`` and
+    ``pbest_secondary`` are the memories' :func:`~cpso.handlers.sort_keys`
+    under them, all kept up to date by each step.
     """
 
     def __init__(
@@ -264,25 +275,21 @@ class Swarm:
         self.w = np.array([c.w for c in coeffs])
         self.iw = np.array([c.iw for c in coeffs])
         self.sw = np.array([c.sw for c in coeffs])
-        self.neighbors = config.topology.neighbor_matrix()
+        self.neighbors = config.topology.neighbor_matrix
         self.current = evaluate_batch(problem, positions)
         self.run_init_evaluations = np.array([init_evaluations + s])
         self.run_repair_evaluations = np.zeros(1, dtype=np.int64)
         self.pbest = self.current.copy()
-        self.tolerances = self._tolerances_at(1 if cht.uses_rec else 0)
-        # Feasibility masks of the current positions and of the memories,
-        # carried from step to step (None for apm, which never reads
-        # them).  Only a +rec schedule moves the tolerance, so only then
-        # is the memories' mask recomputed each step.  apm carries the
-        # memories' penalty instead.
+        self.tolerances = cht.tolerances_at(config.tolerances, 1, config.steps)
+        # The current positions' feasibility mask (None for apm, which
+        # never reads it) and the memories' sort keys, carried from step
+        # to step.  Only a +rec schedule moves the tolerance, so only
+        # then are the memories' keys recomputed each step.
         self.current_feasible = (
             None if cht.uses_penalty else self.current.feasible(self.tolerances)
         )
-        self.pbest_feasible = (
-            None if cht.uses_penalty else self.current_feasible.copy()
-        )
-        self.pbest_penalty = (
-            penalized_batch(self.pbest) if cht.uses_penalty else None
+        self.pbest_primary, self.pbest_secondary = sort_keys(
+            cht, self.pbest, self.current_feasible
         )
 
     @classmethod
@@ -346,40 +353,21 @@ class Swarm:
             return self.rngs[0], None
         return self.rngs, np.arange(len(self.positions)) // self.config.size
 
-    # -- tolerance schedule -------------------------------------------------
-
-    def _tolerances_at(self, t: int) -> Tolerances:
-        base = self.config.tolerances
-        if not self.cht.uses_rec or t < 1:
-            return base
-        eq = self.cht.rec.tolerance_at(t, self.config.steps)
-        return Tolerances(ineq=base.ineq, eq=eq)
-
-    # -- comparator keys ----------------------------------------------------
-
-    def _keys(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The memories' lexicographic sort keys (primary, secondary).
-
-        Penalty search orders by penalized conflict alone; every other
-        technique orders by (infeasible flag, conflict-or-cv).
-        """
-        if self.cht.uses_penalty:
-            return np.zeros(len(self.pbest)), self.pbest_penalty
-        return priority_keys(self.pbest, self.pbest_feasible)
-
     # -- stepping -----------------------------------------------------------
 
     def step(self) -> None:
         """Advance every run one synchronous step."""
         t = self.t + 1
-        tol = self._tolerances_at(t)
+        tol = self.cht.tolerances_at(self.config.tolerances, t, self.config.steps)
         self.tolerances = tol
 
         if self.cht.uses_rec:
-            self.pbest_feasible = self.pbest.feasible(tol)
+            self.pbest_primary, self.pbest_secondary = sort_keys(
+                self.cht, self.pbest, self.pbest.feasible(tol)
+            )
         # The memories do not change before the memory update, so their
         # keys serve both the lbest lookup and the incumbents' side there.
-        keys = self._keys()
+        keys = self.pbest_primary, self.pbest_secondary
         lbest = self.pbest.positions[lbest_index(self.neighbors, *keys)]
         m, n = self.positions.shape
         rng, runs = self._generators()
@@ -398,11 +386,7 @@ class Swarm:
 
         if self.cht.is_repair:
             self._repair(x_new, v_new, new_eval, feasible, tol, rng, runs)
-            cand_keys = None
-        elif self.cht.uses_penalty:
-            cand_keys = np.zeros(m), penalized_batch(new_eval)
-        else:
-            cand_keys = priority_keys(new_eval, feasible)
+        cand_keys = sort_keys(self.cht, new_eval, feasible)
         self.positions = x_new
         self.velocities = v_new
         self.current = new_eval
@@ -412,10 +396,8 @@ class Swarm:
             self.cht, new_eval, cand_keys, self.pbest, keys, rng, runs
         )
         self.pbest.assign(replace, new_eval.take(replace))
-        if feasible is not None:
-            self.pbest_feasible[replace] = feasible[replace]
-        else:
-            self.pbest_penalty[replace] = cand_keys[1][replace]
+        self.pbest_primary[replace] = cand_keys[0][replace]
+        self.pbest_secondary[replace] = cand_keys[1][replace]
         self.t = t
 
     def _repair(self, x_new, v_new, new_eval, feasible, tol, rng, runs) -> None:
@@ -426,43 +408,39 @@ class Swarm:
         trials fit one evaluation of ``MAX_BATCH_ROWS`` rows; each run's
         draws come in order, so the batches give the same results as one.
         """
-        bad = np.flatnonzero(~feasible)
+        infeasible = np.flatnonzero(~feasible)
         moves = MAX_BATCH_ROWS // self.cht.max_repair_trials
-        for a in range(0, bad.size, moves):
-            batch = bad[a : a + moves]
-            batch_runs = None if runs is None else runs[batch]
-            self._repair_batch(
-                batch, x_new, v_new, new_eval, feasible, tol, rng, batch_runs
+        for a in range(0, infeasible.size, moves):
+            bad = infeasible[a : a + moves]
+            bad_runs = None if runs is None else runs[bad]
+            rep = repair_moves(
+                self.positions[bad],
+                v_new[bad],
+                new_eval.take(bad),
+                self.problem,
+                tol,
+                self.cht.kind,
+                rng,
+                self.cht.max_repair_trials,
+                bad_runs,
             )
-
-    def _repair_batch(
-        self, bad, x_new, v_new, new_eval, feasible, tol, rng, runs
-    ) -> None:
-        """Repair the infeasible moves ``bad``, of runs ``runs``, in one batch."""
-        rep = repair_moves(
-            self.positions[bad],
-            v_new[bad],
-            new_eval.take(bad),
-            self.problem,
-            tol,
-            self.cht.kind,
-            rng,
-            self.cht.max_repair_trials,
-            runs,
-        )
-        # Full steps are charged by the step count.
-        if runs is None:
-            self.run_repair_evaluations[0] += rep.trials_charged.sum()
-        else:
-            self.run_repair_evaluations += np.bincount(
-                runs, weights=rep.trials_charged, minlength=self.runs
-            ).astype(np.int64)
-        x_new[bad] = rep.positions
-        v_new[bad] = rep.velocities
-        # A kept position keeps its evaluation; an accepted trial is feasible.
-        new_eval.assign(bad, self.current.take(bad))
-        new_eval.assign(bad[rep.accepted], rep.evaluation)
-        feasible[bad] = rep.accepted | self.current_feasible[bad]
+            # Full steps are charged by the step count.
+            if runs is None:
+                self.run_repair_evaluations[0] += rep.trials_charged.sum()
+            else:
+                self.run_repair_evaluations += np.bincount(
+                    bad_runs, weights=rep.trials_charged, minlength=self.runs
+                ).astype(np.int64)
+            x_new[bad] = rep.positions
+            v_new[bad] = rep.velocities
+            # A kept position keeps its evaluation; an accepted trial is feasible.
+            new_eval.assign(bad, self.current.take(bad))
+            new_eval.assign(bad[rep.accepted], rep.evaluation)
+            feasible[bad] = rep.accepted | self.current_feasible[bad]
+            # Freed before the next batch evaluates its trials: held, it
+            # raised the peak RSS of 30 lockstep welded-beam bm runs (the
+            # perfbench table-30run workload) by 128 KiB.
+            del rep
 
     # -- results ------------------------------------------------------------
 
@@ -473,7 +451,7 @@ class Swarm:
         keep the lowest index.
         """
         everyone = np.ones((1, self.config.size), dtype=bool)
-        return lbest_index(everyone, *self._keys())
+        return lbest_index(everyone, self.pbest_primary, self.pbest_secondary)
 
 
 # Attributes with one row per particle or one entry per run; joining
@@ -487,8 +465,8 @@ _RUN_STATE = (
     "current",
     "pbest",
     "current_feasible",
-    "pbest_feasible",
-    "pbest_penalty",
+    "pbest_primary",
+    "pbest_secondary",
     "run_init_evaluations",
     "run_repair_evaluations",
 )
@@ -516,22 +494,15 @@ def init_swarm(
     generator is left exactly where drawing one chunk at a time leaves
     it.
     """
+    tol = cht.tolerances_at(config.tolerances, 1, config.steps)
     rng = np.random.default_rng(config.seed)
     s = config.size
-    tol0 = config.tolerances
-    if cht.uses_rec:
-        if cht.rec is None:
-            raise ValueError("REC technique configured without a schedule")
-        tol0 = Tolerances(
-            ineq=tol0.ineq, eq=cht.rec.tolerance_at(1, config.steps)
-        )
-
     if not cht.requires_feasible_init:
         positions = problem.sample_uniform(rng, s)
         return Swarm(problem, config, cht, rng, positions, init_evaluations=0)
 
     positions, extra = _feasible_positions(
-        problem, rng, s, max_attempts_per_particle, tol0
+        problem, rng, s, max_attempts_per_particle, tol
     )
     return Swarm(problem, config, cht, rng, positions, init_evaluations=extra)
 

@@ -4,7 +4,7 @@ synthetic evaluated rows."""
 import numpy as np
 import pytest
 
-from cpso.handlers import ChtConfig, penalized_batch, priority_keys, replacement_mask
+from cpso.handlers import ChtConfig, replacement_mask, sort_keys
 from cpso.problem import BatchEval, Problem, Tolerances
 
 
@@ -80,9 +80,7 @@ def replaces(kind, inc, cand, rng=None, prob=0.9, tol=Tolerances()):
     cht = ChtConfig(kind, prob=prob)
 
     def keys(ev):
-        if cht.uses_penalty:
-            return np.zeros(len(ev)), penalized_batch(ev)
-        return priority_keys(ev, ev.feasible(tol))
+        return sort_keys(cht, ev, ev.feasible(tol))
 
     return replacement_mask(cht, cand, keys(cand), inc, keys(inc), rng)
 

@@ -69,7 +69,7 @@ def assert_run_equals(group, r, alone):
         for f in FIELDS:
             got = getattr(getattr(group, ev), f)[rows]
             assert got.tobytes() == getattr(getattr(alone, ev), f).tobytes(), (ev, f)
-    for name in ("current_feasible", "pbest_feasible", "pbest_penalty"):
+    for name in ("current_feasible", "pbest_primary", "pbest_secondary"):
         got, expect = getattr(group, name), getattr(alone, name)
         assert (got is None) == (expect is None)
         if got is not None:

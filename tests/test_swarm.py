@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cpso.benchmarks import get_problem
-from cpso.handlers import KINDS, ChtConfig, penalized_batch, priority_keys
+from cpso.handlers import KINDS, ChtConfig, priority_keys, sort_keys
 from cpso.problem import Problem, RecSchedule, Tolerances, evaluate_batch
 from cpso.swarm import (
     COEFFICIENT_PRESETS,
@@ -65,7 +65,7 @@ def test_coefficient_index_out_of_range():
 
 def candidates(topology, i):
     """Sorted candidate indices of particle ``i``: row ``i`` of the matrix."""
-    return list(np.flatnonzero(topology.neighbor_matrix()[i]))
+    return list(np.flatnonzero(topology.neighbor_matrix[i]))
 
 
 def test_ring_window3_candidates():
@@ -80,7 +80,7 @@ def test_ring_even_window_favors_successor():
 
 
 def test_fully_connected_sees_everyone():
-    assert Topology("fully-connected", 7).neighbor_matrix().all()
+    assert Topology("fully-connected", 7).neighbor_matrix.all()
 
 
 def test_wheel_spokes_see_hub():
@@ -126,7 +126,9 @@ def staged_swarm(problem, positions, velocities, memories, rng, nn=2):
     swarm = Swarm(problem, config, ChtConfig("pfpr"), rng, np.array(positions, dtype=float), 0)
     swarm.velocities = np.array(velocities, dtype=float)
     swarm.pbest = evaluate_batch(problem, np.array(memories, dtype=float))
-    swarm.pbest_feasible = swarm.pbest.feasible(swarm.tolerances)
+    swarm.pbest_primary, swarm.pbest_secondary = sort_keys(
+        swarm.cht, swarm.pbest, swarm.pbest.feasible(swarm.tolerances)
+    )
     return swarm
 
 
@@ -303,10 +305,11 @@ def test_pf_memory_stays_feasible(toy1):
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("name", ["g04", "g11"])
 def test_carried_feasibility_masks_describe_the_state(name, kind):
-    # The swarm carries its feasibility masks (apm: the memories'
-    # penalty) from step to step instead of recomputing them.  It starts from uniform positions whatever the
-    # technique, so repair also keeps infeasible positions, and g11's
-    # equality makes the +rec tolerance move.
+    # The swarm carries the current positions' feasibility mask and the
+    # memories' sort keys from step to step instead of recomputing them.
+    # It starts from uniform positions whatever the technique, so repair
+    # also keeps infeasible positions, and g11's equality makes the +rec
+    # tolerance move.
     problem = get_problem(name)
     cht = ChtConfig(kind)
     if cht.uses_rec:
@@ -316,15 +319,28 @@ def test_carried_feasibility_masks_describe_the_state(name, kind):
     swarm = Swarm(problem, config, cht, rng, problem.sample_uniform(rng, 12), 0)
     for _ in range(30):
         swarm.step()
-        if cht.uses_penalty:
-            assert swarm.pbest_feasible is None and swarm.current_feasible is None
-            penalty = penalized_batch(swarm.pbest)
-            assert swarm.pbest_penalty.tobytes() == penalty.tobytes()
-            continue
-        assert swarm.pbest_penalty is None
         tol = swarm.tolerances
-        assert np.array_equal(swarm.pbest_feasible, swarm.pbest.feasible(tol))
-        assert np.array_equal(swarm.current_feasible, swarm.current.feasible(tol))
+        primary, secondary = sort_keys(cht, swarm.pbest, swarm.pbest.feasible(tol))
+        assert swarm.pbest_primary.tobytes() == primary.tobytes()
+        assert swarm.pbest_secondary.tobytes() == secondary.tobytes()
+        if cht.uses_penalty:
+            assert swarm.current_feasible is None
+        else:
+            assert np.array_equal(swarm.current_feasible, swarm.current.feasible(tol))
+
+
+def test_rec_without_schedule_is_rejected():
+    # Building a swarm either way states the tolerances in force at
+    # step 1, which a +rec technique cannot without its schedule.
+    problem = get_problem("g11")
+    cht = ChtConfig("pfpr+rec", rec=None)
+    config = make_config(size=6, steps=10)
+    message = "REC technique configured without a schedule"
+    with pytest.raises(ValueError, match=message):
+        init_swarm(problem, config, cht)
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match=message):
+        Swarm(problem, config, cht, rng, problem.sample_uniform(rng, 6), 0)
 
 
 def test_repair_keeps_positions_feasible(toy1):

@@ -56,7 +56,7 @@ def test_lbest_index_matches_lexsort(topology, data):
     keys = st.lists(KEY_VALUES | st.floats(-3, 3), min_size=s, max_size=s)
     primary = np.array(data.draw(keys))
     secondary = np.array(data.draw(keys))
-    neighbors = topology.neighbor_matrix()
+    neighbors = topology.neighbor_matrix
     expect = []
     for i in range(s):
         c = np.flatnonzero(neighbors[i])
