@@ -27,12 +27,10 @@ from .problem import (
 )
 from .swarm import (
     COEFFICIENT_PRESETS,
-    CoefficientSet,
     InitializationFailure,
     Swarm,
     SwarmConfig,
     Topology,
-    assign_coefficients,
     init_swarm,
 )
 

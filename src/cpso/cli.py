@@ -99,6 +99,7 @@ def _row_dict(row: SummaryRow, detail: bool = False) -> dict:
             "prob": cfg.cht.prob,
             "rec_switch": cfg.rec_switch,
             "rec_decrease": cfg.rec_decrease,
+            "rec_rate": cfg.rec_rate,
         },
         "summary": {
             "failed": row.failed,
@@ -192,12 +193,10 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
         raise UsageError(
             f"unknown CHT {args.cht!r}; valid names: {', '.join(KINDS)}"
         )
-    decrease = _REC_DECREASE[args.rec_decrease]
-    cht = ChtConfig(kind=args.cht, prob=args.prob)
     try:
         return ExperimentConfig(
             problem=args.problem,
-            cht=cht,
+            cht=ChtConfig(kind=args.cht, prob=args.prob),
             nn=args.nn,
             particles=args.particles,
             steps=args.steps,
@@ -205,7 +204,7 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
             master_seed=args.seed,
             tolerances=Tolerances(ineq=args.tol_ineq, eq=args.tol_eq),
             rec_switch=args.rec_switch,
-            rec_decrease=decrease,
+            rec_decrease=_REC_DECREASE[args.rec_decrease],
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
@@ -346,11 +345,14 @@ def cmd_feasibility(args: argparse.Namespace) -> int:
         raise UsageError(str(exc)) from None
     if args.samples < 1:
         raise UsageError("samples must be >= 1")
+    if args.seed < 0:
+        raise UsageError("seed must be nonnegative")
+    try:
+        tolerances = Tolerances(ineq=args.tol_ineq, eq=args.tol_eq)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     ratio = estimate_feasibility_ratio(
-        entry.problem,
-        args.samples,
-        Tolerances(ineq=args.tol_ineq, eq=args.tol_eq),
-        args.seed,
+        entry.problem, args.samples, tolerances, args.seed
     )
     record = {
         "schema_version": SCHEMA_VERSION,

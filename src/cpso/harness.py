@@ -10,18 +10,21 @@ Seeding contract: run ``i`` of an experiment draws its generator from
 perturbs earlier ones and runs can execute in any order, together or in
 parallel without changing results.
 
-Execution: each run is initialized on its own by
+Execution: the runs are split into contiguous groups, each small enough
+that its step evaluates at most ``MAX_BATCH_ROWS`` rows, and at least
+one per worker.  In a group, each run is initialized on its own by
 :func:`~cpso.swarm.init_swarm`; the runs that start are joined into one
 :class:`~cpso.swarm.Swarm` and stepped in lockstep, so that every step
-evaluates all runs' particles in one batch.  Each run still draws from
-its own generator in its own order, so a run's results do not depend
-on the runs it steps with.  If an evaluation faults, the cell is run
-again one run at a time, so the fault raised is the one the first
+evaluates the group's particles in one batch.  Each run still draws
+from its own generator in its own order, so a run's results do not
+depend on the runs it steps with.  If an evaluation faults, the cell is
+run again one run at a time, so the fault raised is the one the first
 faulting run raises alone.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -30,7 +33,7 @@ import numpy as np
 
 from .benchmarks import get_problem
 from .handlers import ChtConfig, priority_keys
-from .problem import EvaluationFault, RecSchedule, Tolerances
+from .problem import MAX_BATCH_ROWS, EvaluationFault, RecSchedule, Tolerances
 from .swarm import (
     InitializationFailure,
     Swarm,
@@ -50,8 +53,9 @@ class ExperimentConfig:
     ``nn`` counts neighbours excluding the particle itself; 2 and 10 map
     to ring windows 3 and 11, ``particles - 1`` to fully connected.
     The relaxed-equality schedule options apply only to ``*+rec``
-    techniques; their schedule is built against the problem box, and
-    validated when the config is built.
+    techniques; their schedule is built against the problem box, so
+    ``cht`` carries none.  The config is validated when it is built,
+    the swarm config its runs use and the schedule included.
     """
 
     problem: str
@@ -74,6 +78,12 @@ class ExperimentConfig:
             raise ValueError("runs must be >= 1")
         if self.master_seed < 0:
             raise ValueError("master_seed must be nonnegative")
+        if self.cht.rec is not None:
+            raise ValueError(
+                "cht must not carry a schedule: rec_switch, rec_decrease "
+                "and rec_rate build it"
+            )
+        self.swarm_config(0)
         self.resolved_cht()
 
     @property
@@ -81,9 +91,29 @@ class ExperimentConfig:
         """Step-budget evaluations per run (particles times steps)."""
         return self.particles * self.steps
 
+    @functools.cached_property
+    def _topology(self) -> Topology:
+        return Topology.from_nn(self.nn, self.particles)
+
+    def swarm_config(self, run_index: int) -> SwarmConfig:
+        """The swarm config of run ``run_index``, seeded as the module says.
+
+        The seed is the pair, which ``default_rng`` turns into that
+        ``SeedSequence``, so building a config does not import
+        ``numpy.random``.  The runs share one topology, and so the swarms
+        a group holds share one neighbour matrix.
+        """
+        return SwarmConfig(
+            size=self.particles,
+            steps=self.steps,
+            topology=self._topology,
+            seed=(self.master_seed, run_index),
+            tolerances=self.tolerances,
+        )
+
     def resolved_cht(self) -> ChtConfig:
         """Technique config with the equality schedule attached if needed."""
-        if not self.cht.uses_rec or self.cht.rec is not None:
+        if not self.cht.uses_rec:
             return self.cht
         schedule = RecSchedule.for_problem(
             get_problem(self.problem),
@@ -168,20 +198,12 @@ def _run_group(
     """
     problem = get_problem(config.problem)
     cht = config.resolved_cht()
-    topology = Topology.from_nn(config.nn, config.particles)
     results, swarms, init_s = {}, {}, {}
     for i in indices:
-        swarm_config = SwarmConfig(
-            size=config.particles,
-            steps=config.steps,
-            topology=topology,
-            seed=np.random.SeedSequence([config.master_seed, i]),
-            tolerances=config.tolerances,
-        )
         start = time.perf_counter()
         try:
             swarms[i] = init_swarm(
-                problem, swarm_config, cht, config.max_init_attempts
+                problem, config.swarm_config(i), cht, config.max_init_attempts
             )
         except InitializationFailure as failure:
             results[i] = RunResult(
@@ -300,6 +322,19 @@ def summarize(config: ExperimentConfig, results: Sequence[RunResult]) -> Summary
     )
 
 
+def _groups(config: ExperimentConfig, jobs: int) -> List[List[int]]:
+    """The cell's run indices in contiguous lockstep groups.
+
+    There are at least ``min(jobs, runs)`` groups, so that every worker
+    gets one, and no group has more than ``MAX_BATCH_ROWS // particles``
+    runs (one at least), so that a step evaluates at most
+    ``MAX_BATCH_ROWS`` rows.
+    """
+    cap = max(1, MAX_BATCH_ROWS // config.particles)
+    count = max(min(jobs, config.runs), -(-config.runs // cap))
+    return [g.tolist() for g in np.array_split(np.arange(config.runs), count)]
+
+
 def run_experiment(
     config: ExperimentConfig,
     jobs: int = 1,
@@ -307,34 +342,31 @@ def run_experiment(
 ) -> SummaryRow:
     """Run all ``config.runs`` independent runs and summarize them.
 
-    The runs step in lockstep (see the module docstring).  With
-    ``jobs > 1`` the runs are split into ``jobs`` contiguous groups that
-    step in lockstep on worker processes.  ``trace`` receives every
-    run's best after every step, run by run, once all runs have ended.
+    The runs step in lockstep groups (see the module docstring), one
+    after another, or with ``jobs > 1`` on up to ``jobs`` worker
+    processes.  ``trace`` receives every run's best after every step,
+    run by run, once all runs have ended.
     """
-    indices = list(range(config.runs))
+    groups = _groups(config, jobs)
+    n = len(groups)
+    args = [config] * n, groups, [trace is not None] * n
     try:
-        if jobs > 1 and config.runs > 1:
+        if jobs > 1 and n > 1:
             # Imported here: it pulls in multiprocessing, which serial runs
             # never use.
             from concurrent.futures import ProcessPoolExecutor
 
-            groups = [
-                g.tolist() for g in np.array_split(indices, min(jobs, config.runs))
-            ]
-            n = len(groups)
-            with ProcessPoolExecutor(max_workers=n) as pool:
-                done = pool.map(
-                    _run_group, [config] * n, groups, [trace is not None] * n
-                )
-                results = [r for group in done for r in group]
+            with ProcessPoolExecutor(max_workers=min(jobs, n)) as pool:
+                done = list(pool.map(_run_group, *args))
         else:
-            results = _run_group(config, indices, trace is not None)
+            done = list(map(_run_group, *args))
     except EvaluationFault:
         if config.runs == 1:
             raise
         # One run at a time, in order, as serial execution faults.
+        indices = range(config.runs)
         return summarize(config, [run_single(config, i, trace) for i in indices])
+    results = [r for group in done for r in group]
     _write_trace(trace, results)
     return summarize(config, results)
 

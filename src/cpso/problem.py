@@ -13,7 +13,7 @@ array of shape ``(m, n)`` and return shape ``(m,)``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -209,13 +209,6 @@ class BatchEval:
             cv=self.cv.copy(),
         )
 
-    @classmethod
-    def concat(cls, parts: Sequence["BatchEval"]) -> "BatchEval":
-        """The rows of ``parts``, in order, as one batch."""
-        return cls(
-            *(np.concatenate([getattr(p, f) for p in parts]) for f in _FIELDS)
-        )
-
 
 def _rows_all(block: np.ndarray) -> np.ndarray:
     """``block.all(axis=1)`` for a boolean ``(m, k)`` block.
@@ -225,16 +218,6 @@ def _rows_all(block: np.ndarray) -> np.ndarray:
     rounding, so the order cannot change the result.
     """
     return np.ascontiguousarray(block.T).all(axis=0)
-
-
-_FIELDS = (
-    "positions",
-    "conflict",
-    "ineq_violations",
-    "eq_violations",
-    "box_violations",
-    "cv",
-)
 
 
 def evaluate_batch(problem: Problem, positions: np.ndarray) -> BatchEval:
@@ -319,36 +302,16 @@ def evaluate_batch(problem: Problem, positions: np.ndarray) -> BatchEval:
     )
 
 
-# Largest batch a lockstep step, or one block of the feasibility
-# estimator, evaluates in one call.  The cost per row is at its floor by
+# Largest batch evaluated in one call: the harness groups a cell's runs
+# so that a lockstep step's rows fit in it, a step repairs its moves in
+# batches of at most this many trial rows, and the feasibility estimator
+# samples blocks of it.  The cost per row is at its floor by
 # then (2-core host, min of 7, ns per row at 512 / 2,048 / 4,096 rows:
 # g06 197 / 125 / 123, welded-beam 338 / 194 / 209, g04 193 / 120 /
 # 129), while each call's temporaries grow with its rows:
 # 30 welded-beam bm runs repairing in batches of 4,096 trial rows peaked
 # 0.45 MiB higher than in batches of 2,048.
 MAX_BATCH_ROWS = 2048
-
-
-def evaluate_rows(problem: Problem, positions: np.ndarray) -> BatchEval:
-    """:func:`evaluate_batch` in slices of at most ``MAX_BATCH_ROWS`` rows.
-
-    Every row is evaluated on its own, so the result is the one call's,
-    bit for bit.  So is a fault: when a slice faults, the whole batch is
-    evaluated at once to raise the fault one call would raise.
-    """
-    m = len(positions)
-    if m <= MAX_BATCH_ROWS:
-        return evaluate_batch(problem, positions)
-    try:
-        return BatchEval.concat(
-            [
-                evaluate_batch(problem, positions[a : a + MAX_BATCH_ROWS])
-                for a in range(0, m, MAX_BATCH_ROWS)
-            ]
-        )
-    except EvaluationFault:
-        evaluate_batch(problem, positions)
-        raise
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,11 @@ at once, and :func:`lbest_index` picks every neighbourhood best.
 A :class:`Swarm` holds one or more independent runs of one cell, their
 rows one run after another, and steps them in lockstep: one evaluation,
 one lbest ranking, shared repair batches and one memory update serve
-every run.  Runs share nothing but the step index, and so the tolerance in
-force.  Each run draws from its own generator, as below, so a run ends
-exactly where it ends stepping alone, whichever runs step with it.
+every run.  A step evaluates all rows in one call, so whoever forms the
+group bounds its rows; the harness keeps them within ``MAX_BATCH_ROWS``.
+Runs share nothing but the step index, and so the tolerance in force.
+Each run draws from its own generator, as below, so a run ends exactly
+where it ends stepping alone, whichever runs step with it.
 
 Randomness contract (per step, one generator per run, each run's
 blocks drawn from its own generator, run after run):
@@ -40,7 +42,6 @@ block of their total size.
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import functools
 from dataclasses import dataclass, field
@@ -57,12 +58,10 @@ from .handlers import (
 )
 from .problem import (
     MAX_BATCH_ROWS,
-    BatchEval,
     EvaluationFault,
     Problem,
     Tolerances,
     evaluate_batch,
-    evaluate_rows,
 )
 
 _INIT_CHUNK = 256
@@ -71,9 +70,9 @@ _INIT_CHUNK = 256
 # a block's temporaries add to peak memory: a 64-chunk cap ran the
 # perfbench table-30run workload ~1% faster at 4.2% more peak RSS.
 # Init blocks (up to 16 * 256 = 4,096 rows) are not bound by
-# MAX_BATCH_ROWS: that cap keeps a lockstep step's evaluation from
-# growing with the number of runs, while an init block belongs to one
-# run and this cap bounds it.
+# MAX_BATCH_ROWS: that cap bounds the rows of a lockstep group, which
+# the harness forms with at most MAX_BATCH_ROWS rows in all, while an
+# init block belongs to one run and this cap bounds it.
 _INIT_BLOCK_CHUNKS = 16
 
 
@@ -90,36 +89,14 @@ class InitializationFailure(RuntimeError):
         self.evaluations = evaluations
 
 
-@dataclass(frozen=True)
-class CoefficientSet:
-    """Inertia ``w``, individuality ``iw`` and sociality ``sw`` weights."""
-
-    w: float
-    iw: float
-    sw: float
-
-
-COEFFICIENT_PRESETS = (
-    CoefficientSet(0.5, 2.0, 2.0),
-    CoefficientSet(0.7298, 1.49609, 1.49609),
-    CoefficientSet(0.7, 2.0, 2.0),
+# Inertia ``w``, individuality ``iw`` and sociality ``sw`` weights of
+# the three presets, one row each.  Each run's particles take them by
+# contiguous index thirds; when the size is not divisible by three the
+# remainder joins the last third.
+COEFFICIENT_PRESETS = np.array(
+    [[0.5, 2.0, 2.0], [0.7298, 1.49609, 1.49609], [0.7, 2.0, 2.0]]
 )
-
-
-def assign_coefficients(particle_index: int, swarm_size: int) -> CoefficientSet:
-    """Coefficient preset by contiguous index thirds.
-
-    The first third of indices gets the first preset and so on; when the
-    size is not divisible by three the remainder joins the last third.
-    """
-    if not 0 <= particle_index < swarm_size:
-        raise ValueError("particle index out of range")
-    third = swarm_size // 3
-    if particle_index < third:
-        return COEFFICIENT_PRESETS[0]
-    if particle_index < 2 * third:
-        return COEFFICIENT_PRESETS[1]
-    return COEFFICIENT_PRESETS[2]
+COEFFICIENT_PRESETS.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -128,25 +105,21 @@ class Topology:
 
     kinds: ``ring`` (cyclic window of ``window`` indices centred on each
     particle, the extra neighbour on the successor side when the window
-    is even), ``fully-connected``, and ``wheel`` (the hub sees everyone,
-    spokes see themselves and the hub).
+    is even) and ``fully-connected``.
     """
 
     kind: str
     swarm_size: int
     window: int = 3
-    hub: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("ring", "fully-connected", "wheel"):
+        if self.kind not in ("ring", "fully-connected"):
             raise ValueError(f"unknown topology kind {self.kind!r}")
         if self.swarm_size < 1:
             raise ValueError("swarm_size must be positive")
         if self.kind == "ring":
             if not 3 <= self.window <= self.swarm_size:
                 raise ValueError("ring window must be in [3, swarm_size]")
-        if self.kind == "wheel" and not 0 <= self.hub < self.swarm_size:
-            raise ValueError("wheel hub out of range")
 
     @classmethod
     def from_nn(cls, nn: int, swarm_size: int) -> "Topology":
@@ -169,10 +142,6 @@ class Topology:
         out = np.zeros((s, s), dtype=bool)
         if self.kind == "fully-connected":
             out[:] = True
-        elif self.kind == "wheel":
-            np.fill_diagonal(out, True)
-            out[self.hub, :] = True
-            out[:, self.hub] = True
         else:
             others = self.window - 1
             left = others // 2
@@ -235,13 +204,17 @@ def lbest_index(
 class Swarm:
     """Mutable state of the runs of one cell, stepped in lockstep.
 
-    :func:`init_swarm` builds one run; :meth:`join` makes one swarm of
-    several runs of the same cell.  With ``s`` particles per run, the
-    rows of ``positions``, ``velocities``, ``current``, ``pbest`` and
-    the masks are run-major: run ``r`` owns rows ``r * s`` to
-    ``(r + 1) * s - 1``, so a one-run swarm has ``(s, n)`` arrays.  Run
-    ``r`` draws from ``rngs[r]`` only, in the order of the module's
-    randomness contract, so a run steps exactly as it would alone.
+    The constructor builds the runs of ``rngs``, one generator per run,
+    from their initial ``positions`` and ``init_evaluations``, the
+    evaluations each run spent before its initial positions (rejected
+    candidates); :func:`init_swarm` builds one run, and :meth:`join`
+    makes one swarm of several runs of the same cell.  With ``s``
+    particles per run, the rows of ``positions``, ``velocities``,
+    ``current``, ``pbest``, the coefficients and the masks are
+    run-major: run ``r`` owns rows ``r * s`` to ``(r + 1) * s - 1``, so
+    a one-run swarm has ``(s, n)`` arrays.  Run ``r`` draws from
+    ``rngs[r]`` only, in the order of the module's randomness contract,
+    so a run steps exactly as it would alone.
 
     ``run_evaluations`` counts, per run, every objective evaluation
     charged to it: ``run_init_evaluations`` (initialization, rejections
@@ -259,26 +232,27 @@ class Swarm:
         problem: Problem,
         config: SwarmConfig,
         cht: ChtConfig,
-        rng: np.random.Generator,
+        rngs: Sequence[np.random.Generator],
         positions: np.ndarray,
-        init_evaluations: int,
+        init_evaluations: Sequence[int],
     ):
         self.problem = problem
         self.config = config
         self.cht = cht
-        self.rngs = [rng]
+        self.rngs = list(rngs)
         self.t = 0
         s = config.size
+        if len(positions) != len(self.rngs) * s:
+            raise ValueError("positions must hold one row per particle of each run")
         self.positions = positions
         self.velocities = np.zeros_like(positions)
-        coeffs = [assign_coefficients(i, s) for i in range(s)]
-        self.w = np.array([c.w for c in coeffs])
-        self.iw = np.array([c.iw for c in coeffs])
-        self.sw = np.array([c.sw for c in coeffs])
+        preset = np.minimum(np.arange(s) // (s // 3), 2)
+        coefficients = COEFFICIENT_PRESETS.T[:, np.tile(preset, len(self.rngs))]
+        self.w, self.iw, self.sw = coefficients
         self.neighbors = config.topology.neighbor_matrix
         self.current = evaluate_batch(problem, positions)
-        self.run_init_evaluations = np.array([init_evaluations + s])
-        self.run_repair_evaluations = np.zeros(1, dtype=np.int64)
+        self.run_init_evaluations = np.asarray(init_evaluations, dtype=np.int64) + s
+        self.run_repair_evaluations = np.zeros(len(self.rngs), dtype=np.int64)
         self.pbest = self.current.copy()
         self.tolerances = cht.tolerances_at(config.tolerances, 1, config.steps)
         # The current positions' feasibility mask (None for apm, which
@@ -296,31 +270,33 @@ class Swarm:
     def join(cls, swarms: Sequence["Swarm"]) -> "Swarm":
         """One swarm holding the runs of ``swarms``, in order.
 
-        The swarms must be runs of one cell at the same step: their
-        configs may differ in the seed alone.  The joined swarm keeps the
-        first one's ``config``; a single swarm is returned as it is.
+        The swarms must be unstepped runs of one cell: their configs may
+        differ in the seed alone.  A single swarm is returned as it is;
+        otherwise the runs' generators, initial positions and
+        initialization charges build a new swarm with the first one's
+        ``config``.  Its initial evaluation gives every run's rows bit
+        for bit, since each row is evaluated on its own.
         """
         first = swarms[0]
         if len(swarms) == 1:
             return first
         cell = dataclasses.replace(first.config, seed=None)
-        for other in swarms[1:]:
+        for other in swarms:
             if (
                 dataclasses.replace(other.config, seed=None) != cell
                 or other.problem is not first.problem
                 or other.cht != first.cht
-                or other.t != first.t
+                or other.t != 0
             ):
-                raise ValueError("only runs of one cell at one step can join")
-        group = copy.copy(first)
-        group.rngs = [g for sw in swarms for g in sw.rngs]
-        for name in _RUN_STATE:
-            parts = [getattr(sw, name) for sw in swarms]
-            if isinstance(parts[0], BatchEval):
-                setattr(group, name, BatchEval.concat(parts))
-            elif parts[0] is not None:
-                setattr(group, name, np.concatenate(parts))
-        return group
+                raise ValueError("only unstepped runs of one cell can join")
+        return cls(
+            first.problem,
+            first.config,
+            first.cht,
+            [g for sw in swarms for g in sw.rngs],
+            np.concatenate([sw.positions for sw in swarms]),
+            np.concatenate([sw.run_init_evaluations for sw in swarms]) - cell.size,
+        )
 
     @property
     def runs(self) -> int:
@@ -381,7 +357,7 @@ class Swarm:
         np.clip(v_new, -vmax, vmax, out=v_new)
 
         x_new = self.problem.snap_to_grid(self.positions + v_new)
-        new_eval = evaluate_rows(self.problem, x_new)
+        new_eval = evaluate_batch(self.problem, x_new)
         feasible = None if self.cht.uses_penalty else new_eval.feasible(tol)
 
         if self.cht.is_repair:
@@ -454,24 +430,6 @@ class Swarm:
         return lbest_index(everyone, self.pbest_primary, self.pbest_secondary)
 
 
-# Attributes with one row per particle or one entry per run; joining
-# swarms concatenates them.
-_RUN_STATE = (
-    "positions",
-    "velocities",
-    "w",
-    "iw",
-    "sw",
-    "current",
-    "pbest",
-    "current_feasible",
-    "pbest_primary",
-    "pbest_secondary",
-    "run_init_evaluations",
-    "run_repair_evaluations",
-)
-
-
 def init_swarm(
     problem: Problem,
     config: SwarmConfig,
@@ -499,12 +457,12 @@ def init_swarm(
     s = config.size
     if not cht.requires_feasible_init:
         positions = problem.sample_uniform(rng, s)
-        return Swarm(problem, config, cht, rng, positions, init_evaluations=0)
+        return Swarm(problem, config, cht, [rng], positions, [0])
 
     positions, extra = _feasible_positions(
         problem, rng, s, max_attempts_per_particle, tol
     )
-    return Swarm(problem, config, cht, rng, positions, init_evaluations=extra)
+    return Swarm(problem, config, cht, [rng], positions, [extra])
 
 
 def _feasible_positions(

@@ -56,17 +56,25 @@ def test_run_json_round_trip(capsys):
     assert record["config"]["runs"] == 2
     assert record["summary"]["failed"] is False
     assert record["summary"]["fes"] == 500
+    assert record["config"]["rec_rate"] == 0.995
     assert len(record["runs"]) == 2
     assert json.loads(json.dumps(record)) == record
 
 
 def test_run_jobs_output_byte_identical(capsys):
-    # Three runs on two workers: groups of two and one run.
-    args = RUN_ARGS[:-4] + ["--runs", "3", "--seed", "7", "--detail"]
-    assert main(args) == 0
-    serial = capsys.readouterr().out
-    assert main(args + ["--jobs", "2"]) == 0
-    assert capsys.readouterr().out == serial
+    cells = [
+        # Three runs on two workers: groups of two and one run.
+        ["--runs", "3"],
+        # At most two runs of 700 particles fit MAX_BATCH_ROWS, so five
+        # runs form three groups, more than the two workers.
+        ["--particles", "700", "--steps", "4", "--runs", "5"],
+    ]
+    for cell in cells:
+        args = RUN_ARGS[:-4] + cell + ["--seed", "7", "--detail"]
+        assert main(args) == 0
+        serial = capsys.readouterr().out
+        assert main(args + ["--jobs", "2"]) == 0
+        assert capsys.readouterr().out == serial
 
 
 def test_run_writes_output_file(tmp_path, capsys):
@@ -116,6 +124,24 @@ def test_unknown_cht_exits_nonzero(capsys):
     code = main(["run", "--problem", "g08", "--cht", "nosuch"])
     assert code == 2
     assert "pfpr" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (RUN_ARGS + ["--nn", "1"], "nn must be >= 2"),
+        (RUN_ARGS + ["--steps", "0"], "steps must be >= 1"),
+        (RUN_ARGS + ["--prob", "2"], "prob must be in [0, 1]"),
+        (["feasibility", "--problem", "g08", "--seed", "-1"], "seed must be"),
+        (["feasibility", "--problem", "g08", "--tol-eq", "-1"], "must be nonnegative"),
+    ],
+)
+def test_invalid_values_are_usage_errors(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("cpso: error: ") and message in line
 
 
 def test_invalid_rec_tolerance_exits_nonzero(capsys):
@@ -278,6 +304,19 @@ def test_sweep_end_to_end(tmp_path, capsys):
     assert lines[2].startswith("g08,apm,")
 
 
+def test_sweep_json_reports_rec_rate(tmp_path, capsys):
+    # The rate changes an exponential schedule, so the row names it.
+    text = "particles = 6\nsteps = 5\nruns = 1\n"
+    for rate in ("0.9", "0.99"):
+        text += "[run]\nproblem = g11\ncht = pfpr+rec\nrec-decrease = exp\n"
+        text += f"rec-rate = {rate}\n"
+    path = tmp_path / "rates.cfg"
+    path.write_text(text)
+    assert main(["sweep", str(path)]) == 0
+    records = json.loads(capsys.readouterr().out)
+    assert [r["config"]["rec_rate"] for r in records] == [0.9, 0.99]
+
+
 def test_sweep_malformed_reports_line_number():
     with pytest.raises(UsageError, match="line 3"):
         parse_sweep_file("[run]\nproblem = g08\nbogus-key = 1\ncht = pfpr\n")
@@ -291,6 +330,7 @@ def test_sweep_malformed_reports_line_number():
         ("cht = pfpr\nnn = 10\nparticles = 6\n", "nn + 1 must not exceed the particle count"),
         ("cht = pfpr+rec\ntol-eq = 1000\n", "initial_tol must be >= final_tol"),
         ("nn = 3\n", "missing required key 'cht'"),
+        ("cht = pfpr\nnn = 1\n", "nn must be >= 2"),
     ],
 )
 def test_sweep_section_errors_name_the_section(tmp_path, capsys, third, message):

@@ -225,7 +225,7 @@ def test_already_feasible_step_unchanged():
     for variant in REPAIRS:
         config = SwarmConfig(size=9, steps=5, topology=Topology.from_nn(2, 9), seed=0)
         collapsed = np.full((9, 1), -3.0)
-        swarm = Swarm(prob, config, ChtConfig(variant), np.random.default_rng(0), collapsed, 0)
+        swarm = Swarm(prob, config, ChtConfig(variant), [np.random.default_rng(0)], collapsed, [0])
         swarm.velocities[:] = 1.0
         clone = np.random.default_rng()
         clone.bit_generator.state = swarm.rngs[0].bit_generator.state

@@ -28,6 +28,11 @@ def test_config_validation():
         make_config(runs=0)
     with pytest.raises(ValueError):
         make_config(master_seed=-1)
+    # The swarm config the runs use is built with the config.
+    with pytest.raises(ValueError, match="nn must be >= 2"):
+        make_config(nn=1)
+    with pytest.raises(ValueError, match="steps must be >= 1"):
+        make_config(steps=0)
 
 
 def test_run_single_deterministic():
@@ -90,6 +95,43 @@ def test_parallel_matches_serial():
     assert serial.best_conflict == parallel.best_conflict
     assert serial.mean_conflict == parallel.mean_conflict
     assert [r.conflict for r in serial.runs] == [r.conflict for r in parallel.runs]
+
+
+def test_groups_fit_the_row_cap_and_the_workers(monkeypatch):
+    import concurrent.futures
+
+    workers = []
+
+    class InProcess:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *args):
+            return map(fn, *args)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcess)
+    # Two runs of 700 particles fit MAX_BATCH_ROWS: three groups, which
+    # two jobs run on two workers.
+    big = make_config(particles=700, steps=3, runs=5)
+    assert harness._groups(big, 1) == [[0, 1], [2, 3], [4]]
+    assert harness._groups(big, 2) == [[0, 1], [2, 3], [4]]
+    # Small runs form one group per job, but never more than the runs.
+    small = make_config(runs=5)
+    assert harness._groups(small, 1) == [[0, 1, 2, 3, 4]]
+    assert harness._groups(small, 4) == [[0, 1], [2], [3], [4]]
+    assert harness._groups(small, 9) == [[0], [1], [2], [3], [4]]
+    serial = run_experiment(big)
+    assert [r.conflict for r in run_experiment(big, jobs=2).runs] == [
+        r.conflict for r in serial.runs
+    ]
+    run_experiment(small, jobs=9)
+    assert workers == [2, 5]
 
 
 def test_all_failed_runs_mark_fail_row():
@@ -156,6 +198,10 @@ def test_rec_schedule_resolved_from_problem():
         make_config(
             problem="g11", cht=ChtConfig("pfpr+rec"), tolerances=Tolerances(eq=2.0)
         )
+    # A technique carrying its own schedule would ignore rec_switch,
+    # rec_decrease and rec_rate, which the row reports.
+    with pytest.raises(ValueError, match="must not carry a schedule"):
+        make_config(problem="g11", cht=cht)
 
 
 def test_sweep_preserves_order_and_isolates_errors():

@@ -3,10 +3,12 @@
 A swarm joined from several runs steps them all at once.  Each run must
 end exactly where it ends stepping alone: the same positions,
 velocities, evaluations (every field, compared by bytes), masks,
-counters and generator state.  Big groups evaluate in slices of at most
-``MAX_BATCH_ROWS`` rows, and a cell whose evaluation faults raises the
-fault serial execution raises.
+counters and generator state.  The harness steps a big cell in groups
+whose steps evaluate at most ``MAX_BATCH_ROWS`` rows, and a cell whose
+evaluation faults raises the fault serial execution raises.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -16,8 +18,8 @@ from hypothesis import strategies as st
 from cpso import handlers, harness, problem as problem_module, swarm as swarm_module
 from cpso.handlers import KINDS, ChtConfig
 from cpso.harness import ExperimentConfig, run_experiment, run_single, summarize
-from cpso.problem import MAX_BATCH_ROWS, EvaluationFault, Problem
-from cpso.swarm import InitializationFailure, Swarm, SwarmConfig, Topology, init_swarm
+from cpso.problem import MAX_BATCH_ROWS, BatchEval, EvaluationFault, Problem
+from cpso.swarm import InitializationFailure, Swarm, init_swarm
 
 FIELDS = (
     "positions",
@@ -36,17 +38,10 @@ PROBLEMS = ("g01", "g04", "g11", "welded-beam", "pressure-vessel-mixed")
 
 def one_run(config, i):
     """Run ``i`` of ``config`` as the harness initializes it, or None."""
-    swarm_config = SwarmConfig(
-        size=config.particles,
-        steps=config.steps,
-        topology=Topology.from_nn(config.nn, config.particles),
-        seed=np.random.SeedSequence([config.master_seed, i]),
-        tolerances=config.tolerances,
-    )
     try:
         return init_swarm(
             harness.get_problem(config.problem),
-            swarm_config,
+            config.swarm_config(i),
             config.resolved_cht(),
             config.max_init_attempts,
         )
@@ -118,9 +113,13 @@ def test_lockstep_equals_runs_alone(name, kind, full, size, runs, steps, budget,
     assert group.evaluations == sum(sw.evaluations for sw in alone)
 
     # The harness steps the same group: its rows equal one-run groups'.
-    row = run_experiment(config)
-    single = summarize(config, [run_single(config, i) for i in range(runs)])
-    for got, expect in zip(row.runs, single.runs):
+    assert_row_equals_runs_alone(config, run_experiment(config))
+
+
+def assert_row_equals_runs_alone(config, row):
+    """``row`` holds the results of ``config``'s runs each run alone."""
+    single = summarize(config, [run_single(config, i) for i in range(config.runs)])
+    for got, expect in zip(row.runs, single.runs, strict=True):
         assert got.termination == expect.termination
         assert (got.evaluations, got.init_evaluations, got.repair_evaluations) == (
             expect.evaluations,
@@ -138,6 +137,48 @@ def test_lockstep_equals_runs_alone(name, kind, full, size, runs, steps, budget,
     )
 
 
+def arrays(value):
+    """``value`` as named arrays: a batch's fields, or the array itself."""
+    if isinstance(value, BatchEval):
+        return {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+    return {"": value}
+
+
+@pytest.mark.parametrize("kind", ("pfpr", "apm", "bm", "pfppr+rec"))
+def test_join_concatenates_every_run_array(kind):
+    # Every attribute with one row per particle or one entry per run,
+    # whatever its name, holds the runs' own one after another.
+    config = ExperimentConfig("g04", ChtConfig(kind), 2, 6, 5, 3, master_seed=2)
+    started = started_runs(config)
+    group = Swarm.join(started)
+    assert group.rngs == [sw.rngs[0] for sw in started]
+    joined = set()
+    for name, value in vars(group).items():
+        per_run = isinstance(value, np.ndarray) and len(value) in (3 * 6, 3)
+        if not (per_run or isinstance(value, BatchEval)):
+            continue
+        parts = [arrays(vars(sw)[name]) for sw in started]
+        for field, got in arrays(value).items():
+            expect = np.concatenate([p[field] for p in parts])
+            assert got.dtype == expect.dtype, (name, field)
+            assert got.tobytes() == expect.tobytes(), (name, field)
+        joined.add(name)
+    assert joined >= {
+        "positions",
+        "velocities",
+        "w",
+        "iw",
+        "sw",
+        "current",
+        "pbest",
+        "pbest_primary",
+        "pbest_secondary",
+        "run_init_evaluations",
+        "run_repair_evaluations",
+    }
+    assert ("current_feasible" in joined) == (kind != "apm")
+
+
 def test_join_rejects_runs_of_other_cells():
     config = ExperimentConfig("g04", ChtConfig("pfpr"), 2, 6, 5, 2)
     a, b = started_runs(config)
@@ -148,32 +189,34 @@ def test_join_rejects_runs_of_other_cells():
 
 
 def test_lockstep_batches_stay_under_the_row_cap(monkeypatch):
-    # 30 runs of 150 particles step 4,500 rows at once, and repair more.
+    # 30 runs of 150 particles would step 4,500 rows at once, and repair
+    # more; the harness steps them in groups of at most 13 runs.
     config = ExperimentConfig(
         "welded-beam", ChtConfig("bm"), 2, 150, 3, 30, master_seed=4
     )
-    started = started_runs(config)
-    alone = started_runs(config)
-    sizes = []
-    real = problem_module.evaluate_batch
+    sizes, stepped, groups = [], [], []
+    real_batch, real_step = problem_module.evaluate_batch, Swarm.step
 
     def counting(problem, positions):
         sizes.append(len(positions))
-        return real(problem, positions)
+        return real_batch(problem, positions)
+
+    def step(self):
+        if self.t == 0:
+            groups.append(self.runs)
+        sizes.clear()
+        real_step(self)
+        stepped.extend(sizes)
 
     for module in (problem_module, swarm_module, handlers):
         monkeypatch.setattr(module, "evaluate_batch", counting)
-    group = Swarm.join(started)
-    for _ in range(3):
-        group.step()
-    assert max(sizes) == MAX_BATCH_ROWS
-    assert sum(sizes) > 3 * 30 * 150  # repair trials were evaluated too
+    monkeypatch.setattr(Swarm, "step", step)
+    row = run_experiment(config)
     monkeypatch.undo()
-    for _ in range(3):
-        for sw in alone:
-            sw.step()
-    for r, sw in enumerate(alone):
-        assert_run_equals(group, r, sw)
+    assert len(groups) >= 3 and sum(groups) == 30
+    assert max(stepped) <= MAX_BATCH_ROWS
+    assert sum(stepped) > 3 * 30 * 150  # repair trials were evaluated too
+    assert_row_equals_runs_alone(config, row)
 
 
 def test_fault_only_run_1_reaches_raises_the_serial_error(monkeypatch):

@@ -12,7 +12,6 @@ from cpso.swarm import (
     Swarm,
     SwarmConfig,
     Topology,
-    assign_coefficients,
     init_swarm,
     lbest_index,
 )
@@ -35,29 +34,36 @@ def make_config(size=9, steps=5, seed=0, nn=2):
 
 
 def test_coefficient_presets_exact():
-    first, second, third = COEFFICIENT_PRESETS
-    assert (first.w, first.iw, first.sw) == (0.5, 2.0, 2.0)
-    assert (second.w, second.iw, second.sw) == (0.7298, 1.49609, 1.49609)
-    assert (third.w, third.iw, third.sw) == (0.7, 2.0, 2.0)
+    assert COEFFICIENT_PRESETS.tolist() == [
+        [0.5, 2.0, 2.0],
+        [0.7298, 1.49609, 1.49609],
+        [0.7, 2.0, 2.0],
+    ]
+
+
+def coefficients(size, runs=1):
+    """Every row's ``(w, iw, sw)`` in a swarm of ``runs`` runs of ``size``."""
+    rngs = [np.random.default_rng(r) for r in range(runs)]
+    positions = np.zeros((runs * size, 1))
+    config = make_config(size=size)
+    swarm = Swarm(line(), config, ChtConfig("pfpr"), rngs, positions, [0] * runs)
+    return np.column_stack((swarm.w, swarm.iw, swarm.sw))
 
 
 def test_coefficient_assignment_by_thirds():
-    assert assign_coefficients(0, 20) == COEFFICIENT_PRESETS[0]
-    assert assign_coefficients(19, 20) == COEFFICIENT_PRESETS[2]
-    assert assign_coefficients(7, 21) == COEFFICIENT_PRESETS[1]
+    assert np.array_equal(coefficients(20)[0], COEFFICIENT_PRESETS[0])
+    assert np.array_equal(coefficients(20)[19], COEFFICIENT_PRESETS[2])
+    assert np.array_equal(coefficients(21)[7], COEFFICIENT_PRESETS[1])
 
 
 def test_coefficient_remainder_joins_last_third():
     # size 20: thirds of 6, indices 12..19 take the last preset
-    groups = [assign_coefficients(i, 20) for i in range(20)]
-    assert groups[:6] == [COEFFICIENT_PRESETS[0]] * 6
-    assert groups[6:12] == [COEFFICIENT_PRESETS[1]] * 6
-    assert groups[12:] == [COEFFICIENT_PRESETS[2]] * 8
-
-
-def test_coefficient_index_out_of_range():
-    with pytest.raises(ValueError):
-        assign_coefficients(20, 20)
+    groups = coefficients(20)
+    assert np.array_equal(groups[:6], np.tile(COEFFICIENT_PRESETS[0], (6, 1)))
+    assert np.array_equal(groups[6:12], np.tile(COEFFICIENT_PRESETS[1], (6, 1)))
+    assert np.array_equal(groups[12:], np.tile(COEFFICIENT_PRESETS[2], (8, 1)))
+    # Every run of a swarm takes them the same way.
+    assert np.array_equal(coefficients(20, runs=3), np.tile(groups, (3, 1)))
 
 
 # ------------------------------------------------------------------ topology
@@ -83,12 +89,6 @@ def test_fully_connected_sees_everyone():
     assert Topology("fully-connected", 7).neighbor_matrix.all()
 
 
-def test_wheel_spokes_see_hub():
-    topo = Topology("wheel", 6, hub=0)
-    assert candidates(topo, 3) == [0, 3]
-    assert len(candidates(topo, 0)) == 6
-
-
 def test_from_nn_mapping():
     assert Topology.from_nn(2, 20).kind == "ring"
     assert Topology.from_nn(2, 20).window == 3
@@ -102,8 +102,6 @@ def test_topology_validation():
         Topology("ring", 5, window=7)
     with pytest.raises(ValueError):
         Topology("mesh", 5)
-    with pytest.raises(ValueError):
-        Topology("wheel", 5, hub=9)
 
 
 # ------------------------------------------------------------------- updates
@@ -123,7 +121,7 @@ def staged_swarm(problem, positions, velocities, memories, rng, nn=2):
     """A pfpr swarm with the given state and generator, ready to step."""
     size = len(positions)
     config = make_config(size=size, nn=nn)
-    swarm = Swarm(problem, config, ChtConfig("pfpr"), rng, np.array(positions, dtype=float), 0)
+    swarm = Swarm(problem, config, ChtConfig("pfpr"), [rng], np.array(positions, dtype=float), [0])
     swarm.velocities = np.array(velocities, dtype=float)
     swarm.pbest = evaluate_batch(problem, np.array(memories, dtype=float))
     swarm.pbest_primary, swarm.pbest_secondary = sort_keys(
@@ -223,7 +221,7 @@ def test_config_validation():
 def test_zero_attraction_fixed_point(toy1):
     # a collapsed swarm: identical positions, memories, zero velocities
     collapsed = np.full((9, 2), -1.0)
-    swarm = Swarm(toy1, make_config(), ChtConfig("pfpr"), np.random.default_rng(0), collapsed, 0)
+    swarm = Swarm(toy1, make_config(), ChtConfig("pfpr"), [np.random.default_rng(0)], collapsed, [0])
     for _ in range(3):
         swarm.step()
         assert np.all(swarm.positions == np.array([-1.0, -1.0]))
@@ -316,7 +314,7 @@ def test_carried_feasibility_masks_describe_the_state(name, kind):
         cht = dataclasses.replace(cht, rec=RecSchedule.for_problem(problem))
     rng = np.random.default_rng(3)
     config = make_config(size=12, steps=30)
-    swarm = Swarm(problem, config, cht, rng, problem.sample_uniform(rng, 12), 0)
+    swarm = Swarm(problem, config, cht, [rng], problem.sample_uniform(rng, 12), [0])
     for _ in range(30):
         swarm.step()
         tol = swarm.tolerances
@@ -340,7 +338,7 @@ def test_rec_without_schedule_is_rejected():
         init_swarm(problem, config, cht)
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match=message):
-        Swarm(problem, config, cht, rng, problem.sample_uniform(rng, 6), 0)
+        Swarm(problem, config, cht, [rng], problem.sample_uniform(rng, 6), [0])
 
 
 def test_repair_keeps_positions_feasible(toy1):

@@ -41,11 +41,9 @@ KEY_VALUES = st.sampled_from([-1.5, -0.0, 0.0, 0.5, 2.0, np.inf])
 @st.composite
 def topologies(draw):
     s = draw(st.integers(3, 12))
-    kind = draw(st.sampled_from(["ring", "fully-connected", "wheel"]))
+    kind = draw(st.sampled_from(["ring", "fully-connected"]))
     if kind == "ring":
         return Topology("ring", s, window=draw(st.integers(3, s)))
-    if kind == "wheel":
-        return Topology("wheel", s, hub=draw(st.integers(0, s - 1)))
     return Topology(kind, s)
 
 
