@@ -23,7 +23,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from .problem import MAX_BATCH_ROWS, BatchEval, Problem, Tolerances, evaluate_batch
+from .problem import MAX_BATCH_ROWS, Problem, Tolerances, feasible_mask
 
 __all__ = [
     "SuiteEntry",
@@ -705,11 +705,12 @@ def estimate_feasibility_ratio(
 
     Deterministic for a fixed seed.  Discrete dimensions are snapped to
     their grid before testing, mirroring swarm initialization.  The
-    samples are drawn and evaluated in blocks of ``MAX_BATCH_ROWS``
+    samples are drawn and tested with
+    :func:`~cpso.problem.feasible_mask` in blocks of ``MAX_BATCH_ROWS``
     rows, so memory stays bounded; consecutive uniform blocks hold the
     same values as one block of their total size, so the ratio does not
-    depend on the block size.  An evaluation fault names its point's
-    index within its block.
+    depend on the block size.  The objective is never evaluated; a
+    constraint fault names its point's index within its block.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -719,7 +720,6 @@ def estimate_feasibility_ratio(
     while remaining > 0:
         m = min(MAX_BATCH_ROWS, remaining)
         pts = problem.sample_uniform(rng, m)
-        ev = evaluate_batch(problem, pts)
-        feasible += int(np.count_nonzero(ev.feasible(tolerances)))
+        feasible += int(np.count_nonzero(feasible_mask(problem, pts, tolerances)))
         remaining -= m
     return 100.0 * feasible / samples

@@ -210,8 +210,14 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
         raise UsageError(str(exc)) from None
 
 
+def _check_jobs(args: argparse.Namespace) -> None:
+    if args.jobs < 1:
+        raise UsageError("jobs must be >= 1")
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     config = _build_config(args)
+    _check_jobs(args)
     trace_fh = None
     trace = None
     if args.trace is not None:
@@ -322,6 +328,7 @@ def _section_config(section: dict, header: int) -> ExperimentConfig:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    _check_jobs(args)
     try:
         with open(args.config) as fh:
             text = fh.read()

@@ -55,7 +55,9 @@ class ExperimentConfig:
     The relaxed-equality schedule options apply only to ``*+rec``
     techniques; their schedule is built against the problem box, so
     ``cht`` carries none.  The config is validated when it is built,
-    the swarm config its runs use and the schedule included.
+    the swarm config its runs use and the schedule included; the
+    schedule options are reported for every technique, so they are
+    validated for every technique.
     """
 
     problem: str
@@ -83,6 +85,15 @@ class ExperimentConfig:
                 "cht must not carry a schedule: rec_switch, rec_decrease "
                 "and rec_rate build it"
             )
+        # The schedule's own checks of the options; equal tolerances
+        # always pass its initial_tol >= final_tol check.
+        RecSchedule(
+            self.tolerances.eq,
+            self.tolerances.eq,
+            self.rec_switch,
+            self.rec_decrease,
+            self.rec_rate,
+        )
         self.swarm_config(0)
         self.resolved_cht()
 

@@ -220,6 +220,46 @@ def _rows_all(block: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(block.T).all(axis=0)
 
 
+def _checked_positions(problem: Problem, positions: np.ndarray) -> np.ndarray:
+    """The positions as a float ``(m, n)`` array; ``ValueError`` unless finite."""
+    x = np.atleast_2d(np.asarray(positions, dtype=float))
+    if x.shape[1] != problem.dimension:
+        raise ValueError(
+            f"expected dimension {problem.dimension}, got {x.shape[1]}"
+        )
+    if not np.isfinite(x).all():
+        raise ValueError("positions must be finite")
+    return x
+
+
+def _box_excess(problem: Problem, x: np.ndarray) -> np.ndarray:
+    """``|x - clip(x, lower, upper)|``, computed in place.
+
+    At most one side is exceeded, and x - lower is -(lower - x) exactly,
+    so this is max(0, x - upper) + max(0, lower - x) bit for bit.
+    """
+    box = np.minimum(x, problem.upper)
+    np.maximum(box, problem.lower, out=box)
+    np.subtract(x, box, out=box)
+    np.abs(box, out=box)
+    return box
+
+
+def _in_box(problem: Problem, x: np.ndarray) -> np.ndarray:
+    """Which rows lie in the box, bounds included."""
+    return np.all((x >= problem.lower) & (x <= problem.upper), axis=1)
+
+
+def _fault(problem: Problem, k: int, idx: int) -> EvaluationFault:
+    """The fault of function ``k`` (objective, inequality 0.., equality 0..)."""
+    what = (
+        "objective",
+        *(f"inequality {j}" for j in range(problem.n_inequalities)),
+        *(f"equality {j}" for j in range(problem.n_equalities)),
+    )[k]
+    return EvaluationFault(f"non-finite {what} at in-box point index {idx}")
+
+
 def evaluate_batch(problem: Problem, positions: np.ndarray) -> BatchEval:
     """Evaluate a batch of points: conflicts and raw violation amounts.
 
@@ -235,14 +275,7 @@ def evaluate_batch(problem: Problem, positions: np.ndarray) -> BatchEval:
     order objective, inequality 0.., equality 0.. and its first in-box
     row.
     """
-    x = np.atleast_2d(np.asarray(positions, dtype=float))
-    if x.shape[1] != problem.dimension:
-        raise ValueError(
-            f"expected dimension {problem.dimension}, got {x.shape[1]}"
-        )
-    if not np.isfinite(x).all():
-        raise ValueError("positions must be finite")
-
+    x = _checked_positions(problem, positions)
     m = x.shape[0]
     q = problem.n_inequalities
     functions = (problem.objective, *problem.inequalities, *problem.equalities)
@@ -251,16 +284,9 @@ def evaluate_batch(problem: Problem, positions: np.ndarray) -> BatchEval:
         raw[k] = f(x)
     finite = np.isfinite(raw)
     if not finite.all():
-        in_box = np.all((x >= problem.lower) & (x <= problem.upper), axis=1)
-        faults = np.flatnonzero(~finite & in_box)
+        faults = np.flatnonzero(~finite & _in_box(problem, x))
         if faults.size:
-            k, idx = divmod(int(faults[0]), m)
-            what = (
-                "objective",
-                *(f"inequality {j}" for j in range(q)),
-                *(f"equality {j}" for j in range(problem.n_equalities)),
-            )[k]
-            raise EvaluationFault(f"non-finite {what} at in-box point index {idx}")
+            raise _fault(problem, *divmod(int(faults[0]), m))
         raw[~finite] = np.inf
 
     # Point-major and C-contiguous before the row sums: NumPy sums rows of
@@ -275,14 +301,7 @@ def evaluate_batch(problem: Problem, positions: np.ndarray) -> BatchEval:
     eq = violations[:, q:]
     np.maximum(0.0, ineq, out=ineq)
     np.abs(eq, out=eq)
-
-    # |x - clip(x, lower, upper)|, in place: at most one side is exceeded,
-    # and x - lower is -(lower - x) exactly, so this is
-    # max(0, x - upper) + max(0, lower - x) bit for bit.
-    box = np.minimum(x, problem.upper)
-    np.maximum(box, problem.lower, out=box)
-    np.subtract(x, box, out=box)
-    np.abs(box, out=box)
+    box = _box_excess(problem, x)
 
     # cv = ineq + eq + box row sums, in that order.  A group of exact
     # zeros (no equalities; no box excess, as for every sampled point) is
@@ -300,6 +319,41 @@ def evaluate_batch(problem: Problem, positions: np.ndarray) -> BatchEval:
         box_violations=box,
         cv=cv,
     )
+
+
+def feasible_mask(
+    problem: Problem, positions: np.ndarray, tolerances: Tolerances
+) -> np.ndarray:
+    """``evaluate_batch(problem, positions).feasible(tolerances)``, cheaply.
+
+    Only the box and the constraints are evaluated: no objective, no
+    ``cv`` and no :class:`BatchEval`.  Every constraint is evaluated on
+    every row, and the faults are those of :func:`evaluate_batch` but for
+    the objective's: a non-finite constraint value at an in-box point
+    raises :class:`EvaluationFault` with the same message, naming the
+    first faulty constraint and its first in-box row, and one outside
+    the box (NaN and -inf included) becomes +inf, as in
+    :func:`evaluate_batch`.  A non-finite objective is not seen here; it
+    raises wherever the objective is evaluated.
+    """
+    x = _checked_positions(problem, positions)
+    box = _box_excess(problem, x)
+    mask = _rows_all(box <= tolerances.ineq)
+    q = problem.n_inequalities
+    for k, g in enumerate((*problem.inequalities, *problem.equalities), start=1):
+        value = np.asarray(g(x), dtype=float)
+        finite = np.isfinite(value)
+        if not finite.all():
+            faults = np.flatnonzero(~finite & _in_box(problem, x))
+            if faults.size:
+                raise _fault(problem, k, int(faults[0]))
+            value = np.where(finite, value, np.inf)
+        # max(0, g) <= tol is g <= tol, as the tolerance is nonnegative.
+        if k <= q:
+            mask &= value <= tolerances.ineq
+        else:
+            mask &= np.abs(value) <= tolerances.eq
+    return mask
 
 
 # Largest batch evaluated in one call: the harness groups a cell's runs

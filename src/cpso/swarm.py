@@ -34,7 +34,7 @@ Initialization draws one ``(size, dimension)`` uniform block, or, when
 the technique needs a feasible start, one stream of uniform candidates
 consumed in chunks of 256 rows per particle: each particle keeps the
 first feasible candidate of its chunks, and the next particle starts at
-the following chunk.  The stream is drawn and evaluated in blocks of up
+the following chunk.  The stream is drawn and tested in blocks of up
 to 16 chunks, but the generator is left where drawing it one chunk at a
 time leaves it: consecutive uniform blocks hold the same values as one
 block of their total size.
@@ -62,10 +62,11 @@ from .problem import (
     Problem,
     Tolerances,
     evaluate_batch,
+    feasible_mask,
 )
 
 _INIT_CHUNK = 256
-# Largest feasible-initialization block, in chunks.  Each evaluate_batch
+# Largest feasible-initialization block, in chunks.  Each feasible_mask
 # call has a fixed cost that a bigger block spreads over more rows, but
 # a block's temporaries add to peak memory: a 64-chunk cap ran the
 # perfbench table-30run workload ~1% faster at 4.2% more peak RSS.
@@ -448,9 +449,15 @@ def init_swarm(
     number of candidates read up to and including the accepted one;
     exceeding the budget raises :class:`InitializationFailure`, which
     carries the evaluations spent.  The
-    stream is drawn and evaluated in blocks of many chunks, and the
+    stream is drawn and tested in blocks of many chunks, and the
     generator is left exactly where drawing one chunk at a time leaves
     it.
+
+    Candidates are tested with :func:`~cpso.problem.feasible_mask`, from
+    the box and the constraints alone, and each one read costs one
+    evaluation.  The objective is evaluated at the accepted positions
+    only, by the :class:`Swarm` constructor, so a non-finite objective
+    at a rejected candidate raises nothing.
     """
     tol = cht.tolerances_at(config.tolerances, 1, config.steps)
     rng = np.random.default_rng(config.seed)
@@ -476,12 +483,13 @@ def _feasible_positions(
 
     Returns the positions and the rejected candidates, which cost one
     evaluation each; the accepted ones are charged by the swarm's
-    initial batch evaluation.  ``rows`` buffers drawn candidates, with
-    ``rows[c]`` the start of the current particle's next chunk and
-    ``start`` the stream index of ``rows[0]``; a block of whole chunks
-    is appended whenever the next chunk runs past its end.  A block
-    evaluates rows that no chunk may read, so once a block's evaluation
-    faults, chunks are evaluated one at a time as they are read: a fault
+    initial batch evaluation.  Candidates are tested with
+    :func:`~cpso.problem.feasible_mask`.  ``rows`` buffers drawn
+    candidates, with ``rows[c]`` the start of the current particle's
+    next chunk and ``start`` the stream index of ``rows[0]``; a block of
+    whole chunks is appended whenever the next chunk runs past its end.
+    A block tests rows that no chunk may read, so once a block's test
+    faults, chunks are tested one at a time as they are read: a fault
     is raised only from a chunk that is read, with its in-chunk index.
     """
     n = problem.dimension
@@ -510,7 +518,7 @@ def _feasible_positions(
             rows = np.concatenate((rows[c:], block))
             if not by_chunk:
                 try:
-                    fresh = evaluate_batch(problem, block).feasible(tol)
+                    fresh = feasible_mask(problem, block, tol)
                     feas = np.concatenate((feas[c:], fresh))
                 except EvaluationFault:
                     by_chunk = True
@@ -518,7 +526,7 @@ def _feasible_positions(
             continue
         if by_chunk:
             span = m
-            f = evaluate_batch(problem, rows[c : c + m]).feasible(tol)
+            f = feasible_mask(problem, rows[c : c + m], tol)
         else:
             # Every whole chunk of this particle that lies in the buffer.
             if c + left <= len(rows):

@@ -151,3 +151,39 @@ def test_tiny_feasible_regions_report_near_zero():
     for name in ("g03", "g05", "g11", "g13"):
         p = get_problem(name)
         assert estimate_feasibility_ratio(p, 20_000, TOL, seed=3) == 0.0
+
+
+# repr(estimate_feasibility_ratio(problem, 1_000_000, Tolerances(), seed))
+# for every registry problem at FROZEN_SEED, recorded while the estimator
+# still evaluated every sample in full (objective, cv and all).
+FROZEN_SEED = 20261018
+FROZEN_RATIOS = {
+    "pressure-vessel-mixed": "76.0001",
+    "pressure-vessel-continuous": "76.0012",
+    "welded-beam": "2.6671",
+    "spring": "0.7504",
+    "himmelblau": "52.0395",
+    "g01": "0.0003",
+    "g02": "99.9961",
+    "g03": "0.0",
+    "g04": "26.8859",
+    "g05": "0.0",
+    "g06": "0.0063",
+    "g07": "0.0",
+    "g08": "0.8516",
+    "g09": "0.5263",
+    "g10": "0.0005",
+    "g11": "0.0",
+    "g12": "4.7904",
+    "g13": "0.0",
+}
+
+
+def test_frozen_ratios_cover_the_registry():
+    assert sorted(FROZEN_RATIOS) == sorted(registry_names())
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_RATIOS))
+def test_ratio_frozen_at_a_million_samples(name):
+    ratio = estimate_feasibility_ratio(get_problem(name), 1_000_000, TOL, FROZEN_SEED)
+    assert repr(ratio) == FROZEN_RATIOS[name]

@@ -144,6 +144,45 @@ def test_invalid_values_are_usage_errors(capsys, argv, message):
     assert line.startswith("cpso: error: ") and message in line
 
 
+@pytest.mark.parametrize("jobs", ["0", "-4"])
+def test_nonpositive_jobs_are_usage_errors(tmp_path, capsys, jobs):
+    path = tmp_path / "one.cfg"
+    path.write_text("[run]\nproblem = g08\ncht = pfpr\nsteps = 3\nruns = 2\n")
+    for argv in (RUN_ARGS, ["sweep", str(path)]):
+        assert main(argv + ["--jobs", jobs]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "cpso: error: jobs must be >= 1\n"
+
+
+@pytest.mark.parametrize(
+    "run_option, sweep_line, message",
+    [
+        (["--rec-switch", "7"], "rec-switch = 7", "switch_fraction must be in (0, 1]"),
+        (["--rec-switch", "0"], "rec-switch = 0", "switch_fraction must be in (0, 1]"),
+        (None, "rec-decrease = exp\nrec-rate = 5", "exponential rate must be in (0, 1)"),
+    ],
+)
+def test_rec_options_are_validated_for_every_technique(
+    tmp_path, capsys, run_option, sweep_line, message
+):
+    # pfpr has no schedule, yet its rows report the schedule options.
+    if run_option is not None:
+        assert main(RUN_ARGS + run_option) == 2
+        assert message in capsys.readouterr().err
+    path = tmp_path / "rec.cfg"
+    path.write_text(f"[run]\nproblem = g08\ncht = pfpr\n{sweep_line}\n")
+    assert main(["sweep", str(path)]) == 2
+    assert f"cpso: error: line 1 ([run]): {message}" in capsys.readouterr().err
+
+
+def test_valid_rec_options_are_reported_for_every_technique(capsys):
+    assert main(RUN_ARGS + ["--steps", "3", "--rec-switch", "0.5"]) == 0
+    config = json.loads(capsys.readouterr().out)["config"]
+    assert config["cht"] == "pfpr"
+    assert config["rec_switch"] == 0.5
+
+
 def test_invalid_rec_tolerance_exits_nonzero(capsys):
     # --tol-eq above the schedule's initial tolerance (half g08's mean span)
     argv = ["run", "--problem", "g08", "--cht", "pfpr+rec", "--tol-eq", "1000"]
@@ -189,17 +228,31 @@ def test_run_evaluation_fault_is_an_error_line(monkeypatch, capsys):
 
 def test_feasibility_evaluation_fault_is_an_error_line(monkeypatch, capsys):
     entry = get_entry("g08")
+    nan_g0 = (lambda x: np.full(len(x), np.nan), *entry.problem.inequalities[1:])
+    nan_constraint = dataclasses.replace(entry.problem, inequalities=nan_g0)
+    monkeypatch.setattr(
+        cli, "get_entry", lambda name: dataclasses.replace(entry, problem=nan_constraint)
+    )
+    code = main(["feasibility", "--problem", "g08", "--samples", "5000"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "cpso: error: non-finite inequality 0 at in-box point index 0\n"
+
+
+def test_feasibility_never_evaluates_the_objective(monkeypatch, capsys):
+    argv = ["feasibility", "--problem", "g08", "--samples", "5000"]
+    assert main(argv) == 0
+    clean = capsys.readouterr().out
+    entry = get_entry("g08")
     nan_objective = dataclasses.replace(
         entry.problem, objective=lambda x: np.full(len(x), np.nan)
     )
     monkeypatch.setattr(
         cli, "get_entry", lambda name: dataclasses.replace(entry, problem=nan_objective)
     )
-    code = main(["feasibility", "--problem", "g08", "--samples", "5000"])
-    assert code == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "cpso: error: non-finite objective at in-box point index 0\n"
+    assert main(argv) == 0
+    assert capsys.readouterr().out == clean
 
 
 def _reject_constant(name):

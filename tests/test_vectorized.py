@@ -7,15 +7,18 @@ per-particle draws against draws taken one particle at a time, the
 blocked feasible initialization against drawing and evaluating one
 256-row chunk at a time, the fused evaluation against sanitizing
 each function's output on its own, the feasibility mask against row
-reductions, and in-place sampling against its affine formula.
+reductions, the mask from the constraints alone against the full
+evaluation's, and in-place sampling against its affine formula.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpso.benchmarks import get_problem, registry_names
+from cpso.benchmarks import estimate_feasibility_ratio, get_problem, registry_names
 from cpso.handlers import ChtConfig, priority_keys, repair_moves, replacement_mask
 from cpso.problem import (
     BatchEval,
@@ -24,7 +27,9 @@ from cpso.problem import (
     RecSchedule,
     Tolerances,
     evaluate_batch,
+    feasible_mask,
 )
+from cpso.harness import ExperimentConfig
 from cpso.swarm import InitializationFailure, SwarmConfig, Topology, init_swarm, lbest_index
 
 from conftest import make_toy1
@@ -269,19 +274,19 @@ def test_feasible_init_equals_per_chunk_loop(name, size, budget, seed):
 
 def _faulty_halfline(bad_points):
     """x <= -99.9 on [-100, 100] (0.05% feasible, ~8 chunks per particle),
-    with a non-finite objective exactly at ``bad_points``, all in the box."""
+    with a non-finite constraint exactly at ``bad_points``, all in the box."""
     evaluated = []
 
-    def objective(x):
+    def constraint(x):
         evaluated.extend(x[:, 0])
-        return np.where(np.isin(x[:, 0], bad_points), np.nan, x[:, 0])
+        return np.where(np.isin(x[:, 0], bad_points), np.nan, x[:, 0] + 99.9)
 
     problem = Problem(
         name="faulty-halfline",
         lower=np.array([-100.0]),
         upper=np.array([100.0]),
-        objective=objective,
-        inequalities=(lambda x: x[:, 0] + 99.9,),
+        objective=lambda x: x[:, 0],
+        inequalities=(constraint,),
     )
     return problem, evaluated
 
@@ -313,6 +318,28 @@ def test_feasible_init_fault_in_a_read_chunk_raises_as_per_chunk(where):
     with pytest.raises(EvaluationFault) as got:
         stream_init(problem, FAULT_SEED, FAULT_SIZE, FAULT_BUDGET)
     assert str(got.value) == str(expect.value)
+
+
+def test_feasible_init_objective_is_read_at_accepted_positions_only():
+    # Candidates are tested from the constraints alone: an objective that
+    # is NaN at every rejected candidate changes nothing, in the feasible
+    # start or in the feasibility estimate.
+    clean, _ = _faulty_halfline([])
+    rejected_nan = dataclasses.replace(
+        clean, objective=lambda x: np.where(x[:, 0] + 99.9 <= TOL.ineq, x[:, 0], np.nan)
+    )
+    expect = stream_init(clean, FAULT_SEED, FAULT_SIZE, FAULT_BUDGET)
+    got = stream_init(rejected_nan, FAULT_SEED, FAULT_SIZE, FAULT_BUDGET)
+    assert np.array_equal(got[0], expect[0])
+    assert got[1:3] == expect[1:3]
+    assert got[3].bit_generator.state == expect[3].bit_generator.state
+    ratio = estimate_feasibility_ratio(clean, 20_000, TOL, seed=3)
+    assert ratio > 0.0
+    assert estimate_feasibility_ratio(rejected_nan, 20_000, TOL, seed=3) == ratio
+    # The Swarm constructor evaluates the accepted positions in full.
+    nan_objective = dataclasses.replace(clean, objective=lambda x: np.full(len(x), np.nan))
+    with pytest.raises(EvaluationFault, match="non-finite objective at in-box point index 0"):
+        stream_init(nan_objective, FAULT_SEED, FAULT_SIZE, FAULT_BUDGET)
 
 
 # ------------------------------------------------------------ evaluation
@@ -481,6 +508,116 @@ def test_feasible_equals_per_row_reduction_on_problems(name, m, reach, seed):
     rec = RecSchedule.for_problem(problem).initial_tol
     for tol in (TOL, Tolerances(eq=rec), Tolerances(ineq=rec, eq=rec)):
         assert np.array_equal(ev.feasible(tol), per_row_feasible(ev, tol))
+
+
+# ------------------------------------------- feasibility from constraints
+
+
+def _pushed_out(problem, x, rng, low, high):
+    """``x`` with one coordinate per row moved outside the box, past the
+    lower or the upper bound, by a distance drawn from [low, high)."""
+    x = x.copy()
+    rows = np.arange(len(x))
+    dims = rng.integers(0, problem.dimension, len(x))
+    step = rng.uniform(low, high)
+    upper = rng.random(len(x)) < 0.5
+    x[rows, dims] = np.where(
+        upper, problem.upper[dims] + step, problem.lower[dims] - step
+    )
+    return x
+
+
+@pytest.mark.parametrize("name", registry_names())
+def test_feasible_mask_equals_evaluate_batch(name):
+    problem = get_problem(name)
+    rng = np.random.default_rng(registry_names().index(name))
+    inside = problem.sample_uniform(rng, 600)
+    # The tolerances of a +rec cell at step 1: its relaxed equality one.
+    cell = ExperimentConfig(name, ChtConfig("pfpr+rec"), 2, 6, 100, 1)
+    relaxed = cell.resolved_cht().tolerances_at(cell.tolerances, 1, cell.steps)
+    for tol in (TOL, Tolerances(ineq=1e-6), relaxed):
+        batches = (
+            inside,
+            # Within, just beyond and far beyond the box tolerance.
+            _pushed_out(problem, inside, rng, 0.0, tol.ineq),
+            _pushed_out(problem, inside, rng, 1.5 * tol.ineq, 2.0 * tol.ineq),
+            _pushed_out(problem, inside, rng, 0.0, 0.3 * problem.span.max()),
+        )
+        for x in batches:
+            with np.errstate(all="ignore"):  # functions outside the box
+                got = feasible_mask(problem, x, tol)
+                expect = evaluate_batch(problem, x).feasible(tol)
+            assert got.dtype == bool
+            assert np.array_equal(got, expect)
+
+
+def _non_finite_outside():
+    """[0, 1]^2 with constraints that are -inf, NaN or +inf outside it:
+    -inf left of the box, NaN below it and +inf right of it, and
+    -inf far above it."""
+    return Problem(
+        name="non-finite-outside",
+        lower=np.array([0.0, 0.0]),
+        upper=np.array([1.0, 1.0]),
+        objective=lambda x: np.full(len(x), np.nan),
+        inequalities=(
+            lambda x: np.where(x[:, 0] < 0.0, -np.inf, x[:, 0] - 2.0),
+            lambda x: np.where(x[:, 1] < 0.0, np.nan, -1.0),
+        ),
+        equalities=(
+            lambda x: np.where(x[:, 0] > 1.0, np.inf, np.where(x[:, 1] > 1.5, -np.inf, 0.0)),
+        ),
+    )
+
+
+def test_feasible_mask_non_finite_outside_the_box_is_infeasible():
+    # Rows 1-4 are outside the box by less than the tolerance, so only
+    # their non-finite values can reject them; -inf <= tol would pass
+    # but evaluate_batch makes it +inf.  Row 5 is finite and within the
+    # tolerance; row 6 is far above the box.
+    problem = _non_finite_outside()
+    x = np.array([
+        [0.5, 0.5], [-5e-13, 0.5], [0.5, -5e-13], [1 + 4e-13, 0.5],
+        [-5e-13, -5e-13], [0.5, 1 + 4e-13], [0.5, 2.0],
+    ])
+    assert feasible_mask(problem, x, TOL).tolist() == [
+        True, False, False, False, False, True, False
+    ]
+    # The mask never evaluates the NaN objective; evaluate_batch needs a
+    # finite one.  An infinite tolerance accepts the +inf that
+    # evaluate_batch puts in place of a non-finite value.
+    finite = dataclasses.replace(problem, objective=lambda x: x[:, 0])
+    for tol in (TOL, Tolerances(ineq=1.0), Tolerances(ineq=np.inf, eq=np.inf)):
+        expect = evaluate_batch(finite, x).feasible(tol)
+        assert np.array_equal(feasible_mask(problem, x, tol), expect)
+
+
+def test_feasible_mask_fault_names_first_faulty_constraint():
+    # As in test_evaluate_batch_fault_names_first_faulty_function, but
+    # the objective is non-finite in the box (row 0) too: evaluate_batch
+    # names it, the mask never evaluates it and names inequality 1.
+    def nan_at(rows):
+        return lambda x: np.where(np.isin(np.arange(len(x)), rows), np.nan, x[:, 0])
+
+    problem = Problem(
+        name="faulty",
+        lower=np.array([0.0, 0.0]),
+        upper=np.array([1.0, 1.0]),
+        objective=nan_at([0]),
+        inequalities=(lambda x: x[:, 0] - 1.0, nan_at([1, 2, 4])),
+        equalities=(nan_at([0]),),
+    )
+    x = np.array([[0.5, 0.5], [1.5, 0.5], [0.2, 0.3], [0.1, 0.9], [0.4, 0.4]])
+    with pytest.raises(EvaluationFault, match="non-finite objective at in-box point index 0"):
+        evaluate_batch(problem, x)
+    with pytest.raises(
+        EvaluationFault, match="non-finite inequality 1 at in-box point index 2"
+    ):
+        feasible_mask(problem, x, TOL)
+    with pytest.raises(ValueError, match="expected dimension 2"):
+        feasible_mask(problem, np.zeros((3, 1)), TOL)
+    with pytest.raises(ValueError, match="positions must be finite"):
+        feasible_mask(problem, np.full((1, 2), np.nan), TOL)
 
 
 # -------------------------------------------------------------- sampling
