@@ -31,7 +31,6 @@ from .swarm import (
     Swarm,
     SwarmConfig,
     Topology,
-    init_swarm,
 )
 
 __version__ = "0.1.0"

@@ -12,9 +12,10 @@ parallel without changing results.
 
 Execution: the runs are split into contiguous groups, each small enough
 that its step evaluates at most ``MAX_BATCH_ROWS`` rows, and at least
-one per worker.  In a group, each run is initialized on its own by
-:func:`~cpso.swarm.init_swarm`; the runs that start are joined into one
-:class:`~cpso.swarm.Swarm` and stepped in lockstep, so that every step
+one per worker.  In a group, each run draws its initial positions on
+its own with :func:`~cpso.swarm.initial_positions`; the runs that start
+make one :class:`~cpso.swarm.Swarm`, built and stepped in lockstep, so
+that one batch evaluates the group's initial positions and every step
 evaluates the group's particles in one batch.  Each run still draws
 from its own generator in its own order, so a run's results do not
 depend on the runs it steps with.  If an evaluation faults, the cell is
@@ -39,7 +40,7 @@ from .swarm import (
     Swarm,
     SwarmConfig,
     Topology,
-    init_swarm,
+    initial_positions,
     lbest_index,
 )
 
@@ -111,8 +112,8 @@ class ExperimentConfig:
 
         The seed is the pair, which ``default_rng`` turns into that
         ``SeedSequence``, so building a config does not import
-        ``numpy.random``.  The runs share one topology, and so the swarms
-        a group holds share one neighbour matrix.
+        ``numpy.random``.  The runs share one topology, and so one
+        neighbour matrix.
         """
         return SwarmConfig(
             size=self.particles,
@@ -200,21 +201,23 @@ def _run_group(
 ) -> List[RunResult]:
     """Runs ``indices`` of ``config``, stepped in lockstep, in index order.
 
-    Each run is initialized on its own; the runs that start are joined
-    and stepped together, and every run's final best is read from one
-    :func:`~cpso.swarm.lbest_index` call.  A run's ``elapsed`` is its
-    own initialization plus an equal share of the lockstep steps.  With
-    ``trace``, each completed run records its best memory's conflict
-    and cv after every step.
+    Each run draws its initial positions on its own; the runs that start
+    make one swarm, built and stepped together, and every run's final
+    best is read from one :func:`~cpso.swarm.lbest_index` call.  A run's
+    ``elapsed`` is its own initialization plus an equal share of the
+    swarm's construction and steps.  With ``trace``, each completed run
+    records its best memory's conflict and cv after every step.
     """
     problem = get_problem(config.problem)
     cht = config.resolved_cht()
-    results, swarms, init_s = {}, {}, {}
+    results, started, starts, init_s = {}, [], [], []
     for i in indices:
         start = time.perf_counter()
         try:
-            swarms[i] = init_swarm(
-                problem, config.swarm_config(i), cht, config.max_init_attempts
+            starts.append(
+                initial_positions(
+                    problem, config.swarm_config(i), cht, config.max_init_attempts
+                )
             )
         except InitializationFailure as failure:
             results[i] = RunResult(
@@ -226,14 +229,15 @@ def _run_group(
                 elapsed=time.perf_counter() - start,
             )
             continue
-        init_s[i] = time.perf_counter() - start
-    if not swarms:
+        started.append(i)
+        init_s.append(time.perf_counter() - start)
+    if not started:
         return [results[i] for i in indices]
 
-    started = list(swarms)
-    # Popped, so that the runs' own copies of their state are freed.
-    group = Swarm.join([swarms.pop(i) for i in started])
     start = time.perf_counter()
+    rngs, positions, rejected = zip(*starts)
+    first = config.swarm_config(started[0])
+    group = Swarm(problem, first, cht, rngs, np.concatenate(positions), rejected)
     log = np.empty((group.runs, config.steps, 2)) if trace else None
     for t in range(config.steps):
         group.step()
@@ -252,7 +256,7 @@ def _run_group(
             evaluations=int(group.run_evaluations[r]),
             init_evaluations=int(group.run_init_evaluations[r]),
             repair_evaluations=int(group.run_repair_evaluations[r]),
-            elapsed=init_s[i] + share,
+            elapsed=init_s[r] + share,
             position=best.positions[r],
             conflict=float(best.conflict[r]),
             cv=float(best.cv[r]),

@@ -393,8 +393,9 @@ class RecSchedule:
             raise ValueError("switch_fraction must be in (0, 1]")
         if self.decrease not in ("linear", "exponential"):
             raise ValueError("decrease must be 'linear' or 'exponential'")
-        if self.decrease == "exponential" and not (0.0 < self.rate < 1.0):
-            raise ValueError("exponential rate must be in (0, 1)")
+        # Checked whatever the decrease: every result row reports it.
+        if not (0.0 < self.rate < 1.0):
+            raise ValueError("rate must be in (0, 1)")
 
     @classmethod
     def for_problem(cls, problem: Problem, **kwargs) -> "RecSchedule":

@@ -42,7 +42,6 @@ block of their total size.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 from dataclasses import dataclass, field
 from typing import Sequence, Tuple
@@ -136,8 +135,7 @@ class Topology:
         """Boolean ``(s, s)`` matrix; row i marks {i} and its neighbours.
 
         Built once and read-only: the runs of a cell share one topology,
-        so the swarms they hold until every run has started share one
-        matrix.
+        and so one matrix.
         """
         s = self.swarm_size
         out = np.zeros((s, s), dtype=bool)
@@ -208,8 +206,8 @@ class Swarm:
     The constructor builds the runs of ``rngs``, one generator per run,
     from their initial ``positions`` and ``init_evaluations``, the
     evaluations each run spent before its initial positions (rejected
-    candidates); :func:`init_swarm` builds one run, and :meth:`join`
-    makes one swarm of several runs of the same cell.  With ``s``
+    candidates), as :func:`initial_positions` gives them, and evaluates
+    every run's initial positions in one batch.  With ``s``
     particles per run, the rows of ``positions``, ``velocities``,
     ``current``, ``pbest``, the coefficients and the masks are
     run-major: run ``r`` owns rows ``r * s`` to ``(r + 1) * s - 1``, so
@@ -265,38 +263,6 @@ class Swarm:
         )
         self.pbest_primary, self.pbest_secondary = sort_keys(
             cht, self.pbest, self.current_feasible
-        )
-
-    @classmethod
-    def join(cls, swarms: Sequence["Swarm"]) -> "Swarm":
-        """One swarm holding the runs of ``swarms``, in order.
-
-        The swarms must be unstepped runs of one cell: their configs may
-        differ in the seed alone.  A single swarm is returned as it is;
-        otherwise the runs' generators, initial positions and
-        initialization charges build a new swarm with the first one's
-        ``config``.  Its initial evaluation gives every run's rows bit
-        for bit, since each row is evaluated on its own.
-        """
-        first = swarms[0]
-        if len(swarms) == 1:
-            return first
-        cell = dataclasses.replace(first.config, seed=None)
-        for other in swarms:
-            if (
-                dataclasses.replace(other.config, seed=None) != cell
-                or other.problem is not first.problem
-                or other.cht != first.cht
-                or other.t != 0
-            ):
-                raise ValueError("only unstepped runs of one cell can join")
-        return cls(
-            first.problem,
-            first.config,
-            first.cht,
-            [g for sw in swarms for g in sw.rngs],
-            np.concatenate([sw.positions for sw in swarms]),
-            np.concatenate([sw.run_init_evaluations for sw in swarms]) - cell.size,
         )
 
     @property
@@ -431,13 +397,18 @@ class Swarm:
         return lbest_index(everyone, self.pbest_primary, self.pbest_secondary)
 
 
-def init_swarm(
+def initial_positions(
     problem: Problem,
     config: SwarmConfig,
     cht: ChtConfig,
     max_attempts_per_particle: int = 1_000_000,
-) -> Swarm:
-    """Build a swarm: uniform positions, zero velocities, memories seeded.
+) -> Tuple[np.random.Generator, np.ndarray, int]:
+    """A run's start: ``(rng, positions, rejected)``, uniform in the box.
+
+    ``rng`` is the run's generator, seeded by ``config.seed`` and left
+    where initialization leaves it, and ``rejected`` counts the
+    candidates rejected before the accepted positions, one evaluation
+    each; the :class:`Swarm` built from them charges the accepted ones.
 
     When the technique requires a feasible start, each particle takes
     the first candidate feasible under the tolerances in force at step 1
@@ -461,15 +432,12 @@ def init_swarm(
     """
     tol = cht.tolerances_at(config.tolerances, 1, config.steps)
     rng = np.random.default_rng(config.seed)
-    s = config.size
     if not cht.requires_feasible_init:
-        positions = problem.sample_uniform(rng, s)
-        return Swarm(problem, config, cht, [rng], positions, [0])
-
-    positions, extra = _feasible_positions(
-        problem, rng, s, max_attempts_per_particle, tol
+        return rng, problem.sample_uniform(rng, config.size), 0
+    positions, rejected = _feasible_positions(
+        problem, rng, config.size, max_attempts_per_particle, tol
     )
-    return Swarm(problem, config, cht, [rng], positions, [extra])
+    return rng, positions, rejected
 
 
 def _feasible_positions(
@@ -479,7 +447,7 @@ def _feasible_positions(
     budget: int,
     tol: Tolerances,
 ) -> Tuple[np.ndarray, int]:
-    """Walk the particles through the candidate stream (see :func:`init_swarm`).
+    """Walk the particles through the candidate stream (see :func:`initial_positions`).
 
     Returns the positions and the rejected candidates, which cost one
     evaluation each; the accepted ones are charged by the swarm's

@@ -6,6 +6,7 @@ import pytest
 
 from cpso.handlers import ChtConfig, replacement_mask, sort_keys
 from cpso.problem import BatchEval, Problem, Tolerances
+from cpso.swarm import Swarm, initial_positions
 
 
 def make_toy1() -> Problem:
@@ -42,6 +43,14 @@ def make_halfline(limit: float = 0.0, lower: float = -100.0, upper: float = 100.
         objective=lambda x: x[:, 0],
         inequalities=(lambda x, c=limit: x[:, 0] - c,),
     )
+
+
+def start_swarm(problem, config, cht, max_attempts_per_particle=1_000_000) -> Swarm:
+    """A one-run swarm of ``config``, built as the harness builds a group."""
+    rng, positions, rejected = initial_positions(
+        problem, config, cht, max_attempts_per_particle
+    )
+    return Swarm(problem, config, cht, [rng], positions, [rejected])
 
 
 def batch(conflict, ineq=0.0, eq=0.0, box=0.0) -> BatchEval:

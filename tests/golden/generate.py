@@ -105,21 +105,21 @@ def _digest(pbest) -> str:
 def record(config: ExperimentConfig) -> dict:
     """Run one cell serially and return its corpus entry."""
     groups = []
-    real = Swarm.__dict__["join"]
 
-    def recording(swarms):
-        group = real.__func__(Swarm, swarms)
-        groups.append(group)
-        return group
+    class Recording(Swarm):
+        def __init__(self, *args):
+            super().__init__(*args)
+            groups.append(self)
 
-    Swarm.join = recording
+    harness.Swarm = Recording
     try:
         row = harness.run_experiment(config)
     finally:
-        Swarm.join = real
+        harness.Swarm = Swarm
 
-    # The completed runs step as one swarm, in index order, each owning
-    # ``particles`` consecutive memories.
+    # The harness builds one swarm per group of runs; the completed runs
+    # of a group step in it in index order, each owning ``particles``
+    # consecutive memories.
     s = config.particles
     bests = iter(
         g.pbest.take(slice(r * s, (r + 1) * s)) for g in groups for r in range(g.runs)

@@ -13,9 +13,9 @@ from cpso.benchmarks import estimate_feasibility_ratio, get_problem
 from cpso.handlers import ChtConfig, penalized_batch, repair_moves
 from cpso.problem import RecSchedule, Tolerances, evaluate_batch
 from cpso.harness import ExperimentConfig, run_experiment
-from cpso.swarm import SwarmConfig, Topology, init_swarm
+from cpso.swarm import SwarmConfig, Topology
 
-from conftest import make_toy1, random_batch, replaces
+from conftest import make_toy1, random_batch, replaces, start_swarm
 
 TOL = Tolerances()
 SEED = 1
@@ -206,7 +206,7 @@ def test_property_velocity_clamp():
     config = SwarmConfig(
         size=12, steps=60, topology=Topology.from_nn(2, 12), seed=SEED
     )
-    swarm = init_swarm(prob, config, ChtConfig("pfpr"))
+    swarm = start_swarm(prob, config, ChtConfig("pfpr"))
     ok = True
     for _ in range(60):
         swarm.step()
@@ -259,7 +259,7 @@ def test_property_discrete_grid():
     config = SwarmConfig(
         size=12, steps=50, topology=Topology.from_nn(2, 12), seed=SEED
     )
-    swarm = init_swarm(prob, config, ChtConfig("pfpr"))
+    swarm = start_swarm(prob, config, ChtConfig("pfpr"))
     ok = True
     for _ in range(50):
         swarm.step()

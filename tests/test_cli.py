@@ -8,7 +8,9 @@ from cpso import cli, harness
 from cpso.benchmarks import get_entry, get_problem
 from cpso.cli import main, parse_sweep_file, CSV_COLUMNS, UsageError
 from cpso.handlers import ChtConfig
-from cpso.swarm import SwarmConfig, Topology, init_swarm
+from cpso.swarm import SwarmConfig, Topology
+
+from conftest import start_swarm
 
 RUN_ARGS = [
     "run",
@@ -100,7 +102,7 @@ def test_run_trace_logs_every_step(tmp_path, capsys):
     expect = [lines[0]]
     for i in range(2):
         config = SwarmConfig(10, 50, Topology.from_nn(2, 10), np.random.SeedSequence([7, i]))
-        swarm = init_swarm(problem, config, ChtConfig("pfpr"))
+        swarm = start_swarm(problem, config, ChtConfig("pfpr"))
         for t in range(1, 51):
             swarm.step()
             best = swarm.best_rows()[0]
@@ -160,7 +162,8 @@ def test_nonpositive_jobs_are_usage_errors(tmp_path, capsys, jobs):
     [
         (["--rec-switch", "7"], "rec-switch = 7", "switch_fraction must be in (0, 1]"),
         (["--rec-switch", "0"], "rec-switch = 0", "switch_fraction must be in (0, 1]"),
-        (None, "rec-decrease = exp\nrec-rate = 5", "exponential rate must be in (0, 1)"),
+        (None, "rec-decrease = exp\nrec-rate = 5", "rate must be in (0, 1)"),
+        (None, "rec-rate = 5", "rate must be in (0, 1)"),
     ],
 )
 def test_rec_options_are_validated_for_every_technique(

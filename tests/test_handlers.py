@@ -3,9 +3,16 @@ import pytest
 
 from cpso.handlers import ChtConfig, KINDS, penalized_batch, priority_keys, repair_moves
 from cpso.problem import Problem, Tolerances, evaluate_batch
-from cpso.swarm import Swarm, SwarmConfig, Topology, init_swarm, lbest_index
+from cpso.swarm import Swarm, SwarmConfig, Topology, lbest_index
 
-from conftest import FixedRng, batch, make_halfline, random_batch, replaces
+from conftest import (
+    FixedRng,
+    batch,
+    make_halfline,
+    random_batch,
+    replaces,
+    start_swarm,
+)
 
 TOL = Tolerances()
 REPAIRS = ("bm", "bmem", "bmpem")
@@ -253,7 +260,7 @@ def test_repair_feasible_or_unchanged_property(toy1):
     for variant in REPAIRS:
         topology = Topology.from_nn(2, 12)
         config = SwarmConfig(size=12, steps=60, topology=topology, seed=10)
-        swarm = init_swarm(toy1, config, ChtConfig(variant))
+        swarm = start_swarm(toy1, config, ChtConfig(variant))
         ladder = ChtConfig(variant).max_repair_trials
         for _ in range(60):
             x_old = swarm.positions.copy()

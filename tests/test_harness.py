@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import cpso
 from cpso import harness
 from cpso.handlers import ChtConfig
 from cpso.harness import ExperimentConfig, run_experiment, run_single, summarize, sweep
@@ -228,3 +234,30 @@ def test_sweep_propagates_programming_errors(monkeypatch):
 def test_sweep_rejects_empty_list():
     with pytest.raises(ValueError):
         sweep([])
+
+
+def fresh_python(code):
+    """Run ``code`` in a new interpreter that imports this ``cpso``, so
+    that no module another test imported is already loaded."""
+    src = str(Path(cpso.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+
+
+def test_import_does_not_load_numpy_random():
+    fresh_python("import sys, cpso\nassert 'numpy.random' not in sys.modules")
+
+
+def test_serial_experiment_does_not_load_multiprocessing():
+    fresh_python(
+        "import sys\n"
+        "from cpso.handlers import ChtConfig\n"
+        "from cpso.harness import ExperimentConfig, run_experiment\n"
+        "row = run_experiment(ExperimentConfig('g04', ChtConfig('bm'), 2, 6, 3, 2))\n"
+        "assert not row.failed\n"
+        "assert 'multiprocessing' not in sys.modules"
+    )

@@ -1,11 +1,12 @@
 """Lockstep runs against runs stepped alone.
 
-A swarm joined from several runs steps them all at once.  Each run must
-end exactly where it ends stepping alone: the same positions,
+A swarm built from several runs' starts steps them all at once.  Each
+run must end exactly where it ends stepping alone: the same positions,
 velocities, evaluations (every field, compared by bytes), masks,
-counters and generator state.  The harness steps a big cell in groups
-whose steps evaluate at most ``MAX_BATCH_ROWS`` rows, and a cell whose
-evaluation faults raises the fault serial execution raises.
+counters and generator state.  The harness builds and evaluates each
+group once, steps a big cell in groups whose steps evaluate at most
+``MAX_BATCH_ROWS`` rows, and a cell whose evaluation faults raises the
+fault serial execution raises.
 """
 
 import dataclasses
@@ -19,7 +20,7 @@ from cpso import handlers, harness, problem as problem_module, swarm as swarm_mo
 from cpso.handlers import KINDS, ChtConfig
 from cpso.harness import ExperimentConfig, run_experiment, run_single, summarize
 from cpso.problem import MAX_BATCH_ROWS, BatchEval, EvaluationFault, Problem
-from cpso.swarm import InitializationFailure, Swarm, init_swarm
+from cpso.swarm import InitializationFailure, Swarm, initial_positions
 
 FIELDS = (
     "positions",
@@ -37,9 +38,10 @@ PROBLEMS = ("g01", "g04", "g11", "welded-beam", "pressure-vessel-mixed")
 
 
 def one_run(config, i):
-    """Run ``i`` of ``config`` as the harness initializes it, or None."""
+    """Run ``i``'s start ``(rng, positions, rejected)``, as the harness
+    draws it, or None."""
     try:
-        return init_swarm(
+        return initial_positions(
             harness.get_problem(config.problem),
             config.swarm_config(i),
             config.resolved_cht(),
@@ -50,8 +52,18 @@ def one_run(config, i):
 
 
 def started_runs(config):
-    runs = [one_run(config, i) for i in range(config.runs)]
-    return [sw for sw in runs if sw is not None]
+    starts = [one_run(config, i) for i in range(config.runs)]
+    return [start for start in starts if start is not None]
+
+
+def build(config, starts):
+    """One swarm of the runs of ``starts``, as the harness builds a group."""
+    rngs, positions, rejected = zip(*starts)
+    problem = harness.get_problem(config.problem)
+    cht = config.resolved_cht()
+    return Swarm(
+        problem, config.swarm_config(0), cht, rngs, np.concatenate(positions), rejected
+    )
 
 
 def assert_run_equals(group, r, alone):
@@ -99,10 +111,10 @@ def test_lockstep_equals_runs_alone(name, kind, full, size, runs, steps, budget,
         max_init_attempts=budget,
     )
     started = started_runs(config)
-    alone = started_runs(config)
     if not started:
         return
-    group = Swarm.join(started)
+    group = build(config, started)
+    alone = [build(config, [start]) for start in started_runs(config)]
     assert group.runs == len(started)
     for _ in range(steps):
         group.step()
@@ -146,18 +158,21 @@ def arrays(value):
 
 @pytest.mark.parametrize("kind", ("pfpr", "apm", "bm", "pfppr+rec"))
 def test_join_concatenates_every_run_array(kind):
-    # Every attribute with one row per particle or one entry per run,
-    # whatever its name, holds the runs' own one after another.
+    # A group built from the runs' starts joins the one-run swarms built
+    # from the same starts: every attribute with one row per particle or
+    # one entry per run, whatever its name, holds the runs' own one after
+    # another.
     config = ExperimentConfig("g04", ChtConfig(kind), 2, 6, 5, 3, master_seed=2)
-    started = started_runs(config)
-    group = Swarm.join(started)
-    assert group.rngs == [sw.rngs[0] for sw in started]
+    starts = started_runs(config)
+    group = build(config, starts)
+    alone = [build(config, [start]) for start in starts]
+    assert group.rngs == [sw.rngs[0] for sw in alone]
     joined = set()
     for name, value in vars(group).items():
         per_run = isinstance(value, np.ndarray) and len(value) in (3 * 6, 3)
         if not (per_run or isinstance(value, BatchEval)):
             continue
-        parts = [arrays(vars(sw)[name]) for sw in started]
+        parts = [arrays(vars(sw)[name]) for sw in alone]
         for field, got in arrays(value).items():
             expect = np.concatenate([p[field] for p in parts])
             assert got.dtype == expect.dtype, (name, field)
@@ -179,13 +194,47 @@ def test_join_concatenates_every_run_array(kind):
     assert ("current_feasible" in joined) == (kind != "apm")
 
 
-def test_join_rejects_runs_of_other_cells():
+def test_group_needs_one_row_per_particle_of_each_run():
     config = ExperimentConfig("g04", ChtConfig("pfpr"), 2, 6, 5, 2)
-    a, b = started_runs(config)
-    b.step()
-    with pytest.raises(ValueError, match="one cell"):
-        Swarm.join([a, b])
-    assert Swarm.join([a]) is a
+    rngs, positions, rejected = zip(*started_runs(config))
+    x = np.concatenate(positions)
+    problem, cht = harness.get_problem("g04"), config.resolved_cht()
+    for rows in (x[:-1], x[:6], np.concatenate((x, x[:1]))):
+        with pytest.raises(ValueError, match="one row per particle of each run"):
+            Swarm(problem, config.swarm_config(0), cht, rngs, rows, rejected)
+
+
+@pytest.mark.parametrize("name, kind", [("g06", "pf"), ("g04", "pfpr")])
+def test_group_is_built_and_evaluated_once(monkeypatch, name, kind):
+    # One swarm per group, whose constructor evaluates every started
+    # run's initial positions in one batch; the steps evaluate the rest.
+    config = ExperimentConfig(name, ChtConfig(kind), 2, 6, 4, 3, master_seed=5)
+    built, outside, stepping = [], [], [False]
+    real_init, real_step = Swarm.__init__, Swarm.step
+    real_batch = swarm_module.evaluate_batch
+
+    def init(self, *args):
+        built.append(len(args[3]))
+        real_init(self, *args)
+
+    def counting(problem, positions):
+        if not stepping[0]:
+            outside.append(len(positions))
+        return real_batch(problem, positions)
+
+    def step(self):
+        stepping[0] = True
+        real_step(self)
+        stepping[0] = False
+
+    monkeypatch.setattr(Swarm, "__init__", init)
+    monkeypatch.setattr(swarm_module, "evaluate_batch", counting)
+    monkeypatch.setattr(Swarm, "step", step)
+    results = harness._run_group(config, [0, 1, 2])
+    monkeypatch.undo()
+    assert [r.completed for r in results] == [True] * 3
+    assert built == [3]
+    assert outside == [3 * 6]
 
 
 def test_lockstep_batches_stay_under_the_row_cap(monkeypatch):
@@ -230,7 +279,7 @@ def test_fault_only_run_1_reaches_raises_the_serial_error(monkeypatch):
     config = ExperimentConfig("toy-plane", ChtConfig("pfpr"), 2, 6, 8, 3)
     visited = []
     for i in range(3):
-        sw = one_run(config, i)
+        sw = build(config, [one_run(config, i)])
         visited.append([])
         for _ in range(config.steps):
             sw.step()
@@ -243,6 +292,39 @@ def test_fault_only_run_1_reaches_raises_the_serial_error(monkeypatch):
     target = steps[step, particle]
     for i in (0, 2):
         assert not any(np.all(x == target, axis=1).any() for x in visited[i])
+
+    def faulty(x):
+        return np.where(np.all(x == target, axis=1), np.nan, x.sum(axis=1))
+
+    bad = Problem("toy-plane", clean.lower, clean.upper, faulty)
+    monkeypatch.setattr(harness, "get_problem", lambda name: bad)
+    with pytest.raises(EvaluationFault) as serial:
+        run_single(config, 1)
+    assert str(serial.value) == f"non-finite objective at in-box point index {particle}"
+    with pytest.raises(EvaluationFault) as lockstep:
+        run_experiment(config)
+    assert str(lockstep.value) == str(serial.value)
+    run_single(config, 0), run_single(config, 2)  # the others never fault
+
+
+@pytest.mark.parametrize("kind", ("pfpr", "pf"))
+def test_fault_at_an_initial_position_of_run_1_raises_the_serial_error(
+    monkeypatch, kind
+):
+    # The group's constructor evaluates every run's initial positions in
+    # one batch: a NaN objective at one of run 1's must still raise with
+    # its index among run 1's particles, as run 1 alone raises it.
+    def plane(x):
+        return x.sum(axis=1)
+
+    clean = Problem("toy-plane", np.full(2, -2.0), np.full(2, 2.0), plane)
+    monkeypatch.setattr(harness, "get_problem", lambda name: clean)
+    config = ExperimentConfig("toy-plane", ChtConfig(kind), 2, 6, 8, 3)
+    starts = [one_run(config, i)[1] for i in range(3)]
+    particle = 3
+    target = starts[1][particle]
+    for i in (0, 2):
+        assert not np.all(starts[i] == target, axis=1).any()
 
     def faulty(x):
         return np.where(np.all(x == target, axis=1), np.nan, x.sum(axis=1))

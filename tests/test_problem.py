@@ -197,6 +197,10 @@ def test_schedule_validation():
         RecSchedule(initial_tol=1.0, switch_fraction=0.0)
     with pytest.raises(ValueError):
         RecSchedule(initial_tol=1.0, decrease="sudden")
+    for decrease in ("linear", "exponential"):
+        for rate in (0.0, 1.0, 5.0):
+            with pytest.raises(ValueError, match="rate must be in"):
+                RecSchedule(initial_tol=1.0, decrease=decrease, rate=rate)
 
 
 # --------------------------------------------------------------- construction

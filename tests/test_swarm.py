@@ -12,11 +12,11 @@ from cpso.swarm import (
     Swarm,
     SwarmConfig,
     Topology,
-    init_swarm,
+    initial_positions,
     lbest_index,
 )
 
-from conftest import FixedRng, make_toy1
+from conftest import FixedRng, make_toy1, start_swarm
 
 TOL = Tolerances()
 
@@ -180,7 +180,7 @@ def test_position_update_snaps_discrete():
 
 
 def test_init_positions_in_box_velocities_zero(toy1):
-    swarm = init_swarm(toy1, make_config(), ChtConfig("pfpr"))
+    swarm = start_swarm(toy1, make_config(), ChtConfig("pfpr"))
     assert np.all(swarm.positions >= toy1.lower)
     assert np.all(swarm.positions <= toy1.upper)
     assert np.all(swarm.velocities == 0.0)
@@ -188,7 +188,7 @@ def test_init_positions_in_box_velocities_zero(toy1):
 
 
 def test_feasible_init_rejection_sampling(toy1):
-    swarm = init_swarm(toy1, make_config(size=20), ChtConfig("pf"))
+    swarm = start_swarm(toy1, make_config(size=20), ChtConfig("pf"))
     assert np.all(swarm.current.feasible(TOL))
     assert swarm.evaluations >= 20
 
@@ -196,12 +196,12 @@ def test_feasible_init_rejection_sampling(toy1):
 def test_feasible_init_failure_on_empty_region():
     g03 = get_problem("g03")
     with pytest.raises(InitializationFailure):
-        init_swarm(g03, make_config(), ChtConfig("pf"), max_attempts_per_particle=5000)
+        start_swarm(g03, make_config(), ChtConfig("pf"), max_attempts_per_particle=5000)
 
 
 def test_mixed_discrete_init_on_grid():
     vessel = get_problem("pressure-vessel-mixed")
-    swarm = init_swarm(vessel, make_config(size=12), ChtConfig("pfpr"))
+    swarm = start_swarm(vessel, make_config(size=12), ChtConfig("pfpr"))
     ratio = swarm.positions[:, :2] / 0.0625
     assert np.allclose(ratio, np.round(ratio))
 
@@ -229,7 +229,7 @@ def test_zero_attraction_fixed_point(toy1):
 
 
 def test_velocity_clamp_invariant(toy1):
-    swarm = init_swarm(toy1, make_config(steps=50, seed=3), ChtConfig("pfpr"))
+    swarm = start_swarm(toy1, make_config(steps=50, seed=3), ChtConfig("pfpr"))
     for _ in range(50):
         swarm.step()
         assert np.all(np.abs(swarm.velocities) <= toy1.vmax + 1e-15)
@@ -237,7 +237,7 @@ def test_velocity_clamp_invariant(toy1):
 
 def test_discrete_grid_invariant_during_search():
     vessel = get_problem("pressure-vessel-mixed")
-    swarm = init_swarm(vessel, make_config(size=12, steps=30, seed=4), ChtConfig("pfpr"))
+    swarm = start_swarm(vessel, make_config(size=12, steps=30, seed=4), ChtConfig("pfpr"))
     for _ in range(30):
         swarm.step()
         ratio = swarm.positions[:, :2] / 0.0625
@@ -245,7 +245,7 @@ def test_discrete_grid_invariant_during_search():
 
 
 def test_evaluation_count_per_step(toy1):
-    swarm = init_swarm(toy1, make_config(size=9, steps=10, seed=5), ChtConfig("pfpr"))
+    swarm = start_swarm(toy1, make_config(size=9, steps=10, seed=5), ChtConfig("pfpr"))
     for t in range(1, 11):
         swarm.step()
         assert swarm.evaluations == 9 * (t + 1)
@@ -254,7 +254,7 @@ def test_evaluation_count_per_step(toy1):
 def test_bit_identical_trajectories(toy1):
     runs = []
     for _ in range(2):
-        swarm = init_swarm(toy1, make_config(size=9, steps=20, seed=6), ChtConfig("pfpr"))
+        swarm = start_swarm(toy1, make_config(size=9, steps=20, seed=6), ChtConfig("pfpr"))
         for _ in range(20):
             swarm.step()
         runs.append((swarm.positions.copy(), swarm.pbest.conflict.copy()))
@@ -266,7 +266,7 @@ def test_step_reproducible_from_documented_rng_order(toy1):
     # Replaying the documented draw order against a pre-step snapshot
     # must reproduce the step exactly, confirming synchronous lbest use.
     config = make_config(size=9, steps=5, seed=7)
-    swarm = init_swarm(toy1, config, ChtConfig("pfpr"))
+    swarm = start_swarm(toy1, config, ChtConfig("pfpr"))
     for _ in range(3):
         swarm.step()
 
@@ -294,7 +294,7 @@ def test_step_reproducible_from_documented_rng_order(toy1):
 
 
 def test_pf_memory_stays_feasible(toy1):
-    swarm = init_swarm(toy1, make_config(size=9, steps=40, seed=8), ChtConfig("pf"))
+    swarm = start_swarm(toy1, make_config(size=9, steps=40, seed=8), ChtConfig("pf"))
     for _ in range(40):
         swarm.step()
         assert np.all(swarm.pbest.feasible(TOL))
@@ -328,21 +328,22 @@ def test_carried_feasibility_masks_describe_the_state(name, kind):
 
 
 def test_rec_without_schedule_is_rejected():
-    # Building a swarm either way states the tolerances in force at
-    # step 1, which a +rec technique cannot without its schedule.
+    # Drawing a run's start and building its swarm both state the
+    # tolerances in force at step 1, which a +rec technique cannot
+    # without its schedule.
     problem = get_problem("g11")
     cht = ChtConfig("pfpr+rec", rec=None)
     config = make_config(size=6, steps=10)
     message = "REC technique configured without a schedule"
     with pytest.raises(ValueError, match=message):
-        init_swarm(problem, config, cht)
+        initial_positions(problem, config, cht)
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match=message):
         Swarm(problem, config, cht, [rng], problem.sample_uniform(rng, 6), [0])
 
 
 def test_repair_keeps_positions_feasible(toy1):
-    swarm = init_swarm(toy1, make_config(size=9, steps=40, seed=9), ChtConfig("bm"))
+    swarm = start_swarm(toy1, make_config(size=9, steps=40, seed=9), ChtConfig("bm"))
     for _ in range(40):
         swarm.step()
         assert np.all(swarm.current.feasible(TOL))

@@ -30,9 +30,15 @@ from cpso.problem import (
     feasible_mask,
 )
 from cpso.harness import ExperimentConfig
-from cpso.swarm import InitializationFailure, SwarmConfig, Topology, init_swarm, lbest_index
+from cpso.swarm import (
+    InitializationFailure,
+    SwarmConfig,
+    Topology,
+    initial_positions,
+    lbest_index,
+)
 
-from conftest import make_toy1
+from conftest import make_toy1, start_swarm
 
 TOL = Tolerances()
 TOY = make_toy1()
@@ -210,7 +216,7 @@ BUDGETS = (1, 100, 255, 256, 257, 300, 1000, 4096, 5000, 20_000)
 
 
 def per_chunk_init(problem, seed, size, budget):
-    """The per-particle loop ``init_swarm`` replaces: one chunk per call.
+    """The per-particle loop ``initial_positions`` replaces: one chunk per call.
 
     Returns ``(positions, rejected, failure message, generator, rows
     drawn)``; on failure, ``rejected`` counts every candidate read.
@@ -241,16 +247,15 @@ def per_chunk_init(problem, seed, size, budget):
 
 
 def stream_init(problem, seed, size, budget):
-    """``init_swarm`` with ``pf``: the first four results of :func:`per_chunk_init`."""
-    # default_rng returns a Generator unaltered, so rng is the swarm's.
+    """The first four results of :func:`per_chunk_init`, by ``initial_positions``."""
+    # default_rng returns a Generator unaltered, so rng is the run's.
     rng = np.random.default_rng(seed)
     config = SwarmConfig(size, 1, Topology.from_nn(2, size), rng)
     try:
-        swarm = init_swarm(problem, config, ChtConfig("pf"), budget)
+        _, positions, rejected = initial_positions(problem, config, ChtConfig("pf"), budget)
     except InitializationFailure as failure:
         return None, failure.evaluations, str(failure), rng
-    # The initial batch evaluation charges one evaluation per particle.
-    return swarm.positions, swarm.init_evaluations - size, None, rng
+    return positions, rejected, None, rng
 
 
 @settings(deadline=None, max_examples=60)
@@ -336,10 +341,14 @@ def test_feasible_init_objective_is_read_at_accepted_positions_only():
     ratio = estimate_feasibility_ratio(clean, 20_000, TOL, seed=3)
     assert ratio > 0.0
     assert estimate_feasibility_ratio(rejected_nan, 20_000, TOL, seed=3) == ratio
-    # The Swarm constructor evaluates the accepted positions in full.
+    # The start never reads the objective; the Swarm constructor
+    # evaluates the accepted positions in full.
     nan_objective = dataclasses.replace(clean, objective=lambda x: np.full(len(x), np.nan))
+    got = stream_init(nan_objective, FAULT_SEED, FAULT_SIZE, FAULT_BUDGET)
+    assert np.array_equal(got[0], expect[0])
+    config = SwarmConfig(FAULT_SIZE, 1, Topology.from_nn(2, FAULT_SIZE), FAULT_SEED)
     with pytest.raises(EvaluationFault, match="non-finite objective at in-box point index 0"):
-        stream_init(nan_objective, FAULT_SEED, FAULT_SIZE, FAULT_BUDGET)
+        start_swarm(nan_objective, config, ChtConfig("pf"), FAULT_BUDGET)
 
 
 # ------------------------------------------------------------ evaluation
