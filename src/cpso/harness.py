@@ -11,16 +11,17 @@ perturbs earlier ones and runs can execute in any order, together or in
 parallel without changing results.
 
 Execution: the runs are split into contiguous groups, each small enough
-that its step evaluates at most ``MAX_BATCH_ROWS`` rows, and at least
-one per worker.  In a group, each run draws its initial positions on
-its own with :func:`~cpso.swarm.initial_positions`; the runs that start
+that its step evaluates at most ``MAX_BATCH_ROWS`` rows (unless one run
+has more particles than that), and at least one per worker.  In a
+group, each run draws its initial positions on its own with
+:func:`~cpso.swarm.initial_positions`; the runs that start
 make one :class:`~cpso.swarm.Swarm`, built and stepped in lockstep, so
 that one batch evaluates the group's initial positions and every step
 evaluates the group's particles in one batch.  Each run still draws
 from its own generator in its own order, so a run's results do not
 depend on the runs it steps with.  If an evaluation faults, the cell is
 run again one run at a time, so the fault raised is the one the first
-faulting run raises alone.
+faulting run raises alone, after its completed steps are traced.
 """
 
 from __future__ import annotations
@@ -206,7 +207,9 @@ def _run_group(
     best is read from one :func:`~cpso.swarm.lbest_index` call.  A run's
     ``elapsed`` is its own initialization plus an equal share of the
     swarm's construction and steps.  With ``trace``, each completed run
-    records its best memory's conflict and cv after every step.
+    records its best memory's conflict and cv after every step.  An
+    :class:`EvaluationFault` raised by a step carries the runs' records
+    of the steps before it as ``trace`` (None unless traced).
     """
     problem = get_problem(config.problem)
     cht = config.resolved_cht()
@@ -240,7 +243,12 @@ def _run_group(
     group = Swarm(problem, first, cht, rngs, np.concatenate(positions), rejected)
     log = np.empty((group.runs, config.steps, 2)) if trace else None
     for t in range(config.steps):
-        group.step()
+        try:
+            group.step()
+        except EvaluationFault as fault:
+            # The steps completed before the fault, for run_single to write.
+            fault.trace = None if log is None else log[:, :t]
+            raise
         if log is not None:
             rows = group.best_rows()
             log[:, t, 0] = group.pbest.conflict[rows]
@@ -267,14 +275,17 @@ def _run_group(
     return [results[i] for i in indices]
 
 
-def _write_trace(trace: Optional[TraceFn], results: Sequence[RunResult]) -> None:
-    """Pass every step of ``results``' traces to ``trace``, run by run."""
+def _write_trace(
+    trace: Optional[TraceFn], logs: Sequence[Tuple[int, Optional[np.ndarray]]]
+) -> None:
+    """Pass every step of ``logs``, ``(run index, log or None)`` pairs, to
+    ``trace``, run by run."""
     if trace is None:
         return
-    for r in results:
-        if r.trace is not None:
-            for t, (conflict, cv) in enumerate(r.trace.tolist(), start=1):
-                trace(r.index, t, conflict, cv)
+    for index, log in logs:
+        if log is not None:
+            for t, (conflict, cv) in enumerate(log.tolist(), start=1):
+                trace(index, t, conflict, cv)
 
 
 def run_single(
@@ -286,12 +297,19 @@ def run_single(
 
     The returned best is the winner under the technique's plain
     comparator across all personal bests at the final step.  ``trace``
-    receives the run's best after every step once the run has ended.
+    receives the run's best after every step once the run has ended; if
+    a step raises :class:`EvaluationFault`, it receives the steps
+    completed before it, and the fault is raised again.
     """
     if not 0 <= run_index < config.runs:
         raise ValueError("run index out of range")
-    result = _run_group(config, [run_index], trace is not None)[0]
-    _write_trace(trace, [result])
+    try:
+        result = _run_group(config, [run_index], trace is not None)[0]
+    except EvaluationFault as fault:
+        completed = getattr(fault, "trace", None)
+        _write_trace(trace, [(run_index, None if completed is None else completed[0])])
+        raise
+    _write_trace(trace, [(run_index, result.trace)])
     return result
 
 
@@ -343,7 +361,8 @@ def _groups(config: ExperimentConfig, jobs: int) -> List[List[int]]:
     There are at least ``min(jobs, runs)`` groups, so that every worker
     gets one, and no group has more than ``MAX_BATCH_ROWS // particles``
     runs (one at least), so that a step evaluates at most
-    ``MAX_BATCH_ROWS`` rows.
+    ``MAX_BATCH_ROWS`` rows.  A group holds at least one run, so a run
+    of more than ``MAX_BATCH_ROWS`` particles steps all of them at once.
     """
     cap = max(1, MAX_BATCH_ROWS // config.particles)
     count = max(min(jobs, config.runs), -(-config.runs // cap))
@@ -376,13 +395,12 @@ def run_experiment(
         else:
             done = list(map(_run_group, *args))
     except EvaluationFault:
-        if config.runs == 1:
-            raise
-        # One run at a time, in order, as serial execution faults.
+        # One run at a time, in order, as serial execution faults; the
+        # faulting run's completed steps are traced before it raises.
         indices = range(config.runs)
         return summarize(config, [run_single(config, i, trace) for i in indices])
     results = [r for group in done for r in group]
-    _write_trace(trace, results)
+    _write_trace(trace, [(r.index, r.trace) for r in results])
     return summarize(config, results)
 
 

@@ -12,6 +12,7 @@ array of shape ``(m, n)`` and return shape ``(m,)``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -69,8 +70,10 @@ class Problem:
     known_optimum: Optional[float] = None
 
     def __post_init__(self):
-        lower = np.asarray(self.lower, dtype=float)
-        upper = np.asarray(self.upper, dtype=float)
+        # Own, read-only copies: the spans and the tiles derived from them
+        # are cached, so nothing may change the bounds afterwards.
+        lower = _read_only(np.array(self.lower, dtype=float))
+        upper = _read_only(np.array(self.upper, dtype=float))
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "inequalities", tuple(self.inequalities))
@@ -103,14 +106,27 @@ class Problem:
     def n_equalities(self) -> int:
         return len(self.equalities)
 
-    @property
+    @functools.cached_property
     def span(self) -> np.ndarray:
-        return self.upper - self.lower
+        return _read_only(self.upper - self.lower)
 
-    @property
+    @functools.cached_property
     def vmax(self) -> np.ndarray:
         """Velocity clamp: half the dynamic range per dimension."""
-        return 0.5 * self.span
+        return _read_only(0.5 * self.span)
+
+    @functools.cached_property
+    def _tiles(self) -> dict:
+        """The per-dimension rows of :func:`_rowwise`, each repeated
+        ``_TILE_ROWS`` times; built on first use."""
+        rows = {
+            "lower": self.lower,
+            "upper": self.upper,
+            "span": self.span,
+            "vmax": self.vmax,
+            "-vmax": -self.vmax,
+        }
+        return {k: _read_only(np.tile(r, (_TILE_ROWS, 1))) for k, r in rows.items()}
 
     @property
     def discrete_mask(self) -> np.ndarray:
@@ -140,9 +156,49 @@ class Problem:
         bit for bit, computed in place.
         """
         pts = rng.random((count, self.dimension))
-        pts *= self.span
-        pts += self.lower
+        _rowwise(np.multiply, pts, self, "span", pts)
+        _rowwise(np.add, pts, self, "lower", pts)
         return pts if self.grid_steps is None else self.snap_to_grid(pts)
+
+
+# Rows of each tile of :func:`_rowwise`: long enough that a step's rows
+# (20-40 per run) fit one tile, and small enough that a problem's five
+# tiles stay within a few KiB per dimension.
+_TILE_ROWS = 64
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _rowwise(ufunc, block: np.ndarray, problem: Problem, row: str, out: np.ndarray):
+    """``ufunc(block, row, out=out)`` for the problem's per-dimension ``row``.
+
+    ``row`` names one of ``lower``, ``upper``, ``span``, ``vmax`` and
+    ``-vmax``.  Broadcasting an ``(n,)`` row over an ``(m, n)`` block runs
+    m inner loops of n elements, which costs several times the
+    arithmetic at small n.  So the row is applied through its cached tile
+    of ``_TILE_ROWS`` copies: to a block that fits, as the tile's first m
+    rows; to a larger one, as rows of ``_TILE_ROWS * n`` elements, plus
+    the remainder.  Every element meets the same operand in the same
+    operation, so the result is bit-identical to broadcasting.  A block
+    larger than a tile must be C-contiguous, as must ``out`` (which may
+    be ``block``), so that reshaping them gives views.
+    """
+    tile = problem._tiles[row]
+    m, n = block.shape
+    t = len(tile)
+    if m <= t:
+        return ufunc(block, tile[:m], out=out)
+    if not (block.flags.c_contiguous and out.flags.c_contiguous):
+        raise ValueError("a block larger than a tile must be C-contiguous")
+    whole = m - m % t
+    wide = (whole // t, t * n)
+    ufunc(block[:whole].reshape(wide), tile.reshape(-1), out=out[:whole].reshape(wide))
+    if whole < m:
+        ufunc(block[whole:], tile[: m - whole], out=out[whole:])
+    return out
 
 
 @dataclass
@@ -187,17 +243,21 @@ class BatchEval:
         )
 
     def assign(self, rows: np.ndarray, other: "BatchEval") -> None:
-        """Overwrite the selected rows with the rows of ``other``, in order.
+        """Overwrite the selected rows with rows of ``other``.
 
-        ``rows`` is a boolean mask or an index array; ``other`` holds one
-        row per selected row.
+        ``rows`` is a boolean mask or an index array.  Where the mask is
+        true, a row takes the same row of ``other``, which has as many
+        rows as this batch: one masked copy per field, with no gather or
+        scatter.  Index ``rows[i]`` takes row ``i`` of ``other``, which
+        holds one row per index.
         """
-        self.positions[rows] = other.positions
-        self.conflict[rows] = other.conflict
-        self.ineq_violations[rows] = other.ineq_violations
-        self.eq_violations[rows] = other.eq_violations
-        self.box_violations[rows] = other.box_violations
-        self.cv[rows] = other.cv
+        masks = (rows, rows[:, None]) if rows.dtype == bool else None
+        for f in _FIELDS:
+            dst, src = getattr(self, f), getattr(other, f)
+            if masks is None:
+                dst[rows] = src
+            else:
+                np.copyto(dst, src, where=masks[dst.ndim - 1])
 
     def copy(self) -> "BatchEval":
         return BatchEval(
@@ -208,6 +268,9 @@ class BatchEval:
             box_violations=self.box_violations.copy(),
             cv=self.cv.copy(),
         )
+
+
+_FIELDS = tuple(BatchEval.__dataclass_fields__)
 
 
 def _rows_all(block: np.ndarray) -> np.ndarray:
@@ -221,8 +284,9 @@ def _rows_all(block: np.ndarray) -> np.ndarray:
 
 
 def _checked_positions(problem: Problem, positions: np.ndarray) -> np.ndarray:
-    """The positions as a float ``(m, n)`` array; ``ValueError`` unless finite."""
-    x = np.atleast_2d(np.asarray(positions, dtype=float))
+    """The positions as a C-contiguous float ``(m, n)`` array; ``ValueError``
+    unless finite."""
+    x = np.ascontiguousarray(np.atleast_2d(positions), dtype=float)
     if x.shape[1] != problem.dimension:
         raise ValueError(
             f"expected dimension {problem.dimension}, got {x.shape[1]}"
@@ -238,8 +302,8 @@ def _box_excess(problem: Problem, x: np.ndarray) -> np.ndarray:
     At most one side is exceeded, and x - lower is -(lower - x) exactly,
     so this is max(0, x - upper) + max(0, lower - x) bit for bit.
     """
-    box = np.minimum(x, problem.upper)
-    np.maximum(box, problem.lower, out=box)
+    box = _rowwise(np.minimum, x, problem, "upper", np.empty_like(x))
+    _rowwise(np.maximum, box, problem, "lower", box)
     np.subtract(x, box, out=box)
     np.abs(box, out=box)
     return box
@@ -357,7 +421,8 @@ def feasible_mask(
 
 
 # Largest batch evaluated in one call: the harness groups a cell's runs
-# so that a lockstep step's rows fit in it, a step repairs its moves in
+# so that a lockstep step's rows fit in it (but for a single run of more
+# particles, whose steps evaluate them all), a step repairs its moves in
 # batches of at most this many trial rows, and the feasibility estimator
 # samples blocks of it.  The cost per row is at its floor by
 # then (2-core host, min of 7, ns per row at 512 / 2,048 / 4,096 rows:

@@ -10,7 +10,9 @@ A :class:`Swarm` holds one or more independent runs of one cell, their
 rows one run after another, and steps them in lockstep: one evaluation,
 one lbest ranking, shared repair batches and one memory update serve
 every run.  A step evaluates all rows in one call, so whoever forms the
-group bounds its rows; the harness keeps them within ``MAX_BATCH_ROWS``.
+group bounds its rows; the harness keeps them within ``MAX_BATCH_ROWS``
+but for a single run of more particles, whose steps evaluate all of
+them.
 Runs share nothing but the step index, and so the tolerance in force.
 Each run draws from its own generator, as below, so a run ends exactly
 where it ends stepping alone, whichever runs step with it.
@@ -60,6 +62,7 @@ from .problem import (
     EvaluationFault,
     Problem,
     Tolerances,
+    _rowwise,
     evaluate_batch,
     feasible_mask,
 )
@@ -248,6 +251,11 @@ class Swarm:
         preset = np.minimum(np.arange(s) // (s // 3), 2)
         coefficients = COEFFICIENT_PRESETS.T[:, np.tile(preset, len(self.rngs))]
         self.w, self.iw, self.sw = coefficients
+        # The same, repeated along each row: the velocity update's products
+        # then run one long loop each instead of one short loop per row.
+        self.w_rows, self.iw_rows, self.sw_rows = np.repeat(
+            coefficients[:, :, None], positions.shape[1], axis=2
+        )
         self.neighbors = config.topology.neighbor_matrix
         self.current = evaluate_batch(problem, positions)
         self.run_init_evaluations = np.asarray(init_evaluations, dtype=np.int64) + s
@@ -316,12 +324,13 @@ class Swarm:
         rng, runs = self._generators()
         u = draw_per_run(rng, runs, m, lambda g, k: g.random((k, n, 2)))
         v_new = (
-            self.w[:, None] * self.velocities
-            + self.iw[:, None] * u[:, :, 0] * (self.pbest.positions - self.positions)
-            + self.sw[:, None] * u[:, :, 1] * (lbest - self.positions)
+            self.w_rows * self.velocities
+            + self.iw_rows * u[:, :, 0] * (self.pbest.positions - self.positions)
+            + self.sw_rows * u[:, :, 1] * (lbest - self.positions)
         )
-        vmax = self.problem.vmax
-        np.clip(v_new, -vmax, vmax, out=v_new)
+        # np.clip(v_new, -vmax, vmax), bit for bit.
+        _rowwise(np.maximum, v_new, self.problem, "-vmax", v_new)
+        _rowwise(np.minimum, v_new, self.problem, "vmax", v_new)
 
         x_new = self.problem.snap_to_grid(self.positions + v_new)
         new_eval = evaluate_batch(self.problem, x_new)
@@ -338,9 +347,9 @@ class Swarm:
         replace = replacement_mask(
             self.cht, new_eval, cand_keys, self.pbest, keys, rng, runs
         )
-        self.pbest.assign(replace, new_eval.take(replace))
-        self.pbest_primary[replace] = cand_keys[0][replace]
-        self.pbest_secondary[replace] = cand_keys[1][replace]
+        self.pbest.assign(replace, new_eval)
+        np.copyto(self.pbest_primary, cand_keys[0], where=replace)
+        np.copyto(self.pbest_secondary, cand_keys[1], where=replace)
         self.t = t
 
     def _repair(self, x_new, v_new, new_eval, feasible, tol, rng, runs) -> None:

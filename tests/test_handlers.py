@@ -295,7 +295,7 @@ def test_pfppr_override_stores_low_conflict_infeasible():
     inc = batch([2.0])
     cand = batch([0.0], ineq=0.5)
     replace = replaces("pfppr", inc, cand, FixedRng(0.95))
-    inc.assign(replace, cand.take(replace))
+    inc.assign(replace, cand)
     assert inc.conflict[0] == 0.0 and inc.cv[0] == 0.5
     # below the threshold the priority rules protect the feasible memory
     assert not replaces("pfppr", batch([2.0]), cand, FixedRng(0.5))[0]

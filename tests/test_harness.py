@@ -10,7 +10,9 @@ import cpso
 from cpso import harness
 from cpso.handlers import ChtConfig
 from cpso.harness import ExperimentConfig, run_experiment, run_single, summarize, sweep
-from cpso.problem import Tolerances
+from cpso.problem import EvaluationFault, Problem, Tolerances
+
+from conftest import start_swarm
 
 
 def make_config(**overrides):
@@ -175,6 +177,36 @@ def test_init_failed_runs_charge_their_samples():
     ) * cfg.fes
 
 
+def test_fault_traces_the_steps_completed_before_it(monkeypatch):
+    # A toy pfpr run whose objective is NaN at an in-box point that its
+    # fourth step visits first: its three completed steps are traced,
+    # as the clean run traces them, and then the fault is raised.
+    clean = Problem("toy-plane", np.full(2, -2.0), np.full(2, 2.0), lambda x: x.sum(axis=1))
+    config = make_config(problem="toy-plane", particles=6, steps=8, runs=1)
+    sw = start_swarm(clean, config.swarm_config(0), config.resolved_cht())
+    seen = [sw.positions.copy()]
+    for _ in range(4):
+        sw.step()
+        seen.append(sw.positions.copy())
+    target = seen[4][np.all(np.abs(seen[4]) <= 2.0, axis=1)][0]
+    assert not any(np.all(x == target, axis=1).any() for x in seen[:4])
+
+    def faulty(x):
+        return np.where(np.all(x == target, axis=1), np.nan, x.sum(axis=1))
+
+    monkeypatch.setattr(harness, "get_problem", lambda name: clean)
+    lines = []
+    run_experiment(config, trace=lambda *line: lines.append(line))
+    assert len(lines) == config.steps
+    bad = Problem("toy-plane", clean.lower, clean.upper, faulty)
+    monkeypatch.setattr(harness, "get_problem", lambda name: bad)
+    for run in (run_experiment, lambda config, trace: run_single(config, 0, trace)):
+        got = []
+        with pytest.raises(EvaluationFault, match="non-finite objective"):
+            run(config, trace=lambda *line: got.append(line))
+        assert got == lines[:3]
+
+
 def test_summarize_order_insensitive():
     cfg = make_config(runs=4)
     results = [run_single(cfg, i) for i in range(4)]
@@ -249,7 +281,16 @@ def fresh_python(code):
 
 
 def test_import_does_not_load_numpy_random():
-    fresh_python("import sys, cpso\nassert 'numpy.random' not in sys.modules")
+    # Nor does looking a problem up build its row tiles: they are built
+    # on first use, so set-up does not pay for them.
+    fresh_python(
+        "import sys, cpso\n"
+        "assert 'numpy.random' not in sys.modules\n"
+        "problem = cpso.get_problem('g06')\n"
+        "assert '_tiles' not in vars(problem)\n"
+        "problem.sample_uniform(__import__('numpy').random.default_rng(0), 1)\n"
+        "assert '_tiles' in vars(problem)"
+    )
 
 
 def test_serial_experiment_does_not_load_multiprocessing():

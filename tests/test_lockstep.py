@@ -128,6 +128,25 @@ def test_lockstep_equals_runs_alone(name, kind, full, size, runs, steps, budget,
     assert_row_equals_runs_alone(config, run_experiment(config))
 
 
+def test_group_larger_than_a_tile_equals_runs_alone():
+    # 30 welded-beam runs of 20 particles step 600 rows at once: the
+    # velocity clamp, the box test and the repair trials apply the bounds
+    # as wide tile rows plus a remainder, where each run alone fits one
+    # tile.
+    config = ExperimentConfig("welded-beam", ChtConfig("bm"), 2, 20, 4, 30, master_seed=9)
+    started = started_runs(config)
+    group = build(config, started)
+    assert len(group.positions) == 600 > problem_module._TILE_ROWS
+    alone = [build(config, [start]) for start in started_runs(config)]
+    for _ in range(config.steps):
+        group.step()
+        for sw in alone:
+            sw.step()
+    assert group.repair_evaluations > 0
+    for r, sw in enumerate(alone):
+        assert_run_equals(group, r, sw)
+
+
 def assert_row_equals_runs_alone(config, row):
     """``row`` holds the results of ``config``'s runs each run alone."""
     single = summarize(config, [run_single(config, i) for i in range(config.runs)])

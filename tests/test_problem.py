@@ -216,6 +216,22 @@ def test_bounds_must_be_ordered():
         )
 
 
+def test_bounds_and_their_caches_are_read_only():
+    # The spans, vmax and the row tiles are cached from the bounds, so
+    # none of them may be written, and the caller's arrays are copied,
+    # never frozen.
+    lower, upper = np.array([-1.0, 0.0]), np.array([1.0, 3.0])
+    prob = Problem("box", lower, upper, objective=lambda x: x[:, 0])
+    lower[0] = upper[0] = 0.5
+    assert prob.lower[0] == -1.0 and prob.upper[0] == 1.0
+    arrays = [prob.lower, prob.upper, prob.span, prob.vmax, *prob._tiles.values()]
+    assert len(arrays) == 9
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 2.0
+    assert prob.span.tolist() == [2.0, 3.0] and prob.vmax.tolist() == [1.0, 1.5]
+
+
 def test_grid_snap_rounding():
     prob = Problem(
         name="grid",

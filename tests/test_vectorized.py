@@ -8,7 +8,8 @@ blocked feasible initialization against drawing and evaluating one
 256-row chunk at a time, the fused evaluation against sanitizing
 each function's output on its own, the feasibility mask against row
 reductions, the mask from the constraints alone against the full
-evaluation's, and in-place sampling against its affine formula.
+evaluation's, in-place sampling against its affine formula, and the
+row-tiled bounds against plain broadcasting.
 """
 
 import dataclasses
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 
 from cpso.benchmarks import estimate_feasibility_ratio, get_problem, registry_names
 from cpso.handlers import ChtConfig, priority_keys, repair_moves, replacement_mask
+from cpso import problem as problem_module
 from cpso.problem import (
     BatchEval,
     EvaluationFault,
@@ -644,3 +646,57 @@ def test_sample_uniform_equals_affine_then_snap(name, count):
     assert got.shape == expect.shape and got.dtype == expect.dtype
     assert got.tobytes() == expect.tobytes()
     assert got_rng.bit_generator.state == expect_rng.bit_generator.state
+
+
+# ----------------------------------------------------------------- tiles
+
+TILE = problem_module._TILE_ROWS
+
+
+def _tile_toy(n):
+    """An n-D box whose bounds differ per dimension, with one inequality
+    and one equality; the objective sums n terms, whose bits follow the
+    memory layout from 8 terms on."""
+    return Problem(
+        name=f"tile-toy-{n}",
+        lower=-1.0 - np.arange(n) / 3.0,
+        upper=0.5 + np.arange(n) / 7.0,
+        objective=lambda x: (x * x).sum(axis=1),
+        inequalities=(lambda x: x[:, 0] - 0.1,),
+        equalities=(lambda x: x[:, -1] * 1e-3,),
+    )
+
+
+def _layouts(x):
+    """``x`` C-ordered, F-ordered and as a strided view."""
+    wide = np.zeros((len(x), 2 * x.shape[1]))
+    wide[:, ::2] = x
+    return np.ascontiguousarray(x), np.asfortranarray(x), wide[:, ::2]
+
+
+@pytest.mark.parametrize("n", [1, 2, 20])
+@pytest.mark.parametrize("m", [TILE - 1, TILE, TILE + 1, 2 * TILE + 3, 4099])
+def test_tiled_rows_equal_broadcasting(m, n):
+    # Blocks within a tile, one row past it, past two tiles and past
+    # MAX_BATCH_ROWS, from every layout: sampling, the box excess and the
+    # mask are those of plain broadcasting, bit for bit, and no input is
+    # written to.
+    problem = _tile_toy(n)
+    got_rng, expect_rng = np.random.default_rng([m, n]), np.random.default_rng([m, n])
+    got = problem.sample_uniform(got_rng, m)
+    expect = problem.lower + expect_rng.random((m, n)) * problem.span
+    assert got.tobytes() == expect.tobytes()
+    assert got_rng.bit_generator.state == expect_rng.bit_generator.state
+
+    reach = 0.3 * problem.span
+    x = problem.lower - reach + got_rng.random((m, n)) * (problem.span + 2 * reach)
+    expect = per_function_evaluate(problem, x)
+    tol = Tolerances(ineq=0.05, eq=1e-4)
+    for view in _layouts(x):
+        before = view.copy(order="K")
+        ev = evaluate_batch(problem, view)
+        assert ev.positions.flags.c_contiguous
+        for field in FIELDS:
+            assert getattr(ev, field).tobytes() == getattr(expect, field).tobytes(), field
+        assert np.array_equal(feasible_mask(problem, view, tol), expect.feasible(tol))
+        assert view.tobytes(order="A") == before.tobytes(order="A")
