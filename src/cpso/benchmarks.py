@@ -23,7 +23,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from .problem import MAX_BATCH_ROWS, Problem, Tolerances, feasible_mask
+from .problem import MAX_BATCH_ROWS, Problem, Tolerances, sampled_mask
 
 __all__ = [
     "SuiteEntry",
@@ -705,12 +705,14 @@ def estimate_feasibility_ratio(
 
     Deterministic for a fixed seed.  Discrete dimensions are snapped to
     their grid before testing, mirroring swarm initialization.  The
-    samples are drawn and tested with
-    :func:`~cpso.problem.feasible_mask` in blocks of ``MAX_BATCH_ROWS``
-    rows, so memory stays bounded; consecutive uniform blocks hold the
-    same values as one block of their total size, so the ratio does not
-    depend on the block size.  The objective is never evaluated; a
-    constraint fault names its point's index within its block.
+    samples are drawn and tested with :func:`~cpso.problem.sampled_mask`
+    (the mask of :func:`~cpso.problem.feasible_mask`, from the
+    constraints alone once the problem proves that its samples lie in
+    the box) in blocks of ``MAX_BATCH_ROWS`` rows, so memory stays
+    bounded; consecutive uniform blocks hold the same values as one
+    block of their total size, so the ratio does not depend on the block
+    size.  The objective is never evaluated; a constraint fault names
+    its point's index within its block.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -720,6 +722,6 @@ def estimate_feasibility_ratio(
     while remaining > 0:
         m = min(MAX_BATCH_ROWS, remaining)
         pts = problem.sample_uniform(rng, m)
-        feasible += int(np.count_nonzero(feasible_mask(problem, pts, tolerances)))
+        feasible += int(np.count_nonzero(sampled_mask(problem, pts, tolerances)))
         remaining -= m
     return 100.0 * feasible / samples

@@ -70,8 +70,9 @@ class Problem:
     known_optimum: Optional[float] = None
 
     def __post_init__(self):
-        # Own, read-only copies: the spans and the tiles derived from them
-        # are cached, so nothing may change the bounds afterwards.
+        # Own, read-only copies: the spans, the tiles, the grid and the
+        # sampling proof derived from them are cached, so nothing may
+        # change the bounds or the steps afterwards.
         lower = _read_only(np.array(self.lower, dtype=float))
         upper = _read_only(np.array(self.upper, dtype=float))
         object.__setattr__(self, "lower", lower)
@@ -83,7 +84,7 @@ class Problem:
         if not np.all(lower < upper):
             raise ValueError("lower bounds must be strictly below upper bounds")
         if self.grid_steps is not None:
-            steps = np.asarray(self.grid_steps, dtype=float)
+            steps = _read_only(np.array(self.grid_steps, dtype=float))
             object.__setattr__(self, "grid_steps", steps)
             if steps.shape != lower.shape:
                 raise ValueError("grid_steps length must match dimension")
@@ -134,20 +135,47 @@ class Problem:
             return np.zeros(self.dimension, dtype=bool)
         return ~np.isnan(self.grid_steps)
 
+    @functools.cached_property
+    def _grid(self) -> tuple:
+        """The discrete columns and their steps, read-only; built on
+        first use."""
+        cols = np.flatnonzero(self.discrete_mask)
+        return _read_only(cols), _read_only(self.grid_steps[cols])
+
     def snap_to_grid(self, x: np.ndarray) -> np.ndarray:
         """Round discrete dimensions to the nearest step multiple.
 
         Exact half-step ties round toward the lower multiple.  Works on
         a single point ``(n,)`` or a batch ``(m, n)``.
         """
-        if self.grid_steps is None:
-            return np.array(x, dtype=float)
         x = np.array(x, dtype=float)
-        mask = self.discrete_mask
-        steps = self.grid_steps[mask]
-        ratio = x[..., mask] / steps
-        x[..., mask] = np.ceil(ratio - 0.5) * steps
+        if self.grid_steps is None:
+            return x
+        cols, steps = self._grid
+        ratio = x[..., cols] / steps
+        x[..., cols] = np.ceil(ratio - 0.5) * steps
         return x
+
+    @functools.cached_property
+    def _samples_in_box(self) -> bool:
+        """Whether every point :meth:`sample_uniform` can draw lies in the box.
+
+        A sample is ``snap(fl(fl(u * span) + lower))`` for a draw ``u`` of
+        ``rng.random``, a multiple of 2**-53 from 0 to ``1 - 2**-53``.  For
+        a finite ``lower`` and ``span``, each of those operations is
+        monotone under round-to-nearest: the product in ``u``, the sum in
+        the product, and the snap (a quotient, a difference, a ceiling
+        and a product).  So every sample lies between the samples of the
+        least and the greatest draw, and is finite; when those two lie in
+        the box, so does every sample, and its box excess is 0.0.  Built
+        on first use, from the read-only bounds and steps.
+        """
+        lower, span = self.lower, self.span
+        if not (np.isfinite(lower).all() and np.isfinite(span).all()):
+            return False
+        draws = np.array([[0.0], [np.nextafter(1.0, 0.0)]])
+        least, greatest = self.snap_to_grid(draws * span + lower)
+        return bool((least >= lower).all() and (greatest <= self.upper).all())
 
     def sample_uniform(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """Draw ``count`` points uniformly in the box, snapped to the grid.
@@ -402,7 +430,30 @@ def feasible_mask(
     """
     x = _checked_positions(problem, positions)
     box = _box_excess(problem, x)
-    mask = _rows_all(box <= tolerances.ineq)
+    return _constraints_mask(problem, x, tolerances, _rows_all(box <= tolerances.ineq))
+
+
+def sampled_mask(problem: Problem, x: np.ndarray, tolerances: Tolerances) -> np.ndarray:
+    """``feasible_mask(problem, x, tolerances)`` for points ``x`` drawn by
+    :meth:`Problem.sample_uniform`.
+
+    When the problem proves that its samples lie in the box
+    (``Problem._samples_in_box``), their positions are finite and every
+    box excess is 0.0, so only the constraints are tested, by the loop
+    :func:`feasible_mask` runs; otherwise this is :func:`feasible_mask`.
+    The mask, the +inf rule and the faults are the same either way.
+    """
+    if not problem._samples_in_box:
+        return feasible_mask(problem, x, tolerances)
+    in_box = np.full(len(x), 0.0 <= tolerances.ineq)
+    return _constraints_mask(problem, x, tolerances, in_box)
+
+
+def _constraints_mask(
+    problem: Problem, x: np.ndarray, tolerances: Tolerances, mask: np.ndarray
+) -> np.ndarray:
+    """``mask``, and-ed in place with each constraint's test on the rows
+    of ``x``; the faults and the +inf rule of :func:`feasible_mask`."""
     q = problem.n_inequalities
     for k, g in enumerate((*problem.inequalities, *problem.equalities), start=1):
         value = np.asarray(g(x), dtype=float)

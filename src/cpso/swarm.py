@@ -64,11 +64,11 @@ from .problem import (
     Tolerances,
     _rowwise,
     evaluate_batch,
-    feasible_mask,
+    sampled_mask,
 )
 
 _INIT_CHUNK = 256
-# Largest feasible-initialization block, in chunks.  Each feasible_mask
+# Largest feasible-initialization block, in chunks.  Each sampled_mask
 # call has a fixed cost that a bigger block spreads over more rows, but
 # a block's temporaries add to peak memory: a 64-chunk cap ran the
 # perfbench table-30run workload ~1% faster at 4.2% more peak RSS.
@@ -433,9 +433,10 @@ def initial_positions(
     generator is left exactly where drawing one chunk at a time leaves
     it.
 
-    Candidates are tested with :func:`~cpso.problem.feasible_mask`, from
-    the box and the constraints alone, and each one read costs one
-    evaluation.  The objective is evaluated at the accepted positions
+    Candidates are tested with :func:`~cpso.problem.sampled_mask`, the
+    mask of :func:`~cpso.problem.feasible_mask` from the constraints
+    alone once the problem proves that its samples lie in the box, and
+    each one read costs one evaluation.  The objective is evaluated at the accepted positions
     only, by the :class:`Swarm` constructor, so a non-finite objective
     at a rejected candidate raises nothing.
     """
@@ -461,7 +462,8 @@ def _feasible_positions(
     Returns the positions and the rejected candidates, which cost one
     evaluation each; the accepted ones are charged by the swarm's
     initial batch evaluation.  Candidates are tested with
-    :func:`~cpso.problem.feasible_mask`.  ``rows`` buffers drawn
+    :func:`~cpso.problem.sampled_mask`, a block at a time or a chunk at a
+    time, so the rows tested are always drawn ones.  ``rows`` buffers drawn
     candidates, with ``rows[c]`` the start of the current particle's
     next chunk and ``start`` the stream index of ``rows[0]``; a block of
     whole chunks is appended whenever the next chunk runs past its end.
@@ -495,7 +497,7 @@ def _feasible_positions(
             rows = np.concatenate((rows[c:], block))
             if not by_chunk:
                 try:
-                    fresh = feasible_mask(problem, block, tol)
+                    fresh = sampled_mask(problem, block, tol)
                     feas = np.concatenate((feas[c:], fresh))
                 except EvaluationFault:
                     by_chunk = True
@@ -503,7 +505,7 @@ def _feasible_positions(
             continue
         if by_chunk:
             span = m
-            f = feasible_mask(problem, rows[c : c + m], tol)
+            f = sampled_mask(problem, rows[c : c + m], tol)
         else:
             # Every whole chunk of this particle that lies in the buffer.
             if c + left <= len(rows):

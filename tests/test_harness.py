@@ -281,13 +281,15 @@ def fresh_python(code):
 
 
 def test_import_does_not_load_numpy_random():
-    # Nor does looking a problem up build its row tiles: they are built
-    # on first use, so set-up does not pay for them.
+    # Nor does looking a problem up build its row tiles or prove that its
+    # samples lie in the box: both are built on first use, so set-up does
+    # not pay for them.
     fresh_python(
         "import sys, cpso\n"
         "assert 'numpy.random' not in sys.modules\n"
         "problem = cpso.get_problem('g06')\n"
         "assert '_tiles' not in vars(problem)\n"
+        "assert '_samples_in_box' not in vars(problem)\n"
         "problem.sample_uniform(__import__('numpy').random.default_rng(0), 1)\n"
         "assert '_tiles' in vars(problem)"
     )

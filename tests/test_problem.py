@@ -232,6 +232,20 @@ def test_bounds_and_their_caches_are_read_only():
     assert prob.span.tolist() == [2.0, 3.0] and prob.vmax.tolist() == [1.0, 1.5]
 
 
+def test_grid_steps_are_a_read_only_copy():
+    # snap_to_grid and the sampling proof derive from the steps.
+    steps = np.array([0.0625, np.nan])
+    prob = Problem("grid", np.array([0.0, 0.0]), np.array([10.0, 1.0]),
+                   objective=lambda x: x[:, 0], grid_steps=steps)
+    assert prob.grid_steps is not steps
+    steps[0] = 1.0
+    assert prob.grid_steps[0] == 0.0625
+    for a in (prob.grid_steps, *prob._grid):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 2
+    assert prob.snap_to_grid(np.array([1.03, 0.3])).tolist() == [1.0, 0.3]
+
+
 def test_grid_snap_rounding():
     prob = Problem(
         name="grid",

@@ -30,6 +30,7 @@ from cpso.problem import (
     Tolerances,
     evaluate_batch,
     feasible_mask,
+    sampled_mask,
 )
 from cpso.harness import ExperimentConfig
 from cpso.swarm import (
@@ -646,6 +647,96 @@ def test_sample_uniform_equals_affine_then_snap(name, count):
     assert got.shape == expect.shape and got.dtype == expect.dtype
     assert got.tobytes() == expect.tobytes()
     assert got_rng.bit_generator.state == expect_rng.bit_generator.state
+
+
+class ExtremeDraws:
+    """A generator whose ``random`` alternates rows of its least and its
+    greatest draw, 0.0 and 1 - 2**-53."""
+
+    def random(self, shape):
+        x = np.zeros(shape)
+        x[1::2] = np.nextafter(1.0, 0.0)
+        return x
+
+
+def test_every_problem_proves_its_samples_in_the_box():
+    for name in registry_names():
+        problem = get_problem(name)
+        assert problem._samples_in_box, name
+        x = problem.sample_uniform(ExtremeDraws(), 4)
+        assert ((x >= problem.lower) & (x <= problem.upper)).all(), name
+        assert x.tobytes() == problem.snap_to_grid(x).tobytes(), name
+
+
+def test_a_short_continuous_box_is_proven():
+    # fl(-1 + fl(1.1)) is above 0.1, but the greatest draw is below 1, and
+    # its sample fl(-1 + fl((1 - 2**-53) * fl(1.1))) is not.
+    problem = Problem("short", np.array([-1.0]), np.array([0.1]),
+                      objective=lambda x: x[:, 0])
+    assert (problem.lower + problem.span)[0] > problem.upper[0]
+    assert problem._samples_in_box
+    assert problem.sample_uniform(ExtremeDraws(), 2)[1, 0] < problem.upper[0]
+
+
+def _off_grid():
+    """A grid its extreme samples snap out of: 0.03 snaps to 0.0, below
+    the box, and 1.6 to 2.0, above it; one constraint every point of the
+    box satisfies."""
+    return Problem(
+        name="off-grid",
+        lower=np.array([0.03, 0.0, -1.0]),
+        upper=np.array([1.0, 1.6, 1.0]),
+        objective=lambda x: x[:, 0],
+        inequalities=(lambda x: x[:, 2] - 1.0,),
+        grid_steps=np.array([0.0625, 1.0, np.nan]),
+    )
+
+
+def test_a_grid_its_samples_snap_out_of_is_not_proven():
+    problem = _off_grid()
+    assert not problem._samples_in_box
+    least, greatest = problem.sample_uniform(ExtremeDraws(), 2)
+    assert least[0] < problem.lower[0] and greatest[1] > problem.upper[1]
+    x = np.concatenate(
+        (problem.sample_uniform(np.random.default_rng(5), 256), [least, greatest])
+    )
+    tol = Tolerances(0.0, 0.0)
+    got = sampled_mask(problem, x, tol)
+    assert np.array_equal(got, evaluate_batch(problem, x).feasible(tol))
+    assert not got[-2:].any() and got.any()
+
+
+@pytest.mark.parametrize(
+    "lower, upper", [(-np.inf, 1.0), (0.0, np.inf), (-1e308, 1e308)]
+)
+def test_an_infinite_bound_or_span_is_not_proven(lower, upper):
+    with np.errstate(over="ignore"):
+        problem = Problem("wide", np.array([0.0, lower]), np.array([1.0, upper]),
+                          objective=lambda x: x[:, 0])
+        assert not problem._samples_in_box
+
+
+@pytest.mark.parametrize("name", registry_names())
+def test_sampled_mask_equals_evaluate_batch(name):
+    problem = get_problem(name)
+    x = problem.sample_uniform(np.random.default_rng(registry_names().index(name)), 3000)
+    cell = ExperimentConfig(name, ChtConfig("pfpr+rec"), 2, 6, 100, 1)
+    relaxed = cell.resolved_cht().tolerances_at(cell.tolerances, 1, cell.steps)
+    for tol in (TOL, relaxed):
+        got = sampled_mask(problem, x, tol)
+        assert got.dtype == bool
+        assert np.array_equal(got, evaluate_batch(problem, x).feasible(tol))
+
+
+def test_sampled_mask_faults_as_feasible_mask():
+    clean, _ = _faulty_halfline([])
+    x = clean.sample_uniform(np.random.default_rng(FAULT_SEED), 300)
+    problem, _ = _faulty_halfline(x[[40, 7, 200], 0])
+    assert problem._samples_in_box
+    with pytest.raises(EvaluationFault, match="inequality 0 at in-box point index 7"):
+        feasible_mask(problem, x, TOL)
+    with pytest.raises(EvaluationFault, match="inequality 0 at in-box point index 7"):
+        sampled_mask(problem, x, TOL)
 
 
 # ----------------------------------------------------------------- tiles
