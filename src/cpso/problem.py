@@ -445,6 +445,7 @@ def sampled_mask(problem: Problem, x: np.ndarray, tolerances: Tolerances) -> np.
     """
     if not problem._samples_in_box:
         return feasible_mask(problem, x, tolerances)
+    # feasible_mask's box test, on excesses that are all 0.0.
     in_box = np.full(len(x), 0.0 <= tolerances.ineq)
     return _constraints_mask(problem, x, tolerances, in_box)
 

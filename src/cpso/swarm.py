@@ -436,9 +436,9 @@ def initial_positions(
     Candidates are tested with :func:`~cpso.problem.sampled_mask`, the
     mask of :func:`~cpso.problem.feasible_mask` from the constraints
     alone once the problem proves that its samples lie in the box, and
-    each one read costs one evaluation.  The objective is evaluated at the accepted positions
-    only, by the :class:`Swarm` constructor, so a non-finite objective
-    at a rejected candidate raises nothing.
+    each one read costs one evaluation.  The objective is evaluated at
+    the accepted positions only, by the :class:`Swarm` constructor, so a
+    non-finite objective at a rejected candidate raises nothing.
     """
     tol = cht.tolerances_at(config.tolerances, 1, config.steps)
     rng = np.random.default_rng(config.seed)
@@ -462,11 +462,11 @@ def _feasible_positions(
     Returns the positions and the rejected candidates, which cost one
     evaluation each; the accepted ones are charged by the swarm's
     initial batch evaluation.  Candidates are tested with
-    :func:`~cpso.problem.sampled_mask`, a block at a time or a chunk at a
-    time, so the rows tested are always drawn ones.  ``rows`` buffers drawn
-    candidates, with ``rows[c]`` the start of the current particle's
-    next chunk and ``start`` the stream index of ``rows[0]``; a block of
-    whole chunks is appended whenever the next chunk runs past its end.
+    :func:`~cpso.problem.sampled_mask`: a block or a chunk of drawn
+    rows, never other points.  ``rows`` buffers drawn candidates, with
+    ``rows[c]`` the start of the current particle's next chunk and
+    ``start`` the stream index of ``rows[0]``; a block of whole chunks
+    is appended whenever the next chunk runs past its end.
     A block tests rows that no chunk may read, so once a block's test
     faults, chunks are tested one at a time as they are read: a fault
     is raised only from a chunk that is read, with its in-chunk index.
