@@ -14,6 +14,11 @@ Maximization problems are stored in minimization form.  Double-sided
 constraints (``a <= expr <= b``) are stored as a single function
 ``max(expr - b, a - expr)`` so constraint counts match the usual
 suite descriptions.
+
+Integer powers other than squares are written as products (``x * x * x``),
+not with ``**``: products are exact IEEE operations, so they give the same
+bits under every SIMD dispatch level NumPy may pick, where its ``pow`` does
+not, and they cost less.  ``x**2`` is NumPy's ``square``, also exact.
 """
 
 from __future__ import annotations
@@ -73,12 +78,14 @@ def _pressure_vessel(name: str, mixed: bool) -> SuiteEntry:
             + 19.84 * x1**2 * x3
         )
 
+    def g3(x):
+        r = x[:, 2]
+        return -np.pi * r**2 * x[:, 3] - (4.0 / 3.0) * np.pi * (r * r * r) + 1296000.0
+
     gs = (
         lambda x: -x[:, 0] + 0.0193 * x[:, 2],
         lambda x: -x[:, 1] + 0.00954 * x[:, 2],
-        lambda x: -np.pi * x[:, 2] ** 2 * x[:, 3]
-        - (4.0 / 3.0) * np.pi * x[:, 2] ** 3
-        + 1296000.0,
+        g3,
     )
     steps = np.array([0.0625, 0.0625, np.nan, np.nan]) if mixed else None
     problem = Problem(
@@ -125,9 +132,14 @@ def _welded_beam() -> SuiteEntry:
 
     def _pc(x):
         _, _, x3, x4 = x.T
-        return (4.013 * E * np.sqrt(x3**2 * x4**6 / 36.0) / L**2) * (
+        b2 = x4 * x4
+        return (4.013 * E * np.sqrt(x3**2 * (b2 * b2 * b2) / 36.0) / L**2) * (
             1.0 - x3 / (2.0 * L) * np.sqrt(E / (4.0 * G))
         )
+
+    def _deflection(x):
+        t = x[:, 2]
+        return 4.0 * P * L**3 / (E * (t * t * t) * x[:, 3]) - delta_max
 
     gs = (
         lambda x: _tau(x) - tau_max,
@@ -137,7 +149,7 @@ def _welded_beam() -> SuiteEntry:
         + 0.04811 * x[:, 2] * x[:, 3] * (L + x[:, 1])
         - 5.0,
         lambda x: 0.125 - x[:, 0],
-        lambda x: 4.0 * P * L**3 / (E * x[:, 2] ** 3 * x[:, 3]) - delta_max,
+        _deflection,
         lambda x: P - _pc(x),
     )
     problem = Problem(
@@ -167,12 +179,23 @@ def _spring() -> SuiteEntry:
         d, D, N = x.T
         return (N + 2.0) * D * d**2
 
+    def g1(x):
+        d, D, N = x.T
+        d2 = d * d
+        return 1.0 - (D * D * D) * N / (71785.0 * (d2 * d2))
+
+    def g2(x):
+        d, D, _ = x.T
+        d2 = d * d
+        return (
+            (4.0 * D**2 - d * D) / (12566.0 * (D * (d2 * d) - d2 * d2))
+            + 1.0 / (5108.0 * d**2)
+            - 1.0
+        )
+
     gs = (
-        lambda x: 1.0 - x[:, 1] ** 3 * x[:, 2] / (71785.0 * x[:, 0] ** 4),
-        lambda x: (4.0 * x[:, 1] ** 2 - x[:, 0] * x[:, 1])
-        / (12566.0 * (x[:, 1] * x[:, 0] ** 3 - x[:, 0] ** 4))
-        + 1.0 / (5108.0 * x[:, 0] ** 2)
-        - 1.0,
+        g1,
+        g2,
         lambda x: 1.0 - 140.45 * x[:, 0] / (x[:, 1] ** 2 * x[:, 2]),
         lambda x: (x[:, 0] + x[:, 1]) / 1.5 - 1.0,
     )
@@ -285,11 +308,14 @@ def _g01() -> SuiteEntry:
 
 def _g02() -> SuiteEntry:
     n = 20
+    weights = np.arange(1.0, n + 1.0)
+    weights.flags.writeable = False
 
     def f(x):
         c = np.cos(x)
-        num = (c**4).sum(axis=1) - 2.0 * (c**2).prod(axis=1)
-        den = np.sqrt((np.arange(1, n + 1) * x**2).sum(axis=1))
+        c2 = c * c
+        num = (c2 * c2).sum(axis=1) - 2.0 * c2.prod(axis=1)
+        den = np.sqrt((weights * x**2).sum(axis=1))
         return -np.abs(num / den)
 
     gs = (
@@ -375,7 +401,12 @@ def _g04() -> SuiteEntry:
 def _g05() -> SuiteEntry:
     def f(x):
         x1, x2 = x[:, 0], x[:, 1]
-        return 3.0 * x1 + 1e-6 * x1**3 + 2.0 * x2 + (2e-6 / 3.0) * x2**3
+        return (
+            3.0 * x1
+            + 1e-6 * (x1 * x1 * x1)
+            + 2.0 * x2
+            + (2e-6 / 3.0) * (x2 * x2 * x2)
+        )
 
     g1 = _interval(lambda x: x[:, 2] - x[:, 3], -0.55, 0.55)
     hs = (
@@ -405,7 +436,9 @@ def _g05() -> SuiteEntry:
 
 def _g06() -> SuiteEntry:
     def f(x):
-        return (x[:, 0] - 10.0) ** 3 + (x[:, 1] - 20.0) ** 3
+        a = x[:, 0] - 10.0
+        b = x[:, 1] - 20.0
+        return a * a * a + b * b * b
 
     gs = (
         lambda x: -((x[:, 0] - 5.0) ** 2) - (x[:, 1] - 5.0) ** 2 + 100.0,
@@ -477,9 +510,8 @@ def _g07() -> SuiteEntry:
 def _g08() -> SuiteEntry:
     def f(x):
         x1, x2 = x[:, 0], x[:, 1]
-        return -(np.sin(2 * np.pi * x1) ** 3 * np.sin(2 * np.pi * x2)) / (
-            x1**3 * (x1 + x2)
-        )
+        s = np.sin(2 * np.pi * x1)
+        return -(s * s * s * np.sin(2 * np.pi * x2)) / (x1 * x1 * x1 * (x1 + x2))
 
     gs = (
         lambda x: x[:, 0] ** 2 - x[:, 1] + 1.0,
@@ -503,18 +535,26 @@ def _g08() -> SuiteEntry:
 def _g09() -> SuiteEntry:
     def f(x):
         x1, x2, x3, x4, x5, x6, x7 = x.T
+        x3_2, x5_2, x7_2 = x3 * x3, x5 * x5, x7 * x7
         return (
-            (x1 - 10) ** 2 + 5 * (x2 - 12) ** 2 + x3**4 + 3 * (x4 - 11) ** 2
-            + 10 * x5**6 + 7 * x6**2 + x7**4 - 4 * x6 * x7 - 10 * x6 - 8 * x7
+            (x1 - 10) ** 2 + 5 * (x2 - 12) ** 2 + x3_2 * x3_2 + 3 * (x4 - 11) ** 2
+            + 10 * (x5_2 * x5_2 * x5_2) + 7 * x6**2 + x7_2 * x7_2
+            - 4 * x6 * x7 - 10 * x6 - 8 * x7
+        )
+
+    def g1(x):
+        x2_2 = x[:, 1] * x[:, 1]
+        return (
+            -127
+            + 2 * x[:, 0] ** 2
+            + 3 * (x2_2 * x2_2)
+            + x[:, 2]
+            + 4 * x[:, 3] ** 2
+            + 5 * x[:, 4]
         )
 
     gs = (
-        lambda x: -127
-        + 2 * x[:, 0] ** 2
-        + 3 * x[:, 1] ** 4
-        + x[:, 2]
-        + 4 * x[:, 3] ** 2
-        + 5 * x[:, 4],
+        g1,
         lambda x: -282
         + 7 * x[:, 0]
         + 3 * x[:, 1]
@@ -634,7 +674,7 @@ def _g13() -> SuiteEntry:
     hs = (
         lambda x: (x**2).sum(axis=1) - 10.0,
         lambda x: x[:, 1] * x[:, 2] - 5.0 * x[:, 3] * x[:, 4],
-        lambda x: x[:, 0] ** 3 + x[:, 1] ** 3 + 1.0,
+        lambda x: x[:, 0] * x[:, 0] * x[:, 0] + x[:, 1] * x[:, 1] * x[:, 1] + 1.0,
     )
     lower = np.array([-2.3, -2.3, -3.2, -3.2, -3.2])
     upper = np.array([2.3, 2.3, 3.2, 3.2, 3.2])

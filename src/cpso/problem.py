@@ -33,7 +33,8 @@ class Tolerances:
     eq: float = 1e-12
 
     def __post_init__(self):
-        if self.ineq < 0 or self.eq < 0:
+        # Written so that NaN fails too: no point passes a comparison with it.
+        if not (self.ineq >= 0 and self.eq >= 0):
             raise ValueError("tolerances must be nonnegative")
 
 

@@ -14,25 +14,35 @@ positions, conflicts and cv.  The summary's cv values mostly sum few
 nonzero terms, so it is the digest, over every memory, that pins the
 last bits of wide row sums.
 
-Write the corpus with::
+Write the whole corpus, or only the named cells, with::
 
-    PYTHONPATH=src python tests/golden/generate.py
+    PYTHONPATH=src python tests/golden/generate.py [CELL_ID ...]
 
-``tests/test_golden.py`` recomputes every cell and compares bit for bit.
+``tests/test_golden.py`` recomputes every cell and compares bit for bit,
+also in a subprocess with NumPy's AVX-512 dispatch disabled.
 Regenerate only when a NumPy upgrade changes the last bits, or for a
 result change declared in CHANGES.md, and then only the cells it
 changes; log either in CHANGES.md.  Never regenerate to absorb an
 engine change that claims to keep results.
+
+Last regenerated (the g08 cells, g02-pfpr-nn2 and g06-pf-nn2, when the
+registry's integer powers became products) with NumPy 2.4.6 on x86-64
+under AVX-512 dispatch (AVX512_SPR), and checked to match under X86_V3
+(``NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4"``).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from pathlib import Path
 from typing import List
 
+import numpy as np
+
 from cpso import harness
+from cpso.benchmarks import all_entries
 from cpso.handlers import KINDS, ChtConfig
 from cpso.harness import ExperimentConfig
 from cpso.swarm import Swarm
@@ -102,6 +112,28 @@ def _digest(pbest) -> str:
     return h.hexdigest()
 
 
+def function_digests() -> dict:
+    """SHA-256 of every registered problem function on one fixed sample.
+
+    Keys are ``<problem>.sample`` (the uniform in-box sample itself),
+    ``<problem>.objective``, ``<problem>.inequalities[i]`` and
+    ``<problem>.equalities[i]``.  The odd row count also takes the SIMD
+    loops through their scalar tails.
+    """
+    out = {}
+    for entry in all_entries():
+        problem = entry.problem
+        x = problem.sample_uniform(np.random.default_rng(SEED), 1001)
+        functions = {"sample": lambda x: x, "objective": problem.objective}
+        for kind in ("inequalities", "equalities"):
+            for i, g in enumerate(getattr(problem, kind)):
+                functions[f"{kind}[{i}]"] = g
+        for label, fn in functions.items():
+            value = np.ascontiguousarray(fn(x), dtype=np.float64)
+            out[f"{problem.name}.{label}"] = hashlib.sha256(value.tobytes()).hexdigest()
+    return out
+
+
 def record(config: ExperimentConfig) -> dict:
     """Run one cell serially and return its corpus entry."""
     groups = []
@@ -157,11 +189,18 @@ def record(config: ExperimentConfig) -> dict:
     }
 
 
-def main() -> None:
-    corpus = {cell_id(c): record(c) for c in cells()}
+def main(names: List[str]) -> None:
+    """Record every cell, or only the named ones into the existing corpus."""
+    configs = {cell_id(c): c for c in cells()}
+    unknown = sorted(set(names) - set(configs))
+    if unknown:
+        raise SystemExit(f"unknown cells: {', '.join(unknown)}")
+    corpus = json.loads(CORPUS.read_text()) if names else {}
+    for name in names or configs:
+        corpus[name] = record(configs[name])
     CORPUS.write_text(json.dumps(corpus, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(corpus)} cells to {CORPUS}")
+    print(f"wrote {len(names or configs)} of {len(corpus)} cells to {CORPUS}")
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

@@ -136,6 +136,8 @@ def test_unknown_cht_exits_nonzero(capsys):
         (RUN_ARGS + ["--prob", "2"], "prob must be in [0, 1]"),
         (["feasibility", "--problem", "g08", "--seed", "-1"], "seed must be"),
         (["feasibility", "--problem", "g08", "--tol-eq", "-1"], "must be nonnegative"),
+        (RUN_ARGS + ["--tol-ineq", "nan"], "must be nonnegative"),
+        (RUN_ARGS + ["--format", "csv", "--tol-eq", "nan"], "must be nonnegative"),
     ],
 )
 def test_invalid_values_are_usage_errors(capsys, argv, message):
@@ -387,6 +389,7 @@ def test_sweep_malformed_reports_line_number():
         ("cht = pfpr+rec\ntol-eq = 1000\n", "initial_tol must be >= final_tol"),
         ("nn = 3\n", "missing required key 'cht'"),
         ("cht = pfpr\nnn = 1\n", "nn must be >= 2"),
+        ("cht = pfpr\ntol-ineq = nan\n", "tolerances must be nonnegative"),
     ],
 )
 def test_sweep_section_errors_name_the_section(tmp_path, capsys, third, message):

@@ -2,17 +2,44 @@
 
 The corpus pins engine results across rewrites; see
 ``tests/golden/generate.py`` for what it covers and when it may be
-regenerated.
+regenerated.  The same corpus must also come out of a process whose
+NumPy runs without its AVX-512 dispatch.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from golden.generate import CORPUS, cell_id, cells, record
+from golden.generate import CORPUS, cell_id, cells, function_digests, record
 
 EXPECTED = json.loads(CORPUS.read_text())
 CELLS = cells()
+
+# NumPy then dispatches its SIMD loops at X86_V3 (AVX2) at most.  NumPy
+# 2.4 accepts names of features the host lacks, so on a host without
+# AVX-512 this runs the same dispatch as the parent process.
+NO_AVX512 = {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4"}
+# g13's objective is exp(prod(x)), and NumPy's exp differs in the last
+# bits between dispatch levels.  Every other problem function is built
+# from exact IEEE operations, sqrt, sin and cos, which were measured
+# stable across them.
+DISPATCH_DEPENDENT = {"g13.objective"}
+
+_CHILD = """
+import json
+import numpy as np
+from golden.generate import cell_id, cells, function_digests, record
+features = np._core._multiarray_umath.__cpu_features__
+print(json.dumps({
+    "features": sorted(k for k, on in features.items() if on),
+    "cells": {cell_id(c): record(c) for c in cells()},
+    "functions": function_digests(),
+}))
+"""
 
 
 def test_corpus_covers_every_cell():
@@ -22,3 +49,29 @@ def test_corpus_covers_every_cell():
 @pytest.mark.parametrize("config", CELLS, ids=cell_id)
 def test_cell_matches_corpus(config):
     assert record(config) == EXPECTED[cell_id(config)]
+
+
+def test_corpus_and_functions_do_not_depend_on_simd_dispatch():
+    tests = Path(__file__).resolve().parent
+    path = [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, **NO_AVX512, "PYTHONPATH": os.pathsep.join(path)}
+    done = subprocess.run(
+        [sys.executable, "-c", _CHILD], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    child = json.loads(done.stdout)
+    assert "X86_V4" not in child["features"]
+
+    assert sorted(child["cells"]) == sorted(EXPECTED)
+    moved = [name for name in EXPECTED if child["cells"][name] != EXPECTED[name]]
+    assert moved == []
+
+    here = function_digests()
+    assert DISPATCH_DEPENDENT <= set(here)
+    assert sorted(child["functions"]) == sorted(here)
+    moved = [
+        k
+        for k in here
+        if k not in DISPATCH_DEPENDENT and child["functions"][k] != here[k]
+    ]
+    assert moved == []
