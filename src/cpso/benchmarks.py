@@ -13,7 +13,8 @@ Two suites are registered:
 Maximization problems are stored in minimization form.  Double-sided
 constraints (``a <= expr <= b``) are stored as a single function
 ``max(expr - b, a - expr)`` so constraint counts match the usual
-suite descriptions.
+suite descriptions.  Himmelblau's problem is g04 with another
+coefficient, so both are built by one function.
 
 Integer powers other than squares are written as products (``x * x * x``),
 not with ``**``: products are exact IEEE operations, so they give the same
@@ -46,9 +47,6 @@ class SuiteEntry:
 
     problem: Problem
     suite: str  # "engineering" | "g-suite"
-    n_inequalities: int
-    n_equalities: int
-    dimension: int
     reported_feasibility_ratio: Optional[float] = None  # percent
     reported_optimum: Optional[float] = None
     optimum_position: Optional[np.ndarray] = None
@@ -99,9 +97,6 @@ def _pressure_vessel(name: str, mixed: bool) -> SuiteEntry:
     return SuiteEntry(
         problem=problem,
         suite="engineering",
-        n_inequalities=3,
-        n_equalities=0,
-        dimension=4,
         reported_feasibility_ratio=75.8937 if mixed else 75.9314,
         reported_optimum=6059.714335 if mixed else None,
         optimum_position=(
@@ -162,9 +157,6 @@ def _welded_beam() -> SuiteEntry:
     return SuiteEntry(
         problem=problem,
         suite="engineering",
-        n_inequalities=7,
-        n_equalities=0,
-        dimension=4,
         reported_feasibility_ratio=2.6475,
         reported_optimum=1.724852,
         optimum_position=np.array(
@@ -209,9 +201,6 @@ def _spring() -> SuiteEntry:
     return SuiteEntry(
         problem=problem,
         suite="engineering",
-        n_inequalities=4,
-        n_equalities=0,
-        dimension=3,
         reported_feasibility_ratio=0.7467,
         reported_optimum=0.012665,
         optimum_position=np.array([0.051689061, 0.356717744, 11.288965504]),
@@ -219,51 +208,10 @@ def _spring() -> SuiteEntry:
 
 
 def _himmelblau() -> SuiteEntry:
-    # Same structure as g04 with the 0.00026 coefficient of the Hu et al.
-    # statement of the problem (and three double-sided constraints).
-    def f(x):
-        x1, _, x3, _, x5 = x.T
-        return (
-            5.3578547 * x3**2 + 0.8356891 * x1 * x5 + 37.293239 * x1 - 40792.141
-        )
-
-    g1 = _interval(
-        lambda x: 85.334407
-        + 0.0056858 * x[:, 1] * x[:, 4]
-        + 0.00026 * x[:, 0] * x[:, 3]
-        - 0.0022053 * x[:, 2] * x[:, 4],
-        0.0,
-        92.0,
-    )
-    g2 = _interval(
-        lambda x: 80.51249
-        + 0.0071317 * x[:, 1] * x[:, 4]
-        + 0.0029955 * x[:, 0] * x[:, 1]
-        + 0.0021813 * x[:, 2] ** 2,
-        90.0,
-        110.0,
-    )
-    g3 = _interval(
-        lambda x: 9.300961
-        + 0.0047026 * x[:, 2] * x[:, 4]
-        + 0.0012547 * x[:, 0] * x[:, 2]
-        + 0.0019085 * x[:, 2] * x[:, 3],
-        20.0,
-        25.0,
-    )
-    problem = Problem(
-        name="himmelblau",
-        lower=np.array([78.0, 33.0, 27.0, 27.0, 27.0]),
-        upper=np.array([102.0, 45.0, 45.0, 45.0, 45.0]),
-        objective=f,
-        inequalities=(g1, g2, g3),
-    )
+    # g04 with the 0.00026 coefficient of the Hu et al. statement.
     return SuiteEntry(
-        problem=problem,
+        problem=_g04_form("himmelblau", 0.00026),
         suite="engineering",
-        n_inequalities=3,
-        n_equalities=0,
-        dimension=5,
         reported_feasibility_ratio=52.0696,
         reported_optimum=-31025.561420,
         optimum_position=np.array(
@@ -299,7 +247,7 @@ def _g01() -> SuiteEntry:
     problem = Problem("g01", lower, upper, f, inequalities=gs)
     x_star = np.array([1.0] * 9 + [3.0] * 3 + [1.0])
     return SuiteEntry(
-        problem, "g-suite", 9, 0, 13,
+        problem, "g-suite",
         reported_feasibility_ratio=0.0003,
         reported_optimum=-15.0,
         optimum_position=x_star,
@@ -330,7 +278,7 @@ def _g02() -> SuiteEntry:
         0.456836648, 0.452458769, 0.448267622, 0.444247009, 0.440382860,
     ])
     return SuiteEntry(
-        problem, "g-suite", 2, 0, n,
+        problem, "g-suite",
         reported_feasibility_ratio=99.9964,
         reported_optimum=-0.803619,
         optimum_position=x_star,
@@ -348,14 +296,17 @@ def _g03() -> SuiteEntry:
     problem = Problem("g03", np.zeros(n), np.ones(n), f, equalities=hs)
     x_star = np.full(n, 1.0 / np.sqrt(n))
     return SuiteEntry(
-        problem, "g-suite", 0, 1, n,
+        problem, "g-suite",
         reported_feasibility_ratio=0.0,
         reported_optimum=-1.0,
         optimum_position=x_star,
     )
 
 
-def _g04() -> SuiteEntry:
+def _g04_form(name: str, a14: float) -> Problem:
+    """g04's objective, constraints and box, with ``a14`` the coefficient
+    of ``x1 * x4`` in the first constraint (three double-sided ones)."""
+
     def f(x):
         x1, _, x3, _, x5 = x.T
         return (
@@ -365,7 +316,7 @@ def _g04() -> SuiteEntry:
     g1 = _interval(
         lambda x: 85.334407
         + 0.0056858 * x[:, 1] * x[:, 4]
-        + 0.0006262 * x[:, 0] * x[:, 3]
+        + a14 * x[:, 0] * x[:, 3]
         - 0.0022053 * x[:, 2] * x[:, 4],
         0.0,
         92.0,
@@ -388,10 +339,13 @@ def _g04() -> SuiteEntry:
     )
     lower = np.array([78.0, 33.0, 27.0, 27.0, 27.0])
     upper = np.array([102.0, 45.0, 45.0, 45.0, 45.0])
-    problem = Problem("g04", lower, upper, f, inequalities=(g1, g2, g3))
+    return Problem(name, lower, upper, f, inequalities=(g1, g2, g3))
+
+
+def _g04() -> SuiteEntry:
     x_star = np.array([78.0, 33.0, 29.9952560256816, 45.0, 36.7758129057882])
     return SuiteEntry(
-        problem, "g-suite", 3, 0, 5,
+        _g04_form("g04", 0.0006262), "g-suite",
         reported_feasibility_ratio=26.9552,
         reported_optimum=-30665.539,
         optimum_position=x_star,
@@ -427,7 +381,7 @@ def _g05() -> SuiteEntry:
     problem = Problem("g05", lower, upper, f, inequalities=(g1,), equalities=hs)
     x_star = np.array([679.945148297, 1026.06697600, 0.118876369094, -0.396233485215])
     return SuiteEntry(
-        problem, "g-suite", 1, 3, 4,
+        problem, "g-suite",
         reported_feasibility_ratio=0.0,
         reported_optimum=5126.498,
         optimum_position=x_star,
@@ -449,7 +403,7 @@ def _g06() -> SuiteEntry:
     )
     x_star = np.array([14.095, 0.84296079])
     return SuiteEntry(
-        problem, "g-suite", 2, 0, 2,
+        problem, "g-suite",
         reported_feasibility_ratio=0.0067,
         reported_optimum=-6961.81388,
         optimum_position=x_star,
@@ -500,7 +454,7 @@ def _g07() -> SuiteEntry:
         1.430574, 1.321644, 9.828726, 8.280092, 8.375927,
     ])
     return SuiteEntry(
-        problem, "g-suite", 8, 0, 10,
+        problem, "g-suite",
         reported_feasibility_ratio=0.0001,
         reported_optimum=24.306209,
         optimum_position=x_star,
@@ -525,7 +479,7 @@ def _g08() -> SuiteEntry:
     )
     x_star = np.array([1.22797135260752599, 4.24537336612274885])
     return SuiteEntry(
-        problem, "g-suite", 2, 0, 2,
+        problem, "g-suite",
         reported_feasibility_ratio=0.8607,
         reported_optimum=-0.095825,
         optimum_position=x_star,
@@ -580,7 +534,7 @@ def _g09() -> SuiteEntry:
         2.330499, 1.951372, -0.477541, 4.365726, -0.624487, 1.038131, 1.594227,
     ])
     return SuiteEntry(
-        problem, "g-suite", 4, 0, 7,
+        problem, "g-suite",
         reported_feasibility_ratio=0.5264,
         reported_optimum=680.630057,
         optimum_position=x_star,
@@ -617,7 +571,7 @@ def _g10() -> SuiteEntry:
         286.416525928, 395.601173703,
     ])
     return SuiteEntry(
-        problem, "g-suite", 6, 0, 8,
+        problem, "g-suite",
         reported_feasibility_ratio=0.0006,
         reported_optimum=7049.25,
         optimum_position=x_star,
@@ -634,7 +588,7 @@ def _g11() -> SuiteEntry:
     )
     x_star = np.array([1.0 / np.sqrt(2.0), 0.5])
     return SuiteEntry(
-        problem, "g-suite", 0, 1, 2,
+        problem, "g-suite",
         reported_feasibility_ratio=0.0,
         reported_optimum=0.75,
         optimum_position=x_star,
@@ -660,7 +614,7 @@ def _g12() -> SuiteEntry:
     )
     x_star = np.array([5.0, 5.0, 5.0])
     return SuiteEntry(
-        problem, "g-suite", 1, 0, 3,
+        problem, "g-suite",
         reported_feasibility_ratio=4.7713,
         reported_optimum=-1.0,
         optimum_position=x_star,
@@ -683,7 +637,7 @@ def _g13() -> SuiteEntry:
         -1.717143, 1.595709, 1.827247, -0.7636413, -0.763645,
     ])
     return SuiteEntry(
-        problem, "g-suite", 0, 3, 5,
+        problem, "g-suite",
         reported_feasibility_ratio=0.0,
         reported_optimum=0.053950,
         optimum_position=x_star,
@@ -700,14 +654,7 @@ def _build_registry() -> Dict[str, SuiteEntry]:
         _g01(), _g02(), _g03(), _g04(), _g05(), _g06(), _g07(),
         _g08(), _g09(), _g10(), _g11(), _g12(), _g13(),
     ]
-    registry = {}
-    for entry in entries:
-        problem = entry.problem
-        assert entry.n_inequalities == problem.n_inequalities
-        assert entry.n_equalities == problem.n_equalities
-        assert entry.dimension == problem.dimension
-        registry[problem.name] = entry
-    return registry
+    return {entry.problem.name: entry for entry in entries}
 
 
 _REGISTRY = _build_registry()
@@ -746,13 +693,11 @@ def estimate_feasibility_ratio(
     Deterministic for a fixed seed.  Discrete dimensions are snapped to
     their grid before testing, mirroring swarm initialization.  The
     samples are drawn and tested with :func:`~cpso.problem.sampled_mask`
-    (the mask of :func:`~cpso.problem.feasible_mask`, from the
-    constraints alone once the problem proves that its samples lie in
-    the box) in blocks of ``MAX_BATCH_ROWS`` rows, so memory stays
-    bounded; consecutive uniform blocks hold the same values as one
-    block of their total size, so the ratio does not depend on the block
-    size.  The objective is never evaluated; a constraint fault names
-    its point's index within its block.
+    in blocks of ``MAX_BATCH_ROWS`` rows, so memory stays bounded;
+    consecutive uniform blocks hold the same values as one block of
+    their total size, so the ratio does not depend on the block size.
+    The objective is never evaluated; a constraint fault names its
+    point's index within its block.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")

@@ -43,7 +43,14 @@ from typing import TYPE_CHECKING, Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .problem import BatchEval, Problem, RecSchedule, Tolerances, evaluate_batch
+from .problem import (
+    BatchEval,
+    Problem,
+    RecSchedule,
+    Tolerances,
+    _all_within,
+    evaluate_batch,
+)
 
 if TYPE_CHECKING:  # at run time, np.random would import numpy.random early
     # One generator, or one per run when the rows belong to several runs.
@@ -79,7 +86,9 @@ class ChtConfig:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise ValueError(f"unknown CHT {self.kind!r}; valid: {', '.join(KINDS)}")
+            raise ValueError(
+                f"unknown CHT {self.kind!r}; valid names: {', '.join(KINDS)}"
+            )
         if not (0.0 <= self.prob <= 1.0):
             raise ValueError("prob must be in [0, 1]")
 
@@ -261,9 +270,8 @@ def _repair_factors(
     if variant == "bm":
         return np.broadcast_to(0.5 ** np.arange(1, max_trials + 1), (k, max_trials))
     if variant == "bmem":
-        box_only = np.all(full.ineq_violations <= tolerances.ineq, axis=1) & np.all(
-            full.eq_violations <= tolerances.eq, axis=1
-        )
+        # Every constraint, but not the box, within tolerance.
+        box_only = _all_within(full._limits(tolerances)[1:])
         width = min(max_trials, _BMEM_LADDER.size)
         return np.where(
             box_only[:, None], _BMEM_DOWN_LADDER[:width], _BMEM_LADDER[:width]

@@ -244,32 +244,29 @@ class BatchEval:
     def __len__(self) -> int:
         return self.positions.shape[0]
 
+    def _limits(self, tolerances: Tolerances) -> tuple:
+        """Each violation block with its tolerance, box first: a term is
+        within tolerance when it is at most ``tolerances.ineq`` (box and
+        inequality terms) or ``tolerances.eq`` (equality terms)."""
+        return (
+            (self.box_violations, tolerances.ineq),
+            (self.ineq_violations, tolerances.ineq),
+            (self.eq_violations, tolerances.eq),
+        )
+
     def nac(self, tolerances: Tolerances) -> np.ndarray:
         """Active-constraint count per point under the given tolerances."""
-        return (
-            np.count_nonzero(self.ineq_violations > tolerances.ineq, axis=1)
-            + np.count_nonzero(self.eq_violations > tolerances.eq, axis=1)
-            + np.count_nonzero(self.box_violations > tolerances.ineq, axis=1)
+        return sum(
+            np.count_nonzero(block > tol, axis=1)
+            for block, tol in self._limits(tolerances)
         )
 
     def feasible(self, tolerances: Tolerances) -> np.ndarray:
         """Boolean feasibility mask under the given tolerances."""
-        mask = _rows_all(self.box_violations <= tolerances.ineq)
-        if self.ineq_violations.shape[1]:
-            mask &= _rows_all(self.ineq_violations <= tolerances.ineq)
-        if self.eq_violations.shape[1]:
-            mask &= _rows_all(self.eq_violations <= tolerances.eq)
-        return mask
+        return _all_within(self._limits(tolerances))
 
     def take(self, rows: np.ndarray) -> "BatchEval":
-        return BatchEval(
-            positions=self.positions[rows],
-            conflict=self.conflict[rows],
-            ineq_violations=self.ineq_violations[rows],
-            eq_violations=self.eq_violations[rows],
-            box_violations=self.box_violations[rows],
-            cv=self.cv[rows],
-        )
+        return BatchEval(*[getattr(self, f)[rows] for f in _FIELDS])
 
     def assign(self, rows: np.ndarray, other: "BatchEval") -> None:
         """Overwrite the selected rows with rows of ``other``.
@@ -289,14 +286,7 @@ class BatchEval:
                 np.copyto(dst, src, where=masks[dst.ndim - 1])
 
     def copy(self) -> "BatchEval":
-        return BatchEval(
-            positions=self.positions.copy(),
-            conflict=self.conflict.copy(),
-            ineq_violations=self.ineq_violations.copy(),
-            eq_violations=self.eq_violations.copy(),
-            box_violations=self.box_violations.copy(),
-            cv=self.cv.copy(),
-        )
+        return BatchEval(*[getattr(self, f).copy() for f in _FIELDS])
 
 
 _FIELDS = tuple(BatchEval.__dataclass_fields__)
@@ -310,6 +300,18 @@ def _rows_all(block: np.ndarray) -> np.ndarray:
     rounding, so the order cannot change the result.
     """
     return np.ascontiguousarray(block.T).all(axis=0)
+
+
+def _all_within(limits) -> np.ndarray:
+    """Which rows have every term of each ``(block, tolerance)`` pair of
+    :meth:`BatchEval._limits` within its tolerance.  A block with no
+    columns passes every row, so after the first it is skipped."""
+    (block, tol), *rest = limits
+    mask = _rows_all(block <= tol)
+    for block, tol in rest:
+        if block.shape[1]:
+            mask &= _rows_all(block <= tol)
+    return mask
 
 
 def _checked_positions(problem: Problem, positions: np.ndarray) -> np.ndarray:
@@ -338,19 +340,29 @@ def _box_excess(problem: Problem, x: np.ndarray) -> np.ndarray:
     return box
 
 
-def _in_box(problem: Problem, x: np.ndarray) -> np.ndarray:
-    """Which rows lie in the box, bounds included."""
-    return np.all((x >= problem.lower) & (x <= problem.upper), axis=1)
-
-
-def _fault(problem: Problem, k: int, idx: int) -> EvaluationFault:
-    """The fault of function ``k`` (objective, inequality 0.., equality 0..)."""
-    what = (
-        "objective",
-        *(f"inequality {j}" for j in range(problem.n_inequalities)),
-        *(f"equality {j}" for j in range(problem.n_equalities)),
-    )[k]
-    return EvaluationFault(f"non-finite {what} at in-box point index {idx}")
+def _inf_outside_box(
+    problem: Problem, x: np.ndarray, raw: np.ndarray, first: int
+) -> np.ndarray:
+    """The +inf rule and the faults of :func:`evaluate_batch` on ``raw``,
+    the function-major values of functions ``first``, ``first + 1``, ...
+    at the rows of ``x``: ``raw`` itself when all are finite, else a new
+    array, as ``raw`` may be a view of ``x``.  A row is in the box when
+    its box excess is all 0.0, exactly so for finite positions.
+    """
+    finite = np.isfinite(raw)
+    if finite.all():
+        return raw
+    in_box = ~_box_excess(problem, x).any(axis=1)
+    faults = np.flatnonzero(~finite & in_box)
+    if faults.size:
+        k, idx = divmod(int(faults[0]), len(x))
+        what = (
+            "objective",
+            *(f"inequality {j}" for j in range(problem.n_inequalities)),
+            *(f"equality {j}" for j in range(problem.n_equalities)),
+        )[first + k]
+        raise EvaluationFault(f"non-finite {what} at in-box point index {idx}")
+    return np.where(finite, raw, np.inf)
 
 
 def evaluate_batch(problem: Problem, positions: np.ndarray) -> BatchEval:
@@ -375,12 +387,7 @@ def evaluate_batch(problem: Problem, positions: np.ndarray) -> BatchEval:
     raw = np.empty((len(functions), m))  # function-major
     for k, f in enumerate(functions):
         raw[k] = f(x)
-    finite = np.isfinite(raw)
-    if not finite.all():
-        faults = np.flatnonzero(~finite & _in_box(problem, x))
-        if faults.size:
-            raise _fault(problem, *divmod(int(faults[0]), m))
-        raw[~finite] = np.inf
+    raw = _inf_outside_box(problem, x, raw, 0)
 
     # Point-major and C-contiguous before the row sums: NumPy sums rows of
     # 8 or more terms in an unrolled order that follows the memory layout,
@@ -389,7 +396,7 @@ def evaluate_batch(problem: Problem, positions: np.ndarray) -> BatchEval:
     # excesses are computed and is not held by the batch.
     conflict = raw[0].copy()
     violations = np.ascontiguousarray(raw[1:].T)
-    del raw, finite
+    del raw
     ineq = violations[:, :q]
     eq = violations[:, q:]
     np.maximum(0.0, ineq, out=ineq)
@@ -421,11 +428,7 @@ def feasible_mask(
 
     Only the box and the constraints are evaluated: no objective, no
     ``cv`` and no :class:`BatchEval`.  Every constraint is evaluated on
-    every row, and the faults are those of :func:`evaluate_batch` but for
-    the objective's: a non-finite constraint value at an in-box point
-    raises :class:`EvaluationFault` with the same message, naming the
-    first faulty constraint and its first in-box row, and one outside
-    the box (NaN and -inf included) becomes +inf, as in
+    every row, under the +inf rule and with the faults of
     :func:`evaluate_batch`.  A non-finite objective is not seen here; it
     raises wherever the objective is evaluated.
     """
@@ -446,25 +449,19 @@ def sampled_mask(problem: Problem, x: np.ndarray, tolerances: Tolerances) -> np.
     """
     if not problem._samples_in_box:
         return feasible_mask(problem, x, tolerances)
-    # feasible_mask's box test, on excesses that are all 0.0.
-    in_box = np.full(len(x), 0.0 <= tolerances.ineq)
-    return _constraints_mask(problem, x, tolerances, in_box)
+    # Every box excess is 0.0, within any (nonnegative) tolerance.
+    return _constraints_mask(problem, x, tolerances, np.ones(len(x), dtype=bool))
 
 
 def _constraints_mask(
     problem: Problem, x: np.ndarray, tolerances: Tolerances, mask: np.ndarray
 ) -> np.ndarray:
     """``mask``, and-ed in place with each constraint's test on the rows
-    of ``x``; the faults and the +inf rule of :func:`feasible_mask`."""
+    of ``x``.  A private helper rather than part of one of the masks,
+    which could share it only through a parameter."""
     q = problem.n_inequalities
     for k, g in enumerate((*problem.inequalities, *problem.equalities), start=1):
-        value = np.asarray(g(x), dtype=float)
-        finite = np.isfinite(value)
-        if not finite.all():
-            faults = np.flatnonzero(~finite & _in_box(problem, x))
-            if faults.size:
-                raise _fault(problem, k, int(faults[0]))
-            value = np.where(finite, value, np.inf)
+        value = _inf_outside_box(problem, x, np.asarray(g(x), dtype=float), k)
         # max(0, g) <= tol is g <= tol, as the tolerance is nonnegative.
         if k <= q:
             mask &= value <= tolerances.ineq

@@ -250,9 +250,8 @@ class Swarm:
         self.velocities = np.zeros_like(positions)
         preset = np.minimum(np.arange(s) // (s // 3), 2)
         coefficients = COEFFICIENT_PRESETS.T[:, np.tile(preset, len(self.rngs))]
-        self.w, self.iw, self.sw = coefficients
-        # The same, repeated along each row: the velocity update's products
-        # then run one long loop each instead of one short loop per row.
+        # Each particle's coefficients, repeated along its row: the velocity
+        # update's products run one long loop each, not one short loop per row.
         self.w_rows, self.iw_rows, self.sw_rows = np.repeat(
             coefficients[:, :, None], positions.shape[1], axis=2
         )
@@ -433,9 +432,7 @@ def initial_positions(
     generator is left exactly where drawing one chunk at a time leaves
     it.
 
-    Candidates are tested with :func:`~cpso.problem.sampled_mask`, the
-    mask of :func:`~cpso.problem.feasible_mask` from the constraints
-    alone once the problem proves that its samples lie in the box, and
+    Candidates are tested with :func:`~cpso.problem.sampled_mask`, and
     each one read costs one evaluation.  The objective is evaluated at
     the accepted positions only, by the :class:`Swarm` constructor, so a
     non-finite objective at a rejected candidate raises nothing.

@@ -116,6 +116,32 @@ def test_run_trace_logs_every_step(tmp_path, capsys):
     assert jobs.read_bytes() == trace.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "argv, search",
+    [
+        (RUN_ARGS + ["--out", "{bad}"], "run_experiment"),
+        (RUN_ARGS + ["--trace", "{bad}"], "run_experiment"),
+        (["sweep", "{config}", "--out", "{bad}"], "sweep"),
+        (
+            ["feasibility", "--problem", "g08", "--out", "{bad}"],
+            "estimate_feasibility_ratio",
+        ),
+    ],
+    ids=["run-out", "run-trace", "sweep-out", "feasibility-out"],
+)
+def test_unwritable_output_is_a_usage_error_before_any_search(
+    tmp_path, monkeypatch, capsys, argv, search
+):
+    config = tmp_path / "one.cfg"
+    config.write_text("[run]\nproblem = g08\ncht = pfpr\n")
+    bad = tmp_path / "no-such-dir" / "out.txt"
+    monkeypatch.setattr(cli, search, lambda *a, **k: pytest.fail("searched"))
+    assert main([a.format(bad=bad, config=config) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cpso: error: cannot write output file: ")
+    assert str(bad) in err and err.count("\n") == 1
+
+
 def test_unknown_problem_exits_nonzero(capsys):
     code = main(["run", "--problem", "nosuch", "--cht", "pfpr"])
     assert code == 2
@@ -125,7 +151,7 @@ def test_unknown_problem_exits_nonzero(capsys):
 def test_unknown_cht_exits_nonzero(capsys):
     code = main(["run", "--problem", "g08", "--cht", "nosuch"])
     assert code == 2
-    assert "pfpr" in capsys.readouterr().err
+    assert "unknown CHT 'nosuch'; valid names: pf, pfpr" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -390,6 +416,7 @@ def test_sweep_malformed_reports_line_number():
         ("nn = 3\n", "missing required key 'cht'"),
         ("cht = pfpr\nnn = 1\n", "nn must be >= 2"),
         ("cht = pfpr\ntol-ineq = nan\n", "tolerances must be nonnegative"),
+        ("cht = nosuch\n", "unknown CHT 'nosuch'; valid names: pf, pfpr"),
     ],
 )
 def test_sweep_section_errors_name_the_section(tmp_path, capsys, third, message):

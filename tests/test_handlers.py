@@ -237,8 +237,8 @@ def test_already_feasible_step_unchanged():
         clone = np.random.default_rng()
         clone.bit_generator.state = swarm.rngs[0].bit_generator.state
         swarm.step()
-        assert np.array_equal(swarm.velocities[:, 0], swarm.w)
-        assert np.array_equal(swarm.positions[:, 0], -3.0 + swarm.w)
+        assert np.array_equal(swarm.velocities[:, 0], swarm.w_rows[:, 0])
+        assert np.array_equal(swarm.positions[:, 0], -3.0 + swarm.w_rows[:, 0])
         assert swarm.repair_evaluations == 0
         clone.random((9, 1, 2))  # the velocity block, and no repair draws
         assert swarm.rngs[0].bit_generator.state == clone.bit_generator.state

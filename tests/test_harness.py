@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -278,6 +279,43 @@ def fresh_python(code):
         [sys.executable, "-c", code], env=env, capture_output=True, text=True
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_public_names_are_pinned():
+    # What ``import cpso`` exports, submodules aside: a name added or
+    # removed here is a change to the public API.
+    public = {
+        name
+        for name, value in vars(cpso).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == {
+        "SuiteEntry",
+        "all_entries",
+        "estimate_feasibility_ratio",
+        "get_entry",
+        "get_problem",
+        "registry_names",
+        "KINDS",
+        "ChtConfig",
+        "ExperimentConfig",
+        "RunResult",
+        "SummaryRow",
+        "run_experiment",
+        "run_single",
+        "sweep",
+        "BatchEval",
+        "EvaluationFault",
+        "Problem",
+        "RecSchedule",
+        "Tolerances",
+        "evaluate_batch",
+        "COEFFICIENT_PRESETS",
+        "InitializationFailure",
+        "Swarm",
+        "SwarmConfig",
+        "Topology",
+    }
 
 
 def test_import_does_not_load_numpy_random():

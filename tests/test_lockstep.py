@@ -200,9 +200,9 @@ def test_join_concatenates_every_run_array(kind):
     assert joined >= {
         "positions",
         "velocities",
-        "w",
-        "iw",
-        "sw",
+        "w_rows",
+        "iw_rows",
+        "sw_rows",
         "current",
         "pbest",
         "pbest_primary",

@@ -47,7 +47,8 @@ def coefficients(size, runs=1):
     positions = np.zeros((runs * size, 1))
     config = make_config(size=size)
     swarm = Swarm(line(), config, ChtConfig("pfpr"), rngs, positions, [0] * runs)
-    return np.column_stack((swarm.w, swarm.iw, swarm.sw))
+    rows = (swarm.w_rows, swarm.iw_rows, swarm.sw_rows)
+    return np.column_stack([r[:, 0] for r in rows])
 
 
 def test_coefficient_assignment_by_thirds():
@@ -148,7 +149,8 @@ def test_velocity_forced_unit_draws():
     zeros, ones = np.zeros((6, 1)), np.ones((6, 1))
     swarm = staged_swarm(line(-10.0, 10.0), zeros, zeros, ones, FixedRng(1.0))
     swarm.step()
-    assert swarm.velocities[:, 0] == pytest.approx(swarm.iw + swarm.sw)
+    iw_plus_sw = swarm.iw_rows[:, 0] + swarm.sw_rows[:, 0]
+    assert swarm.velocities[:, 0] == pytest.approx(iw_plus_sw)
     assert swarm.velocities[0] == pytest.approx([4.0])
 
 
@@ -282,9 +284,9 @@ def test_step_reproducible_from_documented_rng_order(toy1):
         rng_clone.random((9, 2, 2))
     u = rng_clone.random((9, 2, 2))
     expect_v = np.clip(
-        swarm.w[:, None] * v0
-        + swarm.iw[:, None] * u[:, :, 0] * (pbest0 - x0)
-        + swarm.sw[:, None] * u[:, :, 1] * (lbest - x0),
+        swarm.w_rows[:, 0][:, None] * v0
+        + swarm.iw_rows[:, 0][:, None] * u[:, :, 0] * (pbest0 - x0)
+        + swarm.sw_rows[:, 0][:, None] * u[:, :, 1] * (lbest - x0),
         -toy1.vmax,
         toy1.vmax,
     )
