@@ -10,10 +10,11 @@ Two suites are registered:
   ("Stochastic ranking for constrained evolutionary optimization", IEEE
   TEC 4(3), 2000) and used by Toscano Pulido & Coello Coello (CEC 2004).
 
-Maximization problems are stored in minimization form.  Double-sided
-constraints (``a <= expr <= b``) are stored as a single function
-``max(expr - b, a - expr)`` so constraint counts match the usual
-suite descriptions.  Himmelblau's problem is g04 with another
+Maximization problems are stored in minimization form.  A double-sided
+constraint (``a <= expr <= b``) is stored as a single function
+``max(expr - b, a - expr)`` and counted once: g04 and Himmelblau's
+problem have 3 inequalities where the usual statements count 6, and g05
+has 1 where they count 2.  Himmelblau's problem is g04 with another
 coefficient, so both are built by one function.
 
 Integer powers other than squares are written as products (``x * x * x``),

@@ -197,11 +197,16 @@ def _output(path: Optional[str]):
         yield fh
 
 
-def _build_config(args: argparse.Namespace) -> ExperimentConfig:
+def _entry(name: str, where: str = ""):
+    """The registry entry ``name``, or a usage error prefixed by ``where``."""
     try:
-        get_entry(args.problem)
-    except KeyError as exc:
-        raise UsageError(str(exc)) from None
+        return get_entry(name)
+    except KeyError as exc:  # str() would quote the message
+        raise UsageError(where + exc.args[0]) from None
+
+
+def _build_config(args: argparse.Namespace) -> ExperimentConfig:
+    _entry(args.problem)
     try:
         return ExperimentConfig(
             problem=args.problem,
@@ -296,10 +301,7 @@ def _section_config(section: dict, header: int) -> ExperimentConfig:
             raise UsageError(f"line {lineno}: bad value for {key}: {value!r}") from None
 
     problem, lineno = need("problem")
-    try:
-        get_entry(problem)
-    except KeyError as exc:
-        raise UsageError(f"line {lineno}: {exc}") from None
+    _entry(problem, f"line {lineno}: ")
     kind, _ = need("cht")
     decrease = conv("rec-decrease", _REC_DECREASE.__getitem__, "linear")
     try:
@@ -338,10 +340,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_feasibility(args: argparse.Namespace) -> int:
-    try:
-        entry = get_entry(args.problem)
-    except KeyError as exc:
-        raise UsageError(str(exc)) from None
+    entry = _entry(args.problem)
     if args.samples < 1:
         raise UsageError("samples must be >= 1")
     if args.seed < 0:

@@ -27,7 +27,8 @@ particles at once: :func:`sort_keys` (how a technique ranks points:
 :func:`penalized_batch`, the ``apm`` penalty),
 :meth:`ChtConfig.tolerances_at` (the tolerances in force at each step),
 :func:`replacement_mask` (every technique's memory update) and
-:func:`repair_moves` (the repair ladders).
+:func:`repair_moves` (the repair ladders, each batch's trials built as
+one ``(k, T, n)`` block and evaluated in move-major order).
 
 The rows they take may belong to several runs, run after run.  Then
 ``rng`` holds one generator per run and ``runs`` gives each row's run,
@@ -235,11 +236,13 @@ def replacement_mask(
     return replace
 
 
-# bmem trial ladders.  The full ladder alternates down- and up-scalings
-# and ends with 0.0 (keep the position).  The down-only ladder serves a
-# full step that breaks nothing but the box, since only scaling down is
-# allowed against interval constraints; it ends with 0.0 after 0.1 and is
-# padded with zeros to the same width.
+# Trial ladders.  ``bm`` halves the velocity each trial, down to the last
+# nonzero halving (0.5 ** 1075 is 0.0).  ``bmem``'s full ladder alternates
+# down- and up-scalings and ends with 0.0 (keep the position).  Its
+# down-only ladder serves a full step that breaks nothing but the box,
+# since only scaling down is allowed against interval constraints; it ends
+# with 0.0 after 0.1 and is padded with zeros to the same width.
+_BM_LADDER = 0.5 ** np.arange(1, 1075)
 _BMEM_DOWNS = np.round(np.arange(0.9, 0.05, -0.1), 10)
 _BMEM_UPS = np.round(np.arange(1.1, 1.95, 0.1), 10)
 _BMEM_LADDER = np.append(np.column_stack((_BMEM_DOWNS, _BMEM_UPS)).ravel(), 0.0)
@@ -259,23 +262,22 @@ class BatchRepair:
 
 def _repair_factors(
     variant: str,
-    full: BatchEval,
+    k: int,
+    full: Optional[BatchEval],
     tolerances: Tolerances,
     rng: Generators,
     runs: Optional[np.ndarray],
     max_trials: int,
 ) -> np.ndarray:
-    """``(k, T)`` trial factors, one row per move, in trial order."""
-    k = len(full)
+    """``(k, T)`` trial factors, one row per move, in trial order: ``T`` is
+    ``max_trials`` or the ladder's length if less.  Only ``bmem`` reads ``full``."""
     if variant == "bm":
-        return np.broadcast_to(0.5 ** np.arange(1, max_trials + 1), (k, max_trials))
+        return np.tile(_BM_LADDER[:max_trials], (k, 1))
     if variant == "bmem":
         # Every constraint, but not the box, within tolerance.
         box_only = _all_within(full._limits(tolerances)[1:])
-        width = min(max_trials, _BMEM_LADDER.size)
-        return np.where(
-            box_only[:, None], _BMEM_DOWN_LADDER[:width], _BMEM_LADDER[:width]
-        )
+        ladders = np.where(box_only[:, None], _BMEM_DOWN_LADDER, _BMEM_LADDER)
+        return ladders[:, :max_trials]
     return draw_per_run(
         rng, runs, k, lambda g, c: g.uniform(0.0, 1.5, (c, max_trials))
     )
@@ -284,7 +286,7 @@ def _repair_factors(
 def repair_moves(
     x_old: np.ndarray,
     v: np.ndarray,
-    full: BatchEval,
+    full: Optional[BatchEval],
     problem: Problem,
     tolerances: Tolerances,
     variant: str,
@@ -294,50 +296,46 @@ def repair_moves(
 ) -> BatchRepair:
     """Repair k moves whose full steps ``x_old + v`` are all infeasible.
 
-    ``full`` is the evaluation of the full steps, one row per move.  Trial
-    factors scale the ORIGINAL velocity: halvings for ``bm``, the
-    alternating 0.9/1.1 ladder for ``bmem`` (down-scalings only for a move
-    whose full step violates box bounds alone), and for ``bmpem`` fresh
-    uniform [0, 1.5) factors, drawn as one ``(k, max_trials)`` block whose
-    rows are the moves in order (per run, see :func:`draw_per_run`).  Per
-    move, the first feasible trial wins and its scaled velocity becomes
-    the stored velocity; a 0.0 factor or exhaustion keeps the old
-    position with zero velocity.
+    ``full`` is the evaluation of the full steps, one row per move; only
+    ``bmem`` reads it, so the others take None.  Trial factors scale the
+    ORIGINAL velocity: halvings for ``bm``, the alternating 0.9/1.1
+    ladder for ``bmem`` (down-scalings only for a move whose full step
+    violates box bounds alone), and for ``bmpem`` fresh uniform [0, 1.5)
+    factors, drawn as one ``(k, max_trials)`` block whose rows are the
+    moves in order (per run, see :func:`draw_per_run`).  Per move, the
+    first feasible trial wins and its scaled velocity becomes the stored
+    velocity; a 0.0 factor or exhaustion keeps the old position with
+    zero velocity.
 
-    Every move's trials before its first 0.0 factor are evaluated as one
-    batch, but each move is charged its trials in order, up to the
-    accepted one, the 0.0 factor or the end of the ladder.
+    The trials form one ``(k, T, n)`` block ``x_old + factor * v``.  Those
+    before each move's first 0.0 factor are evaluated in one call, in
+    move-major order, but each move is charged its trials in order, up
+    to the accepted one, the 0.0 factor or the end of the ladder.
     """
     if variant not in _REPAIR_KINDS:
         raise ValueError(f"not a repair technique: {variant!r}")
-    factors = _repair_factors(variant, full, tolerances, rng, runs, max_trials)
-    k, width = factors.shape
-    # A trailing column past the last trial makes both argmaxes total.
-    stop = np.ones((k, width + 1), dtype=bool)
-    stop[:, :width] = factors == 0.0
-    live = stop.argmax(axis=1)  # trials before the first 0.0 factor
-    rows, trials = np.nonzero(np.arange(width) < live[:, None])
-    candidates = problem.snap_to_grid(
-        x_old[rows] + factors[rows, trials][:, None] * v[rows]
-    )
-    ev = evaluate_batch(problem, candidates)
-
-    ok = np.zeros((k, width + 1), dtype=bool)
-    ok[rows, trials] = ev.feasible(tolerances)
+    k, n = x_old.shape
+    factors = _repair_factors(variant, k, full, tolerances, rng, runs, max_trials)
+    block = x_old[:, None] + factors[..., None] * v[:, None]
+    stop = factors == 0.0
+    if stop.any():  # only the trials before a move's first 0.0 are live
+        live = ~np.logical_or.accumulate(stop, axis=1)
+        ev = evaluate_batch(problem, problem.snap_to_grid(block[live]))
+        ok = np.zeros(factors.shape, dtype=bool)
+        ok[live] = ev.feasible(tolerances)
+        counts = np.count_nonzero(live, axis=1)
+    else:
+        ev = evaluate_batch(problem, problem.snap_to_grid(block.reshape(-1, n)))
+        ok = ev.feasible(tolerances).reshape(factors.shape)
+        counts = np.full(k, factors.shape[1])
     first = ok.argmax(axis=1)
-    accepted = ok[np.arange(k), first]
+    accepted = ok.any(axis=1)
     # Row of ``ev`` holding each accepted move's first feasible trial.
-    accepted_rows = (np.cumsum(live) - live + first)[accepted]
+    evaluation = ev.take((np.cumsum(counts) - counts + first)[accepted])
 
     positions = np.array(x_old, dtype=float)
-    positions[accepted] = ev.positions[accepted_rows]
-    velocities = np.zeros_like(positions)
-    scale = factors[accepted, first[accepted]]
-    velocities[accepted] = scale[:, None] * v[accepted]
-    return BatchRepair(
-        positions=positions,
-        velocities=velocities,
-        trials_charged=np.where(accepted, first + 1, live),
-        accepted=accepted,
-        evaluation=ev.take(accepted_rows),
-    )
+    positions[accepted] = evaluation.positions
+    scale = factors[np.arange(k), first][:, None]
+    velocities = np.where(accepted[:, None], scale * v, 0.0)
+    charged = np.where(accepted, first + 1, counts)
+    return BatchRepair(positions, velocities, charged, accepted, evaluation)

@@ -367,7 +367,7 @@ class Swarm:
             rep = repair_moves(
                 self.positions[bad],
                 v_new[bad],
-                new_eval.take(bad),
+                new_eval.take(bad) if self.cht.kind == "bmem" else None,
                 self.problem,
                 tol,
                 self.cht.kind,
@@ -385,7 +385,9 @@ class Swarm:
             x_new[bad] = rep.positions
             v_new[bad] = rep.velocities
             # A kept position keeps its evaluation; an accepted trial is feasible.
-            new_eval.assign(bad, self.current.take(bad))
+            kept = bad[~rep.accepted]
+            if kept.size:
+                new_eval.assign(kept, self.current.take(kept))
             new_eval.assign(bad[rep.accepted], rep.evaluation)
             feasible[bad] = rep.accepted | self.current_feasible[bad]
             # Freed before the next batch evaluates its trials: held, it

@@ -148,6 +148,28 @@ def test_unknown_problem_exits_nonzero(capsys):
     assert "valid names" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, prefix",
+    [
+        (["run", "--problem", "nope", "--cht", "pfpr"], ""),
+        (["sweep", "{config}"], "line 2: "),
+        (["feasibility", "--problem", "nope"], ""),
+    ],
+    ids=["run", "sweep", "feasibility"],
+)
+def test_unknown_problem_message_is_printed_unquoted(tmp_path, capsys, argv, prefix):
+    config = tmp_path / "nope.cfg"
+    config.write_text("[run]\nproblem = nope\ncht = pfpr\n")
+    assert main([a.format(config=config) for a in argv]) == 2
+    captured = capsys.readouterr()
+    with pytest.raises(KeyError) as lookup:
+        get_entry("nope")
+    message = lookup.value.args[0]
+    assert message.startswith("unknown problem 'nope'; valid names: ")
+    assert captured.out == ""
+    assert captured.err == f"cpso: error: {prefix}{message}\n"
+
+
 def test_unknown_cht_exits_nonzero(capsys):
     code = main(["run", "--problem", "g08", "--cht", "nosuch"])
     assert code == 2

@@ -2,7 +2,8 @@
 
 Each function replaces a per-particle loop, so each is checked against
 the loop it replaces: the lbest lookup against a per-particle
-``lexsort``, the batched repair against one-row calls, both blocks of
+``lexsort``, the batched repair against one-row calls and against a
+reference written from its docstring, one trial at a time, both blocks of
 per-particle draws against draws taken one particle at a time, the
 blocked feasible initialization against drawing and evaluating one
 256-row chunk at a time, the fused evaluation against sanitizing
@@ -16,11 +17,12 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cpso.benchmarks import estimate_feasibility_ratio, get_problem, registry_names
 from cpso.handlers import ChtConfig, priority_keys, repair_moves, replacement_mask
+from cpso import handlers
 from cpso import problem as problem_module
 from cpso.problem import (
     BatchEval,
@@ -145,6 +147,98 @@ def test_repair_postcondition(moves, variant, seed):
             assert np.array_equal(rep.positions[r], x_old[r])
             assert np.all(rep.velocities[r] == 0.0)
         assert 1 <= rep.trials_charged[r] <= 19
+
+
+# The ladders as ``repair_moves`` documents them, for 19 trials.
+BM_LADDER = [0.5**t for t in range(1, 20)]
+BMEM_LADDER = [0.9, 1.1, 0.8, 1.2, 0.7, 1.3, 0.6, 1.4, 0.5, 1.5]
+BMEM_LADDER += [0.4, 1.6, 0.3, 1.7, 0.2, 1.8, 0.1, 1.9, 0.0]
+BMEM_DOWN_LADDER = [0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1] + [0.0] * 10
+NO_MOVES = (np.zeros((0, 2)), np.zeros((0, 2)), evaluate_batch(TOY, np.zeros((0, 2))))
+
+
+def reference_repair(x_old, v, variant, rng, factors=None):
+    """Repair one move and one trial at a time, as ``repair_moves``'
+    docstring states it; ``factors`` replaces the ladders and draws."""
+    positions, velocities, charged, accepted, rows = [], [], [], [], []
+    for r in range(len(x_old)):
+        if factors is not None:
+            ladder = factors[r]
+        elif variant == "bm":
+            ladder = BM_LADDER
+        elif variant == "bmpem":
+            ladder = rng.uniform(0.0, 1.5, 19)
+        else:
+            full = evaluate_batch(TOY, x_old[r] + v[r])
+            box_only = full.ineq_violations[0, 0] <= TOL.ineq
+            ladder = BMEM_DOWN_LADDER if box_only else BMEM_LADDER
+        position, velocity, trials, row = x_old[r], np.zeros(2), len(ladder), None
+        for t, factor in enumerate(ladder):
+            if factor == 0.0:
+                trials = t
+                break
+            trial = evaluate_batch(TOY, TOY.snap_to_grid(x_old[r] + factor * v[r]))
+            if trial.feasible(TOL)[0]:
+                position, velocity, trials, row = trial.positions[0], factor * v[r], t + 1, trial
+                break
+        positions.append(position)
+        velocities.append(velocity)
+        charged.append(trials)
+        accepted.append(row is not None)
+        if row is not None:
+            rows.append(row)
+    return positions, velocities, charged, accepted, rows
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_matches_reference(rep, reference):
+    positions, velocities, charged, accepted, rows = reference
+    assert same_bits(rep.positions, np.reshape(positions, (-1, 2)))
+    assert same_bits(rep.velocities, np.reshape(velocities, (-1, 2)))
+    assert rep.trials_charged.tolist() == charged
+    assert rep.accepted.tolist() == accepted
+    assert len(rep.evaluation) == len(rows)
+    for field in dataclasses.fields(BatchEval):
+        got = getattr(rep.evaluation, field.name)
+        for i, row in enumerate(rows):
+            assert same_bits(got[i], getattr(row, field.name)[0])
+
+
+@settings(deadline=None)
+@given(infeasible_moves(), st.sampled_from(REPAIRS), st.integers(0, 2**32))
+@example(NO_MOVES, "bm", 0)
+@example(NO_MOVES, "bmem", 0)
+@example(NO_MOVES, "bmpem", 0)
+def test_repair_matches_one_trial_reference(moves, variant, seed):
+    x_old, v, _ = moves
+    rep, rng = _repair(moves, variant, seed)
+    one_rng = np.random.default_rng(seed)
+    assert_matches_reference(rep, reference_repair(x_old, v, variant, one_rng))
+    assert rng.bit_generator.state == one_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("variant", REPAIRS)
+def test_repair_with_mid_row_zero_factors_matches_reference(monkeypatch, variant):
+    # A 0.0 factor in the middle of some rows (and first in one) sends
+    # every variant through the masked evaluation of the live trials.
+    gen = np.random.default_rng(17)
+    x_old = gen.uniform(-2.0, 0.5, (40, 2))  # x1 + x2 <= 1: feasible
+    v = gen.uniform(-4.0, 4.0, (40, 2))
+    full = evaluate_batch(TOY, x_old + v)
+    bad = np.flatnonzero(~full.feasible(TOL))[:12]
+    x_old, v, full = x_old[bad], v[bad], full.take(bad)
+    factors = gen.uniform(0.0, 1.5, (12, 19))
+    factors[::2, 5] = 0.0
+    factors[3, 0] = 0.0
+    monkeypatch.setattr(handlers, "_repair_factors", lambda *args: factors)
+    rep = repair_moves(x_old, v, full, TOY, TOL, variant, np.random.default_rng(0), 19)
+    assert_matches_reference(rep, reference_repair(x_old, v, variant, None, factors))
+    assert rep.accepted.any() and not rep.accepted.all()
+    assert set(rep.trials_charged[::2]) <= {1, 2, 3, 4, 5} and rep.trials_charged[3] == 0
 
 
 # ------------------------------------------------------------ draw order
