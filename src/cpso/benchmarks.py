@@ -11,11 +11,10 @@ Two suites are registered:
   TEC 4(3), 2000) and used by Toscano Pulido & Coello Coello (CEC 2004).
 
 Maximization problems are stored in minimization form.  A double-sided
-constraint (``a <= expr <= b``) is stored as a single function
-``max(expr - b, a - expr)`` and counted once: g04 and Himmelblau's
-problem have 3 inequalities where the usual statements count 6, and g05
-has 1 where they count 2.  Himmelblau's problem is g04 with another
-coefficient, so both are built by one function.
+constraint ``a <= expr <= b`` is one function ``max(expr - b, a - expr)``
+and counted once: g04 and Himmelblau's problem have 3 inequalities and
+g05 has 1, where the usual statements count 6 and 2.  Himmelblau's
+problem is g04 with another coefficient, so both are built by one function.
 
 Integer powers other than squares are written as products (``x * x * x``),
 not with ``**``: products are exact IEEE operations, so they give the same

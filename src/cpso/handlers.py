@@ -236,13 +236,11 @@ def replacement_mask(
     return replace
 
 
-# Trial ladders.  ``bm`` halves the velocity each trial, down to the last
-# nonzero halving (0.5 ** 1075 is 0.0).  ``bmem``'s full ladder alternates
-# down- and up-scalings and ends with 0.0 (keep the position).  Its
-# down-only ladder serves a full step that breaks nothing but the box,
-# since only scaling down is allowed against interval constraints; it ends
-# with 0.0 after 0.1 and is padded with zeros to the same width.
-_BM_LADDER = 0.5 ** np.arange(1, 1075)
+# bmem trial ladders.  The full ladder alternates down- and up-scalings
+# and ends with 0.0 (keep the position).  The down-only ladder serves a
+# full step that breaks nothing but the box, since only scaling down is
+# allowed against interval constraints; it ends with 0.0 after 0.1 and is
+# padded with zeros to the same width.
 _BMEM_DOWNS = np.round(np.arange(0.9, 0.05, -0.1), 10)
 _BMEM_UPS = np.round(np.arange(1.1, 1.95, 0.1), 10)
 _BMEM_LADDER = np.append(np.column_stack((_BMEM_DOWNS, _BMEM_UPS)).ravel(), 0.0)
@@ -262,17 +260,16 @@ class BatchRepair:
 
 def _repair_factors(
     variant: str,
-    k: int,
-    full: Optional[BatchEval],
+    full: BatchEval,
     tolerances: Tolerances,
     rng: Generators,
     runs: Optional[np.ndarray],
     max_trials: int,
 ) -> np.ndarray:
-    """``(k, T)`` trial factors, one row per move, in trial order: ``T`` is
-    ``max_trials`` or the ladder's length if less.  Only ``bmem`` reads ``full``."""
+    """``(k, T)`` trial factors, one row per move, in trial order; T <= max_trials."""
+    k = len(full)
     if variant == "bm":
-        return np.tile(_BM_LADDER[:max_trials], (k, 1))
+        return np.broadcast_to(0.5 ** np.arange(1, max_trials + 1), (k, max_trials))
     if variant == "bmem":
         # Every constraint, but not the box, within tolerance.
         box_only = _all_within(full._limits(tolerances)[1:])
@@ -286,7 +283,7 @@ def _repair_factors(
 def repair_moves(
     x_old: np.ndarray,
     v: np.ndarray,
-    full: Optional[BatchEval],
+    full: BatchEval,
     problem: Problem,
     tolerances: Tolerances,
     variant: str,
@@ -296,16 +293,15 @@ def repair_moves(
 ) -> BatchRepair:
     """Repair k moves whose full steps ``x_old + v`` are all infeasible.
 
-    ``full`` is the evaluation of the full steps, one row per move; only
-    ``bmem`` reads it, so the others take None.  Trial factors scale the
-    ORIGINAL velocity: halvings for ``bm``, the alternating 0.9/1.1
-    ladder for ``bmem`` (down-scalings only for a move whose full step
-    violates box bounds alone), and for ``bmpem`` fresh uniform [0, 1.5)
-    factors, drawn as one ``(k, max_trials)`` block whose rows are the
-    moves in order (per run, see :func:`draw_per_run`).  Per move, the
-    first feasible trial wins and its scaled velocity becomes the stored
-    velocity; a 0.0 factor or exhaustion keeps the old position with
-    zero velocity.
+    ``full`` is the evaluation of the full steps, one row per move.  Trial
+    factors scale the ORIGINAL velocity: halvings for ``bm``, the
+    alternating 0.9/1.1 ladder for ``bmem`` (down-scalings only for a
+    move whose full step violates box bounds alone), and for ``bmpem``
+    fresh uniform [0, 1.5) factors, drawn as one ``(k, max_trials >= 1)``
+    block whose rows are the moves in order (per run, see
+    :func:`draw_per_run`).  Per move, the first feasible trial wins and
+    its scaled velocity becomes the stored velocity; a 0.0 factor or
+    exhaustion keeps the old position with zero velocity.
 
     The trials form one ``(k, T, n)`` block ``x_old + factor * v``.  Those
     before each move's first 0.0 factor are evaluated in one call, in
@@ -314,11 +310,16 @@ def repair_moves(
     """
     if variant not in _REPAIR_KINDS:
         raise ValueError(f"not a repair technique: {variant!r}")
+    if max_trials < 1:
+        raise ValueError(f"max_trials must be >= 1, got {max_trials}")
     k, n = x_old.shape
-    factors = _repair_factors(variant, k, full, tolerances, rng, runs, max_trials)
+    factors = _repair_factors(variant, full, tolerances, rng, runs, max_trials)
     block = x_old[:, None] + factors[..., None] * v[:, None]
     stop = factors == 0.0
-    if stop.any():  # only the trials before a move's first 0.0 are live
+    # Only trials before a move's first 0.0 are live.  All live (bm, and
+    # bmpem unless it draws a 0.0), the block is evaluated as it lies: the
+    # masked gather and scatter cost 7-11% of repair_moves' time there.
+    if stop.any():
         live = ~np.logical_or.accumulate(stop, axis=1)
         ev = evaluate_batch(problem, problem.snap_to_grid(block[live]))
         ok = np.zeros(factors.shape, dtype=bool)

@@ -367,7 +367,7 @@ class Swarm:
             rep = repair_moves(
                 self.positions[bad],
                 v_new[bad],
-                new_eval.take(bad) if self.cht.kind == "bmem" else None,
+                new_eval.take(bad),
                 self.problem,
                 tol,
                 self.cht.kind,

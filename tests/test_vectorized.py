@@ -241,6 +241,16 @@ def test_repair_with_mid_row_zero_factors_matches_reference(monkeypatch, variant
     assert set(rep.trials_charged[::2]) <= {1, 2, 3, 4, 5} and rep.trials_charged[3] == 0
 
 
+@pytest.mark.parametrize("max_trials", [0, -1])
+@pytest.mark.parametrize("variant", REPAIRS)
+def test_repair_needs_a_trial(variant, max_trials):
+    x_old, v = np.zeros((1, 2)), np.full((1, 2), 2.0)  # x1 + x2 <= 1 broken
+    full = evaluate_batch(TOY, x_old + v)
+    assert not full.feasible(TOL).any()
+    with pytest.raises(ValueError, match="max_trials must be >= 1"):
+        repair_moves(x_old, v, full, TOY, TOL, variant, np.random.default_rng(0), max_trials)
+
+
 # ------------------------------------------------------------ draw order
 
 
