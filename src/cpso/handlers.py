@@ -321,12 +321,12 @@ def repair_moves(
     # masked gather and scatter cost 7-11% of repair_moves' time there.
     if stop.any():
         live = ~np.logical_or.accumulate(stop, axis=1)
-        ev = evaluate_batch(problem, problem.snap_to_grid(block[live]))
+        ev = evaluate_batch(problem, problem._snap(block[live]))
         ok = np.zeros(factors.shape, dtype=bool)
         ok[live] = ev.feasible(tolerances)
         counts = np.count_nonzero(live, axis=1)
     else:
-        ev = evaluate_batch(problem, problem.snap_to_grid(block.reshape(-1, n)))
+        ev = evaluate_batch(problem, problem._snap(block.reshape(-1, n)))
         ok = ev.feasible(tolerances).reshape(factors.shape)
         counts = np.full(k, factors.shape[1])
     first = ok.argmax(axis=1)

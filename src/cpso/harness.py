@@ -57,7 +57,8 @@ class ExperimentConfig:
     The relaxed-equality schedule options apply only to ``*+rec``
     techniques; their schedule is built against the problem box, so
     ``cht`` carries none.  The config is validated when it is built,
-    the swarm config its runs use and the schedule included; the
+    the problem name (``KeyError``), the swarm config its runs use and
+    the schedule included; the
     schedule options are reported for every technique, so they are
     validated for every technique.
     """
@@ -97,6 +98,7 @@ class ExperimentConfig:
             self.rec_rate,
         )
         self.swarm_config(0)
+        get_problem(self.problem)
         self.resolved_cht()
 
     @property
@@ -333,7 +335,7 @@ def summarize(config: ExperimentConfig, results: Sequence[RunResult]) -> Summary
     best = done[0]
     if len(done) > 1:
         primary, secondary = np.array([r.keys for r in done]).T
-        everyone = np.ones((1, len(done)), dtype=bool)
+        everyone = np.arange(len(done))[None]
         best = done[int(lbest_index(everyone, primary, secondary)[0])]
     # Every evaluation beyond the step budget of the completed runs,
     # the failed runs' initialization samples included.
@@ -409,22 +411,29 @@ def sweep(configs: Sequence[ExperimentConfig], jobs: int = 1) -> List[SummaryRow
 
     A row-level error (bad problem name, evaluation fault) is recorded
     in that row instead of aborting the sweep; any other exception
-    propagates.
+    propagates, a ``KeyError`` from inside a run included.
     """
     if not configs:
         raise ValueError("sweep needs at least one experiment")
     rows = []
     for config in configs:
         try:
-            rows.append(run_experiment(config, jobs=jobs))
-        except (KeyError, EvaluationFault) as exc:
-            rows.append(
-                SummaryRow(
-                    config=config,
-                    failures=config.runs,
-                    extra_evals=0,
-                    elapsed=0.0,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
+            get_problem(config.problem)
+        except KeyError as exc:  # str() would quote the lookup's message
+            error = f"KeyError: {exc.args[0]}"
+        else:
+            try:
+                rows.append(run_experiment(config, jobs=jobs))
+                continue
+            except EvaluationFault as exc:
+                error = f"{type(exc).__name__}: {exc}"
+        rows.append(
+            SummaryRow(
+                config=config,
+                failures=config.runs,
+                extra_evals=0,
+                elapsed=0.0,
+                error=error,
             )
+        )
     return rows

@@ -13,6 +13,7 @@ array of shape ``(m, n)`` and return shape ``(m,)``.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -149,12 +150,13 @@ class Problem:
         Exact half-step ties round toward the lower multiple.  Works on
         a single point ``(n,)`` or a batch ``(m, n)``.
         """
-        x = np.array(x, dtype=float)
-        if self.grid_steps is None:
-            return x
-        cols, steps = self._grid
-        ratio = x[..., cols] / steps
-        x[..., cols] = np.ceil(ratio - 0.5) * steps
+        return self._snap(np.array(x, dtype=float))
+
+    def _snap(self, x: np.ndarray) -> np.ndarray:
+        """:meth:`snap_to_grid` in place, on a float array ``x``; returns ``x``."""
+        if self.grid_steps is not None:
+            cols, steps = self._grid
+            x[..., cols] = np.ceil(x[..., cols] / steps - 0.5) * steps
         return x
 
     @functools.cached_property
@@ -187,7 +189,7 @@ class Problem:
         pts = rng.random((count, self.dimension))
         _rowwise(np.multiply, pts, self, "span", pts)
         _rowwise(np.add, pts, self, "lower", pts)
-        return pts if self.grid_steps is None else self.snap_to_grid(pts)
+        return pts if self.grid_steps is None else self._snap(pts)
 
 
 # Rows of each tile of :func:`_rowwise`: long enough that a step's rows
@@ -296,10 +298,11 @@ def _rows_all(block: np.ndarray) -> np.ndarray:
     """``block.all(axis=1)`` for a boolean ``(m, k)`` block.
 
     A row-wise reduction pays a fixed cost per row; reducing the
-    transposed copy runs along the long axis instead.  Booleans have no
+    transposed copy runs along the long axis instead, and calling the
+    ufunc's reduce skips ``all``'s Python wrapper.  Booleans have no
     rounding, so the order cannot change the result.
     """
-    return np.ascontiguousarray(block.T).all(axis=0)
+    return np.logical_and.reduce(block.T.copy(), axis=0)
 
 
 def _all_within(limits) -> np.ndarray:
@@ -317,7 +320,9 @@ def _all_within(limits) -> np.ndarray:
 def _checked_positions(problem: Problem, positions: np.ndarray) -> np.ndarray:
     """The positions as a C-contiguous float ``(m, n)`` array; ``ValueError``
     unless finite."""
-    x = np.ascontiguousarray(np.atleast_2d(positions), dtype=float)
+    x = np.ascontiguousarray(positions, dtype=float)
+    if x.ndim < 2:
+        x = np.atleast_2d(x)
     if x.shape[1] != problem.dimension:
         raise ValueError(
             f"expected dimension {problem.dimension}, got {x.shape[1]}"
@@ -518,7 +523,7 @@ class RecSchedule:
         return cls(initial_tol=float(np.mean(problem.span)) / 2.0, **kwargs)
 
     def switch_step(self, t_max: int) -> int:
-        return max(1, int(np.ceil(self.switch_fraction * t_max)))
+        return max(1, math.ceil(self.switch_fraction * t_max))
 
     def tolerance_at(self, t: int, t_max: int) -> float:
         if t < 1 or t_max < 1:

@@ -4,15 +4,16 @@ The swarm advances synchronously: every neighbourhood-best lookup in
 step ``t`` reads memories as they stood at the end of step ``t - 1``, so
 the processing order of particles within a step is immaterial.  A step
 applies the technique's rules from :mod:`cpso.handlers` to all particles
-at once, and :func:`lbest_index` picks every neighbourhood best.
+at once, and :func:`lbest_index` picks every neighbourhood best from the
+topology's neighbour lists.
 
 A :class:`Swarm` holds one or more independent runs of one cell, their
 rows one run after another, and steps them in lockstep: one evaluation,
-one lbest ranking, shared repair batches and one memory update serve
-every run.  A step evaluates all rows in one call, so whoever forms the
-group bounds its rows; the harness keeps them within ``MAX_BATCH_ROWS``
-but for a single run of more particles, whose steps evaluate all of
-them.
+one lbest ranking over every run's lists (offset to the run's rows),
+shared repair batches and one memory update serve every run.  A step
+evaluates all rows in one call, so whoever forms the group bounds its
+rows; the harness keeps them within ``MAX_BATCH_ROWS`` but for a single
+run of more particles, whose steps evaluate all of them.
 Runs share nothing but the step index, and so the tolerance in force.
 Each run draws from its own generator, as below, so a run ends exactly
 where it ends stepping alone, whichever runs step with it.
@@ -108,7 +109,8 @@ class Topology:
 
     kinds: ``ring`` (cyclic window of ``window`` indices centred on each
     particle, the extra neighbour on the successor side when the window
-    is even) and ``fully-connected``.
+    is even) and ``fully-connected`` (one neighbourhood, shared by every
+    particle).
     """
 
     kind: str
@@ -134,23 +136,20 @@ class Topology:
         return cls("ring", swarm_size, window=nn + 1)
 
     @functools.cached_property
-    def neighbor_matrix(self) -> np.ndarray:
-        """Boolean ``(s, s)`` matrix; row i marks {i} and its neighbours.
+    def neighbors(self) -> np.ndarray:
+        """Integer index lists: ``(s, window)`` for a ring, whose row i
+        holds {i} and its neighbours, and ``(1, s)`` for the one shared
+        neighbourhood of a fully connected swarm.
 
         Built once and read-only: the runs of a cell share one topology,
-        and so one matrix.
+        and so one list.
         """
         s = self.swarm_size
-        out = np.zeros((s, s), dtype=bool)
         if self.kind == "fully-connected":
-            out[:] = True
+            out = np.arange(s)[None]
         else:
-            others = self.window - 1
-            left = others // 2
-            right = others - left
-            idx = np.arange(s)
-            for off in range(-left, right + 1):
-                out[idx, (idx + off) % s] = True
+            left = (self.window - 1) // 2
+            out = (np.arange(s)[:, None] + np.arange(-left, self.window - left)) % s
         out.flags.writeable = False
         return out
 
@@ -174,33 +173,25 @@ class SwarmConfig:
 
 
 def lbest_index(
-    neighbors: np.ndarray, primary: np.ndarray, secondary: np.ndarray
+    candidates: np.ndarray, primary: np.ndarray, secondary: np.ndarray
 ) -> np.ndarray:
-    """Neighbourhood-best row for every row of ``neighbors``, in every run.
+    """The best row among each row of ``candidates``.
 
-    Row ``i`` of the boolean ``(k, s)`` matrix marks the candidates of
-    particle ``i`` among the ``s`` particles of one run.  The keys hold
-    one entry per row of R runs of ``s`` rows each, run after run.  The
-    result has ``R * k`` entries, run-major: entry ``r * k + i`` is the
-    row, among all ``R * s``, of the winner among run ``r``'s candidates
-    of particle ``i``.  The winner has the smallest ``primary`` key,
-    then the smallest ``secondary`` key, then the lowest index.  Keys
-    may be infinite but not NaN.
+    ``candidates`` is an integer ``(k, w)`` array whose row ``i`` lists
+    rows of the keys; entry ``i`` of the result is the one among them
+    with the smallest ``primary`` key, then the smallest ``secondary``
+    key, then the lowest index.  Keys may be infinite but not NaN.
 
     The rows are ranked once by a stable sort on the two keys, so equal
-    keys rank by index; each row's winner is then the candidate of
-    lowest rank.  A ranking of all runs' rows orders each run's rows as
-    ranking that run alone would, so one sort serves every run.
+    keys rank by index; each list's winner is then its candidate of
+    lowest rank.  The lists may name rows of several runs, so one sort
+    serves every run.  A list in Fortran order is gathered column by
+    column, and each row's minimum taken across w columns of k entries.
     """
     order = np.lexsort((secondary, primary))
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
-    s = neighbors.shape[1]
-    if order.size == s:
-        return np.where(neighbors, rank, s).argmin(axis=1)
-    best = np.where(neighbors, rank.reshape(-1, 1, s), order.size).argmin(axis=2)
-    best += np.arange(0, order.size, s)[:, None]
-    return best.ravel()
+    return order[rank[candidates].min(axis=1)]
 
 
 class Swarm:
@@ -255,7 +246,15 @@ class Swarm:
         self.w_rows, self.iw_rows, self.sw_rows = np.repeat(
             coefficients[:, :, None], positions.shape[1], axis=2
         )
-        self.neighbors = config.topology.neighbor_matrix
+        # lbest_index's candidates: every run's neighbour lists, naming rows
+        # of all runs, in the Fortran order it gathers fastest; and how many
+        # particles share a list (a fully connected run has one).
+        lists = config.topology.neighbors
+        firsts = np.arange(0, len(positions), s)[:, None, None]
+        self._lbest = (
+            np.asfortranarray((firsts + lists).reshape(-1, lists.shape[1])),
+            s // len(lists),
+        )
         self.current = evaluate_batch(problem, positions)
         self.run_init_evaluations = np.asarray(init_evaluations, dtype=np.int64) + s
         self.run_repair_evaluations = np.zeros(len(self.rngs), dtype=np.int64)
@@ -263,8 +262,8 @@ class Swarm:
         self.tolerances = cht.tolerances_at(config.tolerances, 1, config.steps)
         # The current positions' feasibility mask (None for apm, which
         # never reads it) and the memories' sort keys, carried from step
-        # to step.  Only a +rec schedule moves the tolerance, so only
-        # then are the memories' keys recomputed each step.
+        # to step.  Only a +rec schedule moves the tolerance, and only
+        # a step that moves it recomputes the memories' keys.
         self.current_feasible = (
             None if cht.uses_penalty else self.current.feasible(self.tolerances)
         )
@@ -309,16 +308,17 @@ class Swarm:
         """Advance every run one synchronous step."""
         t = self.t + 1
         tol = self.cht.tolerances_at(self.config.tolerances, t, self.config.steps)
-        self.tolerances = tol
-
-        if self.cht.uses_rec:
+        if tol != self.tolerances:
+            self.tolerances = tol
             self.pbest_primary, self.pbest_secondary = sort_keys(
                 self.cht, self.pbest, self.pbest.feasible(tol)
             )
         # The memories do not change before the memory update, so their
         # keys serve both the lbest lookup and the incumbents' side there.
         keys = self.pbest_primary, self.pbest_secondary
-        lbest = self.pbest.positions[lbest_index(self.neighbors, *keys)]
+        candidates, share = self._lbest
+        best = lbest_index(candidates, *keys)
+        lbest = self.pbest.positions[best.repeat(share) if share > 1 else best]
         m, n = self.positions.shape
         rng, runs = self._generators()
         u = draw_per_run(rng, runs, m, lambda g, k: g.random((k, n, 2)))
@@ -331,7 +331,7 @@ class Swarm:
         _rowwise(np.maximum, v_new, self.problem, "-vmax", v_new)
         _rowwise(np.minimum, v_new, self.problem, "vmax", v_new)
 
-        x_new = self.problem.snap_to_grid(self.positions + v_new)
+        x_new = self.problem._snap(self.positions + v_new)
         new_eval = evaluate_batch(self.problem, x_new)
         feasible = None if self.cht.uses_penalty else new_eval.feasible(tol)
 
@@ -403,8 +403,8 @@ class Swarm:
         Returns one row index of ``pbest`` per run, in run order; ties
         keep the lowest index.
         """
-        everyone = np.ones((1, self.config.size), dtype=bool)
-        return lbest_index(everyone, self.pbest_primary, self.pbest_secondary)
+        runs = np.arange(len(self.positions)).reshape(-1, self.config.size)
+        return lbest_index(runs, self.pbest_primary, self.pbest_secondary)
 
 
 def initial_positions(

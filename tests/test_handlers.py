@@ -21,7 +21,7 @@ REPAIRS = ("bm", "bmem", "bmpem")
 def ranked_first(ev, tol=TOL):
     """Row that ranks first, as runs and memories are ranked: lowest
     priority keys, then lowest index."""
-    everyone = np.ones((1, len(ev)), dtype=bool)
+    everyone = np.arange(len(ev))[None]
     return int(lbest_index(everyone, *priority_keys(ev, ev.feasible(tol)))[0])
 
 

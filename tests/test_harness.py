@@ -183,6 +183,8 @@ def test_fault_traces_the_steps_completed_before_it(monkeypatch):
     # fourth step visits first: its three completed steps are traced,
     # as the clean run traces them, and then the fault is raised.
     clean = Problem("toy-plane", np.full(2, -2.0), np.full(2, 2.0), lambda x: x.sum(axis=1))
+    # Patched before the config is built, which looks its problem up.
+    monkeypatch.setattr(harness, "get_problem", lambda name: clean)
     config = make_config(problem="toy-plane", particles=6, steps=8, runs=1)
     sw = start_swarm(clean, config.swarm_config(0), config.resolved_cht())
     seen = [sw.positions.copy()]
@@ -195,7 +197,6 @@ def test_fault_traces_the_steps_completed_before_it(monkeypatch):
     def faulty(x):
         return np.where(np.all(x == target, axis=1), np.nan, x.sum(axis=1))
 
-    monkeypatch.setattr(harness, "get_problem", lambda name: clean)
     lines = []
     run_experiment(config, trace=lambda *line: lines.append(line))
     assert len(lines) == config.steps
@@ -262,6 +263,29 @@ def test_sweep_propagates_programming_errors(monkeypatch):
     monkeypatch.setattr(harness, "run_experiment", broken)
     with pytest.raises(TypeError, match="bug"):
         sweep([make_config(steps=20)])
+
+
+def test_sweep_propagates_key_errors_raised_inside_a_run(monkeypatch):
+    # Only the problem lookup's KeyError is a row error.
+    def broken(config, jobs=1):
+        raise KeyError("bug")
+
+    monkeypatch.setattr(harness, "run_experiment", broken)
+    with pytest.raises(KeyError, match="bug"):
+        sweep([make_config(steps=20)])
+
+
+def test_sweep_row_error_prints_the_lookup_message_unquoted():
+    bad = make_config(steps=20)
+    object.__setattr__(bad, "problem", "nosuch")
+    (row,) = sweep([bad])
+    assert row.error.startswith("KeyError: unknown problem 'nosuch'; valid names: ")
+
+
+@pytest.mark.parametrize("kind", ["pfpr", "pfpr+rec"])
+def test_config_rejects_unknown_problem_for_every_technique(kind):
+    with pytest.raises(KeyError, match="unknown problem 'nope'"):
+        ExperimentConfig("nope", ChtConfig(kind), 2, 6, 5, 1)
 
 
 def test_sweep_rejects_empty_list():

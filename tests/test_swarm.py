@@ -71,8 +71,8 @@ def test_coefficient_remainder_joins_last_third():
 
 
 def candidates(topology, i):
-    """Sorted candidate indices of particle ``i``: row ``i`` of the matrix."""
-    return list(np.flatnonzero(topology.neighbor_matrix[i]))
+    """Sorted candidate indices of particle ``i``: row ``i`` of the lists."""
+    return sorted(topology.neighbors[i].tolist())
 
 
 def test_ring_window3_candidates():
@@ -87,7 +87,10 @@ def test_ring_even_window_favors_successor():
 
 
 def test_fully_connected_sees_everyone():
-    assert Topology("fully-connected", 7).neighbor_matrix.all()
+    # One list, shared by every particle.
+    topo = Topology("fully-connected", 7)
+    assert len(topo.neighbors) == 1
+    assert candidates(topo, 0) == list(range(7))
 
 
 def test_from_nn_mapping():
@@ -276,7 +279,7 @@ def test_step_reproducible_from_documented_rng_order(toy1):
     v0 = swarm.velocities.copy()
     pbest0 = swarm.pbest.positions.copy()
     keys = priority_keys(swarm.pbest, swarm.pbest.feasible(swarm.tolerances))
-    lbest = pbest0[lbest_index(swarm.neighbors, *keys)]
+    lbest = pbest0[lbest_index(swarm.config.topology.neighbors, *keys)]
     rng_clone = np.random.default_rng(np.random.SeedSequence(7))
     # consume exactly what init and the three steps consumed
     rng_clone.random((9, 2))

@@ -37,6 +37,7 @@ from cpso.problem import (
 from cpso.harness import ExperimentConfig
 from cpso.swarm import (
     InitializationFailure,
+    Swarm,
     SwarmConfig,
     Topology,
     initial_positions,
@@ -51,7 +52,7 @@ REPAIRS = ("bm", "bmem", "bmpem")
 
 # ----------------------------------------------------------------- lbest
 
-KEY_VALUES = st.sampled_from([-1.5, -0.0, 0.0, 0.5, 2.0, np.inf])
+KEY_VALUES = st.sampled_from([-np.inf, -1.5, -0.0, 0.0, 0.5, 2.0, np.inf])
 
 
 @st.composite
@@ -63,20 +64,43 @@ def topologies(draw):
     return Topology(kind, s)
 
 
-@settings(deadline=None)
-@given(topologies(), st.data())
-def test_lbest_index_matches_lexsort(topology, data):
+def neighbourhood(topology, i):
+    """Particle ``i``'s candidates, from the topology's definition."""
     s = topology.swarm_size
-    keys = st.lists(KEY_VALUES | st.floats(-3, 3), min_size=s, max_size=s)
+    if topology.kind == "fully-connected":
+        return list(range(s))
+    left = (topology.window - 1) // 2
+    right = topology.window - 1 - left
+    return sorted({(i + off) % s for off in range(-left, right + 1)})
+
+
+@settings(deadline=None)
+@given(topologies(), st.sampled_from([1, 2, 5]), st.data())
+def test_lbest_index_matches_lexsort(topology, runs, data):
+    # A swarm's candidate lists, as its step reads them, against a
+    # lexsort of each particle's candidates among its own run's rows.
+    s = topology.swarm_size
+    m = runs * s
+    keys = st.lists(KEY_VALUES | st.floats(-3, 3), min_size=m, max_size=m)
     primary = np.array(data.draw(keys))
     secondary = np.array(data.draw(keys))
-    neighbors = topology.neighbor_matrix
+    config = SwarmConfig(size=s, steps=1, topology=topology, seed=0)
+    rngs = [np.random.default_rng(r) for r in range(runs)]
+    swarm = Swarm(TOY, config, ChtConfig("pfpr"), rngs, np.zeros((m, 2)), [0] * runs)
     expect = []
-    for i in range(s):
-        c = np.flatnonzero(neighbors[i])
-        # lexsort: last key is most significant; ties keep the lowest index.
-        expect.append(c[np.lexsort((c, secondary[c], primary[c]))[0]])
-    assert list(lbest_index(neighbors, primary, secondary)) == expect
+    for r in range(runs):
+        for i in range(s):
+            c = np.array(neighbourhood(topology, i)) + r * s
+            # lexsort: last key is most significant; ties keep the lowest index.
+            expect.append(c[np.lexsort((c, secondary[c], primary[c]))[0]])
+    candidates, share = swarm._lbest
+    got = lbest_index(candidates, primary, secondary).repeat(share)
+    assert got.tolist() == expect
+    # A one-run list gives the run's best, as Swarm.best_rows reads it.
+    for r in range(runs):
+        rows = np.arange(r * s, (r + 1) * s)
+        best = rows[np.lexsort((rows, secondary[rows], primary[rows]))[0]]
+        assert lbest_index(rows[None], primary, secondary).tolist() == [best]
 
 
 # ---------------------------------------------------------------- repair
