@@ -48,26 +48,27 @@ CSV_COLUMNS = (
     "extra_evals",
 )
 
-_SWEEP_KEYS = {
-    "problem",
-    "cht",
-    "nn",
-    "particles",
-    "steps",
-    "runs",
-    "seed",
-    "tol-ineq",
-    "tol-eq",
-    "rec-switch",
-    "rec-decrease",
-    "rec-rate",
-    "prob",
-}
-
-
 # ``rec-decrease`` values, as flags and config files spell them, and the
 # RecSchedule variant each names.
 _REC_DECREASE = {"linear": "linear", "exp": "exponential"}
+
+# The optional settings of an experiment, as ``cpso run`` flags and sweep
+# file keys spell them, with their defaults; ``run`` has no ``--rec-rate``.
+_DEFAULTS = {
+    "nn": 2,
+    "particles": 20,
+    "steps": 10000,
+    "runs": 11,
+    "seed": 0,
+    "tol-ineq": 1e-12,
+    "tol-eq": 1e-12,
+    "rec-switch": 0.8,
+    "rec-decrease": "linear",
+    "rec-rate": 0.995,
+    "prob": 0.9,
+}
+
+_SWEEP_KEYS = {"problem", "cht", *_DEFAULTS}
 
 
 class UsageError(Exception):
@@ -291,9 +292,9 @@ def _section_config(section: dict, header: int) -> ExperimentConfig:
             raise UsageError(f"{where}: missing required key {key!r}")
         return section[key]
 
-    def conv(key, fn, default=None):
+    def conv(key, fn):
         if key not in section:
-            return default
+            return fn(_DEFAULTS[key])
         value, lineno = section[key]
         try:
             return fn(value)
@@ -303,23 +304,23 @@ def _section_config(section: dict, header: int) -> ExperimentConfig:
     problem, lineno = need("problem")
     _entry(problem, f"line {lineno}: ")
     kind, _ = need("cht")
-    decrease = conv("rec-decrease", _REC_DECREASE.__getitem__, "linear")
+    decrease = conv("rec-decrease", _REC_DECREASE.__getitem__)
     try:
         return ExperimentConfig(
             problem=problem,
-            cht=ChtConfig(kind=kind, prob=conv("prob", float, 0.9)),
-            nn=conv("nn", int, 2),
-            particles=conv("particles", int, 20),
-            steps=conv("steps", int, 10000),
-            runs=conv("runs", int, 11),
-            master_seed=conv("seed", int, 0),
+            cht=ChtConfig(kind=kind, prob=conv("prob", float)),
+            nn=conv("nn", int),
+            particles=conv("particles", int),
+            steps=conv("steps", int),
+            runs=conv("runs", int),
+            master_seed=conv("seed", int),
             tolerances=Tolerances(
-                ineq=conv("tol-ineq", float, 1e-12),
-                eq=conv("tol-eq", float, 1e-12),
+                ineq=conv("tol-ineq", float),
+                eq=conv("tol-eq", float),
             ),
-            rec_switch=conv("rec-switch", float, 0.8),
+            rec_switch=conv("rec-switch", float),
             rec_decrease=decrease,
-            rec_rate=conv("rec-rate", float, 0.995),
+            rec_rate=conv("rec-rate", float),
         )
     except ValueError as exc:
         raise UsageError(f"{where}: {exc}") from None
@@ -407,16 +408,11 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run one experiment")
     run.add_argument("--problem", required=True)
     run.add_argument("--cht", required=True)
-    run.add_argument("--nn", type=int, default=2)
-    run.add_argument("--particles", type=int, default=20)
-    run.add_argument("--steps", type=int, default=10000)
-    run.add_argument("--runs", type=int, default=11)
-    run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--tol-ineq", type=float, default=1e-12)
-    run.add_argument("--tol-eq", type=float, default=1e-12)
-    run.add_argument("--rec-switch", type=float, default=0.8)
-    run.add_argument("--rec-decrease", choices=tuple(_REC_DECREASE), default="linear")
-    run.add_argument("--prob", type=float, default=0.9)
+    for key, default in _DEFAULTS.items():
+        if key == "rec-decrease":
+            run.add_argument(f"--{key}", choices=tuple(_REC_DECREASE), default=default)
+        elif key != "rec-rate":
+            run.add_argument(f"--{key}", type=type(default), default=default)
     run.add_argument("--trace", default=None, help="per-step best log path")
     run.add_argument("--detail", action="store_true", help="include per-run detail")
     _add_common_output(run)

@@ -30,17 +30,17 @@ particles at once: :func:`sort_keys` (how a technique ranks points:
 :func:`repair_moves` (the repair ladders, each batch's trials built as
 one ``(k, T, n)`` block and evaluated in move-major order).
 
-The rows they take may belong to several runs, run after run.  Then
-``rng`` holds one generator per run and ``runs`` gives each row's run,
-and every random block is drawn as one block per run, each from its own
-run's generator, in run order (:func:`draw_per_run`): each run sees
+The rows they take belong to one or more runs, run after run, and
+``rngs`` holds one generator per run.  Every random block, a one-run
+block included, is drawn run by run into place, each run's rows from its
+own generator, in run order (:func:`draw_per_run`): each run sees
 exactly the draws it would see alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -52,10 +52,6 @@ from .problem import (
     _all_within,
     evaluate_batch,
 )
-
-if TYPE_CHECKING:  # at run time, np.random would import numpy.random early
-    # One generator, or one per run when the rows belong to several runs.
-    Generators = Union[np.random.Generator, Sequence[np.random.Generator]]
 
 KINDS = (
     "pf",
@@ -132,23 +128,22 @@ class ChtConfig:
 
 
 def draw_per_run(
-    rng: Generators,
-    runs: Optional[np.ndarray],
-    k: int,
-    draw: Callable[[np.random.Generator, int], np.ndarray],
+    rngs: Sequence[np.random.Generator], counts: Sequence[int], out: np.ndarray
 ) -> np.ndarray:
-    """``draw(generator, count)`` for ``k`` rows, one block per run.
+    """Fill ``out`` with uniforms, one block of rows per run; returns ``out``.
 
-    With ``runs`` None, ``rng`` is one generator and the block is
-    ``draw(rng, k)``.  Otherwise ``runs`` holds the run of each of the
-    ``k`` rows, in non-decreasing order, and ``rng`` one generator per
-    run: run ``r``'s block is drawn from ``rng[r]``, and the blocks are
-    joined in run order.
+    Run ``r`` owns the next ``counts[r]`` rows of ``out``, in run order,
+    and fills them with ``rngs[r].random``: the values and the generator
+    state are those of ``rngs[r].random((counts[r], *out.shape[1:]))``.
+    The counts must cover the rows of ``out`` exactly.
     """
-    if runs is None:
-        return draw(rng, k)
-    counts = np.bincount(runs, minlength=len(rng))
-    return np.concatenate([draw(g, int(c)) for g, c in zip(rng, counts)])
+    a = 0
+    for g, c in zip(rngs, counts, strict=True):
+        g.random(out=out[a : a + c])
+        a += c
+    if a != len(out):
+        raise ValueError(f"run counts cover {a} rows, not {len(out)}")
+    return out
 
 
 def priority_keys(ev: BatchEval, feasible: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -192,8 +187,7 @@ def replacement_mask(
     cand_keys: Tuple[np.ndarray, np.ndarray],
     inc: BatchEval,
     inc_keys: Tuple[np.ndarray, np.ndarray],
-    rng: Generators,
-    runs: Optional[np.ndarray] = None,
+    rngs: Sequence[np.random.Generator],
 ) -> np.ndarray:
     """Which memories ``inc`` the candidates ``cand`` replace, row by row.
 
@@ -208,8 +202,9 @@ def replacement_mask(
       its keys are lower (for ``apm`` both primary keys are zero, so
       lower penalized conflict replaces).  The probabilistic ones draw
       one uniform for every row where an infeasible point is involved,
-      as one ``rng.random(k)`` block in ascending row order (per run,
-      see :func:`draw_per_run`); at or above ``cht.prob`` that row falls
+      in ascending row order, each run's from its own generator (the
+      rows are run-major, the same number per run; see
+      :func:`draw_per_run`); at or above ``cht.prob`` that row falls
       back to lower conflict.
     """
     lower_conflict = cand.conflict < inc.conflict
@@ -224,13 +219,10 @@ def replacement_mask(
     )
     if cht.probabilistic_memory:
         draw = (cand_primary + inc_primary) > 0.0
+        # Python ints: NumPy scalars slow draw_per_run's slicing.
+        counts = draw.reshape(len(rngs), -1).sum(axis=1).tolist()
+        u = draw_per_run(rngs, counts, np.empty(sum(counts)))
         override = np.zeros(len(cand), dtype=bool)
-        u = draw_per_run(
-            rng,
-            None if runs is None else runs[draw],
-            np.count_nonzero(draw),
-            lambda g, k: g.random(k),
-        )
         override[draw] = u >= cht.prob
         replace = np.where(override, lower_conflict, replace)
     return replace
@@ -262,8 +254,8 @@ def _repair_factors(
     variant: str,
     full: BatchEval,
     tolerances: Tolerances,
-    rng: Generators,
-    runs: Optional[np.ndarray],
+    rngs: Sequence[np.random.Generator],
+    counts: Sequence[int],
     max_trials: int,
 ) -> np.ndarray:
     """``(k, T)`` trial factors, one row per move, in trial order; T <= max_trials."""
@@ -275,9 +267,8 @@ def _repair_factors(
         box_only = _all_within(full._limits(tolerances)[1:])
         ladders = np.where(box_only[:, None], _BMEM_DOWN_LADDER, _BMEM_LADDER)
         return ladders[:, :max_trials]
-    return draw_per_run(
-        rng, runs, k, lambda g, c: g.uniform(0.0, 1.5, (c, max_trials))
-    )
+    # Generator.uniform(0.0, 1.5) bit for bit: it computes 0.0 + 1.5 * u.
+    return 1.5 * draw_per_run(rngs, counts, np.empty((k, max_trials)))
 
 
 def repair_moves(
@@ -287,9 +278,9 @@ def repair_moves(
     problem: Problem,
     tolerances: Tolerances,
     variant: str,
-    rng: Generators,
+    rngs: Sequence[np.random.Generator],
+    counts: Sequence[int],
     max_trials: int,
-    runs: Optional[np.ndarray] = None,
 ) -> BatchRepair:
     """Repair k moves whose full steps ``x_old + v`` are all infeasible.
 
@@ -297,9 +288,11 @@ def repair_moves(
     factors scale the ORIGINAL velocity: halvings for ``bm``, the
     alternating 0.9/1.1 ladder for ``bmem`` (down-scalings only for a
     move whose full step violates box bounds alone), and for ``bmpem``
-    fresh uniform [0, 1.5) factors, drawn as one ``(k, max_trials >= 1)``
-    block whose rows are the moves in order (per run, see
-    :func:`draw_per_run`).  Per move, the first feasible trial wins and
+    fresh uniform [0, 1.5) factors ``1.5 * u``, drawn as one
+    ``(k, max_trials >= 1)`` block whose rows are the moves in order.
+    The moves belong to the runs of ``rngs``, run after run, ``counts[r]``
+    of them to run ``r``, whose generator draws their rows
+    (:func:`draw_per_run`).  Per move, the first feasible trial wins and
     its scaled velocity becomes the stored velocity; a 0.0 factor or
     exhaustion keeps the old position with zero velocity.
 
@@ -313,7 +306,7 @@ def repair_moves(
     if max_trials < 1:
         raise ValueError(f"max_trials must be >= 1, got {max_trials}")
     k, n = x_old.shape
-    factors = _repair_factors(variant, full, tolerances, rng, runs, max_trials)
+    factors = _repair_factors(variant, full, tolerances, rngs, counts, max_trials)
     block = x_old[:, None] + factors[..., None] * v[:, None]
     stop = factors == 0.0
     # Only trials before a move's first 0.0 are live.  All live (bm, and

@@ -116,7 +116,7 @@ class ExperimentConfig:
         The seed is the pair, which ``default_rng`` turns into that
         ``SeedSequence``, so building a config does not import
         ``numpy.random``.  The runs share one topology, and so one
-        neighbour matrix.
+        set of neighbour lists (:attr:`~cpso.swarm.Topology.neighbors`).
         """
         return SwarmConfig(
             size=self.particles,

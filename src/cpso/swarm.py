@@ -18,8 +18,9 @@ Runs share nothing but the step index, and so the tolerance in force.
 Each run draws from its own generator, as below, so a run ends exactly
 where it ends stepping alone, whichever runs step with it.
 
-Randomness contract (per step, one generator per run, each run's
-blocks drawn from its own generator, run after run):
+Randomness contract (per step, one generator per run; every block, a
+one-run swarm's included, is drawn run by run into place, each run's
+rows from its own generator, by :func:`cpso.handlers.draw_per_run`):
 
 1. One ``rng.random((size, dimension, 2))`` block, consumed in C order:
    particle-major, then dimension, with the individuality draw before
@@ -29,9 +30,11 @@ blocks drawn from its own generator, run after run):
    point: one uniform per such particle, in ascending index order.  It
    holds the same values as k scalar draws taken particle by particle.
 3. For repair with random factors, one ``(k, max_repair_trials)``
-   uniform block for the k particles needing repair: one row per such
-   particle, in ascending index order.  It holds the same values as k
-   per-particle blocks of ``max_repair_trials`` uniforms.
+   uniform block ``u`` for the k particles needing repair: one row per
+   such particle, in ascending index order, and the factors are
+   ``1.5 * u``.  It holds the same values as k per-particle blocks of
+   ``max_repair_trials`` uniforms, and ``1.5 * u`` the same bits as
+   ``rng.uniform(0.0, 1.5, ...)``.
 
 Initialization draws one ``(size, dimension)`` uniform block, or, when
 the technique needs a feasible start, one stream of uniform candidates
@@ -255,6 +258,8 @@ class Swarm:
             np.asfortranarray((firsts + lists).reshape(-1, lists.shape[1])),
             s // len(lists),
         )
+        # Rows per run: the blocks of every draw over all rows.
+        self._run_rows = [s] * len(self.rngs)
         self.current = evaluate_batch(problem, positions)
         self.run_init_evaluations = np.asarray(init_evaluations, dtype=np.int64) + s
         self.run_repair_evaluations = np.zeros(len(self.rngs), dtype=np.int64)
@@ -292,16 +297,6 @@ class Swarm:
     def repair_evaluations(self) -> int:
         return int(self.run_repair_evaluations.sum())
 
-    def _generators(self) -> tuple:
-        """``(rng, runs)`` arguments of a draw over all rows.
-
-        See :func:`cpso.handlers.draw_per_run`; a one-run swarm passes its
-        generator alone.
-        """
-        if len(self.rngs) == 1:
-            return self.rngs[0], None
-        return self.rngs, np.arange(len(self.positions)) // self.config.size
-
     # -- stepping -----------------------------------------------------------
 
     def step(self) -> None:
@@ -320,8 +315,7 @@ class Swarm:
         best = lbest_index(candidates, *keys)
         lbest = self.pbest.positions[best.repeat(share) if share > 1 else best]
         m, n = self.positions.shape
-        rng, runs = self._generators()
-        u = draw_per_run(rng, runs, m, lambda g, k: g.random((k, n, 2)))
+        u = draw_per_run(self.rngs, self._run_rows, np.empty((m, n, 2)))
         v_new = (
             self.w_rows * self.velocities
             + self.iw_rows * u[:, :, 0] * (self.pbest.positions - self.positions)
@@ -336,7 +330,7 @@ class Swarm:
         feasible = None if self.cht.uses_penalty else new_eval.feasible(tol)
 
         if self.cht.is_repair:
-            self._repair(x_new, v_new, new_eval, feasible, tol, rng, runs)
+            self._repair(x_new, v_new, new_eval, feasible, tol)
         cand_keys = sort_keys(self.cht, new_eval, feasible)
         self.positions = x_new
         self.velocities = v_new
@@ -344,14 +338,14 @@ class Swarm:
         self.current_feasible = feasible
 
         replace = replacement_mask(
-            self.cht, new_eval, cand_keys, self.pbest, keys, rng, runs
+            self.cht, new_eval, cand_keys, self.pbest, keys, self.rngs
         )
         self.pbest.assign(replace, new_eval)
         np.copyto(self.pbest_primary, cand_keys[0], where=replace)
         np.copyto(self.pbest_secondary, cand_keys[1], where=replace)
         self.t = t
 
-    def _repair(self, x_new, v_new, new_eval, feasible, tol, rng, runs) -> None:
+    def _repair(self, x_new, v_new, new_eval, feasible, tol) -> None:
         """Repair every infeasible move of every run in place.
 
         ``new_eval`` and its mask ``feasible`` are updated to describe
@@ -363,7 +357,7 @@ class Swarm:
         moves = MAX_BATCH_ROWS // self.cht.max_repair_trials
         for a in range(0, infeasible.size, moves):
             bad = infeasible[a : a + moves]
-            bad_runs = None if runs is None else runs[bad]
+            bad_runs = bad // self.config.size
             rep = repair_moves(
                 self.positions[bad],
                 v_new[bad],
@@ -371,17 +365,14 @@ class Swarm:
                 self.problem,
                 tol,
                 self.cht.kind,
-                rng,
+                self.rngs,
+                np.bincount(bad_runs, minlength=self.runs).tolist(),
                 self.cht.max_repair_trials,
-                bad_runs,
             )
             # Full steps are charged by the step count.
-            if runs is None:
-                self.run_repair_evaluations[0] += rep.trials_charged.sum()
-            else:
-                self.run_repair_evaluations += np.bincount(
-                    bad_runs, weights=rep.trials_charged, minlength=self.runs
-                ).astype(np.int64)
+            self.run_repair_evaluations += np.bincount(
+                bad_runs, weights=rep.trials_charged, minlength=self.runs
+            ).astype(np.int64)
             x_new[bad] = rep.positions
             v_new[bad] = rep.velocities
             # A kept position keeps its evaluation; an accepted trial is feasible.

@@ -91,25 +91,18 @@ def replaces(kind, inc, cand, rng=None, prob=0.9, tol=Tolerances()):
     def keys(ev):
         return sort_keys(cht, ev, ev.feasible(tol))
 
-    return replacement_mask(cht, cand, keys(cand), inc, keys(inc), rng)
+    return replacement_mask(cht, cand, keys(cand), inc, keys(inc), [rng])
 
 
 class FixedRng:
-    """Generator stand-in returning a constant for every uniform draw."""
+    """Generator stand-in that fills every uniform draw with a constant."""
 
     def __init__(self, value: float):
         self.value = value
 
-    def random(self, size=None):
-        if size is None:
-            return self.value
-        return np.full(size, self.value)
-
-    def uniform(self, low=0.0, high=1.0, size=None):
-        span = high - low
-        if size is None:
-            return low + span * self.value
-        return np.full(size, low + span * self.value)
+    def random(self, out):
+        out.fill(self.value)
+        return out
 
 
 @pytest.fixture

@@ -195,7 +195,7 @@ def test_property_repair_postcondition():
         bad = ~full.feasible(TOL)
         start = x_old[rows[bad]]
         moves = v[rows[bad]], full.take(bad)
-        rep = repair_moves(start, *moves, toy, TOL, variant, rng, 19)
+        rep = repair_moves(start, *moves, toy, TOL, variant, [rng], [len(start)], 19)
         ok &= bool(np.all(evaluate_batch(toy, rep.positions).feasible(TOL)))
         ok &= bool(np.array_equal(rep.positions[~rep.accepted], start[~rep.accepted]))
     report("repair feasibility postcondition", ok, "1000 cases")

@@ -163,7 +163,7 @@ def repair_one(x_old, v, problem, tolerances, variant, rng, max_trials):
     x_old, v = np.array([x_old], dtype=float), np.array([v], dtype=float)
     full = evaluate_batch(problem, problem.snap_to_grid(x_old + v))
     assert not full.feasible(tolerances)[0]
-    return repair_moves(x_old, v, full, problem, tolerances, variant, rng, max_trials)
+    return repair_moves(x_old, v, full, problem, tolerances, variant, [rng], [1], max_trials)
 
 
 def test_bm_halving_example():

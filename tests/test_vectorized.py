@@ -5,8 +5,9 @@ the loop it replaces: the lbest lookup against a per-particle
 ``lexsort``, the batched repair against one-row calls and against a
 reference written from its docstring, one trial at a time, both blocks of
 per-particle draws against draws taken one particle at a time, the
-blocked feasible initialization against drawing and evaluating one
-256-row chunk at a time, the fused evaluation against sanitizing
+per-run draw against each generator's own block, the blocked feasible
+initialization against drawing and evaluating one 256-row chunk at a
+time, the fused evaluation against sanitizing
 each function's output on its own, the feasibility mask against row
 reductions, the mask from the constraints alone against the full
 evaluation's, in-place sampling against its affine formula, and the
@@ -134,7 +135,7 @@ def infeasible_moves(draw):
 def _repair(moves, variant, seed):
     x_old, v, full = moves
     rng = np.random.default_rng(seed)
-    rep = repair_moves(x_old, v, full, TOY, TOL, variant, rng, 19)
+    rep = repair_moves(x_old, v, full, TOY, TOL, variant, [rng], [len(x_old)], 19)
     return rep, rng
 
 
@@ -147,7 +148,7 @@ def test_batched_repair_equals_one_row_calls(moves, variant, seed):
     accepted_positions = []
     for r in range(len(x_old)):
         one = repair_moves(
-            x_old[r : r + 1], v[r : r + 1], full.take([r]), TOY, TOL, variant, one_rng, 19
+            x_old[r : r + 1], v[r : r + 1], full.take([r]), TOY, TOL, variant, [one_rng], [1], 19
         )
         assert np.array_equal(one.positions[0], rep.positions[r])
         assert np.array_equal(one.velocities[0], rep.velocities[r])
@@ -259,7 +260,7 @@ def test_repair_with_mid_row_zero_factors_matches_reference(monkeypatch, variant
     factors[::2, 5] = 0.0
     factors[3, 0] = 0.0
     monkeypatch.setattr(handlers, "_repair_factors", lambda *args: factors)
-    rep = repair_moves(x_old, v, full, TOY, TOL, variant, np.random.default_rng(0), 19)
+    rep = repair_moves(x_old, v, full, TOY, TOL, variant, [np.random.default_rng(0)], [12], 19)
     assert_matches_reference(rep, reference_repair(x_old, v, variant, None, factors))
     assert rep.accepted.any() and not rep.accepted.all()
     assert set(rep.trials_charged[::2]) <= {1, 2, 3, 4, 5} and rep.trials_charged[3] == 0
@@ -272,10 +273,41 @@ def test_repair_needs_a_trial(variant, max_trials):
     full = evaluate_batch(TOY, x_old + v)
     assert not full.feasible(TOL).any()
     with pytest.raises(ValueError, match="max_trials must be >= 1"):
-        repair_moves(x_old, v, full, TOY, TOL, variant, np.random.default_rng(0), max_trials)
+        repair_moves(x_old, v, full, TOY, TOL, variant, [np.random.default_rng(0)], [1], max_trials)
 
 
 # ------------------------------------------------------------ draw order
+
+
+def _run_generators(seed, runs):
+    return [np.random.default_rng([seed, r]) for r in range(runs)]
+
+
+@settings(deadline=None)
+@given(
+    st.lists(st.integers(0, 6), min_size=1, max_size=5),
+    st.one_of(st.just(()), st.just((19,)), st.integers(1, 6).map(lambda n: (n, 2))),
+    st.integers(0, 2**32),
+)
+@example([0, 3, 0], (5, 2), 0)
+def test_draw_per_run_equals_each_runs_own_block(counts, tail, seed):
+    shape = (sum(counts), *tail)
+    rngs, alone = _run_generators(seed, len(counts)), _run_generators(seed, len(counts))
+    got = handlers.draw_per_run(rngs, counts, np.empty(shape))
+    expect = [g.random((c, *tail)) for g, c in zip(alone, counts)]
+    assert same_bits(got, np.concatenate(expect))
+    assert [g.bit_generator.state for g in rngs] == [g.bit_generator.state for g in alone]
+    # bmpem's factors: 1.5 * u holds Generator.uniform(0.0, 1.5)'s bits.
+    factors = 1.5 * handlers.draw_per_run(rngs, counts, np.empty(shape))
+    expect = [g.uniform(0.0, 1.5, (c, *tail)) for g, c in zip(alone, counts)]
+    assert same_bits(factors, np.concatenate(expect))
+    assert [g.bit_generator.state for g in rngs] == [g.bit_generator.state for g in alone]
+
+
+@pytest.mark.parametrize("counts", [[2, 2], [3, 3], [5]])
+def test_draw_per_run_counts_must_cover_the_rows(counts):
+    with pytest.raises(ValueError):
+        handlers.draw_per_run(_run_generators(0, 2), counts, np.empty(5))
 
 
 @settings(deadline=None)
@@ -321,7 +353,7 @@ def test_pfppr_block_equals_per_particle_draws(pair, prob, seed):
     rng = np.random.default_rng(seed)
     cht = ChtConfig("pfppr", prob=prob)
     got = replacement_mask(
-        cht, cand, priority_keys(cand, cf), inc, priority_keys(inc, nf), rng
+        cht, cand, priority_keys(cand, cf), inc, priority_keys(inc, nf), [rng]
     )
 
     one_rng = np.random.default_rng(seed)
