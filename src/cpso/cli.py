@@ -51,21 +51,24 @@ CSV_COLUMNS = (
 # ``rec-decrease`` values, as flags and config files spell them, and the
 # RecSchedule variant each names.
 _REC_DECREASE = {"linear": "linear", "exp": "exponential"}
+_REC_DECREASE_FLAG = {v: k for k, v in _REC_DECREASE.items()}
 
 # The optional settings of an experiment, as ``cpso run`` flags and sweep
-# file keys spell them, with their defaults; ``run`` has no ``--rec-rate``.
+# file keys spell them, with their defaults; ``run`` has no ``--rec-rate``
+# and uses the default.  A setting the library's configs declare takes
+# their default, so that each is stated once; the rest are the CLI's own.
 _DEFAULTS = {
     "nn": 2,
     "particles": 20,
     "steps": 10000,
     "runs": 11,
-    "seed": 0,
-    "tol-ineq": 1e-12,
-    "tol-eq": 1e-12,
-    "rec-switch": 0.8,
-    "rec-decrease": "linear",
-    "rec-rate": 0.995,
-    "prob": 0.9,
+    "seed": ExperimentConfig.master_seed,
+    "tol-ineq": Tolerances.ineq,
+    "tol-eq": Tolerances.eq,
+    "rec-switch": ExperimentConfig.rec_switch,
+    "rec-decrease": _REC_DECREASE_FLAG[ExperimentConfig.rec_decrease],
+    "rec-rate": ExperimentConfig.rec_rate,
+    "prob": ChtConfig.prob,
 }
 
 _SWEEP_KEYS = {"problem", "cht", *_DEFAULTS}
@@ -220,6 +223,7 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
             tolerances=Tolerances(ineq=args.tol_ineq, eq=args.tol_eq),
             rec_switch=args.rec_switch,
             rec_decrease=_REC_DECREASE[args.rec_decrease],
+            rec_rate=_DEFAULTS["rec-rate"],
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
@@ -427,8 +431,8 @@ def build_parser() -> argparse.ArgumentParser:
     fz.add_argument("--problem", required=True)
     fz.add_argument("--samples", type=int, default=1_000_000)
     fz.add_argument("--seed", type=int, default=0)
-    fz.add_argument("--tol-ineq", type=float, default=1e-12)
-    fz.add_argument("--tol-eq", type=float, default=1e-12)
+    fz.add_argument("--tol-ineq", type=float, default=_DEFAULTS["tol-ineq"])
+    fz.add_argument("--tol-eq", type=float, default=_DEFAULTS["tol-eq"])
     fz.add_argument("--format", choices=("json", "csv"), default="json")
     fz.add_argument("--out", default=None)
     fz.set_defaults(func=cmd_feasibility)

@@ -28,7 +28,9 @@ particles at once: :func:`sort_keys` (how a technique ranks points:
 :meth:`ChtConfig.tolerances_at` (the tolerances in force at each step),
 :func:`replacement_mask` (every technique's memory update) and
 :func:`repair_moves` (the repair ladders, each batch's trials built as
-one ``(k, T, n)`` block and evaluated in move-major order).
+one ``(k, T, n)`` block, taken in move-major order to their raw terms,
+masked there by the tolerance rule, and only the accepted trials
+finished into a :class:`~cpso.problem.BatchEval`).
 
 The rows they take belong to one or more runs, run after run, and
 ``rngs`` holds one generator per run.  Every random block, a one-run
@@ -39,6 +41,7 @@ exactly the draws it would see alone.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -50,7 +53,12 @@ from .problem import (
     RecSchedule,
     Tolerances,
     _all_within,
-    evaluate_batch,
+    _box_excess,
+    _checked_positions,
+    _finish,
+    _raw_mask,
+    _raw_terms,
+    _rows_all,
 )
 
 KINDS = (
@@ -250,6 +258,15 @@ class BatchRepair:
     evaluation: BatchEval       # one row per accepted move, in move order
 
 
+@functools.lru_cache(maxsize=None)
+def _bm_ladder(max_trials: int) -> np.ndarray:
+    """``bm``'s halvings 0.5, 0.25, ... for ``max_trials`` trials, read-only;
+    one per trial count in use, built on first use."""
+    ladder = 0.5 ** np.arange(1, max_trials + 1)
+    ladder.flags.writeable = False
+    return ladder
+
+
 def _repair_factors(
     variant: str,
     full: BatchEval,
@@ -261,7 +278,7 @@ def _repair_factors(
     """``(k, T)`` trial factors, one row per move, in trial order; T <= max_trials."""
     k = len(full)
     if variant == "bm":
-        return np.broadcast_to(0.5 ** np.arange(1, max_trials + 1), (k, max_trials))
+        return np.broadcast_to(_bm_ladder(max_trials), (k, max_trials))
     if variant == "bmem":
         # Every constraint, but not the box, within tolerance.
         box_only = _all_within(full._limits(tolerances)[1:])
@@ -297,9 +314,14 @@ def repair_moves(
     exhaustion keeps the old position with zero velocity.
 
     The trials form one ``(k, T, n)`` block ``x_old + factor * v``.  Those
-    before each move's first 0.0 factor are evaluated in one call, in
+    before each move's first 0.0 factor are evaluated in one batch, in
     move-major order, but each move is charged its trials in order, up
-    to the accepted one, the 0.0 factor or the end of the ladder.
+    to the accepted one, the 0.0 factor or the end of the ladder.  The
+    batch stops at its raw terms (objective included, with the faults
+    of :func:`~cpso.problem.evaluate_batch` at its rows) and its box
+    excess, which the tolerance rule tests; only the accepted trials'
+    rows are finished into ``evaluation``, with the bits
+    ``evaluate_batch`` gives them.
     """
     if variant not in _REPAIR_KINDS:
         raise ValueError(f"not a repair technique: {variant!r}")
@@ -310,22 +332,34 @@ def repair_moves(
     block = x_old[:, None] + factors[..., None] * v[:, None]
     stop = factors == 0.0
     # Only trials before a move's first 0.0 are live.  All live (bm, and
-    # bmpem unless it draws a 0.0), the block is evaluated as it lies: the
+    # bmpem unless it draws a 0.0), the block is tested as it lies: the
     # masked gather and scatter cost 7-11% of repair_moves' time there.
     if stop.any():
         live = ~np.logical_or.accumulate(stop, axis=1)
-        ev = evaluate_batch(problem, problem._snap(block[live]))
-        ok = np.zeros(factors.shape, dtype=bool)
-        ok[live] = ev.feasible(tolerances)
+        x = problem._snap(block[live])
         counts = np.count_nonzero(live, axis=1)
     else:
-        ev = evaluate_batch(problem, problem._snap(block.reshape(-1, n)))
-        ok = ev.feasible(tolerances).reshape(factors.shape)
+        live = None
+        x = problem._snap(block.reshape(-1, n))
         counts = np.full(k, factors.shape[1])
+    del block
+    x = _checked_positions(problem, x)
+    raw = _raw_terms(problem, x)
+    box = _box_excess(problem, x)
+    within_box = _rows_all(box <= tolerances.ineq)
+    feasible = _raw_mask(problem, raw[1:], tolerances, within_box)
+    if live is None:
+        ok = feasible.reshape(factors.shape)
+    else:
+        ok = np.zeros(factors.shape, dtype=bool)
+        ok[live] = feasible
     first = ok.argmax(axis=1)
     accepted = ok.any(axis=1)
-    # Row of ``ev`` holding each accepted move's first feasible trial.
-    evaluation = ev.take((np.cumsum(counts) - counts + first)[accepted])
+    # Row of the batch holding each accepted move's first feasible trial.
+    rows = (np.cumsum(counts) - counts + first)[accepted]
+    evaluation = _finish(problem, x[rows], raw[:, rows], box[rows])
+    # The batch is freed before the accepted rows are scattered.
+    del x, raw, box
 
     positions = np.array(x_old, dtype=float)
     positions[accepted] = evaluation.positions

@@ -72,9 +72,10 @@ class ExperimentConfig:
     master_seed: int = 0
     tolerances: Tolerances = field(default_factory=Tolerances)
     max_init_attempts: int = 1_000_000
-    rec_switch: float = 0.8
-    rec_decrease: str = "linear"
-    rec_rate: float = 0.995
+    # The schedule's own defaults, stated once there.
+    rec_switch: float = RecSchedule.switch_fraction
+    rec_decrease: str = RecSchedule.decrease
+    rec_rate: float = RecSchedule.rate
 
     def __post_init__(self):
         if self.nn + 1 > self.particles:

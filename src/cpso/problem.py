@@ -370,30 +370,31 @@ def _inf_outside_box(
     return np.where(finite, raw, np.inf)
 
 
-def evaluate_batch(problem: Problem, positions: np.ndarray) -> BatchEval:
-    """Evaluate a batch of points: conflicts and raw violation amounts.
-
-    ``cv`` is the plain sum of inequality excesses, equality magnitudes
-    and box excesses; no tolerance is subtracted anywhere.
-
-    The outputs of every function are checked for finiteness at once.
-    Out-of-box positions are legal (particles overshoot) but the problem
-    functions only promise finite output inside the box, so non-finite
-    values there become +inf, which deprioritizes the point in every
-    comparison.  A non-finite value at an in-box point raises
-    :class:`EvaluationFault`, naming the first faulty function in the
-    order objective, inequality 0.., equality 0.. and its first in-box
-    row.
-    """
-    x = _checked_positions(problem, positions)
-    m = x.shape[0]
-    q = problem.n_inequalities
+def _raw_terms(problem: Problem, x: np.ndarray, first: int = 0) -> np.ndarray:
+    """The raw terms of the rows of ``x``: the function-major values of
+    functions ``first``, ``first + 1``, ... in the order objective (0),
+    inequality 0.. (1..), equality 0.., one row per function, under the
+    +inf rule and with the faults of :func:`evaluate_batch`.  The one
+    place where the problem functions run."""
     functions = (problem.objective, *problem.inequalities, *problem.equalities)
-    raw = np.empty((len(functions), m))  # function-major
-    for k, f in enumerate(functions):
+    raw = np.empty((len(functions) - first, len(x)))
+    for k, f in enumerate(functions[first:]):
         raw[k] = f(x)
-    raw = _inf_outside_box(problem, x, raw, 0)
+    return _inf_outside_box(problem, x, raw, first)
 
+
+def _finish(
+    problem: Problem,
+    x: np.ndarray,
+    raw: np.ndarray,
+    box: Optional[np.ndarray] = None,
+) -> BatchEval:
+    """The :class:`BatchEval` of the rows of ``x`` from their raw terms
+    ``raw`` (objective included) and, if computed, their box excess
+    ``box``.  Takes over ``raw``: the caller passes its last reference,
+    so that it is freed before the box excess is computed.
+    """
+    q = problem.n_inequalities
     # Point-major and C-contiguous before the row sums: NumPy sums rows of
     # 8 or more terms in an unrolled order that follows the memory layout,
     # so summing transposed views would change the bits of ``cv``.  The
@@ -406,7 +407,8 @@ def evaluate_batch(problem: Problem, positions: np.ndarray) -> BatchEval:
     eq = violations[:, q:]
     np.maximum(0.0, ineq, out=ineq)
     np.abs(eq, out=eq)
-    box = _box_excess(problem, x)
+    if box is None:
+        box = _box_excess(problem, x)
 
     # cv = ineq + eq + box row sums, in that order.  A group of exact
     # zeros (no equalities; no box excess, as for every sampled point) is
@@ -424,6 +426,33 @@ def evaluate_batch(problem: Problem, positions: np.ndarray) -> BatchEval:
         box_violations=box,
         cv=cv,
     )
+
+
+def evaluate_batch(problem: Problem, positions: np.ndarray) -> BatchEval:
+    """Evaluate a batch of points: conflicts and raw violation amounts.
+
+    ``cv`` is the plain sum of inequality excesses, equality magnitudes
+    and box excesses; no tolerance is subtracted anywhere.
+
+    The outputs of every function are checked for finiteness at once.
+    Out-of-box positions are legal (particles overshoot) but the problem
+    functions only promise finite output inside the box, so non-finite
+    values there become +inf, which deprioritizes the point in every
+    comparison.  A non-finite value at an in-box point raises
+    :class:`EvaluationFault`, naming the first faulty function in the
+    order objective, inequality 0.., equality 0.. and its first in-box
+    row.
+
+    Two stages make the batch: the raw terms (:func:`_raw_terms`, every
+    function on every row, function-major, under the +inf rule) and the
+    finish (:func:`_finish`: the point-major violation blocks, the box
+    excess and ``cv``).  A caller that needs only some rows' batch, as
+    the repair of :mod:`cpso.handlers` does, tests the raw terms
+    (:func:`_raw_mask`) and finishes the rows it keeps: each row's
+    fields have the same bits either way.
+    """
+    x = _checked_positions(problem, positions)
+    return _finish(problem, x, _raw_terms(problem, x))
 
 
 def feasible_mask(
@@ -462,16 +491,42 @@ def _constraints_mask(
     problem: Problem, x: np.ndarray, tolerances: Tolerances, mask: np.ndarray
 ) -> np.ndarray:
     """``mask``, and-ed in place with each constraint's test on the rows
-    of ``x``.  A private helper rather than part of one of the masks,
-    which could share it only through a parameter."""
+    of ``x``, by :func:`_raw_within`.  One function at a time, so that a
+    large block never holds every function's values at once."""
     q = problem.n_inequalities
     for k, g in enumerate((*problem.inequalities, *problem.equalities), start=1):
         value = _inf_outside_box(problem, x, np.asarray(g(x), dtype=float), k)
-        # max(0, g) <= tol is g <= tol, as the tolerance is nonnegative.
-        if k <= q:
-            mask &= value <= tolerances.ineq
-        else:
-            mask &= np.abs(value) <= tolerances.eq
+        mask &= _raw_within(value, k > q, tolerances)
+    return mask
+
+
+def _raw_within(
+    values: np.ndarray, equality: bool, tolerances: Tolerances
+) -> np.ndarray:
+    """The tolerance rule on raw terms, value by value: an inequality
+    value within ``tolerances.ineq`` (``max(0, g) <= tol`` is ``g <=
+    tol``, as the tolerance is nonnegative), an equality magnitude
+    within ``tolerances.eq``."""
+    if equality:
+        return np.abs(values) <= tolerances.eq
+    return values <= tolerances.ineq
+
+
+def _raw_mask(
+    problem: Problem, constraints: np.ndarray, tolerances: Tolerances, mask: np.ndarray
+) -> np.ndarray:
+    """``mask``, and-ed in place with :func:`_raw_within` on ``constraints``,
+    the raw terms of every constraint (:func:`_raw_terms` from function
+    1), function-major with one column per row of ``mask``.  Each kind
+    is tested as one block and reduced across its functions, along the
+    long axis of rows."""
+    q = problem.n_inequalities
+    if q:
+        within = _raw_within(constraints[:q], False, tolerances)
+        mask &= np.logical_and.reduce(within, axis=0)
+    if problem.n_equalities:
+        within = _raw_within(constraints[q:], True, tolerances)
+        mask &= np.logical_and.reduce(within, axis=0)
     return mask
 
 
@@ -501,7 +556,7 @@ class RecSchedule:
     """
 
     initial_tol: float
-    final_tol: float = 1e-12
+    final_tol: float = Tolerances.eq
     switch_fraction: float = 0.8
     decrease: str = "linear"  # "linear" | "exponential"
     rate: float = 0.995

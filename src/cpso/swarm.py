@@ -355,6 +355,7 @@ class Swarm:
         """
         infeasible = np.flatnonzero(~feasible)
         moves = MAX_BATCH_ROWS // self.cht.max_repair_trials
+        kept = np.zeros(len(feasible), dtype=bool)
         for a in range(0, infeasible.size, moves):
             bad = infeasible[a : a + moves]
             bad_runs = bad // self.config.size
@@ -375,16 +376,17 @@ class Swarm:
             ).astype(np.int64)
             x_new[bad] = rep.positions
             v_new[bad] = rep.velocities
-            # A kept position keeps its evaluation; an accepted trial is feasible.
-            kept = bad[~rep.accepted]
-            if kept.size:
-                new_eval.assign(kept, self.current.take(kept))
+            # An accepted trial is feasible; a kept position keeps its
+            # evaluation, copied below for every batch at once.
+            kept[bad[~rep.accepted]] = True
             new_eval.assign(bad[rep.accepted], rep.evaluation)
             feasible[bad] = rep.accepted | self.current_feasible[bad]
             # Freed before the next batch evaluates its trials: held, it
             # raised the peak RSS of 30 lockstep welded-beam bm runs (the
             # perfbench table-30run workload) by 128 KiB.
             del rep
+        if kept.any():
+            new_eval.assign(kept, self.current)
 
     # -- results ------------------------------------------------------------
 

@@ -263,11 +263,13 @@ def test_lockstep_batches_stay_under_the_row_cap(monkeypatch):
         "welded-beam", ChtConfig("bm"), 2, 150, 3, 30, master_seed=4
     )
     sizes, stepped, groups = [], [], []
-    real_batch, real_step = problem_module.evaluate_batch, Swarm.step
+    # Every problem function runs in _raw_terms: a step's evaluation and
+    # its repair trials alike.
+    real_terms, real_step = problem_module._raw_terms, Swarm.step
 
-    def counting(problem, positions):
-        sizes.append(len(positions))
-        return real_batch(problem, positions)
+    def counting(problem, x, *first):
+        sizes.append(len(x))
+        return real_terms(problem, x, *first)
 
     def step(self):
         if self.t == 0:
@@ -276,8 +278,8 @@ def test_lockstep_batches_stay_under_the_row_cap(monkeypatch):
         real_step(self)
         stepped.extend(sizes)
 
-    for module in (problem_module, swarm_module, handlers):
-        monkeypatch.setattr(module, "evaluate_batch", counting)
+    for module in (problem_module, handlers):
+        monkeypatch.setattr(module, "_raw_terms", counting)
     monkeypatch.setattr(Swarm, "step", step)
     row = run_experiment(config)
     monkeypatch.undo()

@@ -7,11 +7,12 @@ reference written from its docstring, one trial at a time, both blocks of
 per-particle draws against draws taken one particle at a time, the
 per-run draw against each generator's own block, the blocked feasible
 initialization against drawing and evaluating one 256-row chunk at a
-time, the fused evaluation against sanitizing
-each function's output on its own, the feasibility mask against row
-reductions, the mask from the constraints alone against the full
-evaluation's, in-place sampling against its affine formula, and the
-row-tiled bounds against plain broadcasting.
+time, the fused evaluation against sanitizing each function's output on
+its own, the feasibility mask against row reductions, the mask from the
+constraints alone and the repair trials' mask from raw terms against the
+full evaluation's, the finish of any rows against their own evaluation,
+in-place sampling against its affine formula, and the row-tiled bounds
+against plain broadcasting.
 """
 
 import dataclasses
@@ -790,6 +791,71 @@ def test_feasible_mask_fault_names_first_faulty_constraint():
         feasible_mask(problem, np.zeros((3, 1)), TOL)
     with pytest.raises(ValueError, match="positions must be finite"):
         feasible_mask(problem, np.full((1, 2), np.nan), TOL)
+
+
+# ------------------------------------------------------------- raw terms
+
+
+def raw_term_mask(problem, x, tol):
+    """The repair trials' mask: raw terms and box excess, tested by the
+    tolerance rule, as ``repair_moves`` tests them."""
+    raw = problem_module._raw_terms(problem, x)
+    box = problem_module._box_excess(problem, x)
+    within_box = problem_module._rows_all(box <= tol.ineq)
+    return problem_module._raw_mask(problem, raw[1:], tol, within_box), raw, box
+
+
+# Every problem: no inequalities (g11, g13), no equalities, both kinds
+# (g05), rows of 8 or more terms whose cv the finish must sum in
+# evaluate_batch's order (g01, g07), a discrete grid; at points up to
+# half a span outside the box, under the default tolerances and a +rec
+# cell's at step 1 (its relaxed equality tolerance).
+@pytest.mark.parametrize("name", registry_names())
+@settings(deadline=None, max_examples=12)
+@given(st.integers(1, 120), st.floats(0.0, 0.5), st.integers(0, 2**32 - 1))
+def test_raw_term_mask_and_finish_equal_evaluate_batch(name, m, reach, seed):
+    problem = get_problem(name)
+    rng = np.random.default_rng(seed)
+    x = problem.snap_to_grid(
+        problem.lower - reach * problem.span
+        + rng.random((m, problem.dimension)) * (1 + 2 * reach) * problem.span
+    )
+    cell = ExperimentConfig(name, ChtConfig("pfpr+rec"), 2, 6, 100, 1)
+    relaxed = cell.resolved_cht().tolerances_at(cell.tolerances, 1, cell.steps)
+    with np.errstate(all="ignore"):  # functions outside the box
+        whole = evaluate_batch(problem, x)
+        for tol in (TOL, relaxed):
+            mask, raw, box = raw_term_mask(problem, x, tol)
+            assert mask.dtype == bool
+            assert np.array_equal(mask, whole.feasible(tol))
+        rows = np.flatnonzero(rng.random(m) < rng.random())
+        got = problem_module._finish(problem, x[rows], raw[:, rows], box[rows])
+        expect = evaluate_batch(problem, x[rows])
+    for field in FIELDS:
+        a, b = getattr(got, field), getattr(expect, field)
+        assert a.shape == b.shape and a.dtype == b.dtype, field
+        assert a.tobytes() == b.tobytes(), field
+
+
+def test_repair_fault_at_a_rejected_trial_names_its_batch_row():
+    # The objective is NaN wherever x1 + x2 > 1, inside the box too.
+    # Move 0's 19 trials all keep x1 + x2 <= 1; move 1's first trial,
+    # row 19 of the batch, is the first in-box point breaking it: it is
+    # rejected, but its objective is evaluated and faults, as it does
+    # when the whole trial batch is evaluated.
+    problem = dataclasses.replace(
+        TOY, objective=lambda x: np.where(x.sum(axis=1) > 1.0, np.nan, x[:, 0])
+    )
+    x_old = np.zeros((2, 2))
+    v = np.array([[-3.0, -3.0], [4.0, 4.0]])
+    full = evaluate_batch(TOY, x_old + v)
+    assert not full.feasible(TOL).any()
+    trials = (x_old[:, None] + np.array(BM_LADDER)[:, None] * v[:, None]).reshape(-1, 2)
+    message = "non-finite objective at in-box point index 19"
+    with pytest.raises(EvaluationFault, match=message):
+        evaluate_batch(problem, trials)
+    with pytest.raises(EvaluationFault, match=message):
+        repair_moves(x_old, v, full, problem, TOL, "bm", [np.random.default_rng(0)], [2], 19)
 
 
 # -------------------------------------------------------------- sampling
