@@ -53,12 +53,8 @@ from .problem import (
     RecSchedule,
     Tolerances,
     _all_within,
-    _box_excess,
-    _checked_positions,
     _finish,
-    _raw_mask,
-    _raw_terms,
-    _rows_all,
+    _raw_batch,
 )
 
 KINDS = (
@@ -343,11 +339,7 @@ def repair_moves(
         x = problem._snap(block.reshape(-1, n))
         counts = np.full(k, factors.shape[1])
     del block
-    x = _checked_positions(problem, x)
-    raw = _raw_terms(problem, x)
-    box = _box_excess(problem, x)
-    within_box = _rows_all(box <= tolerances.ineq)
-    feasible = _raw_mask(problem, raw[1:], tolerances, within_box)
+    x, raw, box, feasible = _raw_batch(problem, x, tolerances)
     if live is None:
         ok = feasible.reshape(factors.shape)
     else:

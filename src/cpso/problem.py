@@ -370,17 +370,16 @@ def _inf_outside_box(
     return np.where(finite, raw, np.inf)
 
 
-def _raw_terms(problem: Problem, x: np.ndarray, first: int = 0) -> np.ndarray:
-    """The raw terms of the rows of ``x``: the function-major values of
-    functions ``first``, ``first + 1``, ... in the order objective (0),
-    inequality 0.. (1..), equality 0.., one row per function, under the
-    +inf rule and with the faults of :func:`evaluate_batch`.  The one
-    place where the problem functions run."""
+def _raw_terms(problem: Problem, x: np.ndarray) -> np.ndarray:
+    """The raw terms of the rows of ``x``: every function's values,
+    function-major, one row per function in the order objective,
+    inequality 0.., equality 0.., under the +inf rule and with the
+    faults of :func:`evaluate_batch`."""
     functions = (problem.objective, *problem.inequalities, *problem.equalities)
-    raw = np.empty((len(functions) - first, len(x)))
-    for k, f in enumerate(functions[first:]):
+    raw = np.empty((len(functions), len(x)))
+    for k, f in enumerate(functions):
         raw[k] = f(x)
-    return _inf_outside_box(problem, x, raw, first)
+    return _inf_outside_box(problem, x, raw, 0)
 
 
 def _finish(
@@ -428,6 +427,32 @@ def _finish(
     )
 
 
+def _raw_batch(
+    problem: Problem, positions: np.ndarray, tolerances: Tolerances
+) -> tuple:
+    """:func:`evaluate_batch` up to its finish, and the batch's mask.
+
+    Returns ``(x, raw, box, feasible)``: the checked positions, their raw
+    terms, their box excess and ``evaluate_batch(problem,
+    positions).feasible(tolerances)``, tested on the raw terms by
+    :func:`_raw_within`.  Each kind of constraint is tested as one
+    function-major block and reduced across its functions, along the
+    long axis of rows.  For any rows ``rows``, ``_finish(problem,
+    x[rows], raw[:, rows], box[rows])`` has the bits of
+    ``evaluate_batch(problem, x[rows])``.
+    """
+    x = _checked_positions(problem, positions)
+    raw = _raw_terms(problem, x)
+    box = _box_excess(problem, x)
+    feasible = _rows_all(box <= tolerances.ineq)
+    q = problem.n_inequalities
+    for block, equality in ((raw[1 : q + 1], False), (raw[q + 1 :], True)):
+        if len(block):
+            within = _raw_within(block, equality, tolerances)
+            feasible &= np.logical_and.reduce(within, axis=0)
+    return x, raw, box, feasible
+
+
 def evaluate_batch(problem: Problem, positions: np.ndarray) -> BatchEval:
     """Evaluate a batch of points: conflicts and raw violation amounts.
 
@@ -447,8 +472,8 @@ def evaluate_batch(problem: Problem, positions: np.ndarray) -> BatchEval:
     function on every row, function-major, under the +inf rule) and the
     finish (:func:`_finish`: the point-major violation blocks, the box
     excess and ``cv``).  A caller that needs only some rows' batch, as
-    the repair of :mod:`cpso.handlers` does, tests the raw terms
-    (:func:`_raw_mask`) and finishes the rows it keeps: each row's
+    the repair of :mod:`cpso.handlers` does, masks the raw terms
+    (:func:`_raw_batch`) and finishes the rows it keeps: each row's
     fields have the same bits either way.
     """
     x = _checked_positions(problem, positions)
@@ -492,7 +517,9 @@ def _constraints_mask(
 ) -> np.ndarray:
     """``mask``, and-ed in place with each constraint's test on the rows
     of ``x``, by :func:`_raw_within`.  One function at a time, so that a
-    large block never holds every function's values at once."""
+    large block never holds every function's values at once.  A private
+    helper rather than part of one of the masks, which could share it
+    only through a parameter."""
     q = problem.n_inequalities
     for k, g in enumerate((*problem.inequalities, *problem.equalities), start=1):
         value = _inf_outside_box(problem, x, np.asarray(g(x), dtype=float), k)
@@ -510,24 +537,6 @@ def _raw_within(
     if equality:
         return np.abs(values) <= tolerances.eq
     return values <= tolerances.ineq
-
-
-def _raw_mask(
-    problem: Problem, constraints: np.ndarray, tolerances: Tolerances, mask: np.ndarray
-) -> np.ndarray:
-    """``mask``, and-ed in place with :func:`_raw_within` on ``constraints``,
-    the raw terms of every constraint (:func:`_raw_terms` from function
-    1), function-major with one column per row of ``mask``.  Each kind
-    is tested as one block and reduced across its functions, along the
-    long axis of rows."""
-    q = problem.n_inequalities
-    if q:
-        within = _raw_within(constraints[:q], False, tolerances)
-        mask &= np.logical_and.reduce(within, axis=0)
-    if problem.n_equalities:
-        within = _raw_within(constraints[q:], True, tolerances)
-        mask &= np.logical_and.reduce(within, axis=0)
-    return mask
 
 
 # Largest batch evaluated in one call: the harness groups a cell's runs

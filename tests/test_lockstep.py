@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpso import handlers, harness, problem as problem_module, swarm as swarm_module
+from cpso import harness, problem as problem_module, swarm as swarm_module
 from cpso.handlers import KINDS, ChtConfig
 from cpso.harness import ExperimentConfig, run_experiment, run_single, summarize
 from cpso.problem import MAX_BATCH_ROWS, BatchEval, EvaluationFault, Problem
@@ -263,13 +263,13 @@ def test_lockstep_batches_stay_under_the_row_cap(monkeypatch):
         "welded-beam", ChtConfig("bm"), 2, 150, 3, 30, master_seed=4
     )
     sizes, stepped, groups = [], [], []
-    # Every problem function runs in _raw_terms: a step's evaluation and
-    # its repair trials alike.
+    # A step's evaluation and its repair trials both run every problem
+    # function through _raw_terms.
     real_terms, real_step = problem_module._raw_terms, Swarm.step
 
-    def counting(problem, x, *first):
+    def counting(problem, x):
         sizes.append(len(x))
-        return real_terms(problem, x, *first)
+        return real_terms(problem, x)
 
     def step(self):
         if self.t == 0:
@@ -278,8 +278,7 @@ def test_lockstep_batches_stay_under_the_row_cap(monkeypatch):
         real_step(self)
         stepped.extend(sizes)
 
-    for module in (problem_module, handlers):
-        monkeypatch.setattr(module, "_raw_terms", counting)
+    monkeypatch.setattr(problem_module, "_raw_terms", counting)
     monkeypatch.setattr(Swarm, "step", step)
     row = run_experiment(config)
     monkeypatch.undo()

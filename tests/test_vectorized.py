@@ -796,15 +796,6 @@ def test_feasible_mask_fault_names_first_faulty_constraint():
 # ------------------------------------------------------------- raw terms
 
 
-def raw_term_mask(problem, x, tol):
-    """The repair trials' mask: raw terms and box excess, tested by the
-    tolerance rule, as ``repair_moves`` tests them."""
-    raw = problem_module._raw_terms(problem, x)
-    box = problem_module._box_excess(problem, x)
-    within_box = problem_module._rows_all(box <= tol.ineq)
-    return problem_module._raw_mask(problem, raw[1:], tol, within_box), raw, box
-
-
 # Every problem: no inequalities (g11, g13), no equalities, both kinds
 # (g05), rows of 8 or more terms whose cv the finish must sum in
 # evaluate_batch's order (g01, g07), a discrete grid; at points up to
@@ -825,7 +816,7 @@ def test_raw_term_mask_and_finish_equal_evaluate_batch(name, m, reach, seed):
     with np.errstate(all="ignore"):  # functions outside the box
         whole = evaluate_batch(problem, x)
         for tol in (TOL, relaxed):
-            mask, raw, box = raw_term_mask(problem, x, tol)
+            _, raw, box, mask = problem_module._raw_batch(problem, x, tol)
             assert mask.dtype == bool
             assert np.array_equal(mask, whole.feasible(tol))
         rows = np.flatnonzero(rng.random(m) < rng.random())
