@@ -370,16 +370,35 @@ def _inf_outside_box(
     return np.where(finite, raw, np.inf)
 
 
-def _raw_terms(problem: Problem, x: np.ndarray) -> np.ndarray:
-    """The raw terms of the rows of ``x``: every function's values,
-    function-major, one row per function in the order objective,
-    inequality 0.., equality 0.., under the +inf rule and with the
-    faults of :func:`evaluate_batch`."""
+def _raw_terms(problem: Problem, x: np.ndarray, first: int) -> np.ndarray:
+    """The raw terms of the rows of ``x``: the values of functions
+    ``first``, ``first + 1``, ..., function-major, one row per function
+    in the order objective, inequality 0.., equality 0.., under the +inf
+    rule and with the faults of :func:`evaluate_batch`.  ``first=1``
+    takes the constraints alone."""
     functions = (problem.objective, *problem.inequalities, *problem.equalities)
-    raw = np.empty((len(functions), len(x)))
-    for k, f in enumerate(functions):
+    raw = np.empty((len(functions) - first, len(x)))
+    for k, f in enumerate(functions[first:]):
         raw[k] = f(x)
-    return _inf_outside_box(problem, x, raw, 0)
+    return _inf_outside_box(problem, x, raw, first)
+
+
+def _raw_mask(
+    problem: Problem, values: np.ndarray, mask: np.ndarray, tolerances: Tolerances
+) -> np.ndarray:
+    """``mask``, and-ed in place with the tolerance rule on ``values``,
+    the raw constraint terms of its rows, function-major: ``g <=
+    tolerances.ineq`` for an inequality (``max(0, g) <= tol`` is ``g <=
+    tol``, as the tolerance is nonnegative), ``|h| <= tolerances.eq`` for
+    an equality.  Each kind is tested as one block and reduced across its
+    functions, along the long axis of rows."""
+    q = problem.n_inequalities
+    ineq, eq = values[:q], values[q:]
+    if len(ineq):
+        mask &= np.logical_and.reduce(ineq <= tolerances.ineq, axis=0)
+    if len(eq):
+        mask &= np.logical_and.reduce(np.abs(eq) <= tolerances.eq, axis=0)
+    return mask
 
 
 def _finish(
@@ -434,22 +453,15 @@ def _raw_batch(
 
     Returns ``(x, raw, box, feasible)``: the checked positions, their raw
     terms, their box excess and ``evaluate_batch(problem,
-    positions).feasible(tolerances)``, tested on the raw terms by
-    :func:`_raw_within`.  Each kind of constraint is tested as one
-    function-major block and reduced across its functions, along the
-    long axis of rows.  For any rows ``rows``, ``_finish(problem,
-    x[rows], raw[:, rows], box[rows])`` has the bits of
-    ``evaluate_batch(problem, x[rows])``.
+    positions).feasible(tolerances)``, tested on the box excess and on
+    the raw constraint terms by :func:`_raw_mask`.  For any rows
+    ``rows``, ``_finish(problem, x[rows], raw[:, rows], box[rows])`` has
+    the bits of ``evaluate_batch(problem, x[rows])``.
     """
     x = _checked_positions(problem, positions)
-    raw = _raw_terms(problem, x)
+    raw = _raw_terms(problem, x, 0)
     box = _box_excess(problem, x)
-    feasible = _rows_all(box <= tolerances.ineq)
-    q = problem.n_inequalities
-    for block, equality in ((raw[1 : q + 1], False), (raw[q + 1 :], True)):
-        if len(block):
-            within = _raw_within(block, equality, tolerances)
-            feasible &= np.logical_and.reduce(within, axis=0)
+    feasible = _raw_mask(problem, raw[1:], _rows_all(box <= tolerances.ineq), tolerances)
     return x, raw, box, feasible
 
 
@@ -477,66 +489,29 @@ def evaluate_batch(problem: Problem, positions: np.ndarray) -> BatchEval:
     fields have the same bits either way.
     """
     x = _checked_positions(problem, positions)
-    return _finish(problem, x, _raw_terms(problem, x))
-
-
-def feasible_mask(
-    problem: Problem, positions: np.ndarray, tolerances: Tolerances
-) -> np.ndarray:
-    """``evaluate_batch(problem, positions).feasible(tolerances)``, cheaply.
-
-    Only the box and the constraints are evaluated: no objective, no
-    ``cv`` and no :class:`BatchEval`.  Every constraint is evaluated on
-    every row, under the +inf rule and with the faults of
-    :func:`evaluate_batch`.  A non-finite objective is not seen here; it
-    raises wherever the objective is evaluated.
-    """
-    x = _checked_positions(problem, positions)
-    box = _box_excess(problem, x)
-    return _constraints_mask(problem, x, tolerances, _rows_all(box <= tolerances.ineq))
+    return _finish(problem, x, _raw_terms(problem, x, 0))
 
 
 def sampled_mask(problem: Problem, x: np.ndarray, tolerances: Tolerances) -> np.ndarray:
-    """``feasible_mask(problem, x, tolerances)`` for points ``x`` drawn by
-    :meth:`Problem.sample_uniform`.
+    """``evaluate_batch(problem, x).feasible(tolerances)`` for points
+    ``x`` drawn by :meth:`Problem.sample_uniform`, from the box and the
+    constraints alone (:func:`_raw_terms` from the first constraint on,
+    tested by :func:`_raw_mask`).  A non-finite objective is not seen
+    here; it raises wherever the objective is evaluated.
 
     When the problem proves that its samples lie in the box
     (``Problem._samples_in_box``), their positions are finite and every
-    box excess is 0.0, so only the constraints are tested, by the loop
-    :func:`feasible_mask` runs; otherwise this is :func:`feasible_mask`.
-    The mask, the +inf rule and the faults are the same either way.
+    box excess is 0.0, so neither is checked; otherwise both are, with
+    the ``ValueError``s of :func:`evaluate_batch`.  The mask and the
+    faults are the same either way.
     """
-    if not problem._samples_in_box:
-        return feasible_mask(problem, x, tolerances)
-    # Every box excess is 0.0, within any (nonnegative) tolerance.
-    return _constraints_mask(problem, x, tolerances, np.ones(len(x), dtype=bool))
-
-
-def _constraints_mask(
-    problem: Problem, x: np.ndarray, tolerances: Tolerances, mask: np.ndarray
-) -> np.ndarray:
-    """``mask``, and-ed in place with each constraint's test on the rows
-    of ``x``, by :func:`_raw_within`.  One function at a time, so that a
-    large block never holds every function's values at once.  A private
-    helper rather than part of one of the masks, which could share it
-    only through a parameter."""
-    q = problem.n_inequalities
-    for k, g in enumerate((*problem.inequalities, *problem.equalities), start=1):
-        value = _inf_outside_box(problem, x, np.asarray(g(x), dtype=float), k)
-        mask &= _raw_within(value, k > q, tolerances)
-    return mask
-
-
-def _raw_within(
-    values: np.ndarray, equality: bool, tolerances: Tolerances
-) -> np.ndarray:
-    """The tolerance rule on raw terms, value by value: an inequality
-    value within ``tolerances.ineq`` (``max(0, g) <= tol`` is ``g <=
-    tol``, as the tolerance is nonnegative), an equality magnitude
-    within ``tolerances.eq``."""
-    if equality:
-        return np.abs(values) <= tolerances.eq
-    return values <= tolerances.ineq
+    if problem._samples_in_box:
+        # Every box excess is 0.0, within any (nonnegative) tolerance.
+        mask = np.ones(len(x), dtype=bool)
+    else:
+        x = _checked_positions(problem, x)
+        mask = _rows_all(_box_excess(problem, x) <= tolerances.ineq)
+    return _raw_mask(problem, _raw_terms(problem, x, 1), mask, tolerances)
 
 
 # Largest batch evaluated in one call: the harness groups a cell's runs

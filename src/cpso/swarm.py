@@ -74,12 +74,14 @@ from .problem import (
 _INIT_CHUNK = 256
 # Largest feasible-initialization block, in chunks.  Each sampled_mask
 # call has a fixed cost that a bigger block spreads over more rows, but
-# a block's temporaries add to peak memory: a 64-chunk cap ran the
-# perfbench table-30run workload ~1% faster at 4.2% more peak RSS.
-# Init blocks (up to 16 * 256 = 4,096 rows) are not bound by
-# MAX_BATCH_ROWS: that cap bounds the rows of a lockstep group, which
-# the harness forms with at most MAX_BATCH_ROWS rows in all, while an
-# init block belongs to one run and this cap bounds it.
+# a block's temporaries add to peak memory, and a block holds every
+# constraint's values at once (8 bytes per row and constraint): a
+# 64-chunk cap ran the perfbench table-30run workload ~1% faster at
+# 4.2% more peak RSS, and an 8-chunk cap ran it ~16% slower.  Init
+# blocks (up to 16 * 256 = 4,096 rows) are not bound by MAX_BATCH_ROWS:
+# that cap bounds the rows of a lockstep group, which the harness forms
+# with at most MAX_BATCH_ROWS rows in all, while an init block belongs
+# to one run and this cap bounds it.
 _INIT_BLOCK_CHUNKS = 16
 
 

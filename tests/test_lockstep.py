@@ -267,9 +267,9 @@ def test_lockstep_batches_stay_under_the_row_cap(monkeypatch):
     # function through _raw_terms.
     real_terms, real_step = problem_module._raw_terms, Swarm.step
 
-    def counting(problem, x):
+    def counting(problem, x, *args):
         sizes.append(len(x))
-        return real_terms(problem, x)
+        return real_terms(problem, x, *args)
 
     def step(self):
         if self.t == 0:

@@ -33,7 +33,6 @@ from cpso.problem import (
     RecSchedule,
     Tolerances,
     evaluate_batch,
-    feasible_mask,
     sampled_mask,
 )
 from cpso.harness import ExperimentConfig
@@ -685,6 +684,11 @@ def test_feasible_equals_per_row_reduction_on_problems(name, m, reach, seed):
 
 # ------------------------------------------- feasibility from constraints
 
+# A step on dimension 0 of [0, 1]^2 that its greatest samples snap to,
+# 1.2, out of the box: a problem with it fails Problem._samples_in_box,
+# so sampled_mask checks the points it is given and tests their box.
+UNPROVEN_STEPS = np.array([0.6, np.nan])
+
 
 def _pushed_out(problem, x, rng, low, high):
     """``x`` with one coordinate per row moved outside the box, past the
@@ -702,6 +706,8 @@ def _pushed_out(problem, x, rng, low, high):
 
 @pytest.mark.parametrize("name", registry_names())
 def test_feasible_mask_equals_evaluate_batch(name):
+    # The raw-term mask of _raw_batch, at points in the box and at the
+    # edge of and beyond its tolerance.
     problem = get_problem(name)
     rng = np.random.default_rng(registry_names().index(name))
     inside = problem.sample_uniform(rng, 600)
@@ -718,7 +724,7 @@ def test_feasible_mask_equals_evaluate_batch(name):
         )
         for x in batches:
             with np.errstate(all="ignore"):  # functions outside the box
-                got = feasible_mask(problem, x, tol)
+                got = problem_module._raw_batch(problem, x, tol)[3]
                 expect = evaluate_batch(problem, x).feasible(tol)
             assert got.dtype == bool
             assert np.array_equal(got, expect)
@@ -727,11 +733,12 @@ def test_feasible_mask_equals_evaluate_batch(name):
 def _non_finite_outside():
     """[0, 1]^2 with constraints that are -inf, NaN or +inf outside it:
     -inf left of the box, NaN below it and +inf right of it, and
-    -inf far above it."""
+    -inf far above it; its samples are not proven in the box."""
     return Problem(
         name="non-finite-outside",
         lower=np.array([0.0, 0.0]),
         upper=np.array([1.0, 1.0]),
+        grid_steps=UNPROVEN_STEPS,
         objective=lambda x: np.full(len(x), np.nan),
         inequalities=(
             lambda x: np.where(x[:, 0] < 0.0, -np.inf, x[:, 0] - 2.0),
@@ -749,11 +756,12 @@ def test_feasible_mask_non_finite_outside_the_box_is_infeasible():
     # but evaluate_batch makes it +inf.  Row 5 is finite and within the
     # tolerance; row 6 is far above the box.
     problem = _non_finite_outside()
+    assert not problem._samples_in_box
     x = np.array([
         [0.5, 0.5], [-5e-13, 0.5], [0.5, -5e-13], [1 + 4e-13, 0.5],
         [-5e-13, -5e-13], [0.5, 1 + 4e-13], [0.5, 2.0],
     ])
-    assert feasible_mask(problem, x, TOL).tolist() == [
+    assert sampled_mask(problem, x, TOL).tolist() == [
         True, False, False, False, False, True, False
     ]
     # The mask never evaluates the NaN objective; evaluate_batch needs a
@@ -762,7 +770,7 @@ def test_feasible_mask_non_finite_outside_the_box_is_infeasible():
     finite = dataclasses.replace(problem, objective=lambda x: x[:, 0])
     for tol in (TOL, Tolerances(ineq=1.0), Tolerances(ineq=np.inf, eq=np.inf)):
         expect = evaluate_batch(finite, x).feasible(tol)
-        assert np.array_equal(feasible_mask(problem, x, tol), expect)
+        assert np.array_equal(sampled_mask(problem, x, tol), expect)
 
 
 def test_feasible_mask_fault_names_first_faulty_constraint():
@@ -776,21 +784,23 @@ def test_feasible_mask_fault_names_first_faulty_constraint():
         name="faulty",
         lower=np.array([0.0, 0.0]),
         upper=np.array([1.0, 1.0]),
+        grid_steps=UNPROVEN_STEPS,
         objective=nan_at([0]),
         inequalities=(lambda x: x[:, 0] - 1.0, nan_at([1, 2, 4])),
         equalities=(nan_at([0]),),
     )
+    assert not problem._samples_in_box
     x = np.array([[0.5, 0.5], [1.5, 0.5], [0.2, 0.3], [0.1, 0.9], [0.4, 0.4]])
     with pytest.raises(EvaluationFault, match="non-finite objective at in-box point index 0"):
         evaluate_batch(problem, x)
     with pytest.raises(
         EvaluationFault, match="non-finite inequality 1 at in-box point index 2"
     ):
-        feasible_mask(problem, x, TOL)
+        sampled_mask(problem, x, TOL)
     with pytest.raises(ValueError, match="expected dimension 2"):
-        feasible_mask(problem, np.zeros((3, 1)), TOL)
+        sampled_mask(problem, np.zeros((3, 1)), TOL)
     with pytest.raises(ValueError, match="positions must be finite"):
-        feasible_mask(problem, np.full((1, 2), np.nan), TOL)
+        sampled_mask(problem, np.full((1, 2), np.nan), TOL)
 
 
 # ------------------------------------------------------------- raw terms
@@ -945,13 +955,13 @@ def test_sampled_mask_equals_evaluate_batch(name):
         assert np.array_equal(got, evaluate_batch(problem, x).feasible(tol))
 
 
-def test_sampled_mask_faults_as_feasible_mask():
+def test_sampled_mask_faults_as_evaluate_batch():
     clean, _ = _faulty_halfline([])
     x = clean.sample_uniform(np.random.default_rng(FAULT_SEED), 300)
     problem, _ = _faulty_halfline(x[[40, 7, 200], 0])
     assert problem._samples_in_box
     with pytest.raises(EvaluationFault, match="inequality 0 at in-box point index 7"):
-        feasible_mask(problem, x, TOL)
+        evaluate_batch(problem, x)
     with pytest.raises(EvaluationFault, match="inequality 0 at in-box point index 7"):
         sampled_mask(problem, x, TOL)
 
@@ -1006,5 +1016,6 @@ def test_tiled_rows_equal_broadcasting(m, n):
         assert ev.positions.flags.c_contiguous
         for field in FIELDS:
             assert getattr(ev, field).tobytes() == getattr(expect, field).tobytes(), field
-        assert np.array_equal(feasible_mask(problem, view, tol), expect.feasible(tol))
+        mask = problem_module._raw_batch(problem, view, tol)[3]
+        assert np.array_equal(mask, expect.feasible(tol))
         assert view.tobytes(order="A") == before.tobytes(order="A")
