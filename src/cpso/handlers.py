@@ -28,9 +28,9 @@ particles at once: :func:`sort_keys` (how a technique ranks points:
 :meth:`ChtConfig.tolerances_at` (the tolerances in force at each step),
 :func:`replacement_mask` (every technique's memory update) and
 :func:`repair_moves` (the repair ladders, each batch's trials built as
-one ``(k, T, n)`` block, taken in move-major order to their raw terms,
-masked there by the tolerance rule, and only the accepted trials
-finished into a :class:`~cpso.problem.BatchEval`).
+one ``(k, T, n)`` block, taken in move-major order to their raw terms
+and masked there by the tolerance rule; the accepted trials' raw terms
+are returned for the step to finish with its other rows).
 
 The rows they take belong to one or more runs, run after run, and
 ``rngs`` holds one generator per run.  Every random block, a one-run
@@ -52,9 +52,8 @@ from .problem import (
     Problem,
     RecSchedule,
     Tolerances,
-    _all_within,
-    _finish,
     _raw_batch,
+    _raw_mask,
 )
 
 KINDS = (
@@ -251,7 +250,8 @@ class BatchRepair:
     velocities: np.ndarray      # (k, n) scaled velocity, or zero when kept
     trials_charged: np.ndarray  # (k,) trial evaluations charged per move
     accepted: np.ndarray        # (k,) bool, False when the old position is kept
-    evaluation: BatchEval       # one row per accepted move, in move order
+    raw: np.ndarray             # (f, a) raw terms of the a accepted trials, in move order
+    box: np.ndarray             # (a, n) their box excess
 
 
 @functools.lru_cache(maxsize=None)
@@ -265,19 +265,20 @@ def _bm_ladder(max_trials: int) -> np.ndarray:
 
 def _repair_factors(
     variant: str,
-    full: BatchEval,
+    problem: Problem,
+    full: np.ndarray,
     tolerances: Tolerances,
     rngs: Sequence[np.random.Generator],
     counts: Sequence[int],
     max_trials: int,
 ) -> np.ndarray:
     """``(k, T)`` trial factors, one row per move, in trial order; T <= max_trials."""
-    k = len(full)
+    k = full.shape[1]
     if variant == "bm":
         return np.broadcast_to(_bm_ladder(max_trials), (k, max_trials))
     if variant == "bmem":
         # Every constraint, but not the box, within tolerance.
-        box_only = _all_within(full._limits(tolerances)[1:])
+        box_only = _raw_mask(problem, full, np.ones(k, dtype=bool), tolerances)
         ladders = np.where(box_only[:, None], _BMEM_DOWN_LADDER, _BMEM_LADDER)
         return ladders[:, :max_trials]
     # Generator.uniform(0.0, 1.5) bit for bit: it computes 0.0 + 1.5 * u.
@@ -287,7 +288,7 @@ def _repair_factors(
 def repair_moves(
     x_old: np.ndarray,
     v: np.ndarray,
-    full: BatchEval,
+    full: np.ndarray,
     problem: Problem,
     tolerances: Tolerances,
     variant: str,
@@ -297,7 +298,8 @@ def repair_moves(
 ) -> BatchRepair:
     """Repair k moves whose full steps ``x_old + v`` are all infeasible.
 
-    ``full`` is the evaluation of the full steps, one row per move.  Trial
+    ``full`` holds the full steps' raw constraint terms, one column per
+    move (``raw[1:]`` of :func:`~cpso.problem._raw_batch`).  Trial
     factors scale the ORIGINAL velocity: halvings for ``bm``, the
     alternating 0.9/1.1 ladder for ``bmem`` (down-scalings only for a
     move whose full step violates box bounds alone), and for ``bmpem``
@@ -315,16 +317,16 @@ def repair_moves(
     to the accepted one, the 0.0 factor or the end of the ladder.  The
     batch stops at its raw terms (objective included, with the faults
     of :func:`~cpso.problem.evaluate_batch` at its rows) and its box
-    excess, which the tolerance rule tests; only the accepted trials'
-    rows are finished into ``evaluation``, with the bits
-    ``evaluate_batch`` gives them.
+    excess, which the tolerance rule tests.  The accepted trials' raw
+    terms and box excess are returned unfinished: ``_finish`` of them
+    gives ``evaluate_batch(problem, positions[accepted])``, bit for bit.
     """
     if variant not in _REPAIR_KINDS:
         raise ValueError(f"not a repair technique: {variant!r}")
     if max_trials < 1:
         raise ValueError(f"max_trials must be >= 1, got {max_trials}")
     k, n = x_old.shape
-    factors = _repair_factors(variant, full, tolerances, rngs, counts, max_trials)
+    factors = _repair_factors(variant, problem, full, tolerances, rngs, counts, max_trials)
     block = x_old[:, None] + factors[..., None] * v[:, None]
     stop = factors == 0.0
     # Only trials before a move's first 0.0 are live.  All live (bm, and
@@ -349,13 +351,12 @@ def repair_moves(
     accepted = ok.any(axis=1)
     # Row of the batch holding each accepted move's first feasible trial.
     rows = (np.cumsum(counts) - counts + first)[accepted]
-    evaluation = _finish(problem, x[rows], raw[:, rows], box[rows])
-    # The batch is freed before the accepted rows are scattered.
-    del x, raw, box
-
     positions = np.array(x_old, dtype=float)
-    positions[accepted] = evaluation.positions
+    positions[accepted] = x[rows]
+    # The batch is freed before the velocities are built.
+    del x
+    raw, box = raw[:, rows], box[rows]
     scale = factors[np.arange(k), first][:, None]
     velocities = np.where(accepted[:, None], scale * v, 0.0)
     charged = np.where(accepted, first + 1, counts)
-    return BatchRepair(positions, velocities, charged, accepted, evaluation)
+    return BatchRepair(positions, velocities, charged, accepted, raw, box)

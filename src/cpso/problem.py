@@ -264,28 +264,27 @@ class BatchEval:
         )
 
     def feasible(self, tolerances: Tolerances) -> np.ndarray:
-        """Boolean feasibility mask under the given tolerances."""
-        return _all_within(self._limits(tolerances))
+        """Boolean feasibility mask under the given tolerances: every term
+        within its tolerance.  A block with no columns passes every row,
+        so after the first it is skipped."""
+        (block, tol), *rest = self._limits(tolerances)
+        mask = _rows_all(block <= tol)
+        for block, tol in rest:
+            if block.shape[1]:
+                mask &= _rows_all(block <= tol)
+        return mask
 
     def take(self, rows: np.ndarray) -> "BatchEval":
         return BatchEval(*[getattr(self, f)[rows] for f in _FIELDS])
 
     def assign(self, rows: np.ndarray, other: "BatchEval") -> None:
-        """Overwrite the selected rows with rows of ``other``.
-
-        ``rows`` is a boolean mask or an index array.  Where the mask is
-        true, a row takes the same row of ``other``, which has as many
-        rows as this batch: one masked copy per field, with no gather or
-        scatter.  Index ``rows[i]`` takes row ``i`` of ``other``, which
-        holds one row per index.
-        """
-        masks = (rows, rows[:, None]) if rows.dtype == bool else None
+        """Where the boolean mask ``rows`` is true, a row takes the same
+        row of ``other``, which has as many rows as this batch: one
+        masked copy per field, with no gather or scatter."""
+        masks = (rows, rows[:, None])
         for f in _FIELDS:
-            dst, src = getattr(self, f), getattr(other, f)
-            if masks is None:
-                dst[rows] = src
-            else:
-                np.copyto(dst, src, where=masks[dst.ndim - 1])
+            dst = getattr(self, f)
+            np.copyto(dst, getattr(other, f), where=masks[dst.ndim - 1])
 
     def copy(self) -> "BatchEval":
         return BatchEval(*[getattr(self, f).copy() for f in _FIELDS])
@@ -303,18 +302,6 @@ def _rows_all(block: np.ndarray) -> np.ndarray:
     rounding, so the order cannot change the result.
     """
     return np.logical_and.reduce(block.T.copy(), axis=0)
-
-
-def _all_within(limits) -> np.ndarray:
-    """Which rows have every term of each ``(block, tolerance)`` pair of
-    :meth:`BatchEval._limits` within its tolerance.  A block with no
-    columns passes every row, so after the first it is skipped."""
-    (block, tol), *rest = limits
-    mask = _rows_all(block <= tol)
-    for block, tol in rest:
-        if block.shape[1]:
-            mask &= _rows_all(block <= tol)
-    return mask
 
 
 def _checked_positions(problem: Problem, positions: np.ndarray) -> np.ndarray:
@@ -401,32 +388,20 @@ def _raw_mask(
     return mask
 
 
-def _finish(
-    problem: Problem,
-    x: np.ndarray,
-    raw: np.ndarray,
-    box: Optional[np.ndarray] = None,
-) -> BatchEval:
+def _finish(problem: Problem, x: np.ndarray, raw: np.ndarray, box: np.ndarray) -> BatchEval:
     """The :class:`BatchEval` of the rows of ``x`` from their raw terms
-    ``raw`` (objective included) and, if computed, their box excess
-    ``box``.  Takes over ``raw``: the caller passes its last reference,
-    so that it is freed before the box excess is computed.
-    """
+    ``raw`` (objective included) and their box excess ``box``."""
     q = problem.n_inequalities
     # Point-major and C-contiguous before the row sums: NumPy sums rows of
     # 8 or more terms in an unrolled order that follows the memory layout,
     # so summing transposed views would change the bits of ``cv``.  The
-    # conflicts are copied out, so that ``raw`` is freed before the box
-    # excesses are computed and is not held by the batch.
+    # conflicts are copied out, so that the batch does not hold ``raw``.
     conflict = raw[0].copy()
     violations = np.ascontiguousarray(raw[1:].T)
-    del raw
     ineq = violations[:, :q]
     eq = violations[:, q:]
     np.maximum(0.0, ineq, out=ineq)
     np.abs(eq, out=eq)
-    if box is None:
-        box = _box_excess(problem, x)
 
     # cv = ineq + eq + box row sums, in that order.  A group of exact
     # zeros (no equalities; no box excess, as for every sampled point) is
@@ -447,20 +422,24 @@ def _finish(
 
 
 def _raw_batch(
-    problem: Problem, positions: np.ndarray, tolerances: Tolerances
+    problem: Problem, positions: np.ndarray, tolerances: Optional[Tolerances]
 ) -> tuple:
     """:func:`evaluate_batch` up to its finish, and the batch's mask.
 
     Returns ``(x, raw, box, feasible)``: the checked positions, their raw
     terms, their box excess and ``evaluate_batch(problem,
     positions).feasible(tolerances)``, tested on the box excess and on
-    the raw constraint terms by :func:`_raw_mask`.  For any rows
-    ``rows``, ``_finish(problem, x[rows], raw[:, rows], box[rows])`` has
-    the bits of ``evaluate_batch(problem, x[rows])``.
+    the raw constraint terms by :func:`_raw_mask` (None if
+    ``tolerances`` is).  For any rows ``rows``, ``_finish(problem,
+    x[rows], raw[:, rows], box[rows])`` has the bits of
+    ``evaluate_batch(problem, x[rows])``.  A swarm step takes its
+    positions and each repair batch its trials through it.
     """
     x = _checked_positions(problem, positions)
     raw = _raw_terms(problem, x, 0)
     box = _box_excess(problem, x)
+    if tolerances is None:
+        return x, raw, box, None
     feasible = _raw_mask(problem, raw[1:], _rows_all(box <= tolerances.ineq), tolerances)
     return x, raw, box, feasible
 
@@ -480,16 +459,16 @@ def evaluate_batch(problem: Problem, positions: np.ndarray) -> BatchEval:
     order objective, inequality 0.., equality 0.. and its first in-box
     row.
 
-    Two stages make the batch: the raw terms (:func:`_raw_terms`, every
-    function on every row, function-major, under the +inf rule) and the
-    finish (:func:`_finish`: the point-major violation blocks, the box
-    excess and ``cv``).  A caller that needs only some rows' batch, as
-    the repair of :mod:`cpso.handlers` does, masks the raw terms
-    (:func:`_raw_batch`) and finishes the rows it keeps: each row's
-    fields have the same bits either way.
+    Two stages make the batch: the raw terms and the box excess
+    (:func:`_raw_batch`; :func:`_raw_terms` runs every function on every
+    row, function-major, under the +inf rule) and the finish
+    (:func:`_finish`: the point-major violation blocks and ``cv``).  A
+    caller that tests or replaces rows before it finishes them, as a
+    swarm step and its repair do, masks the raw terms and finishes the
+    rows it keeps: each row's fields have the same bits either way.
     """
-    x = _checked_positions(problem, positions)
-    return _finish(problem, x, _raw_terms(problem, x, 0))
+    x, raw, box, _ = _raw_batch(problem, positions, None)
+    return _finish(problem, x, raw, box)
 
 
 def sampled_mask(problem: Problem, x: np.ndarray, tolerances: Tolerances) -> np.ndarray:

@@ -8,12 +8,14 @@ at once, and :func:`lbest_index` picks every neighbourhood best from the
 topology's neighbour lists.
 
 A :class:`Swarm` holds one or more independent runs of one cell, their
-rows one run after another, and steps them in lockstep: one evaluation,
-one lbest ranking over every run's lists (offset to the run's rows),
-shared repair batches and one memory update serve every run.  A step
-evaluates all rows in one call, so whoever forms the group bounds its
-rows; the harness keeps them within ``MAX_BATCH_ROWS`` but for a single
-run of more particles, whose steps evaluate all of them.
+rows one run after another, and steps them in lockstep: one lbest
+ranking over every run's lists (offset to the run's rows), one block of
+raw terms (:func:`~cpso.problem._raw_batch`), into which shared repair
+batches write their accepted trials, one finish and one memory update
+serve every run.  A step evaluates all rows in one call, so whoever
+forms the group bounds its rows; the harness keeps them within
+``MAX_BATCH_ROWS`` but for a single run of more particles, whose steps
+evaluate all of them.
 Runs share nothing but the step index, and so the tolerance in force.
 Each run draws from its own generator, as below, so a run ends exactly
 where it ends stepping alone, whichever runs step with it.
@@ -66,6 +68,8 @@ from .problem import (
     EvaluationFault,
     Problem,
     Tolerances,
+    _finish,
+    _raw_batch,
     _rowwise,
     evaluate_batch,
     sampled_mask,
@@ -328,11 +332,17 @@ class Swarm:
         _rowwise(np.minimum, v_new, self.problem, "vmax", v_new)
 
         x_new = self.problem._snap(self.positions + v_new)
-        new_eval = evaluate_batch(self.problem, x_new)
-        feasible = None if self.cht.uses_penalty else new_eval.feasible(tol)
-
+        # The full steps' raw terms and mask (none for apm); the repair
+        # writes its accepted trials into them, every row is finished once,
+        # and a kept position's row is copied from the current evaluation.
+        x_new, raw, box, feasible = _raw_batch(
+            self.problem, x_new, None if self.cht.uses_penalty else tol
+        )
         if self.cht.is_repair:
-            self._repair(x_new, v_new, new_eval, feasible, tol)
+            kept = self._repair(x_new, v_new, raw, box, feasible, tol)
+        new_eval = _finish(self.problem, x_new, raw, box)
+        if self.cht.is_repair and kept.any():
+            new_eval.assign(kept, self.current)
         cand_keys = sort_keys(self.cht, new_eval, feasible)
         self.positions = x_new
         self.velocities = v_new
@@ -347,13 +357,15 @@ class Swarm:
         np.copyto(self.pbest_secondary, cand_keys[1], where=replace)
         self.t = t
 
-    def _repair(self, x_new, v_new, new_eval, feasible, tol) -> None:
+    def _repair(self, x_new, v_new, raw, box, feasible, tol) -> np.ndarray:
         """Repair every infeasible move of every run in place.
 
-        ``new_eval`` and its mask ``feasible`` are updated to describe
-        the repaired positions.  The moves are repaired in batches whose
-        trials fit one evaluation of ``MAX_BATCH_ROWS`` rows; each run's
-        draws come in order, so the batches give the same results as one.
+        An accepted trial's row of the step's ``x_new``, ``v_new``,
+        ``raw``, ``box`` and ``feasible`` takes the trial's; the kept
+        positions' mask is returned.  The moves are repaired in batches
+        whose trials fit one evaluation of ``MAX_BATCH_ROWS`` rows; each
+        run's draws come in order, so the batches give the same results
+        as one.
         """
         infeasible = np.flatnonzero(~feasible)
         moves = MAX_BATCH_ROWS // self.cht.max_repair_trials
@@ -364,7 +376,7 @@ class Swarm:
             rep = repair_moves(
                 self.positions[bad],
                 v_new[bad],
-                new_eval.take(bad),
+                raw[1:, bad],
                 self.problem,
                 tol,
                 self.cht.kind,
@@ -378,17 +390,17 @@ class Swarm:
             ).astype(np.int64)
             x_new[bad] = rep.positions
             v_new[bad] = rep.velocities
-            # An accepted trial is feasible; a kept position keeps its
-            # evaluation, copied below for every batch at once.
+            accepted = bad[rep.accepted]
+            raw[:, accepted] = rep.raw
+            box[accepted] = rep.box
             kept[bad[~rep.accepted]] = True
-            new_eval.assign(bad[rep.accepted], rep.evaluation)
+            # An accepted trial is feasible; a kept position keeps its mask.
             feasible[bad] = rep.accepted | self.current_feasible[bad]
             # Freed before the next batch evaluates its trials: held, it
             # raised the peak RSS of 30 lockstep welded-beam bm runs (the
             # perfbench table-30run workload) by 128 KiB.
             del rep
-        if kept.any():
-            new_eval.assign(kept, self.current)
+        return kept
 
     # -- results ------------------------------------------------------------
 

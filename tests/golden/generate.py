@@ -14,12 +14,22 @@ positions, conflicts and cv.  The summary's cv values mostly sum few
 nonzero terms, so it is the digest, over every memory, that pins the
 last bits of wide row sums.
 
-Write the whole corpus, or only the named cells, with::
+A second file, ``functions.json``, freezes every registered problem
+function: the digests of :func:`function_digests`, on points in the box
+and up to 30% of the span outside it.  It pins the problems that never
+step in the corpus (spring, himmelblau, g03, g05, g09, g10, g12, g13 and
+pressure-vessel-continuous) and the out-of-box values that particles
+overshooting the box meet.  g13's objective is left out, as its bits
+depend on NumPy's SIMD dispatch.
 
-    PYTHONPATH=src python tests/golden/generate.py [CELL_ID ...]
+Write the whole corpus and the function digests, or only the named cells
+(``functions`` names the function digests), with::
 
-``tests/test_golden.py`` recomputes every cell and compares bit for bit,
-also in a subprocess with NumPy's AVX-512 dispatch disabled.
+    PYTHONPATH=src python tests/golden/generate.py [CELL_ID | functions ...]
+
+``tests/test_golden.py`` recomputes every cell and every digest and
+compares bit for bit, also in a subprocess with NumPy's AVX-512 dispatch
+disabled.
 Regenerate only when a NumPy upgrade changes the last bits, or for a
 result change declared in CHANGES.md, and then only the cells it
 changes; log either in CHANGES.md.  Never regenerate to absorb an
@@ -29,6 +39,8 @@ Last regenerated (the g08 cells, g02-pfpr-nn2 and g06-pf-nn2, when the
 registry's integer powers became products) with NumPy 2.4.6 on x86-64
 under AVX-512 dispatch (AVX512_SPR), and checked to match under X86_V3
 (``NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4"``).
+``functions.json`` was first written with the same NumPy and dispatch,
+and checked to match under X86_V3 the same way.
 """
 
 from __future__ import annotations
@@ -48,6 +60,12 @@ from cpso.harness import ExperimentConfig
 from cpso.swarm import Swarm
 
 CORPUS = Path(__file__).with_name("corpus.json")
+FUNCTIONS = Path(__file__).with_name("functions.json")
+# g13's objective is exp(prod(x)), and NumPy's exp differs in the last
+# bits between dispatch levels.  Every other problem function is built
+# from exact IEEE operations, sqrt, sin and cos, which were measured
+# stable across them.
+DISPATCH_DEPENDENT = {"g13.inside.objective", "g13.outside.objective"}
 
 PROBLEMS = ("g08", "g04", "g11", "pressure-vessel-mixed")
 PARTICLES = 9
@@ -112,26 +130,51 @@ def _digest(pbest) -> str:
     return h.hexdigest()
 
 
-def function_digests() -> dict:
-    """SHA-256 of every registered problem function on one fixed sample.
+def _overshooting(problem, rng, count: int) -> np.ndarray:
+    """``count`` points uniform in the box widened by 30% of its span on
+    each side, snapped to the grid, as overshooting particles are."""
+    u = rng.random((count, problem.dimension))
+    return problem.snap_to_grid(problem.lower - 0.3 * problem.span + u * (1.6 * problem.span))
 
-    Keys are ``<problem>.sample`` (the uniform in-box sample itself),
-    ``<problem>.objective``, ``<problem>.inequalities[i]`` and
-    ``<problem>.equalities[i]``.  The odd row count also takes the SIMD
-    loops through their scalar tails.
+
+def function_digests() -> dict:
+    """SHA-256 of every registered problem function on two fixed samples.
+
+    ``inside`` is 1,001 uniform points in the box; ``outside`` is 1,001
+    points of :func:`_overshooting`, most of them outside the box, where
+    the functions promise no finite value, so each non-finite value is
+    mapped to +inf first, as :func:`~cpso.problem.evaluate_batch` does.  Keys are
+    ``<problem>.<block>.sample`` (the points themselves),
+    ``<problem>.<block>.objective``, ``<problem>.<block>.inequalities[i]``
+    and ``<problem>.<block>.equalities[i]``.  The odd row count also takes
+    the SIMD loops through their scalar tails.
     """
     out = {}
     for entry in all_entries():
         problem = entry.problem
-        x = problem.sample_uniform(np.random.default_rng(SEED), 1001)
+        blocks = {
+            "inside": problem.sample_uniform(np.random.default_rng(SEED), 1001),
+            "outside": _overshooting(problem, np.random.default_rng([SEED, 1]), 1001),
+        }
         functions = {"sample": lambda x: x, "objective": problem.objective}
         for kind in ("inequalities", "equalities"):
             for i, g in enumerate(getattr(problem, kind)):
                 functions[f"{kind}[{i}]"] = g
-        for label, fn in functions.items():
-            value = np.ascontiguousarray(fn(x), dtype=np.float64)
-            out[f"{problem.name}.{label}"] = hashlib.sha256(value.tobytes()).hexdigest()
+        for block, x in blocks.items():
+            for label, fn in functions.items():
+                with np.errstate(all="ignore"):
+                    value = np.ascontiguousarray(fn(x), dtype=np.float64)
+                value = np.where(np.isfinite(value), value, np.inf)
+                digest = hashlib.sha256(value.tobytes()).hexdigest()
+                out[f"{problem.name}.{block}.{label}"] = digest
     return out
+
+
+def frozen_function_digests() -> dict:
+    """:func:`function_digests` but for the dispatch-dependent ones."""
+    return {
+        k: v for k, v in function_digests().items() if k not in DISPATCH_DEPENDENT
+    }
 
 
 def record(config: ExperimentConfig) -> dict:
@@ -190,16 +233,23 @@ def record(config: ExperimentConfig) -> dict:
 
 
 def main(names: List[str]) -> None:
-    """Record every cell, or only the named ones into the existing corpus."""
+    """Record every cell and the function digests, or only the named
+    ones into the existing files."""
     configs = {cell_id(c): c for c in cells()}
-    unknown = sorted(set(names) - set(configs))
+    unknown = sorted(set(names) - set(configs) - {"functions"})
     if unknown:
         raise SystemExit(f"unknown cells: {', '.join(unknown)}")
-    corpus = json.loads(CORPUS.read_text()) if names else {}
-    for name in names or configs:
-        corpus[name] = record(configs[name])
-    CORPUS.write_text(json.dumps(corpus, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(names or configs)} of {len(corpus)} cells to {CORPUS}")
+    if not names or "functions" in names:
+        digests = frozen_function_digests()
+        FUNCTIONS.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
+        print(f"wrote {len(digests)} function digests to {FUNCTIONS}")
+    cell_names = [name for name in names if name != "functions"]
+    if not names or cell_names:
+        corpus = json.loads(CORPUS.read_text()) if cell_names else {}
+        for name in cell_names or configs:
+            corpus[name] = record(configs[name])
+        CORPUS.write_text(json.dumps(corpus, indent=1, sort_keys=True) + "\n")
+        print(f"wrote {len(cell_names or configs)} of {len(corpus)} cells to {CORPUS}")
 
 
 if __name__ == "__main__":

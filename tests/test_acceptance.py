@@ -11,7 +11,7 @@ import pytest
 
 from cpso.benchmarks import estimate_feasibility_ratio, get_problem
 from cpso.handlers import ChtConfig, penalized_batch, repair_moves
-from cpso.problem import RecSchedule, Tolerances, evaluate_batch
+from cpso.problem import RecSchedule, Tolerances, _raw_batch, evaluate_batch
 from cpso.harness import ExperimentConfig, run_experiment
 from cpso.swarm import SwarmConfig, Topology
 
@@ -191,10 +191,10 @@ def test_property_repair_postcondition():
     ok = True
     for k, variant in enumerate(("bm", "bmem", "bmpem")):
         rows = np.arange(k, 1000, 3)
-        full = evaluate_batch(toy, x_old[rows] + v[rows])
-        bad = ~full.feasible(TOL)
+        _, raw, _, feasible = _raw_batch(toy, x_old[rows] + v[rows], TOL)
+        bad = ~feasible
         start = x_old[rows[bad]]
-        moves = v[rows[bad]], full.take(bad)
+        moves = v[rows[bad]], raw[1:, bad]
         rep = repair_moves(start, *moves, toy, TOL, variant, [rng], [len(start)], 19)
         ok &= bool(np.all(evaluate_batch(toy, rep.positions).feasible(TOL)))
         ok &= bool(np.array_equal(rep.positions[~rep.accepted], start[~rep.accepted]))

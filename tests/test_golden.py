@@ -1,9 +1,10 @@
 """Recompute the golden corpus and compare it bit for bit.
 
-The corpus pins engine results across rewrites; see
-``tests/golden/generate.py`` for what it covers and when it may be
-regenerated.  The same corpus must also come out of a process whose
-NumPy runs without its AVX-512 dispatch.
+The corpus pins engine results across rewrites, and the function
+digests pin every problem function's values in and around the box; see
+``tests/golden/generate.py`` for what they cover and when they may be
+regenerated.  The same corpus and digests must also come out of a
+process whose NumPy runs without its AVX-512 dispatch.
 """
 
 import json
@@ -14,20 +15,25 @@ from pathlib import Path
 
 import pytest
 
-from golden.generate import CORPUS, cell_id, cells, function_digests, record
+from golden.generate import (
+    CORPUS,
+    DISPATCH_DEPENDENT,
+    FUNCTIONS,
+    cell_id,
+    cells,
+    frozen_function_digests,
+    function_digests,
+    record,
+)
 
 EXPECTED = json.loads(CORPUS.read_text())
+EXPECTED_FUNCTIONS = json.loads(FUNCTIONS.read_text())
 CELLS = cells()
 
 # NumPy then dispatches its SIMD loops at X86_V3 (AVX2) at most.  NumPy
 # 2.4 accepts names of features the host lacks, so on a host without
 # AVX-512 this runs the same dispatch as the parent process.
 NO_AVX512 = {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4"}
-# g13's objective is exp(prod(x)), and NumPy's exp differs in the last
-# bits between dispatch levels.  Every other problem function is built
-# from exact IEEE operations, sqrt, sin and cos, which were measured
-# stable across them.
-DISPATCH_DEPENDENT = {"g13.objective"}
 
 _CHILD = """
 import json
@@ -49,6 +55,13 @@ def test_corpus_covers_every_cell():
 @pytest.mark.parametrize("config", CELLS, ids=cell_id)
 def test_cell_matches_corpus(config):
     assert record(config) == EXPECTED[cell_id(config)]
+
+
+def test_functions_match_frozen_digests():
+    here = frozen_function_digests()
+    assert sorted(EXPECTED_FUNCTIONS) == sorted(here)
+    moved = [k for k in here if here[k] != EXPECTED_FUNCTIONS[k]]
+    assert moved == []
 
 
 def test_corpus_and_functions_do_not_depend_on_simd_dispatch():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cpso.handlers import ChtConfig, KINDS, penalized_batch, priority_keys, repair_moves
-from cpso.problem import Problem, Tolerances, evaluate_batch
+from cpso.problem import Problem, Tolerances, _raw_batch, evaluate_batch
 from cpso.swarm import Swarm, SwarmConfig, Topology, lbest_index
 
 from conftest import (
@@ -161,9 +161,9 @@ def test_penalty_never_below_conflict():
 def repair_one(x_old, v, problem, tolerances, variant, rng, max_trials):
     """Repair one move whose full step is infeasible."""
     x_old, v = np.array([x_old], dtype=float), np.array([v], dtype=float)
-    full = evaluate_batch(problem, problem.snap_to_grid(x_old + v))
-    assert not full.feasible(tolerances)[0]
-    return repair_moves(x_old, v, full, problem, tolerances, variant, [rng], [1], max_trials)
+    _, raw, _, feasible = _raw_batch(problem, problem.snap_to_grid(x_old + v), tolerances)
+    assert not feasible[0]
+    return repair_moves(x_old, v, raw[1:], problem, tolerances, variant, [rng], [1], max_trials)
 
 
 def test_bm_halving_example():
@@ -210,7 +210,7 @@ def test_bmem_zero_factor_keeps_position_without_eval():
     assert rep.positions[0] == pytest.approx([-55.0])
     assert rep.velocities[0] == pytest.approx([0.0])
     assert not rep.accepted[0]
-    assert len(rep.evaluation) == 0
+    assert rep.raw.shape[1] == 0 and len(rep.box) == 0
     assert rep.trials_charged[0] == 18  # 18 nonzero trials, no eval for 0.0
 
 

@@ -5,7 +5,8 @@ import pytest
 
 from cpso.benchmarks import get_problem
 from cpso.handlers import KINDS, ChtConfig, priority_keys, sort_keys
-from cpso.problem import Problem, RecSchedule, Tolerances, evaluate_batch
+from cpso import swarm as swarm_module
+from cpso.problem import BatchEval, Problem, RecSchedule, Tolerances, evaluate_batch
 from cpso.swarm import (
     COEFFICIENT_PRESETS,
     InitializationFailure,
@@ -322,6 +323,7 @@ def test_carried_feasibility_masks_describe_the_state(name, kind):
     swarm = Swarm(problem, config, cht, [rng], problem.sample_uniform(rng, 12), [0])
     for _ in range(30):
         swarm.step()
+        assert_current_is_evaluated(swarm)
         tol = swarm.tolerances
         primary, secondary = sort_keys(cht, swarm.pbest, swarm.pbest.feasible(tol))
         assert swarm.pbest_primary.tobytes() == primary.tobytes()
@@ -330,6 +332,50 @@ def test_carried_feasibility_masks_describe_the_state(name, kind):
             assert swarm.current_feasible is None
         else:
             assert np.array_equal(swarm.current_feasible, swarm.current.feasible(tol))
+
+
+def assert_current_is_evaluated(swarm):
+    """Every field of the carried evaluation has the bits of evaluating
+    the current positions afresh."""
+    expect = evaluate_batch(swarm.problem, swarm.positions)
+    for field in dataclasses.fields(BatchEval):
+        got = getattr(swarm.current, field.name)
+        assert got.tobytes() == getattr(expect, field.name).tobytes(), field.name
+
+
+@pytest.mark.parametrize("runs", [1, 3])
+@pytest.mark.parametrize("kind", ["bm", "bmem", "bmpem", "pfpr", "apm"])
+def test_one_finish_carries_evaluate_batch_bits(monkeypatch, kind, runs):
+    # A step finishes all its rows at once: the full steps, the accepted
+    # trials the repair wrote into the step's raw terms, and the kept
+    # positions, whose rows are then copied from the current evaluation.
+    # Uniform g04 starts are partly infeasible, so the repair steps meet
+    # full steps that are already feasible, accepted trials and kept
+    # positions; each must occur.
+    problem = get_problem("g04")
+    seen = {"repaired": 0, "accepted": 0}
+    repair_moves = swarm_module.repair_moves
+
+    def counted(*args):
+        rep = repair_moves(*args)
+        seen["repaired"] += len(rep.accepted)
+        seen["accepted"] += int(rep.accepted.sum())
+        return rep
+
+    monkeypatch.setattr(swarm_module, "repair_moves", counted)
+    rngs = [np.random.default_rng([4, r]) for r in range(runs)]
+    positions = np.concatenate([problem.sample_uniform(g, 12) for g in rngs])
+    config = make_config(size=12, steps=40)
+    swarm = Swarm(problem, config, ChtConfig(kind), rngs, positions, [0] * runs)
+    for _ in range(40):
+        swarm.step()
+        assert_current_is_evaluated(swarm)
+    if swarm.cht.is_repair:
+        full_feasible = 40 * 12 * runs - seen["repaired"]
+        kept = seen["repaired"] - seen["accepted"]
+        assert full_feasible > 0 and seen["accepted"] > 0 and kept > 0, seen
+    else:
+        assert seen["repaired"] == 0
 
 
 def test_rec_without_schedule_is_rejected():

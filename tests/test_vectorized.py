@@ -127,9 +127,22 @@ def infeasible_moves(draw):
         low, high = MOVES[draw(st.sampled_from(sorted(MOVES)))]
         v.append([draw(st.floats(low, high)) for _ in range(2)])
     x_old, v = np.array(x_old), np.array(v)
-    full = evaluate_batch(TOY, x_old + v)
-    bad = ~full.feasible(TOL)
-    return x_old[bad], v[bad], full.take(bad)
+    feasible, full = full_steps(x_old, v)
+    bad = ~feasible
+    return x_old[bad], v[bad], full[:, bad]
+
+
+def full_steps(x_old, v):
+    """The full steps' mask and raw constraint terms on the toy problem,
+    as a swarm step hands them to ``repair_moves``."""
+    _, raw, _, feasible = problem_module._raw_batch(TOY, x_old + v, TOL)
+    return feasible, raw[1:]
+
+
+def finished(rep):
+    """The :class:`BatchEval` of a repair's accepted trials, from the raw
+    terms and box excess it returns, as a swarm step finishes them."""
+    return problem_module._finish(TOY, rep.positions[rep.accepted], rep.raw, rep.box)
 
 
 def _repair(moves, variant, seed):
@@ -145,17 +158,19 @@ def test_batched_repair_equals_one_row_calls(moves, variant, seed):
     x_old, v, full = moves
     rep, rng = _repair(moves, variant, seed)
     one_rng = np.random.default_rng(seed)
-    accepted_positions = []
+    raws, boxes = [rep.raw[:, :0]], [rep.box[:0]]
     for r in range(len(x_old)):
         one = repair_moves(
-            x_old[r : r + 1], v[r : r + 1], full.take([r]), TOY, TOL, variant, [one_rng], [1], 19
+            x_old[r : r + 1], v[r : r + 1], full[:, [r]], TOY, TOL, variant, [one_rng], [1], 19
         )
         assert np.array_equal(one.positions[0], rep.positions[r])
         assert np.array_equal(one.velocities[0], rep.velocities[r])
         assert one.accepted[0] == rep.accepted[r]
         assert one.trials_charged[0] == rep.trials_charged[r]
-        accepted_positions.extend(one.evaluation.positions)
-    assert np.array_equal(np.reshape(accepted_positions, (-1, 2)), rep.evaluation.positions)
+        raws.append(one.raw)
+        boxes.append(one.box)
+    assert same_bits(np.concatenate(raws, axis=1), rep.raw)
+    assert same_bits(np.concatenate(boxes), rep.box)
     assert rng.bit_generator.state == one_rng.bit_generator.state
 
 
@@ -164,7 +179,11 @@ def test_batched_repair_equals_one_row_calls(moves, variant, seed):
 def test_repair_postcondition(moves, variant, seed):
     x_old, _, _ = moves
     rep, _ = _repair(moves, variant, seed)
-    assert np.array_equal(rep.evaluation.positions, rep.positions[rep.accepted])
+    # The returned terms describe the accepted positions.
+    evaluation = finished(rep)
+    expect = evaluate_batch(TOY, rep.positions[rep.accepted])
+    for field in dataclasses.fields(BatchEval):
+        assert same_bits(getattr(evaluation, field.name), getattr(expect, field.name))
     for r in range(len(x_old)):
         if rep.accepted[r]:
             assert evaluate_batch(TOY, rep.positions[r : r + 1]).nac(TOL)[0] == 0
@@ -179,7 +198,7 @@ BM_LADDER = [0.5**t for t in range(1, 20)]
 BMEM_LADDER = [0.9, 1.1, 0.8, 1.2, 0.7, 1.3, 0.6, 1.4, 0.5, 1.5]
 BMEM_LADDER += [0.4, 1.6, 0.3, 1.7, 0.2, 1.8, 0.1, 1.9, 0.0]
 BMEM_DOWN_LADDER = [0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1] + [0.0] * 10
-NO_MOVES = (np.zeros((0, 2)), np.zeros((0, 2)), evaluate_batch(TOY, np.zeros((0, 2))))
+NO_MOVES = (np.zeros((0, 2)), np.zeros((0, 2)), full_steps(np.zeros((0, 2)), 0.0)[1])
 
 
 def reference_repair(x_old, v, variant, rng, factors=None):
@@ -226,9 +245,10 @@ def assert_matches_reference(rep, reference):
     assert same_bits(rep.velocities, np.reshape(velocities, (-1, 2)))
     assert rep.trials_charged.tolist() == charged
     assert rep.accepted.tolist() == accepted
-    assert len(rep.evaluation) == len(rows)
+    evaluation = finished(rep)
+    assert len(evaluation) == len(rows)
     for field in dataclasses.fields(BatchEval):
-        got = getattr(rep.evaluation, field.name)
+        got = getattr(evaluation, field.name)
         for i, row in enumerate(rows):
             assert same_bits(got[i], getattr(row, field.name)[0])
 
@@ -253,9 +273,9 @@ def test_repair_with_mid_row_zero_factors_matches_reference(monkeypatch, variant
     gen = np.random.default_rng(17)
     x_old = gen.uniform(-2.0, 0.5, (40, 2))  # x1 + x2 <= 1: feasible
     v = gen.uniform(-4.0, 4.0, (40, 2))
-    full = evaluate_batch(TOY, x_old + v)
-    bad = np.flatnonzero(~full.feasible(TOL))[:12]
-    x_old, v, full = x_old[bad], v[bad], full.take(bad)
+    feasible, full = full_steps(x_old, v)
+    bad = np.flatnonzero(~feasible)[:12]
+    x_old, v, full = x_old[bad], v[bad], full[:, bad]
     factors = gen.uniform(0.0, 1.5, (12, 19))
     factors[::2, 5] = 0.0
     factors[3, 0] = 0.0
@@ -270,8 +290,8 @@ def test_repair_with_mid_row_zero_factors_matches_reference(monkeypatch, variant
 @pytest.mark.parametrize("variant", REPAIRS)
 def test_repair_needs_a_trial(variant, max_trials):
     x_old, v = np.zeros((1, 2)), np.full((1, 2), 2.0)  # x1 + x2 <= 1 broken
-    full = evaluate_batch(TOY, x_old + v)
-    assert not full.feasible(TOL).any()
+    feasible, full = full_steps(x_old, v)
+    assert not feasible.any()
     with pytest.raises(ValueError, match="max_trials must be >= 1"):
         repair_moves(x_old, v, full, TOY, TOL, variant, [np.random.default_rng(0)], [1], max_trials)
 
@@ -849,8 +869,8 @@ def test_repair_fault_at_a_rejected_trial_names_its_batch_row():
     )
     x_old = np.zeros((2, 2))
     v = np.array([[-3.0, -3.0], [4.0, 4.0]])
-    full = evaluate_batch(TOY, x_old + v)
-    assert not full.feasible(TOL).any()
+    feasible, full = full_steps(x_old, v)
+    assert not feasible.any()
     trials = (x_old[:, None] + np.array(BM_LADDER)[:, None] * v[:, None]).reshape(-1, 2)
     message = "non-finite objective at in-box point index 19"
     with pytest.raises(EvaluationFault, match=message):
