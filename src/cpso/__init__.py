@@ -14,7 +14,6 @@ from .harness import (
     RunResult,
     SummaryRow,
     run_experiment,
-    run_single,
     sweep,
 )
 from .problem import (

@@ -53,7 +53,7 @@ from .problem import (
     RecSchedule,
     Tolerances,
     _raw_batch,
-    _raw_mask,
+    _within,
 )
 
 KINDS = (
@@ -278,7 +278,8 @@ def _repair_factors(
         return np.broadcast_to(_bm_ladder(max_trials), (k, max_trials))
     if variant == "bmem":
         # Every constraint, but not the box, within tolerance.
-        box_only = _raw_mask(problem, full, np.ones(k, dtype=bool), tolerances)
+        q = problem.n_inequalities
+        box_only = np.logical_and.reduce(_within(tolerances, full[:q], full[q:]), axis=0)
         ladders = np.where(box_only[:, None], _BMEM_DOWN_LADDER, _BMEM_LADDER)
         return ladders[:, :max_trials]
     # Generator.uniform(0.0, 1.5) bit for bit: it computes 0.0 + 1.5 * u.

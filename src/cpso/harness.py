@@ -213,6 +213,8 @@ def _run_group(
     records its best memory's conflict and cv after every step.  An
     :class:`EvaluationFault` raised by a step carries the runs' records
     of the steps before it as ``trace`` (None unless traced).
+    :func:`run_experiment` calls it once per group, and once per run,
+    one run alone, to rerun a cell that faulted.
     """
     problem = get_problem(config.problem)
     cht = config.resolved_cht()
@@ -249,7 +251,8 @@ def _run_group(
         try:
             group.step()
         except EvaluationFault as fault:
-            # The steps completed before the fault, for run_single to write.
+            # The steps completed before the fault, for run_experiment's
+            # serial rerun to trace.
             fault.trace = None if log is None else log[:, :t]
             raise
         if log is not None:
@@ -289,31 +292,6 @@ def _write_trace(
         if log is not None:
             for t, (conflict, cv) in enumerate(log.tolist(), start=1):
                 trace(index, t, conflict, cv)
-
-
-def run_single(
-    config: ExperimentConfig,
-    run_index: int,
-    trace: Optional[TraceFn] = None,
-) -> RunResult:
-    """Execute one seeded run and return its best memory.
-
-    The returned best is the winner under the technique's plain
-    comparator across all personal bests at the final step.  ``trace``
-    receives the run's best after every step once the run has ended; if
-    a step raises :class:`EvaluationFault`, it receives the steps
-    completed before it, and the fault is raised again.
-    """
-    if not 0 <= run_index < config.runs:
-        raise ValueError("run index out of range")
-    try:
-        result = _run_group(config, [run_index], trace is not None)[0]
-    except EvaluationFault as fault:
-        completed = getattr(fault, "trace", None)
-        _write_trace(trace, [(run_index, None if completed is None else completed[0])])
-        raise
-    _write_trace(trace, [(run_index, result.trace)])
-    return result
 
 
 def summarize(config: ExperimentConfig, results: Sequence[RunResult]) -> SummaryRow:
@@ -400,8 +378,16 @@ def run_experiment(
     except EvaluationFault:
         # One run at a time, in order, as serial execution faults; the
         # faulting run's completed steps are traced before it raises.
-        indices = range(config.runs)
-        return summarize(config, [run_single(config, i, trace) for i in indices])
+        results = []
+        for i in range(config.runs):
+            try:
+                results += _run_group(config, [i], trace is not None)
+            except EvaluationFault as fault:
+                completed = getattr(fault, "trace", None)
+                _write_trace(trace, [(i, None if completed is None else completed[0])])
+                raise
+            _write_trace(trace, [(i, results[-1].trace)])
+        return summarize(config, results)
     results = [r for group in done for r in group]
     _write_trace(trace, [(r.index, r.trace) for r in results])
     return summarize(config, results)

@@ -144,16 +144,13 @@ class Problem:
         cols = np.flatnonzero(self.discrete_mask)
         return _read_only(cols), _read_only(self.grid_steps[cols])
 
-    def snap_to_grid(self, x: np.ndarray) -> np.ndarray:
-        """Round discrete dimensions to the nearest step multiple.
+    def _snap(self, x: np.ndarray) -> np.ndarray:
+        """Round the discrete dimensions of the float array ``x`` to the
+        nearest step multiple, in place; returns ``x``.
 
         Exact half-step ties round toward the lower multiple.  Works on
         a single point ``(n,)`` or a batch ``(m, n)``.
         """
-        return self._snap(np.array(x, dtype=float))
-
-    def _snap(self, x: np.ndarray) -> np.ndarray:
-        """:meth:`snap_to_grid` in place, on a float array ``x``; returns ``x``."""
         if self.grid_steps is not None:
             cols, steps = self._grid
             x[..., cols] = np.ceil(x[..., cols] / steps - 0.5) * steps
@@ -177,7 +174,7 @@ class Problem:
         if not (np.isfinite(lower).all() and np.isfinite(span).all()):
             return False
         draws = np.array([[0.0], [np.nextafter(1.0, 0.0)]])
-        least, greatest = self.snap_to_grid(draws * span + lower)
+        least, greatest = self._snap(draws * span + lower)
         return bool((least >= lower).all() and (greatest <= self.upper).all())
 
     def sample_uniform(self, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -246,33 +243,21 @@ class BatchEval:
     def __len__(self) -> int:
         return self.positions.shape[0]
 
-    def _limits(self, tolerances: Tolerances) -> tuple:
-        """Each violation block with its tolerance, box first: a term is
-        within tolerance when it is at most ``tolerances.ineq`` (box and
-        inequality terms) or ``tolerances.eq`` (equality terms)."""
-        return (
-            (self.box_violations, tolerances.ineq),
-            (self.ineq_violations, tolerances.ineq),
-            (self.eq_violations, tolerances.eq),
-        )
-
     def nac(self, tolerances: Tolerances) -> np.ndarray:
-        """Active-constraint count per point under the given tolerances."""
-        return sum(
-            np.count_nonzero(block > tol, axis=1)
-            for block, tol in self._limits(tolerances)
+        """Active-constraint count per point under the given tolerances:
+        its terms not within them (:func:`_within`)."""
+        ok = _within(
+            tolerances, self.ineq_violations.T, self.eq_violations.T, self.box_violations.T
         )
+        return np.count_nonzero(~ok, axis=0)
 
     def feasible(self, tolerances: Tolerances) -> np.ndarray:
         """Boolean feasibility mask under the given tolerances: every term
-        within its tolerance.  A block with no columns passes every row,
-        so after the first it is skipped."""
-        (block, tol), *rest = self._limits(tolerances)
-        mask = _rows_all(block <= tol)
-        for block, tol in rest:
-            if block.shape[1]:
-                mask &= _rows_all(block <= tol)
-        return mask
+        within its tolerance (:func:`_within`)."""
+        ok = _within(
+            tolerances, self.ineq_violations.T, self.eq_violations.T, self.box_violations.T
+        )
+        return np.logical_and.reduce(ok, axis=0)
 
     def take(self, rows: np.ndarray) -> "BatchEval":
         return BatchEval(*[getattr(self, f)[rows] for f in _FIELDS])
@@ -291,17 +276,6 @@ class BatchEval:
 
 
 _FIELDS = tuple(BatchEval.__dataclass_fields__)
-
-
-def _rows_all(block: np.ndarray) -> np.ndarray:
-    """``block.all(axis=1)`` for a boolean ``(m, k)`` block.
-
-    A row-wise reduction pays a fixed cost per row; reducing the
-    transposed copy runs along the long axis instead, and calling the
-    ufunc's reduce skips ``all``'s Python wrapper.  Booleans have no
-    rounding, so the order cannot change the result.
-    """
-    return np.logical_and.reduce(block.T.copy(), axis=0)
 
 
 def _checked_positions(problem: Problem, positions: np.ndarray) -> np.ndarray:
@@ -370,22 +344,35 @@ def _raw_terms(problem: Problem, x: np.ndarray, first: int) -> np.ndarray:
     return _inf_outside_box(problem, x, raw, first)
 
 
-def _raw_mask(
-    problem: Problem, values: np.ndarray, mask: np.ndarray, tolerances: Tolerances
+def _within(
+    tolerances: Tolerances,
+    ineq: np.ndarray,
+    eq: np.ndarray,
+    box: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """``mask``, and-ed in place with the tolerance rule on ``values``,
-    the raw constraint terms of its rows, function-major: ``g <=
-    tolerances.ineq`` for an inequality (``max(0, g) <= tol`` is ``g <=
-    tol``, as the tolerance is nonnegative), ``|h| <= tolerances.eq`` for
-    an equality.  Each kind is tested as one block and reduced across its
-    functions, along the long axis of rows."""
-    q = problem.n_inequalities
-    ineq, eq = values[:q], values[q:]
-    if len(ineq):
-        mask &= np.logical_and.reduce(ineq <= tolerances.ineq, axis=0)
-    if len(eq):
-        mask &= np.logical_and.reduce(np.abs(eq) <= tolerances.eq, axis=0)
-    return mask
+    """The tolerance rule: which terms of a batch are within tolerance.
+
+    The blocks are function-major, one row per term and one column per
+    point: the inequality terms ``ineq`` and the equality terms ``eq``,
+    raw or as a :class:`BatchEval`'s transposed violations, and the box
+    excess ``box`` (None for points known to lie in the box).  A box or
+    inequality term is within at or below ``tolerances.ineq``, an
+    equality term when its magnitude is at or below ``tolerances.eq``.
+    Raw terms and violations give the same answer, since ``max(0, g) <=
+    tol`` is ``g <= tol`` for a nonnegative tolerance and ``|(|h|)|`` is
+    ``|h|``.  Returns the boolean ``(terms, points)`` block, inequality
+    rows first and box rows last; a point is feasible when its column is
+    all true, reduced along the long axis of points.
+    """
+    q, e = len(ineq), len(eq)
+    rows = q + e + (0 if box is None else len(box))
+    ok = np.empty((rows, ineq.shape[1]), dtype=bool)
+    np.less_equal(ineq, tolerances.ineq, out=ok[:q])
+    if e:
+        np.less_equal(np.abs(eq), tolerances.eq, out=ok[q : q + e])
+    if box is not None:
+        np.less_equal(box, tolerances.ineq, out=ok[q + e :])
+    return ok
 
 
 def _finish(problem: Problem, x: np.ndarray, raw: np.ndarray, box: np.ndarray) -> BatchEval:
@@ -428,20 +415,22 @@ def _raw_batch(
 
     Returns ``(x, raw, box, feasible)``: the checked positions, their raw
     terms, their box excess and ``evaluate_batch(problem,
-    positions).feasible(tolerances)``, tested on the box excess and on
-    the raw constraint terms by :func:`_raw_mask` (None if
-    ``tolerances`` is).  For any rows ``rows``, ``_finish(problem,
-    x[rows], raw[:, rows], box[rows])`` has the bits of
-    ``evaluate_batch(problem, x[rows])``.  A swarm step takes its
-    positions and each repair batch its trials through it.
+    positions).feasible(tolerances)``, the tolerance rule
+    (:func:`_within`) on the raw constraint terms and the box excess
+    (None if ``tolerances`` is).  For any rows ``rows``,
+    ``_finish(problem, x[rows], raw[:, rows], box[rows])`` has the bits
+    of ``evaluate_batch(problem, x[rows])``.  A :class:`~cpso.swarm.Swarm`
+    takes its initial positions, each step its new positions and each
+    repair batch its trials through it.
     """
     x = _checked_positions(problem, positions)
     raw = _raw_terms(problem, x, 0)
     box = _box_excess(problem, x)
     if tolerances is None:
         return x, raw, box, None
-    feasible = _raw_mask(problem, raw[1:], _rows_all(box <= tolerances.ineq), tolerances)
-    return x, raw, box, feasible
+    q = 1 + problem.n_inequalities
+    ok = _within(tolerances, raw[1:q], raw[q:], box.T)
+    return x, raw, box, np.logical_and.reduce(ok, axis=0)
 
 
 def evaluate_batch(problem: Problem, positions: np.ndarray) -> BatchEval:
@@ -475,7 +464,7 @@ def sampled_mask(problem: Problem, x: np.ndarray, tolerances: Tolerances) -> np.
     """``evaluate_batch(problem, x).feasible(tolerances)`` for points
     ``x`` drawn by :meth:`Problem.sample_uniform`, from the box and the
     constraints alone (:func:`_raw_terms` from the first constraint on,
-    tested by :func:`_raw_mask`).  A non-finite objective is not seen
+    tested by :func:`_within`).  A non-finite objective is not seen
     here; it raises wherever the objective is evaluated.
 
     When the problem proves that its samples lie in the box
@@ -484,13 +473,13 @@ def sampled_mask(problem: Problem, x: np.ndarray, tolerances: Tolerances) -> np.
     the ``ValueError``s of :func:`evaluate_batch`.  The mask and the
     faults are the same either way.
     """
-    if problem._samples_in_box:
-        # Every box excess is 0.0, within any (nonnegative) tolerance.
-        mask = np.ones(len(x), dtype=bool)
-    else:
+    box = None  # a proven sample's box excess is 0.0, within any tolerance
+    if not problem._samples_in_box:
         x = _checked_positions(problem, x)
-        mask = _rows_all(_box_excess(problem, x) <= tolerances.ineq)
-    return _raw_mask(problem, _raw_terms(problem, x, 1), mask, tolerances)
+        box = _box_excess(problem, x).T
+    q = problem.n_inequalities
+    terms = _raw_terms(problem, x, 1)
+    return np.logical_and.reduce(_within(tolerances, terms[:q], terms[q:], box), axis=0)
 
 
 # Largest batch evaluated in one call: the harness groups a cell's runs

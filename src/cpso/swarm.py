@@ -71,7 +71,6 @@ from .problem import (
     _finish,
     _raw_batch,
     _rowwise,
-    evaluate_batch,
     sampled_mask,
 )
 
@@ -209,8 +208,10 @@ class Swarm:
     The constructor builds the runs of ``rngs``, one generator per run,
     from their initial ``positions`` and ``init_evaluations``, the
     evaluations each run spent before its initial positions (rejected
-    candidates), as :func:`initial_positions` gives them, and evaluates
-    every run's initial positions in one batch.  With ``s``
+    candidates), as :func:`initial_positions` gives them, and takes
+    every run's initial positions in one batch through a step's pipeline
+    (:func:`~cpso.problem._raw_batch` under the step-1 tolerances, then
+    one :func:`~cpso.problem._finish`).  With ``s``
     particles per run, the rows of ``positions``, ``velocities``,
     ``current``, ``pbest``, the coefficients and the masks are
     run-major: run ``r`` owns rows ``r * s`` to ``(r + 1) * s - 1``, so
@@ -266,18 +267,20 @@ class Swarm:
         )
         # Rows per run: the blocks of every draw over all rows.
         self._run_rows = [s] * len(self.rngs)
-        self.current = evaluate_batch(problem, positions)
+        self.tolerances = cht.tolerances_at(config.tolerances, 1, config.steps)
+        # The initial positions take a step's path: raw terms, the mask
+        # under the step-1 tolerances and one finish.  The current
+        # positions' mask (None for apm, which never reads it) and the
+        # memories' sort keys are carried from step to step.  Only a +rec
+        # schedule moves the tolerance, and only a step that moves it
+        # recomputes the memories' keys.
+        x, raw, box, self.current_feasible = _raw_batch(
+            problem, positions, None if cht.uses_penalty else self.tolerances
+        )
+        self.current = _finish(problem, x, raw, box)
         self.run_init_evaluations = np.asarray(init_evaluations, dtype=np.int64) + s
         self.run_repair_evaluations = np.zeros(len(self.rngs), dtype=np.int64)
         self.pbest = self.current.copy()
-        self.tolerances = cht.tolerances_at(config.tolerances, 1, config.steps)
-        # The current positions' feasibility mask (None for apm, which
-        # never reads it) and the memories' sort keys, carried from step
-        # to step.  Only a +rec schedule moves the tolerance, and only
-        # a step that moves it recomputes the memories' keys.
-        self.current_feasible = (
-            None if cht.uses_penalty else self.current.feasible(self.tolerances)
-        )
         self.pbest_primary, self.pbest_secondary = sort_keys(
             cht, self.pbest, self.current_feasible
         )

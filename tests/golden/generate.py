@@ -134,7 +134,7 @@ def _overshooting(problem, rng, count: int) -> np.ndarray:
     """``count`` points uniform in the box widened by 30% of its span on
     each side, snapped to the grid, as overshooting particles are."""
     u = rng.random((count, problem.dimension))
-    return problem.snap_to_grid(problem.lower - 0.3 * problem.span + u * (1.6 * problem.span))
+    return problem._snap(problem.lower - 0.3 * problem.span + u * (1.6 * problem.span))
 
 
 def function_digests() -> dict:

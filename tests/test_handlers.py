@@ -161,7 +161,7 @@ def test_penalty_never_below_conflict():
 def repair_one(x_old, v, problem, tolerances, variant, rng, max_trials):
     """Repair one move whose full step is infeasible."""
     x_old, v = np.array([x_old], dtype=float), np.array([v], dtype=float)
-    _, raw, _, feasible = _raw_batch(problem, problem.snap_to_grid(x_old + v), tolerances)
+    _, raw, _, feasible = _raw_batch(problem, problem._snap(x_old + v), tolerances)
     assert not feasible[0]
     return repair_moves(x_old, v, raw[1:], problem, tolerances, variant, [rng], [1], max_trials)
 

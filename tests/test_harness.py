@@ -10,7 +10,7 @@ import pytest
 import cpso
 from cpso import harness
 from cpso.handlers import ChtConfig
-from cpso.harness import ExperimentConfig, run_experiment, run_single, summarize, sweep
+from cpso.harness import ExperimentConfig, run_experiment, summarize, sweep
 from cpso.problem import EvaluationFault, Problem, Tolerances
 
 from conftest import start_swarm
@@ -46,17 +46,12 @@ def test_config_validation():
 
 def test_run_single_deterministic():
     cfg = make_config()
-    a = run_single(cfg, 0)
-    b = run_single(cfg, 0)
+    a = harness._run_group(cfg, [0])[0]
+    b = harness._run_group(cfg, [0])[0]
     assert a.conflict == b.conflict
     assert a.cv == b.cv
     assert np.array_equal(a.position, b.position)
     assert a.evaluations == b.evaluations
-
-
-def test_run_index_bounds():
-    with pytest.raises(ValueError):
-        run_single(make_config(), 3)
 
 
 def test_adding_runs_preserves_earlier_ones():
@@ -202,16 +197,15 @@ def test_fault_traces_the_steps_completed_before_it(monkeypatch):
     assert len(lines) == config.steps
     bad = Problem("toy-plane", clean.lower, clean.upper, faulty)
     monkeypatch.setattr(harness, "get_problem", lambda name: bad)
-    for run in (run_experiment, lambda config, trace: run_single(config, 0, trace)):
-        got = []
-        with pytest.raises(EvaluationFault, match="non-finite objective"):
-            run(config, trace=lambda *line: got.append(line))
-        assert got == lines[:3]
+    got = []
+    with pytest.raises(EvaluationFault, match="non-finite objective"):
+        run_experiment(config, trace=lambda *line: got.append(line))
+    assert got == lines[:3]
 
 
 def test_summarize_order_insensitive():
     cfg = make_config(runs=4)
-    results = [run_single(cfg, i) for i in range(4)]
+    results = [harness._run_group(cfg, [i])[0] for i in range(4)]
     forward = summarize(cfg, results)
     backward = summarize(cfg, list(reversed(results)))
     assert forward.best_conflict == backward.best_conflict
@@ -326,7 +320,6 @@ def test_public_names_are_pinned():
         "RunResult",
         "SummaryRow",
         "run_experiment",
-        "run_single",
         "sweep",
         "BatchEval",
         "EvaluationFault",

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from cpso import harness, problem as problem_module, swarm as swarm_module
 from cpso.handlers import KINDS, ChtConfig
-from cpso.harness import ExperimentConfig, run_experiment, run_single, summarize
+from cpso.harness import ExperimentConfig, run_experiment, summarize
 from cpso.problem import MAX_BATCH_ROWS, BatchEval, EvaluationFault, Problem
 from cpso.swarm import InitializationFailure, Swarm, initial_positions
 
@@ -149,7 +149,8 @@ def test_group_larger_than_a_tile_equals_runs_alone():
 
 def assert_row_equals_runs_alone(config, row):
     """``row`` holds the results of ``config``'s runs each run alone."""
-    single = summarize(config, [run_single(config, i) for i in range(config.runs)])
+    alone = [harness._run_group(config, [i])[0] for i in range(config.runs)]
+    single = summarize(config, alone)
     for got, expect in zip(row.runs, single.runs, strict=True):
         assert got.termination == expect.termination
         assert (got.evaluations, got.init_evaluations, got.repair_evaluations) == (
@@ -230,16 +231,16 @@ def test_group_is_built_and_evaluated_once(monkeypatch, name, kind):
     config = ExperimentConfig(name, ChtConfig(kind), 2, 6, 4, 3, master_seed=5)
     built, outside, stepping = [], [], [False]
     real_init, real_step = Swarm.__init__, Swarm.step
-    real_batch = swarm_module.evaluate_batch
+    real_batch = swarm_module._raw_batch
 
     def init(self, *args):
         built.append(len(args[3]))
         real_init(self, *args)
 
-    def counting(problem, positions):
+    def counting(problem, positions, tolerances):
         if not stepping[0]:
             outside.append(len(positions))
-        return real_batch(problem, positions)
+        return real_batch(problem, positions, tolerances)
 
     def step(self):
         stepping[0] = True
@@ -247,7 +248,7 @@ def test_group_is_built_and_evaluated_once(monkeypatch, name, kind):
         stepping[0] = False
 
     monkeypatch.setattr(Swarm, "__init__", init)
-    monkeypatch.setattr(swarm_module, "evaluate_batch", counting)
+    monkeypatch.setattr(swarm_module, "_raw_batch", counting)
     monkeypatch.setattr(Swarm, "step", step)
     results = harness._run_group(config, [0, 1, 2])
     monkeypatch.undo()
@@ -319,12 +320,12 @@ def test_fault_only_run_1_reaches_raises_the_serial_error(monkeypatch):
     bad = Problem("toy-plane", clean.lower, clean.upper, faulty)
     monkeypatch.setattr(harness, "get_problem", lambda name: bad)
     with pytest.raises(EvaluationFault) as serial:
-        run_single(config, 1)
+        harness._run_group(config, [1])
     assert str(serial.value) == f"non-finite objective at in-box point index {particle}"
     with pytest.raises(EvaluationFault) as lockstep:
         run_experiment(config)
     assert str(lockstep.value) == str(serial.value)
-    run_single(config, 0), run_single(config, 2)  # the others never fault
+    harness._run_group(config, [0]), harness._run_group(config, [2])  # the others never fault
 
 
 @pytest.mark.parametrize("kind", ("pfpr", "pf"))
@@ -352,9 +353,9 @@ def test_fault_at_an_initial_position_of_run_1_raises_the_serial_error(
     bad = Problem("toy-plane", clean.lower, clean.upper, faulty)
     monkeypatch.setattr(harness, "get_problem", lambda name: bad)
     with pytest.raises(EvaluationFault) as serial:
-        run_single(config, 1)
+        harness._run_group(config, [1])
     assert str(serial.value) == f"non-finite objective at in-box point index {particle}"
     with pytest.raises(EvaluationFault) as lockstep:
         run_experiment(config)
     assert str(lockstep.value) == str(serial.value)
-    run_single(config, 0), run_single(config, 2)  # the others never fault
+    harness._run_group(config, [0]), harness._run_group(config, [2])  # the others never fault

@@ -233,7 +233,7 @@ def test_bounds_and_their_caches_are_read_only():
 
 
 def test_grid_steps_are_a_read_only_copy():
-    # snap_to_grid and the sampling proof derive from the steps.
+    # _snap and the sampling proof derive from the steps.
     steps = np.array([0.0625, np.nan])
     prob = Problem("grid", np.array([0.0, 0.0]), np.array([10.0, 1.0]),
                    objective=lambda x: x[:, 0], grid_steps=steps)
@@ -243,7 +243,7 @@ def test_grid_steps_are_a_read_only_copy():
     for a in (prob.grid_steps, *prob._grid):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 2
-    assert prob.snap_to_grid(np.array([1.03, 0.3])).tolist() == [1.0, 0.3]
+    assert prob._snap(np.array([1.03, 0.3])).tolist() == [1.0, 0.3]
 
 
 def test_grid_snap_rounding():
@@ -254,7 +254,7 @@ def test_grid_snap_rounding():
         objective=lambda x: x[:, 0],
         grid_steps=np.array([0.0625]),
     )
-    assert prob.snap_to_grid(np.array([1.03]))[0] == pytest.approx(1.0)
+    assert prob._snap(np.array([1.03]))[0] == pytest.approx(1.0)
     # exact half-step ties round toward the lower multiple
-    assert prob.snap_to_grid(np.array([1.03125]))[0] == pytest.approx(1.0)
-    assert prob.snap_to_grid(np.array([1.04]))[0] == pytest.approx(1.0625)
+    assert prob._snap(np.array([1.03125]))[0] == pytest.approx(1.0)
+    assert prob._snap(np.array([1.04]))[0] == pytest.approx(1.0625)

@@ -69,3 +69,41 @@ def test_readme_module_names_resolve():
     assert len(names) > 10
     stale = [name for name in names if not _resolves(name, [cpso])]
     assert stale == []
+
+
+# ``tol``, ``tol.ineq``, ``tolerances.eq``, ``self.tolerances.ineq``, ...
+TOLERANCE = re.compile(r"\b(?:tol|tolerances)\b")
+ORDERINGS = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+COMPARISONS = {"less", "less_equal", "greater", "greater_equal"}
+
+
+def _tolerance_tests(tree):
+    """Line numbers of the comparisons with a tolerance under ``tree``:
+    ordering operators and NumPy's ordering functions with an operand
+    that names one."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare) and isinstance(node.ops[0], ORDERINGS):
+            operands = [node.left, *node.comparators]
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) in COMPARISONS:
+            operands = node.args
+        else:
+            continue
+        if any(TOLERANCE.search(ast.unparse(op)) for op in operands):
+            yield node.lineno
+
+
+def test_the_tolerance_rule_is_written_once():
+    # Every feasibility mask and nac runs through problem._within: no
+    # other code of the package compares a term with a tolerance.
+    sites = []
+    for name in MODULES:
+        tree = ast.parse((PACKAGE / f"{name}.py").read_text())
+        sites.extend((name, line) for line in _tolerance_tests(tree))
+    rule = next(
+        node
+        for node in ast.parse((PACKAGE / "problem.py").read_text()).body
+        if isinstance(node, ast.FunctionDef) and node.name == "_within"
+    )
+    inside = [s for s in sites if s[0] == "problem" and rule.lineno <= s[1] <= rule.end_lineno]
+    assert inside
+    assert sorted(set(sites) - set(inside)) == []

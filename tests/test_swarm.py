@@ -169,14 +169,14 @@ def test_velocity_clamped_to_half_span():
 
 def test_position_update_continuous(toy1):
     x = np.array([1.5, 0.0])
-    snapped = toy1.snap_to_grid(x)
+    snapped = toy1._snap(x.copy())
     assert np.array_equal(snapped, x)
-    assert snapped is not x
+    assert toy1._snap(x) is x  # in place
 
 
 def test_position_update_snaps_discrete():
     vessel = get_problem("pressure-vessel-mixed")
-    x = vessel.snap_to_grid(np.array([1.03, 1.03125, 50.3, 100.7]))
+    x = vessel._snap(np.array([1.03, 1.03125, 50.3, 100.7]))
     assert x[0] == pytest.approx(1.0)
     assert x[1] == pytest.approx(1.0)  # exact half-step tie goes down
     assert list(x[2:]) == [50.3, 100.7]  # continuous dimensions untouched
@@ -310,10 +310,10 @@ def test_pf_memory_stays_feasible(toy1):
 @pytest.mark.parametrize("name", ["g04", "g11"])
 def test_carried_feasibility_masks_describe_the_state(name, kind):
     # The swarm carries the current positions' feasibility mask and the
-    # memories' sort keys from step to step instead of recomputing them.
-    # It starts from uniform positions whatever the technique, so repair
-    # also keeps infeasible positions, and g11's equality makes the +rec
-    # tolerance move.
+    # memories' sort keys from step to step instead of recomputing them,
+    # from the state its constructor builds on.  It starts from uniform
+    # positions whatever the technique, so repair also keeps infeasible
+    # positions, and g11's equality makes the +rec tolerance move.
     problem = get_problem(name)
     cht = ChtConfig(kind)
     if cht.uses_rec:
@@ -321,8 +321,9 @@ def test_carried_feasibility_masks_describe_the_state(name, kind):
     rng = np.random.default_rng(3)
     config = make_config(size=12, steps=30)
     swarm = Swarm(problem, config, cht, [rng], problem.sample_uniform(rng, 12), [0])
-    for _ in range(30):
-        swarm.step()
+    for t in range(31):  # the constructor's state, then each step's
+        if t:
+            swarm.step()
         assert_current_is_evaluated(swarm)
         tol = swarm.tolerances
         primary, secondary = sort_keys(cht, swarm.pbest, swarm.pbest.feasible(tol))

@@ -221,7 +221,7 @@ def reference_repair(x_old, v, variant, rng, factors=None):
             if factor == 0.0:
                 trials = t
                 break
-            trial = evaluate_batch(TOY, TOY.snap_to_grid(x_old[r] + factor * v[r]))
+            trial = evaluate_batch(TOY, TOY._snap(x_old[r] + factor * v[r]))
             if trial.feasible(TOL)[0]:
                 position, velocity, trials, row = trial.positions[0], factor * v[r], t + 1, trial
                 break
@@ -577,7 +577,7 @@ def test_evaluate_batch_equals_per_function_sanitize(name, m):
     # rows stay inside it, depending on the dimension.  A sampled batch
     # lies wholly inside it.
     reach = rng.uniform(0.0, 0.3, (m, 1)) * problem.span
-    overshooting = problem.snap_to_grid(
+    overshooting = problem._snap(
         problem.lower - reach + rng.random((m, problem.dimension)) * (problem.span + 2 * reach)
     )
     for x in (overshooting, problem.sample_uniform(rng, m)):
@@ -648,6 +648,15 @@ def per_row_feasible(ev, tol):
     )
 
 
+def per_row_nac(ev, tol):
+    """The terms out of tolerance, counted row by row."""
+    return (
+        (ev.box_violations > tol.ineq).sum(axis=1)
+        + (ev.ineq_violations > tol.ineq).sum(axis=1)
+        + (ev.eq_violations > tol.eq).sum(axis=1)
+    )
+
+
 MASK_VALUES = st.sampled_from(
     [0.0, -0.0, 5e-13, 1e-12, 2e-12, 1e-4, 0.5, 2.5, 7.0, np.inf]
 )
@@ -677,6 +686,7 @@ def test_feasible_equals_per_row_reduction(ev, ineq_tol, eq_tol):
     got = ev.feasible(tol)
     assert got.dtype == bool
     assert np.array_equal(got, per_row_feasible(ev, tol))
+    assert np.array_equal(ev.nac(tol), per_row_nac(ev, tol))
 
 
 # No inequalities (g11, g13), no equalities (g04, welded-beam), both
@@ -696,10 +706,11 @@ def test_feasible_equals_per_row_reduction_on_problems(name, m, reach, seed):
         (m, problem.dimension)
     ) * (1 + 2 * reach) * problem.span
     with np.errstate(over="ignore"):  # g13's exp outside the box
-        ev = evaluate_batch(problem, problem.snap_to_grid(x))
+        ev = evaluate_batch(problem, problem._snap(x))
     rec = RecSchedule.for_problem(problem).initial_tol
     for tol in (TOL, Tolerances(eq=rec), Tolerances(ineq=rec, eq=rec)):
         assert np.array_equal(ev.feasible(tol), per_row_feasible(ev, tol))
+        assert np.array_equal(ev.nac(tol), per_row_nac(ev, tol))
 
 
 # ------------------------------------------- feasibility from constraints
@@ -837,7 +848,7 @@ def test_feasible_mask_fault_names_first_faulty_constraint():
 def test_raw_term_mask_and_finish_equal_evaluate_batch(name, m, reach, seed):
     problem = get_problem(name)
     rng = np.random.default_rng(seed)
-    x = problem.snap_to_grid(
+    x = problem._snap(
         problem.lower - reach * problem.span
         + rng.random((m, problem.dimension)) * (1 + 2 * reach) * problem.span
     )
@@ -888,7 +899,7 @@ def test_sample_uniform_equals_affine_then_snap(name, count):
     problem = get_problem(name)
     got_rng, expect_rng = np.random.default_rng(count), np.random.default_rng(count)
     got = problem.sample_uniform(got_rng, count)
-    expect = problem.snap_to_grid(
+    expect = problem._snap(
         problem.lower + expect_rng.random((count, problem.dimension)) * problem.span
     )
     assert got.shape == expect.shape and got.dtype == expect.dtype
@@ -912,7 +923,7 @@ def test_every_problem_proves_its_samples_in_the_box():
         assert problem._samples_in_box, name
         x = problem.sample_uniform(ExtremeDraws(), 4)
         assert ((x >= problem.lower) & (x <= problem.upper)).all(), name
-        assert x.tobytes() == problem.snap_to_grid(x).tobytes(), name
+        assert x.tobytes() == problem._snap(np.array(x, dtype=float)).tobytes(), name
 
 
 def test_a_short_continuous_box_is_proven():
