@@ -10,6 +10,13 @@ Two suites are registered:
   ("Stochastic ranking for constrained evolutionary optimization", IEEE
   TEC 4(3), 2000) and used by Toscano Pulido & Coello Coello (CEC 2004).
 
+Each problem is one term kernel (see :class:`~cpso.problem.Problem`):
+it unpacks the columns once and computes each subexpression that several
+functions share once, in the operation order of the formula as written,
+so every function keeps its bits.  The objective is skipped for
+``first=1``.  Kernels that reduce along a row first make ``x``
+C-contiguous, as NumPy's row sums and products follow the memory layout.
+
 Maximization problems are stored in minimization form.  A double-sided
 constraint ``a <= expr <= b`` is one function ``max(expr - b, a - expr)``
 and counted once: g04 and Himmelblau's problem have 3 inequalities and
@@ -52,46 +59,35 @@ class SuiteEntry:
     optimum_position: Optional[np.ndarray] = None
 
 
-def _interval(expr, low, high):
-    """One constraint for ``low <= expr(x) <= high``."""
-
-    def g(x):
-        e = expr(x)
-        return np.maximum(e - high, low - e)
-
-    return g
-
-
 # ----------------------------------------------------------------- engineering
 
 
 def _pressure_vessel(name: str, mixed: bool) -> SuiteEntry:
     # x = (shell thickness, head thickness, inner radius, cylinder length)
-    def f(x):
+    def terms(x, first):
         x1, x2, x3, x4 = x.T
-        return (
-            0.6224 * x1 * x3 * x4
-            + 1.7781 * x2 * x3**2
-            + 3.1661 * x1**2 * x4
-            + 19.84 * x1**2 * x3
-        )
+        out = np.empty((4, len(x)))
+        x3_2 = x3**2
+        if not first:
+            x1_2 = x1**2
+            out[0] = (
+                0.6224 * x1 * x3 * x4
+                + 1.7781 * x2 * x3_2
+                + 3.1661 * x1_2 * x4
+                + 19.84 * x1_2 * x3
+            )
+        out[1] = -x1 + 0.0193 * x3
+        out[2] = -x2 + 0.00954 * x3
+        out[3] = -np.pi * x3_2 * x4 - (4.0 / 3.0) * np.pi * (x3_2 * x3) + 1296000.0
+        return out[first:]
 
-    def g3(x):
-        r = x[:, 2]
-        return -np.pi * r**2 * x[:, 3] - (4.0 / 3.0) * np.pi * (r * r * r) + 1296000.0
-
-    gs = (
-        lambda x: -x[:, 0] + 0.0193 * x[:, 2],
-        lambda x: -x[:, 1] + 0.00954 * x[:, 2],
-        g3,
-    )
     steps = np.array([0.0625, 0.0625, np.nan, np.nan]) if mixed else None
     problem = Problem(
         name=name,
         lower=np.array([0.0625, 0.0625, 10.0, 10.0]),
         upper=np.array([99.0, 99.0, 200.0, 200.0]),
-        objective=f,
-        inequalities=gs,
+        terms=terms,
+        n_inequalities=3,
         grid_steps=steps,
     )
     return SuiteEntry(
@@ -112,47 +108,45 @@ def _welded_beam() -> SuiteEntry:
     P, L, E, G = 6000.0, 14.0, 30e6, 12e6
     tau_max, sigma_max, delta_max = 13600.0, 30000.0, 0.25
 
-    def _tau(x):
-        x1, x2, x3, _ = x.T
-        tau1 = P / (np.sqrt(2.0) * x1 * x2)
-        M = P * (L + x2 / 2.0)
-        R = np.sqrt(x2**2 / 4.0 + ((x1 + x3) / 2.0) ** 2)
-        J = 2.0 * (np.sqrt(2.0) * x1 * x2 * (x2**2 / 12.0 + ((x1 + x3) / 2.0) ** 2))
-        tau2 = M * R / J
+    def shear(x1, x2, x3):
+        # Primary tau1 and torsional tau2; a function of its own, so that
+        # its temporaries are freed before the other terms are computed.
+        x2_2 = x2**2
+        weld = np.sqrt(2.0) * x1 * x2
+        half = ((x1 + x3) / 2.0) ** 2
+        R = np.sqrt(x2_2 / 4.0 + half)
+        J = 2.0 * (weld * (x2_2 / 12.0 + half))
+        tau1 = P / weld
+        tau2 = P * (L + x2 / 2.0) * R / J  # M * R / J, moment M
         return np.sqrt(tau1**2 + 2.0 * tau1 * tau2 * x2 / (2.0 * R) + tau2**2)
 
-    def f(x):
+    def terms(x, first):
         x1, x2, x3, x4 = x.T
-        return 1.10471 * x1**2 * x2 + 0.04811 * x3 * x4 * (L + x2)
-
-    def _pc(x):
-        _, _, x3, x4 = x.T
+        out = np.empty((8, len(x)))
+        out[1] = shear(x1, x2, x3) - tau_max
+        x1_2, x3_2 = x1**2, x3**2
+        cost = 0.04811 * x3 * x4 * (L + x2)
+        if not first:
+            out[0] = 1.10471 * x1_2 * x2 + cost
+        out[2] = P * 6.0 * L / (x4 * x3_2) - sigma_max
+        out[3] = x1 - x4
+        out[4] = 0.10471 * x1_2 + cost - 5.0
+        out[5] = 0.125 - x1
+        out[6] = 4.0 * P * L**3 / (E * (x3_2 * x3) * x4) - delta_max
+        # Buckling load.
         b2 = x4 * x4
-        return (4.013 * E * np.sqrt(x3**2 * (b2 * b2 * b2) / 36.0) / L**2) * (
+        pc = (4.013 * E * np.sqrt(x3_2 * (b2 * b2 * b2) / 36.0) / L**2) * (
             1.0 - x3 / (2.0 * L) * np.sqrt(E / (4.0 * G))
         )
+        out[7] = P - pc
+        return out[first:]
 
-    def _deflection(x):
-        t = x[:, 2]
-        return 4.0 * P * L**3 / (E * (t * t * t) * x[:, 3]) - delta_max
-
-    gs = (
-        lambda x: _tau(x) - tau_max,
-        lambda x: P * 6.0 * L / (x[:, 3] * x[:, 2] ** 2) - sigma_max,
-        lambda x: x[:, 0] - x[:, 3],
-        lambda x: 0.10471 * x[:, 0] ** 2
-        + 0.04811 * x[:, 2] * x[:, 3] * (L + x[:, 1])
-        - 5.0,
-        lambda x: 0.125 - x[:, 0],
-        _deflection,
-        lambda x: P - _pc(x),
-    )
     problem = Problem(
         name="welded-beam",
         lower=np.array([0.1, 0.1, 0.1, 0.1]),
         upper=np.array([2.0, 10.0, 10.0, 2.0]),
-        objective=f,
-        inequalities=gs,
+        terms=terms,
+        n_inequalities=7,
     )
     return SuiteEntry(
         problem=problem,
@@ -167,36 +161,29 @@ def _welded_beam() -> SuiteEntry:
 
 def _spring() -> SuiteEntry:
     # x = (wire diameter d, mean coil diameter D, active coil count N)
-    def f(x):
+    def terms(x, first):
         d, D, N = x.T
-        return (N + 2.0) * D * d**2
-
-    def g1(x):
-        d, D, N = x.T
-        d2 = d * d
-        return 1.0 - (D * D * D) * N / (71785.0 * (d2 * d2))
-
-    def g2(x):
-        d, D, _ = x.T
-        d2 = d * d
-        return (
-            (4.0 * D**2 - d * D) / (12566.0 * (D * (d2 * d) - d2 * d2))
-            + 1.0 / (5108.0 * d**2)
+        out = np.empty((5, len(x)))
+        d2, D2 = d * d, D**2
+        d4 = d2 * d2
+        if not first:
+            out[0] = (N + 2.0) * D * d2
+        out[1] = 1.0 - (D2 * D) * N / (71785.0 * d4)
+        out[2] = (
+            (4.0 * D2 - d * D) / (12566.0 * (D * (d2 * d) - d4))
+            + 1.0 / (5108.0 * d2)
             - 1.0
         )
+        out[3] = 1.0 - 140.45 * d / (D2 * N)
+        out[4] = (d + D) / 1.5 - 1.0
+        return out[first:]
 
-    gs = (
-        g1,
-        g2,
-        lambda x: 1.0 - 140.45 * x[:, 0] / (x[:, 1] ** 2 * x[:, 2]),
-        lambda x: (x[:, 0] + x[:, 1]) / 1.5 - 1.0,
-    )
     problem = Problem(
         name="spring",
         lower=np.array([0.05, 0.25, 2.0]),
         upper=np.array([2.0, 1.3, 15.0]),
-        objective=f,
-        inequalities=gs,
+        terms=terms,
+        n_inequalities=4,
     )
     return SuiteEntry(
         problem=problem,
@@ -224,27 +211,31 @@ def _himmelblau() -> SuiteEntry:
 
 
 def _g01() -> SuiteEntry:
-    def f(x):
-        return (
-            5.0 * x[:, :4].sum(axis=1)
-            - 5.0 * (x[:, :4] ** 2).sum(axis=1)
-            - x[:, 4:13].sum(axis=1)
-        )
+    def terms(x, first):
+        x = np.ascontiguousarray(x)
+        out = np.empty((10, len(x)))
+        if not first:
+            out[0] = (
+                5.0 * x[:, :4].sum(axis=1)
+                - 5.0 * (x[:, :4] ** 2).sum(axis=1)
+                - x[:, 4:13].sum(axis=1)
+            )
+        x1, x2, x3, x4, x5, x6, x7, x8, x9, x10, x11, x12, _ = x.T
+        twice1, twice2, twice3 = 2 * x1, 2 * x2, 2 * x3
+        out[1] = twice1 + twice2 + x10 + x11 - 10
+        out[2] = twice1 + twice3 + x10 + x12 - 10
+        out[3] = twice2 + twice3 + x11 + x12 - 10
+        out[4] = -8 * x1 + x10
+        out[5] = -8 * x2 + x11
+        out[6] = -8 * x3 + x12
+        out[7] = -2 * x4 - x5 + x10
+        out[8] = -2 * x6 - x7 + x11
+        out[9] = -2 * x8 - x9 + x12
+        return out[first:]
 
-    gs = (
-        lambda x: 2 * x[:, 0] + 2 * x[:, 1] + x[:, 9] + x[:, 10] - 10,
-        lambda x: 2 * x[:, 0] + 2 * x[:, 2] + x[:, 9] + x[:, 11] - 10,
-        lambda x: 2 * x[:, 1] + 2 * x[:, 2] + x[:, 10] + x[:, 11] - 10,
-        lambda x: -8 * x[:, 0] + x[:, 9],
-        lambda x: -8 * x[:, 1] + x[:, 10],
-        lambda x: -8 * x[:, 2] + x[:, 11],
-        lambda x: -2 * x[:, 3] - x[:, 4] + x[:, 9],
-        lambda x: -2 * x[:, 5] - x[:, 6] + x[:, 10],
-        lambda x: -2 * x[:, 7] - x[:, 8] + x[:, 11],
-    )
     lower = np.zeros(13)
     upper = np.array([1.0] * 9 + [100.0] * 3 + [1.0])
-    problem = Problem("g01", lower, upper, f, inequalities=gs)
+    problem = Problem("g01", lower, upper, terms, n_inequalities=9)
     x_star = np.array([1.0] * 9 + [3.0] * 3 + [1.0])
     return SuiteEntry(
         problem, "g-suite",
@@ -259,18 +250,20 @@ def _g02() -> SuiteEntry:
     weights = np.arange(1.0, n + 1.0)
     weights.flags.writeable = False
 
-    def f(x):
-        c = np.cos(x)
-        c2 = c * c
-        num = (c2 * c2).sum(axis=1) - 2.0 * c2.prod(axis=1)
-        den = np.sqrt((weights * x**2).sum(axis=1))
-        return -np.abs(num / den)
+    def terms(x, first):
+        x = np.ascontiguousarray(x)
+        out = np.empty((3, len(x)))
+        if not first:
+            c = np.cos(x)
+            c2 = c * c
+            num = (c2 * c2).sum(axis=1) - 2.0 * c2.prod(axis=1)
+            den = np.sqrt((weights * x**2).sum(axis=1))
+            out[0] = -np.abs(num / den)
+        out[1] = 0.75 - x.prod(axis=1)
+        out[2] = x.sum(axis=1) - 7.5 * n
+        return out[first:]
 
-    gs = (
-        lambda x: 0.75 - x.prod(axis=1),
-        lambda x: x.sum(axis=1) - 7.5 * n,
-    )
-    problem = Problem("g02", np.zeros(n), np.full(n, 10.0), f, inequalities=gs)
+    problem = Problem("g02", np.zeros(n), np.full(n, 10.0), terms, n_inequalities=2)
     x_star = np.array([
         3.162460842, 3.128330867, 3.094792006, 3.061450527, 3.027929784,
         2.993826197, 2.958668753, 2.921843078, 0.494825115, 0.488358210,
@@ -289,11 +282,15 @@ def _g03() -> SuiteEntry:
     n = 10
     scale = np.sqrt(n) ** n
 
-    def f(x):
-        return -scale * x.prod(axis=1)
+    def terms(x, first):
+        x = np.ascontiguousarray(x)
+        out = np.empty((2, len(x)))
+        if not first:
+            out[0] = -scale * x.prod(axis=1)
+        out[1] = (x**2).sum(axis=1) - 1.0
+        return out[first:]
 
-    hs = (lambda x: (x**2).sum(axis=1) - 1.0,)
-    problem = Problem("g03", np.zeros(n), np.ones(n), f, equalities=hs)
+    problem = Problem("g03", np.zeros(n), np.ones(n), terms, n_equalities=1)
     x_star = np.full(n, 1.0 / np.sqrt(n))
     return SuiteEntry(
         problem, "g-suite",
@@ -307,39 +304,23 @@ def _g04_form(name: str, a14: float) -> Problem:
     """g04's objective, constraints and box, with ``a14`` the coefficient
     of ``x1 * x4`` in the first constraint (three double-sided ones)."""
 
-    def f(x):
-        x1, _, x3, _, x5 = x.T
-        return (
-            5.3578547 * x3**2 + 0.8356891 * x1 * x5 + 37.293239 * x1 - 40792.141
-        )
+    def terms(x, first):
+        x1, x2, x3, x4, x5 = x.T
+        out = np.empty((4, len(x)))
+        x3_2 = x3**2
+        if not first:
+            out[0] = 5.3578547 * x3_2 + 0.8356891 * x1 * x5 + 37.293239 * x1 - 40792.141
+        e = 85.334407 + 0.0056858 * x2 * x5 + a14 * x1 * x4 - 0.0022053 * x3 * x5
+        np.maximum(e - 92.0, 0.0 - e, out=out[1])
+        e = 80.51249 + 0.0071317 * x2 * x5 + 0.0029955 * x1 * x2 + 0.0021813 * x3_2
+        np.maximum(e - 110.0, 90.0 - e, out=out[2])
+        e = 9.300961 + 0.0047026 * x3 * x5 + 0.0012547 * x1 * x3 + 0.0019085 * x3 * x4
+        np.maximum(e - 25.0, 20.0 - e, out=out[3])
+        return out[first:]
 
-    g1 = _interval(
-        lambda x: 85.334407
-        + 0.0056858 * x[:, 1] * x[:, 4]
-        + a14 * x[:, 0] * x[:, 3]
-        - 0.0022053 * x[:, 2] * x[:, 4],
-        0.0,
-        92.0,
-    )
-    g2 = _interval(
-        lambda x: 80.51249
-        + 0.0071317 * x[:, 1] * x[:, 4]
-        + 0.0029955 * x[:, 0] * x[:, 1]
-        + 0.0021813 * x[:, 2] ** 2,
-        90.0,
-        110.0,
-    )
-    g3 = _interval(
-        lambda x: 9.300961
-        + 0.0047026 * x[:, 2] * x[:, 4]
-        + 0.0012547 * x[:, 0] * x[:, 2]
-        + 0.0019085 * x[:, 2] * x[:, 3],
-        20.0,
-        25.0,
-    )
     lower = np.array([78.0, 33.0, 27.0, 27.0, 27.0])
     upper = np.array([102.0, 45.0, 45.0, 45.0, 45.0])
-    return Problem(name, lower, upper, f, inequalities=(g1, g2, g3))
+    return Problem(name, lower, upper, terms, n_inequalities=3)
 
 
 def _g04() -> SuiteEntry:
@@ -353,32 +334,26 @@ def _g04() -> SuiteEntry:
 
 
 def _g05() -> SuiteEntry:
-    def f(x):
-        x1, x2 = x[:, 0], x[:, 1]
-        return (
-            3.0 * x1
-            + 1e-6 * (x1 * x1 * x1)
-            + 2.0 * x2
-            + (2e-6 / 3.0) * (x2 * x2 * x2)
-        )
+    def terms(x, first):
+        x1, x2, x3, x4 = x.T
+        out = np.empty((5, len(x)))
+        if not first:
+            out[0] = (
+                3.0 * x1
+                + 1e-6 * (x1 * x1 * x1)
+                + 2.0 * x2
+                + (2e-6 / 3.0) * (x2 * x2 * x2)
+            )
+        e = x3 - x4
+        np.maximum(e - 0.55, -0.55 - e, out=out[1])
+        out[2] = 1000.0 * np.sin(-x3 - 0.25) + 1000.0 * np.sin(-x4 - 0.25) + 894.8 - x1
+        out[3] = 1000.0 * np.sin(x3 - 0.25) + 1000.0 * np.sin(x3 - x4 - 0.25) + 894.8 - x2
+        out[4] = 1000.0 * np.sin(x4 - 0.25) + 1000.0 * np.sin(x4 - x3 - 0.25) + 1294.8
+        return out[first:]
 
-    g1 = _interval(lambda x: x[:, 2] - x[:, 3], -0.55, 0.55)
-    hs = (
-        lambda x: 1000.0 * np.sin(-x[:, 2] - 0.25)
-        + 1000.0 * np.sin(-x[:, 3] - 0.25)
-        + 894.8
-        - x[:, 0],
-        lambda x: 1000.0 * np.sin(x[:, 2] - 0.25)
-        + 1000.0 * np.sin(x[:, 2] - x[:, 3] - 0.25)
-        + 894.8
-        - x[:, 1],
-        lambda x: 1000.0 * np.sin(x[:, 3] - 0.25)
-        + 1000.0 * np.sin(x[:, 3] - x[:, 2] - 0.25)
-        + 1294.8,
-    )
     lower = np.array([0.0, 0.0, -0.55, -0.55])
     upper = np.array([1200.0, 1200.0, 0.55, 0.55])
-    problem = Problem("g05", lower, upper, f, inequalities=(g1,), equalities=hs)
+    problem = Problem("g05", lower, upper, terms, n_inequalities=1, n_equalities=3)
     x_star = np.array([679.945148297, 1026.06697600, 0.118876369094, -0.396233485215])
     return SuiteEntry(
         problem, "g-suite",
@@ -389,17 +364,20 @@ def _g05() -> SuiteEntry:
 
 
 def _g06() -> SuiteEntry:
-    def f(x):
-        a = x[:, 0] - 10.0
-        b = x[:, 1] - 20.0
-        return a * a * a + b * b * b
+    def terms(x, first):
+        x1, x2 = x[:, 0], x[:, 1]
+        out = np.empty((3, len(x)))
+        if not first:
+            a = x1 - 10.0
+            b = x2 - 20.0
+            out[0] = a * a * a + b * b * b
+        b5 = (x2 - 5.0) ** 2
+        out[1] = -((x1 - 5.0) ** 2) - b5 + 100.0
+        out[2] = (x1 - 6.0) ** 2 + b5 - 82.81
+        return out[first:]
 
-    gs = (
-        lambda x: -((x[:, 0] - 5.0) ** 2) - (x[:, 1] - 5.0) ** 2 + 100.0,
-        lambda x: (x[:, 0] - 6.0) ** 2 + (x[:, 1] - 5.0) ** 2 - 82.81,
-    )
     problem = Problem(
-        "g06", np.array([13.0, 0.0]), np.array([100.0, 100.0]), f, inequalities=gs
+        "g06", np.array([13.0, 0.0]), np.array([100.0, 100.0]), terms, n_inequalities=2
     )
     x_star = np.array([14.095, 0.84296079])
     return SuiteEntry(
@@ -411,43 +389,29 @@ def _g06() -> SuiteEntry:
 
 
 def _g07() -> SuiteEntry:
-    def f(x):
+    def terms(x, first):
         x1, x2, x3, x4, x5, x6, x7, x8, x9, x10 = x.T
-        return (
-            x1**2 + x2**2 + x1 * x2 - 14 * x1 - 16 * x2
-            + (x3 - 10) ** 2 + 4 * (x4 - 5) ** 2 + (x5 - 3) ** 2
-            + 2 * (x6 - 1) ** 2 + 5 * x7**2 + 7 * (x8 - 11) ** 2
-            + 2 * (x9 - 10) ** 2 + (x10 - 7) ** 2 + 45
-        )
+        out = np.empty((9, len(x)))
+        x1_2 = x1**2
+        if not first:
+            out[0] = (
+                x1_2 + x2**2 + x1 * x2 - 14 * x1 - 16 * x2
+                + (x3 - 10) ** 2 + 4 * (x4 - 5) ** 2 + (x5 - 3) ** 2
+                + 2 * (x6 - 1) ** 2 + 5 * x7**2 + 7 * (x8 - 11) ** 2
+                + 2 * (x9 - 10) ** 2 + (x10 - 7) ** 2 + 45
+            )
+        out[1] = -105 + 4 * x1 + 5 * x2 - 3 * x7 + 9 * x8
+        out[2] = 10 * x1 - 8 * x2 - 17 * x7 + 2 * x8
+        out[3] = -8 * x1 + 2 * x2 + 5 * x9 - 2 * x10 - 12
+        out[4] = 3 * (x1 - 2) ** 2 + 4 * (x2 - 3) ** 2 + 2 * x3**2 - 7 * x4 - 120
+        out[5] = 5 * x1_2 + 8 * x2 + (x3 - 6) ** 2 - 2 * x4 - 40
+        out[6] = x1_2 + 2 * (x2 - 2) ** 2 - 2 * x1 * x2 + 14 * x5 - 6 * x6
+        out[7] = 0.5 * (x1 - 8) ** 2 + 2 * (x2 - 4) ** 2 + 3 * x5**2 - x6 - 30
+        out[8] = -3 * x1 + 6 * x2 + 12 * (x9 - 8) ** 2 - 7 * x10
+        return out[first:]
 
-    gs = (
-        lambda x: -105 + 4 * x[:, 0] + 5 * x[:, 1] - 3 * x[:, 6] + 9 * x[:, 7],
-        lambda x: 10 * x[:, 0] - 8 * x[:, 1] - 17 * x[:, 6] + 2 * x[:, 7],
-        lambda x: -8 * x[:, 0] + 2 * x[:, 1] + 5 * x[:, 8] - 2 * x[:, 9] - 12,
-        lambda x: 3 * (x[:, 0] - 2) ** 2
-        + 4 * (x[:, 1] - 3) ** 2
-        + 2 * x[:, 2] ** 2
-        - 7 * x[:, 3]
-        - 120,
-        lambda x: 5 * x[:, 0] ** 2
-        + 8 * x[:, 1]
-        + (x[:, 2] - 6) ** 2
-        - 2 * x[:, 3]
-        - 40,
-        lambda x: x[:, 0] ** 2
-        + 2 * (x[:, 1] - 2) ** 2
-        - 2 * x[:, 0] * x[:, 1]
-        + 14 * x[:, 4]
-        - 6 * x[:, 5],
-        lambda x: 0.5 * (x[:, 0] - 8) ** 2
-        + 2 * (x[:, 1] - 4) ** 2
-        + 3 * x[:, 4] ** 2
-        - x[:, 5]
-        - 30,
-        lambda x: -3 * x[:, 0] + 6 * x[:, 1] + 12 * (x[:, 8] - 8) ** 2 - 7 * x[:, 9],
-    )
     problem = Problem(
-        "g07", np.full(10, -10.0), np.full(10, 10.0), f, inequalities=gs
+        "g07", np.full(10, -10.0), np.full(10, 10.0), terms, n_inequalities=8
     )
     x_star = np.array([
         2.171996, 2.363683, 8.773926, 5.095984, 0.990655,
@@ -462,20 +426,22 @@ def _g07() -> SuiteEntry:
 
 
 def _g08() -> SuiteEntry:
-    def f(x):
+    def terms(x, first):
         x1, x2 = x[:, 0], x[:, 1]
-        s = np.sin(2 * np.pi * x1)
-        return -(s * s * s * np.sin(2 * np.pi * x2)) / (x1 * x1 * x1 * (x1 + x2))
+        out = np.empty((3, len(x)))
+        x1_2 = x1**2
+        if not first:
+            s = np.sin(2 * np.pi * x1)
+            out[0] = -(s * s * s * np.sin(2 * np.pi * x2)) / (x1_2 * x1 * (x1 + x2))
+        out[1] = x1_2 - x2 + 1.0
+        out[2] = 1.0 - x1 + (x2 - 4.0) ** 2
+        return out[first:]
 
-    gs = (
-        lambda x: x[:, 0] ** 2 - x[:, 1] + 1.0,
-        lambda x: 1.0 - x[:, 0] + (x[:, 1] - 4.0) ** 2,
-    )
     # The objective is singular at x1 = 0; the open interval (0, 10) is
     # realized with a tiny positive lower bound so every in-box point
     # evaluates to a finite value.
     problem = Problem(
-        "g08", np.full(2, 1e-6), np.full(2, 10.0), f, inequalities=gs
+        "g08", np.full(2, 1e-6), np.full(2, 10.0), terms, n_inequalities=2
     )
     x_star = np.array([1.22797135260752599, 4.24537336612274885])
     return SuiteEntry(
@@ -487,48 +453,25 @@ def _g08() -> SuiteEntry:
 
 
 def _g09() -> SuiteEntry:
-    def f(x):
+    def terms(x, first):
         x1, x2, x3, x4, x5, x6, x7 = x.T
-        x3_2, x5_2, x7_2 = x3 * x3, x5 * x5, x7 * x7
-        return (
-            (x1 - 10) ** 2 + 5 * (x2 - 12) ** 2 + x3_2 * x3_2 + 3 * (x4 - 11) ** 2
-            + 10 * (x5_2 * x5_2 * x5_2) + 7 * x6**2 + x7_2 * x7_2
-            - 4 * x6 * x7 - 10 * x6 - 8 * x7
-        )
+        out = np.empty((5, len(x)))
+        x1_2, x2_2, x3_2, x6_2 = x1**2, x2 * x2, x3 * x3, x6**2
+        if not first:
+            x5_2, x7_2 = x5 * x5, x7 * x7
+            out[0] = (
+                (x1 - 10) ** 2 + 5 * (x2 - 12) ** 2 + x3_2 * x3_2 + 3 * (x4 - 11) ** 2
+                + 10 * (x5_2 * x5_2 * x5_2) + 7 * x6_2 + x7_2 * x7_2
+                - 4 * x6 * x7 - 10 * x6 - 8 * x7
+            )
+        out[1] = -127 + 2 * x1_2 + 3 * (x2_2 * x2_2) + x3 + 4 * x4**2 + 5 * x5
+        out[2] = -282 + 7 * x1 + 3 * x2 + 10 * x3_2 + x4 - x5
+        out[3] = -196 + 23 * x1 + x2_2 + 6 * x6_2 - 8 * x7
+        out[4] = 4 * x1_2 + x2_2 - 3 * x1 * x2 + 2 * x3_2 + 5 * x6 - 11 * x7
+        return out[first:]
 
-    def g1(x):
-        x2_2 = x[:, 1] * x[:, 1]
-        return (
-            -127
-            + 2 * x[:, 0] ** 2
-            + 3 * (x2_2 * x2_2)
-            + x[:, 2]
-            + 4 * x[:, 3] ** 2
-            + 5 * x[:, 4]
-        )
-
-    gs = (
-        g1,
-        lambda x: -282
-        + 7 * x[:, 0]
-        + 3 * x[:, 1]
-        + 10 * x[:, 2] ** 2
-        + x[:, 3]
-        - x[:, 4],
-        lambda x: -196
-        + 23 * x[:, 0]
-        + x[:, 1] ** 2
-        + 6 * x[:, 5] ** 2
-        - 8 * x[:, 6],
-        lambda x: 4 * x[:, 0] ** 2
-        + x[:, 1] ** 2
-        - 3 * x[:, 0] * x[:, 1]
-        + 2 * x[:, 2] ** 2
-        + 5 * x[:, 5]
-        - 11 * x[:, 6],
-    )
     problem = Problem(
-        "g09", np.full(7, -10.0), np.full(7, 10.0), f, inequalities=gs
+        "g09", np.full(7, -10.0), np.full(7, 10.0), terms, n_inequalities=4
     )
     x_star = np.array([
         2.330499, 1.951372, -0.477541, 4.365726, -0.624487, 1.038131, 1.594227,
@@ -542,29 +485,22 @@ def _g09() -> SuiteEntry:
 
 
 def _g10() -> SuiteEntry:
-    def f(x):
-        return x[:, 0] + x[:, 1] + x[:, 2]
+    def terms(x, first):
+        x1, x2, x3, x4, x5, x6, x7, x8 = x.T
+        out = np.empty((7, len(x)))
+        if not first:
+            out[0] = x1 + x2 + x3
+        out[1] = -1.0 + 0.0025 * (x4 + x6)
+        out[2] = -1.0 + 0.0025 * (x5 + x7 - x4)
+        out[3] = -1.0 + 0.01 * (x8 - x5)
+        out[4] = -x1 * x6 + 833.33252 * x4 + 100.0 * x1 - 83333.333
+        out[5] = -x2 * x7 + 1250.0 * x5 + x2 * x4 - 1250.0 * x4
+        out[6] = -x3 * x8 + 1250000.0 + x3 * x5 - 2500.0 * x5
+        return out[first:]
 
-    gs = (
-        lambda x: -1.0 + 0.0025 * (x[:, 3] + x[:, 5]),
-        lambda x: -1.0 + 0.0025 * (x[:, 4] + x[:, 6] - x[:, 3]),
-        lambda x: -1.0 + 0.01 * (x[:, 7] - x[:, 4]),
-        lambda x: -x[:, 0] * x[:, 5]
-        + 833.33252 * x[:, 3]
-        + 100.0 * x[:, 0]
-        - 83333.333,
-        lambda x: -x[:, 1] * x[:, 6]
-        + 1250.0 * x[:, 4]
-        + x[:, 1] * x[:, 3]
-        - 1250.0 * x[:, 3],
-        lambda x: -x[:, 2] * x[:, 7]
-        + 1250000.0
-        + x[:, 2] * x[:, 4]
-        - 2500.0 * x[:, 4],
-    )
     lower = np.array([100.0, 1000.0, 1000.0] + [10.0] * 5)
     upper = np.array([10000.0] * 3 + [1000.0] * 5)
-    problem = Problem("g10", lower, upper, f, inequalities=gs)
+    problem = Problem("g10", lower, upper, terms, n_inequalities=6)
     x_star = np.array([
         579.306685018, 1359.97067807, 5109.97065743,
         182.017699631, 295.601173703, 217.982300369,
@@ -579,13 +515,16 @@ def _g10() -> SuiteEntry:
 
 
 def _g11() -> SuiteEntry:
-    def f(x):
-        return x[:, 0] ** 2 + (x[:, 1] - 1.0) ** 2
+    def terms(x, first):
+        x1, x2 = x[:, 0], x[:, 1]
+        out = np.empty((2, len(x)))
+        x1_2 = x1**2
+        if not first:
+            out[0] = x1_2 + (x2 - 1.0) ** 2
+        out[1] = x2 - x1_2
+        return out[first:]
 
-    hs = (lambda x: x[:, 1] - x[:, 0] ** 2,)
-    problem = Problem(
-        "g11", np.full(2, -1.0), np.ones(2), f, equalities=hs
-    )
+    problem = Problem("g11", np.full(2, -1.0), np.ones(2), terms, n_equalities=1)
     x_star = np.array([1.0 / np.sqrt(2.0), 0.5])
     return SuiteEntry(
         problem, "g-suite",
@@ -600,18 +539,17 @@ def _g12() -> SuiteEntry:
     # integer grid {1..9}^3.  Membership in the nearest sphere decides
     # feasibility, so the whole family collapses to one stepwise
     # constraint whose violation grades by distance to the nearest sphere.
-    def f(x):
-        return -(
-            100.0 - (x[:, 0] - 5.0) ** 2 - (x[:, 1] - 5.0) ** 2 - (x[:, 2] - 5.0) ** 2
-        ) / 100.0
-
-    def g(x):
+    def terms(x, first):
+        x = np.ascontiguousarray(x)
+        out = np.empty((2, len(x)))
+        if not first:
+            x1, x2, x3 = x.T
+            out[0] = -(100.0 - (x1 - 5.0) ** 2 - (x2 - 5.0) ** 2 - (x3 - 5.0) ** 2) / 100.0
         centers = np.clip(np.round(x), 1.0, 9.0)
-        return ((x - centers) ** 2).sum(axis=1) - 0.0625
+        out[1] = ((x - centers) ** 2).sum(axis=1) - 0.0625
+        return out[first:]
 
-    problem = Problem(
-        "g12", np.zeros(3), np.full(3, 10.0), f, inequalities=(g,)
-    )
+    problem = Problem("g12", np.zeros(3), np.full(3, 10.0), terms, n_inequalities=1)
     x_star = np.array([5.0, 5.0, 5.0])
     return SuiteEntry(
         problem, "g-suite",
@@ -622,17 +560,20 @@ def _g12() -> SuiteEntry:
 
 
 def _g13() -> SuiteEntry:
-    def f(x):
-        return np.exp(x.prod(axis=1))
+    def terms(x, first):
+        x = np.ascontiguousarray(x)
+        x1, x2, x3, x4, x5 = x.T
+        out = np.empty((4, len(x)))
+        if not first:
+            out[0] = np.exp(x.prod(axis=1))
+        out[1] = (x**2).sum(axis=1) - 10.0
+        out[2] = x2 * x3 - 5.0 * x4 * x5
+        out[3] = x1 * x1 * x1 + x2 * x2 * x2 + 1.0
+        return out[first:]
 
-    hs = (
-        lambda x: (x**2).sum(axis=1) - 10.0,
-        lambda x: x[:, 1] * x[:, 2] - 5.0 * x[:, 3] * x[:, 4],
-        lambda x: x[:, 0] * x[:, 0] * x[:, 0] + x[:, 1] * x[:, 1] * x[:, 1] + 1.0,
-    )
     lower = np.array([-2.3, -2.3, -3.2, -3.2, -3.2])
     upper = np.array([2.3, 2.3, 3.2, 3.2, 3.2])
-    problem = Problem("g13", lower, upper, f, equalities=hs)
+    problem = Problem("g13", lower, upper, terms, n_equalities=3)
     x_star = np.array([
         -1.717143, 1.595709, 1.827247, -0.7636413, -0.763645,
     ])

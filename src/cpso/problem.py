@@ -6,8 +6,12 @@ constraints (satisfied when ``g(x) <= 0``) and equality constraints
 inequality terms and charged into the violation aggregate, so points
 outside the box are legal inputs to :func:`evaluate_batch`.
 
-All constraint and objective callables are vectorized: they accept an
-array of shape ``(m, n)`` and return shape ``(m,)``.
+A problem's functions are one vectorized term kernel, ``terms(x, first)``:
+for a batch ``x`` of shape ``(m, n)`` it returns the function-major block
+of shape ``(1 + q + e - first, m)``, one row per function in the order
+objective, inequality 0.., equality 0.., from function ``first`` on, so
+``first=1`` skips the objective.  :meth:`Problem.from_functions` builds
+the kernel of separate ``(m, n) -> (m,)`` callables.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 
 Vectorized = Callable[[np.ndarray], np.ndarray]
+Terms = Callable[[np.ndarray, int], np.ndarray]
 
 
 class EvaluationFault(RuntimeError):
@@ -49,12 +54,16 @@ class Problem:
         Registry identifier.
     lower, upper : ndarray
         Box bounds, ``lower < upper`` elementwise.
-    objective : callable
-        Vectorized conflict function, ``(m, n) -> (m,)``.
-    inequalities : sequence of callables
-        Each satisfied when ``g(x) <= 0``.
-    equalities : sequence of callables
-        Each satisfied when ``g(x) == 0``.
+    terms : callable
+        The term kernel ``terms(x, first)``: the conflict (objective),
+        then the inequalities, each satisfied when ``g(x) <= 0``, then
+        the equalities, each satisfied when ``g(x) == 0``, as a new
+        function-major ``(1 + q + e - first, m)`` float block from
+        function ``first`` (0 or 1) on.  It neither writes to ``x`` nor
+        returns memory shared with it, and its bits do not depend on the
+        memory layout of ``x``.
+    n_inequalities, n_equalities : int
+        The counts q and e of the kernel's inequality and equality rows.
     grid_steps : ndarray or None
         Per-dimension step for discrete dimensions, NaN for continuous
         ones.  None means all dimensions are continuous.
@@ -65,9 +74,9 @@ class Problem:
     name: str
     lower: np.ndarray
     upper: np.ndarray
-    objective: Vectorized
-    inequalities: tuple = ()
-    equalities: tuple = ()
+    terms: Terms
+    n_inequalities: int = 0
+    n_equalities: int = 0
     grid_steps: Optional[np.ndarray] = None
     known_optimum: Optional[float] = None
 
@@ -79,8 +88,6 @@ class Problem:
         upper = _read_only(np.array(self.upper, dtype=float))
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
-        object.__setattr__(self, "inequalities", tuple(self.inequalities))
-        object.__setattr__(self, "equalities", tuple(self.equalities))
         if lower.shape != upper.shape or lower.ndim != 1:
             raise ValueError("bounds must be 1-D arrays of equal length")
         if not np.all(lower < upper):
@@ -97,17 +104,33 @@ class Problem:
             if np.any(spans < steps[mask]):
                 raise ValueError("discrete dimensions need >= 2 grid values")
 
+    @classmethod
+    def from_functions(
+        cls,
+        name: str,
+        lower: np.ndarray,
+        upper: np.ndarray,
+        objective: Vectorized,
+        inequalities: tuple = (),
+        equalities: tuple = (),
+        **kwargs,
+    ) -> "Problem":
+        """A problem whose functions are separate vectorized callables,
+        ``(m, n) -> (m,)``, joined into one term kernel that calls each
+        of them once per batch."""
+        functions = (objective, *inequalities, *equalities)
+
+        def terms(x, first):
+            raw = np.empty((len(functions) - first, len(x)))
+            for k, f in enumerate(functions[first:]):
+                raw[k] = f(x)
+            return raw
+
+        return cls(name, lower, upper, terms, len(inequalities), len(equalities), **kwargs)
+
     @property
     def dimension(self) -> int:
         return self.lower.size
-
-    @property
-    def n_inequalities(self) -> int:
-        return len(self.inequalities)
-
-    @property
-    def n_equalities(self) -> int:
-        return len(self.equalities)
 
     @functools.cached_property
     def span(self) -> np.ndarray:
@@ -312,8 +335,8 @@ def _inf_outside_box(
     """The +inf rule and the faults of :func:`evaluate_batch` on ``raw``,
     the function-major values of functions ``first``, ``first + 1``, ...
     at the rows of ``x``: ``raw`` itself when all are finite, else a new
-    array, as ``raw`` may be a view of ``x``.  A row is in the box when
-    its box excess is all 0.0, exactly so for finite positions.
+    array.  A row is in the box when its box excess is all 0.0, exactly
+    so for finite positions.
     """
     finite = np.isfinite(raw)
     if finite.all():
@@ -337,11 +360,7 @@ def _raw_terms(problem: Problem, x: np.ndarray, first: int) -> np.ndarray:
     in the order objective, inequality 0.., equality 0.., under the +inf
     rule and with the faults of :func:`evaluate_batch`.  ``first=1``
     takes the constraints alone."""
-    functions = (problem.objective, *problem.inequalities, *problem.equalities)
-    raw = np.empty((len(functions) - first, len(x)))
-    for k, f in enumerate(functions[first:]):
-        raw[k] = f(x)
-    return _inf_outside_box(problem, x, raw, first)
+    return _inf_outside_box(problem, x, problem.terms(x, first), first)
 
 
 def _within(

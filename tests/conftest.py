@@ -1,6 +1,8 @@
 """Shared fixtures: small analytic problems with known geometry, and
 synthetic evaluated rows."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ def make_toy1() -> Problem:
 
     The feasible region covers exactly 71.875% of the box area.
     """
-    return Problem(
+    return Problem.from_functions(
         name="toy1",
         lower=np.array([-2.0, -2.0]),
         upper=np.array([2.0, 2.0]),
@@ -25,7 +27,7 @@ def make_toy1() -> Problem:
 
 def make_toy_eq() -> Problem:
     """Minimize x1 + x2 subject to x1 - x2 = 0 on the box [-2, 2]^2."""
-    return Problem(
+    return Problem.from_functions(
         name="toy-eq",
         lower=np.array([-2.0, -2.0]),
         upper=np.array([2.0, 2.0]),
@@ -36,13 +38,27 @@ def make_toy_eq() -> Problem:
 
 def make_halfline(limit: float = 0.0, lower: float = -100.0, upper: float = 100.0):
     """1-D problem: minimize x subject to x <= limit."""
-    return Problem(
+    return Problem.from_functions(
         name="halfline",
         lower=np.array([lower]),
         upper=np.array([upper]),
         objective=lambda x: x[:, 0],
         inequalities=(lambda x, c=limit: x[:, 0] - c,),
     )
+
+
+def with_term(problem: Problem, k: int, f) -> Problem:
+    """``problem`` with its term ``k`` (0 the objective, 1.. the
+    inequalities, then the equalities) computed by ``f``, wherever the
+    kernel is asked for that term."""
+
+    def terms(x, first):
+        out = problem.terms(x, first)
+        if k >= first:
+            out[k - first] = f(x)
+        return out
+
+    return dataclasses.replace(problem, terms=terms)
 
 
 def start_swarm(problem, config, cht, max_attempts_per_particle=1_000_000) -> Swarm:

@@ -143,8 +143,9 @@ def function_digests() -> dict:
     ``inside`` is 1,001 uniform points in the box; ``outside`` is 1,001
     points of :func:`_overshooting`, most of them outside the box, where
     the functions promise no finite value, so each non-finite value is
-    mapped to +inf first, as :func:`~cpso.problem.evaluate_batch` does.  Keys are
-    ``<problem>.<block>.sample`` (the points themselves),
+    mapped to +inf first, as :func:`~cpso.problem.evaluate_batch` does.
+    Each function's values are its row of the problem's term kernel
+    block.  Keys are ``<problem>.<block>.sample`` (the points themselves),
     ``<problem>.<block>.objective``, ``<problem>.<block>.inequalities[i]``
     and ``<problem>.<block>.equalities[i]``.  The odd row count also takes
     the SIMD loops through their scalar tails.
@@ -156,14 +157,15 @@ def function_digests() -> dict:
             "inside": problem.sample_uniform(np.random.default_rng(SEED), 1001),
             "outside": _overshooting(problem, np.random.default_rng([SEED, 1]), 1001),
         }
-        functions = {"sample": lambda x: x, "objective": problem.objective}
-        for kind in ("inequalities", "equalities"):
-            for i, g in enumerate(getattr(problem, kind)):
-                functions[f"{kind}[{i}]"] = g
+        labels = (
+            "objective",
+            *(f"inequalities[{i}]" for i in range(problem.n_inequalities)),
+            *(f"equalities[{i}]" for i in range(problem.n_equalities)),
+        )
         for block, x in blocks.items():
-            for label, fn in functions.items():
-                with np.errstate(all="ignore"):
-                    value = np.ascontiguousarray(fn(x), dtype=np.float64)
+            with np.errstate(all="ignore"):
+                terms = problem.terms(x, 0)
+            for label, value in (("sample", x), *zip(labels, terms, strict=True)):
                 value = np.where(np.isfinite(value), value, np.inf)
                 digest = hashlib.sha256(value.tobytes()).hexdigest()
                 out[f"{problem.name}.{block}.{label}"] = digest

@@ -10,7 +10,7 @@ from cpso.cli import main, parse_sweep_file, CSV_COLUMNS, UsageError
 from cpso.handlers import ChtConfig
 from cpso.swarm import SwarmConfig, Topology
 
-from conftest import start_swarm
+from conftest import start_swarm, with_term
 
 RUN_ARGS = [
     "run",
@@ -270,7 +270,7 @@ def test_fail_row_still_exits_zero(capsys):
 
 def test_run_evaluation_fault_is_an_error_line(monkeypatch, capsys):
     g08 = get_problem("g08")
-    nan_objective = dataclasses.replace(g08, objective=lambda x: np.full(len(x), np.nan))
+    nan_objective = with_term(g08, 0, lambda x: np.full(len(x), np.nan))
     monkeypatch.setattr(harness, "get_problem", lambda name: nan_objective)
     code = main(RUN_ARGS)
     assert code == 1
@@ -281,8 +281,7 @@ def test_run_evaluation_fault_is_an_error_line(monkeypatch, capsys):
 
 def test_feasibility_evaluation_fault_is_an_error_line(monkeypatch, capsys):
     entry = get_entry("g08")
-    nan_g0 = (lambda x: np.full(len(x), np.nan), *entry.problem.inequalities[1:])
-    nan_constraint = dataclasses.replace(entry.problem, inequalities=nan_g0)
+    nan_constraint = with_term(entry.problem, 1, lambda x: np.full(len(x), np.nan))
     monkeypatch.setattr(
         cli, "get_entry", lambda name: dataclasses.replace(entry, problem=nan_constraint)
     )
@@ -298,9 +297,7 @@ def test_feasibility_never_evaluates_the_objective(monkeypatch, capsys):
     assert main(argv) == 0
     clean = capsys.readouterr().out
     entry = get_entry("g08")
-    nan_objective = dataclasses.replace(
-        entry.problem, objective=lambda x: np.full(len(x), np.nan)
-    )
+    nan_objective = with_term(entry.problem, 0, lambda x: np.full(len(x), np.nan))
     monkeypatch.setattr(
         cli, "get_entry", lambda name: dataclasses.replace(entry, problem=nan_objective)
     )

@@ -188,7 +188,7 @@ def test_bmem_alternating_example():
 
 
 def test_bmem_box_only_skips_upscaling():
-    box_only = Problem(
+    box_only = Problem.from_functions(
         name="boxonly",
         lower=np.array([-1.0]),
         upper=np.array([1.0]),

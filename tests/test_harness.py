@@ -177,7 +177,7 @@ def test_fault_traces_the_steps_completed_before_it(monkeypatch):
     # A toy pfpr run whose objective is NaN at an in-box point that its
     # fourth step visits first: its three completed steps are traced,
     # as the clean run traces them, and then the fault is raised.
-    clean = Problem("toy-plane", np.full(2, -2.0), np.full(2, 2.0), lambda x: x.sum(axis=1))
+    clean = Problem.from_functions("toy-plane", np.full(2, -2.0), np.full(2, 2.0), lambda x: x.sum(axis=1))
     # Patched before the config is built, which looks its problem up.
     monkeypatch.setattr(harness, "get_problem", lambda name: clean)
     config = make_config(problem="toy-plane", particles=6, steps=8, runs=1)
@@ -195,7 +195,7 @@ def test_fault_traces_the_steps_completed_before_it(monkeypatch):
     lines = []
     run_experiment(config, trace=lambda *line: lines.append(line))
     assert len(lines) == config.steps
-    bad = Problem("toy-plane", clean.lower, clean.upper, faulty)
+    bad = Problem.from_functions("toy-plane", clean.lower, clean.upper, faulty)
     monkeypatch.setattr(harness, "get_problem", lambda name: bad)
     got = []
     with pytest.raises(EvaluationFault, match="non-finite objective"):

@@ -295,7 +295,7 @@ def test_fault_only_run_1_reaches_raises_the_serial_error(monkeypatch):
     def plane(x):
         return x.sum(axis=1)
 
-    clean = Problem("toy-plane", np.full(2, -2.0), np.full(2, 2.0), plane)
+    clean = Problem.from_functions("toy-plane", np.full(2, -2.0), np.full(2, 2.0), plane)
     monkeypatch.setattr(harness, "get_problem", lambda name: clean)
     config = ExperimentConfig("toy-plane", ChtConfig("pfpr"), 2, 6, 8, 3)
     visited = []
@@ -317,7 +317,7 @@ def test_fault_only_run_1_reaches_raises_the_serial_error(monkeypatch):
     def faulty(x):
         return np.where(np.all(x == target, axis=1), np.nan, x.sum(axis=1))
 
-    bad = Problem("toy-plane", clean.lower, clean.upper, faulty)
+    bad = Problem.from_functions("toy-plane", clean.lower, clean.upper, faulty)
     monkeypatch.setattr(harness, "get_problem", lambda name: bad)
     with pytest.raises(EvaluationFault) as serial:
         harness._run_group(config, [1])
@@ -338,7 +338,7 @@ def test_fault_at_an_initial_position_of_run_1_raises_the_serial_error(
     def plane(x):
         return x.sum(axis=1)
 
-    clean = Problem("toy-plane", np.full(2, -2.0), np.full(2, 2.0), plane)
+    clean = Problem.from_functions("toy-plane", np.full(2, -2.0), np.full(2, 2.0), plane)
     monkeypatch.setattr(harness, "get_problem", lambda name: clean)
     config = ExperimentConfig("toy-plane", ChtConfig(kind), 2, 6, 8, 3)
     starts = [one_run(config, i)[1] for i in range(3)]
@@ -350,7 +350,7 @@ def test_fault_at_an_initial_position_of_run_1_raises_the_serial_error(
     def faulty(x):
         return np.where(np.all(x == target, axis=1), np.nan, x.sum(axis=1))
 
-    bad = Problem("toy-plane", clean.lower, clean.upper, faulty)
+    bad = Problem.from_functions("toy-plane", clean.lower, clean.upper, faulty)
     monkeypatch.setattr(harness, "get_problem", lambda name: bad)
     with pytest.raises(EvaluationFault) as serial:
         harness._run_group(config, [1])

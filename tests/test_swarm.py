@@ -114,7 +114,7 @@ def test_topology_validation():
 
 def line(lower=-2.0, upper=2.0):
     """Unconstrained 1-D problem: minimize x on [lower, upper]."""
-    return Problem(
+    return Problem.from_functions(
         name="line",
         lower=np.array([lower]),
         upper=np.array([upper]),

@@ -45,7 +45,7 @@ from cpso.swarm import (
     lbest_index,
 )
 
-from conftest import make_toy1, start_swarm
+from conftest import make_toy1, start_swarm, with_term
 
 TOL = Tolerances()
 TOY = make_toy1()
@@ -469,7 +469,7 @@ def _faulty_halfline(bad_points):
         evaluated.extend(x[:, 0])
         return np.where(np.isin(x[:, 0], bad_points), np.nan, x[:, 0] + 99.9)
 
-    problem = Problem(
+    problem = Problem.from_functions(
         name="faulty-halfline",
         lower=np.array([-100.0]),
         upper=np.array([100.0]),
@@ -513,8 +513,8 @@ def test_feasible_init_objective_is_read_at_accepted_positions_only():
     # is NaN at every rejected candidate changes nothing, in the feasible
     # start or in the feasibility estimate.
     clean, _ = _faulty_halfline([])
-    rejected_nan = dataclasses.replace(
-        clean, objective=lambda x: np.where(x[:, 0] + 99.9 <= TOL.ineq, x[:, 0], np.nan)
+    rejected_nan = with_term(
+        clean, 0, lambda x: np.where(x[:, 0] + 99.9 <= TOL.ineq, x[:, 0], np.nan)
     )
     expect = stream_init(clean, FAULT_SEED, FAULT_SIZE, FAULT_BUDGET)
     got = stream_init(rejected_nan, FAULT_SEED, FAULT_SIZE, FAULT_BUDGET)
@@ -526,7 +526,7 @@ def test_feasible_init_objective_is_read_at_accepted_positions_only():
     assert estimate_feasibility_ratio(rejected_nan, 20_000, TOL, seed=3) == ratio
     # The start never reads the objective; the Swarm constructor
     # evaluates the accepted positions in full.
-    nan_objective = dataclasses.replace(clean, objective=lambda x: np.full(len(x), np.nan))
+    nan_objective = with_term(clean, 0, lambda x: np.full(len(x), np.nan))
     got = stream_init(nan_objective, FAULT_SEED, FAULT_SIZE, FAULT_BUDGET)
     assert np.array_equal(got[0], expect[0])
     config = SwarmConfig(FAULT_SIZE, 1, Topology.from_nn(2, FAULT_SIZE), FAULT_SEED)
@@ -549,16 +549,19 @@ def _sanitize(values, in_box, what):
 
 
 def per_function_evaluate(problem, x):
-    """The loop ``evaluate_batch`` replaces: one finiteness check per function."""
+    """The loop ``evaluate_batch`` replaces: one finiteness check per row
+    of the problem's term kernel."""
     in_box = np.all((x >= problem.lower) & (x <= problem.upper), axis=1)
-    conflict = _sanitize(np.asarray(problem.objective(x), dtype=float), in_box, "objective")
-    ineq = np.empty((x.shape[0], problem.n_inequalities))
-    for j, g in enumerate(problem.inequalities):
-        raw = _sanitize(np.asarray(g(x), dtype=float), in_box, f"inequality {j}")
+    terms = problem.terms(x, 0)
+    q = problem.n_inequalities
+    conflict = _sanitize(terms[0], in_box, "objective")
+    ineq = np.empty((x.shape[0], q))
+    for j in range(q):
+        raw = _sanitize(terms[1 + j], in_box, f"inequality {j}")
         ineq[:, j] = np.maximum(0.0, raw)
     eq = np.empty((x.shape[0], problem.n_equalities))
-    for j, h in enumerate(problem.equalities):
-        raw = _sanitize(np.asarray(h(x), dtype=float), in_box, f"equality {j}")
+    for j in range(problem.n_equalities):
+        raw = _sanitize(terms[1 + q + j], in_box, f"equality {j}")
         eq[:, j] = np.abs(raw)
     box = np.maximum(0.0, x - problem.upper) + np.maximum(0.0, problem.lower - x)
     cv = ineq.sum(axis=1) + eq.sum(axis=1) + box.sum(axis=1)
@@ -592,7 +595,7 @@ def test_evaluate_batch_equals_per_function_sanitize(name, m):
 def test_evaluate_batch_non_finite_and_signed_zero_outputs():
     # Non-finite values outside the box become +inf; an inequality of
     # -0.0 is a violation of +0.0, as np.maximum(0.0, -0.0) gives.
-    problem = Problem(
+    problem = Problem.from_functions(
         name="log",
         lower=np.array([1.0]),
         upper=np.array([2.0]),
@@ -620,7 +623,7 @@ def test_evaluate_batch_fault_names_first_faulty_function():
     def nan_at(rows):
         return lambda x: np.where(np.isin(np.arange(len(x)), rows), np.nan, x[:, 0])
 
-    problem = Problem(
+    problem = Problem.from_functions(
         name="faulty",
         lower=np.array([0.0, 0.0]),
         upper=np.array([1.0, 1.0]),
@@ -765,7 +768,7 @@ def _non_finite_outside():
     """[0, 1]^2 with constraints that are -inf, NaN or +inf outside it:
     -inf left of the box, NaN below it and +inf right of it, and
     -inf far above it; its samples are not proven in the box."""
-    return Problem(
+    return Problem.from_functions(
         name="non-finite-outside",
         lower=np.array([0.0, 0.0]),
         upper=np.array([1.0, 1.0]),
@@ -798,7 +801,7 @@ def test_feasible_mask_non_finite_outside_the_box_is_infeasible():
     # The mask never evaluates the NaN objective; evaluate_batch needs a
     # finite one.  An infinite tolerance accepts the +inf that
     # evaluate_batch puts in place of a non-finite value.
-    finite = dataclasses.replace(problem, objective=lambda x: x[:, 0])
+    finite = with_term(problem, 0, lambda x: x[:, 0])
     for tol in (TOL, Tolerances(ineq=1.0), Tolerances(ineq=np.inf, eq=np.inf)):
         expect = evaluate_batch(finite, x).feasible(tol)
         assert np.array_equal(sampled_mask(problem, x, tol), expect)
@@ -811,7 +814,7 @@ def test_feasible_mask_fault_names_first_faulty_constraint():
     def nan_at(rows):
         return lambda x: np.where(np.isin(np.arange(len(x)), rows), np.nan, x[:, 0])
 
-    problem = Problem(
+    problem = Problem.from_functions(
         name="faulty",
         lower=np.array([0.0, 0.0]),
         upper=np.array([1.0, 1.0]),
@@ -835,6 +838,35 @@ def test_feasible_mask_fault_names_first_faulty_constraint():
 
 
 # ------------------------------------------------------------- raw terms
+
+
+@pytest.mark.parametrize("m", [1, 40, 2049])
+@pytest.mark.parametrize("name", registry_names())
+def test_term_kernel_skips_the_objective_and_ignores_the_layout(name, m):
+    # Every registered problem's kernel, on in-box samples and on points
+    # up to 30% of the span outside the box: the constraints-only raw
+    # terms are the full raw terms without the objective row, and the
+    # kernel's block has the same bytes from every memory layout of x,
+    # writes nothing to x and shares no memory with it.
+    problem = get_problem(name)
+    rng = np.random.default_rng([m, len(name)])
+    reach = 0.3 * problem.span
+    outside = problem._snap(
+        problem.lower - reach + rng.random((m, problem.dimension)) * (problem.span + 2 * reach)
+    )
+    for x in (problem.sample_uniform(rng, m), outside):
+        with np.errstate(all="ignore"):  # functions outside the box
+            whole = problem_module._raw_terms(problem, x, 0)
+            assert problem_module._raw_terms(problem, x, 1).tobytes() == whole[1:].tobytes()
+            expect = problem.terms(x, 0)
+            for view in (*_layouts(x), np.repeat(x, 2, axis=0)[::2]):
+                before = view.copy(order="K")
+                for first in (0, 1):
+                    got = problem.terms(view, first)
+                    assert got.dtype == np.float64
+                    assert got.tobytes() == expect[first:].tobytes()
+                    assert not np.shares_memory(got, view)
+                assert view.tobytes(order="A") == before.tobytes(order="A")
 
 
 # Every problem: no inequalities (g11, g13), no equalities, both kinds
@@ -875,9 +907,7 @@ def test_repair_fault_at_a_rejected_trial_names_its_batch_row():
     # row 19 of the batch, is the first in-box point breaking it: it is
     # rejected, but its objective is evaluated and faults, as it does
     # when the whole trial batch is evaluated.
-    problem = dataclasses.replace(
-        TOY, objective=lambda x: np.where(x.sum(axis=1) > 1.0, np.nan, x[:, 0])
-    )
+    problem = with_term(TOY, 0, lambda x: np.where(x.sum(axis=1) > 1.0, np.nan, x[:, 0]))
     x_old = np.zeros((2, 2))
     v = np.array([[-3.0, -3.0], [4.0, 4.0]])
     feasible, full = full_steps(x_old, v)
@@ -929,8 +959,8 @@ def test_every_problem_proves_its_samples_in_the_box():
 def test_a_short_continuous_box_is_proven():
     # fl(-1 + fl(1.1)) is above 0.1, but the greatest draw is below 1, and
     # its sample fl(-1 + fl((1 - 2**-53) * fl(1.1))) is not.
-    problem = Problem("short", np.array([-1.0]), np.array([0.1]),
-                      objective=lambda x: x[:, 0])
+    problem = Problem.from_functions("short", np.array([-1.0]), np.array([0.1]),
+                                     objective=lambda x: x[:, 0])
     assert (problem.lower + problem.span)[0] > problem.upper[0]
     assert problem._samples_in_box
     assert problem.sample_uniform(ExtremeDraws(), 2)[1, 0] < problem.upper[0]
@@ -940,7 +970,7 @@ def _off_grid():
     """A grid its extreme samples snap out of: 0.03 snaps to 0.0, below
     the box, and 1.6 to 2.0, above it; one constraint every point of the
     box satisfies."""
-    return Problem(
+    return Problem.from_functions(
         name="off-grid",
         lower=np.array([0.03, 0.0, -1.0]),
         upper=np.array([1.0, 1.6, 1.0]),
@@ -969,8 +999,9 @@ def test_a_grid_its_samples_snap_out_of_is_not_proven():
 )
 def test_an_infinite_bound_or_span_is_not_proven(lower, upper):
     with np.errstate(over="ignore"):
-        problem = Problem("wide", np.array([0.0, lower]), np.array([1.0, upper]),
-                          objective=lambda x: x[:, 0])
+        problem = Problem.from_functions(
+            "wide", np.array([0.0, lower]), np.array([1.0, upper]), objective=lambda x: x[:, 0]
+        )
         assert not problem._samples_in_box
 
 
@@ -1006,7 +1037,7 @@ def _tile_toy(n):
     """An n-D box whose bounds differ per dimension, with one inequality
     and one equality; the objective sums n terms, whose bits follow the
     memory layout from 8 terms on."""
-    return Problem(
+    return Problem.from_functions(
         name=f"tile-toy-{n}",
         lower=-1.0 - np.arange(n) / 3.0,
         upper=0.5 + np.arange(n) / 7.0,
