@@ -29,8 +29,8 @@ particles at once: :func:`sort_keys` (how a technique ranks points:
 :func:`replacement_mask` (every technique's memory update) and
 :func:`repair_moves` (the repair ladders, each batch's trials built as
 one ``(k, T, n)`` block, taken in move-major order to their raw terms
-and masked there by the tolerance rule; the accepted trials' raw terms
-are returned for the step to finish with its other rows).
+and masked there by the tolerance rule; each accepted trial is written
+into its move's rows of the step, to be finished with the other rows).
 
 The rows they take belong to one or more runs, run after run, and
 ``rngs`` holds one generator per run.  Every random block, a one-run
@@ -242,75 +242,71 @@ _BMEM_LADDER = np.append(np.column_stack((_BMEM_DOWNS, _BMEM_UPS)).ravel(), 0.0)
 _BMEM_DOWN_LADDER = np.append(_BMEM_DOWNS, np.zeros(_BMEM_UPS.size + 1))
 
 
-@dataclass
-class BatchRepair:
-    """Outcome of repairing k infeasible moves; row ``r`` is move ``r``."""
-
-    positions: np.ndarray       # (k, n) accepted trial, or the old position
-    velocities: np.ndarray      # (k, n) scaled velocity, or zero when kept
-    trials_charged: np.ndarray  # (k,) trial evaluations charged per move
-    accepted: np.ndarray        # (k,) bool, False when the old position is kept
-    raw: np.ndarray             # (f, a) raw terms of the a accepted trials, in move order
-    box: np.ndarray             # (a, n) their box excess
-
-
 @functools.lru_cache(maxsize=None)
-def _bm_ladder(max_trials: int) -> np.ndarray:
-    """``bm``'s halvings 0.5, 0.25, ... for ``max_trials`` trials, read-only;
-    one per trial count in use, built on first use."""
-    ladder = 0.5 ** np.arange(1, max_trials + 1)
-    ladder.flags.writeable = False
-    return ladder
+def _bm_factors(k: int, max_trials: int) -> np.ndarray:
+    """``bm``'s halvings 0.5, 0.25, ... for k moves of ``max_trials``
+    trials, a read-only broadcast; one per shape in use, built on first use."""
+    return np.broadcast_to(0.5 ** np.arange(1, max_trials + 1), (k, max_trials))
 
 
 def _repair_factors(
     variant: str,
     problem: Problem,
-    full: np.ndarray,
+    raw: np.ndarray,
+    rows: np.ndarray,
     tolerances: Tolerances,
     rngs: Sequence[np.random.Generator],
-    counts: Sequence[int],
+    runs: np.ndarray,
     max_trials: int,
 ) -> np.ndarray:
     """``(k, T)`` trial factors, one row per move, in trial order; T <= max_trials."""
-    k = full.shape[1]
+    k = len(rows)
     if variant == "bm":
-        return np.broadcast_to(_bm_ladder(max_trials), (k, max_trials))
+        return _bm_factors(k, max_trials)
     if variant == "bmem":
-        # Every constraint, but not the box, within tolerance.
+        # Every constraint of the full step, but not the box, within tolerance.
+        full = raw[1:, rows]
         q = problem.n_inequalities
         box_only = np.logical_and.reduce(_within(tolerances, full[:q], full[q:]), axis=0)
         ladders = np.where(box_only[:, None], _BMEM_DOWN_LADDER, _BMEM_LADDER)
         return ladders[:, :max_trials]
     # Generator.uniform(0.0, 1.5) bit for bit: it computes 0.0 + 1.5 * u.
+    # Python ints: NumPy scalars slow draw_per_run's slicing.
+    counts = np.bincount(runs, minlength=len(rngs)).tolist()
     return 1.5 * draw_per_run(rngs, counts, np.empty((k, max_trials)))
 
 
 def repair_moves(
+    rows: np.ndarray,
     x_old: np.ndarray,
-    v: np.ndarray,
-    full: np.ndarray,
+    x_new: np.ndarray,
+    v_new: np.ndarray,
+    raw: np.ndarray,
+    box: np.ndarray,
     problem: Problem,
     tolerances: Tolerances,
     variant: str,
     rngs: Sequence[np.random.Generator],
-    counts: Sequence[int],
+    runs: np.ndarray,
     max_trials: int,
-) -> BatchRepair:
-    """Repair k moves whose full steps ``x_old + v`` are all infeasible.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Repair in place the k moves at the ascending step rows ``rows``,
+    whose full steps are all infeasible; returns ``(accepted, charged)``.
 
-    ``full`` holds the full steps' raw constraint terms, one column per
-    move (``raw[1:]`` of :func:`~cpso.problem._raw_batch`).  Trial
-    factors scale the ORIGINAL velocity: halvings for ``bm``, the
-    alternating 0.9/1.1 ladder for ``bmem`` (down-scalings only for a
-    move whose full step violates box bounds alone), and for ``bmpem``
-    fresh uniform [0, 1.5) factors ``1.5 * u``, drawn as one
-    ``(k, max_trials >= 1)`` block whose rows are the moves in order.
-    The moves belong to the runs of ``rngs``, run after run, ``counts[r]``
-    of them to run ``r``, whose generator draws their rows
-    (:func:`draw_per_run`).  Per move, the first feasible trial wins and
-    its scaled velocity becomes the stored velocity; a 0.0 factor or
-    exhaustion keeps the old position with zero velocity.
+    The step's arrays are its old positions ``x_old``, its full steps
+    ``x_new = x_old + v_new`` and their raw terms ``raw`` and box excess
+    ``box`` (:func:`~cpso.problem._raw_batch`).  Move ``i`` belongs to
+    run ``runs[i]`` of ``rngs``, run after run, whose generator draws
+    its rows (:func:`draw_per_run`).  Trial factors scale the ORIGINAL
+    velocity: halvings for ``bm``, the alternating 0.9/1.1 ladder for
+    ``bmem`` (down-scalings only for a move whose full step violates box
+    bounds alone), and for ``bmpem`` fresh uniform [0, 1.5) factors
+    ``1.5 * u``, drawn as one ``(k, max_trials >= 1)`` block whose rows
+    are the moves in order.  The first feasible trial wins: its position,
+    scaled velocity, raw-term column and box row overwrite the move's
+    rows of ``x_new``, ``v_new``, ``raw`` and ``box``.  A 0.0 factor or
+    exhaustion keeps the old position: the move's rows of ``x_new`` and
+    ``v_new`` take ``x_old``'s and a zero velocity.  No other row is written.
 
     The trials form one ``(k, T, n)`` block ``x_old + factor * v``.  Those
     before each move's first 0.0 factor are evaluated in one batch, in
@@ -318,31 +314,34 @@ def repair_moves(
     to the accepted one, the 0.0 factor or the end of the ladder.  The
     batch stops at its raw terms (objective included, with the faults
     of :func:`~cpso.problem.evaluate_batch` at its rows) and its box
-    excess, which the tolerance rule tests.  The accepted trials' raw
-    terms and box excess are returned unfinished: ``_finish`` of them
-    gives ``evaluate_batch(problem, positions[accepted])``, bit for bit.
+    excess, which the tolerance rule tests; ``_finish`` of an accepted
+    move's rows is ``evaluate_batch`` of its trial, bit for bit.
     """
     if variant not in _REPAIR_KINDS:
         raise ValueError(f"not a repair technique: {variant!r}")
     if max_trials < 1:
         raise ValueError(f"max_trials must be >= 1, got {max_trials}")
-    k, n = x_old.shape
-    factors = _repair_factors(variant, problem, full, tolerances, rngs, counts, max_trials)
-    block = x_old[:, None] + factors[..., None] * v[:, None]
-    stop = factors == 0.0
+    v = v_new[rows]
+    factors = _repair_factors(variant, problem, raw, rows, tolerances, rngs, runs, max_trials)
+    # x_old + factor * v, bit for bit: IEEE addition commutes.
+    block = factors[..., None] * v[:, None]
+    block += x_old[rows][:, None]
     # Only trials before a move's first 0.0 are live.  All live (bm, and
     # bmpem unless it draws a 0.0), the block is tested as it lies: the
     # masked gather and scatter cost 7-11% of repair_moves' time there.
+    stop = factors == 0.0
     if stop.any():
         live = ~np.logical_or.accumulate(stop, axis=1)
         x = problem._snap(block[live])
-        counts = np.count_nonzero(live, axis=1)
+        tried = live.sum(axis=1)
+        starts = np.cumsum(tried) - tried
     else:
         live = None
-        x = problem._snap(block.reshape(-1, n))
-        counts = np.full(k, factors.shape[1])
+        x = problem._snap(block.reshape(-1, v.shape[1]))
+        tried = factors.shape[1]
+        starts = np.arange(0, len(x), tried)
     del block
-    x, raw, box, feasible = _raw_batch(problem, x, tolerances)
+    x, trial_raw, trial_box, feasible = _raw_batch(problem, x, tolerances)
     if live is None:
         ok = feasible.reshape(factors.shape)
     else:
@@ -351,13 +350,16 @@ def repair_moves(
     first = ok.argmax(axis=1)
     accepted = ok.any(axis=1)
     # Row of the batch holding each accepted move's first feasible trial.
-    rows = (np.cumsum(counts) - counts + first)[accepted]
-    positions = np.array(x_old, dtype=float)
-    positions[accepted] = x[rows]
-    # The batch is freed before the velocities are built.
-    del x
-    raw, box = raw[:, rows], box[rows]
-    scale = factors[np.arange(k), first][:, None]
-    velocities = np.where(accepted[:, None], scale * v, 0.0)
-    charged = np.where(accepted, first + 1, counts)
-    return BatchRepair(positions, velocities, charged, accepted, raw, box)
+    at = (starts + first)[accepted]
+    won = rows[accepted]
+    x_new[won] = x[at]
+    raw[:, won] = trial_raw[:, at]
+    box[won] = trial_box[at]
+    v_new[won] = factors[accepted, first[accepted]][:, None] * v[accepted]
+    charged = first + 1
+    if not accepted.all():
+        kept = rows[~accepted]
+        x_new[kept] = x_old[kept]
+        v_new[kept] = 0.0
+        charged = np.where(accepted, charged, tried)
+    return accepted, charged

@@ -363,12 +363,16 @@ class Swarm:
     def _repair(self, x_new, v_new, raw, box, feasible, tol) -> np.ndarray:
         """Repair every infeasible move of every run in place.
 
-        An accepted trial's row of the step's ``x_new``, ``v_new``,
-        ``raw``, ``box`` and ``feasible`` takes the trial's; the kept
-        positions' mask is returned.  The moves are repaired in batches
-        whose trials fit one evaluation of ``MAX_BATCH_ROWS`` rows; each
-        run's draws come in order, so the batches give the same results
-        as one.
+        :func:`~cpso.handlers.repair_moves` writes each repaired row of
+        the step's ``x_new``, ``v_new``, ``raw`` and ``box``; the moves'
+        rows of ``feasible`` are set here, and the kept positions' mask
+        is returned.  The moves are repaired in batches whose trials
+        fit one evaluation of ``MAX_BATCH_ROWS`` rows; each run's draws
+        come in order, so the batches give the same results as one.
+        Each batch's trial arrays live only inside its call, so they are
+        freed before the next batch evaluates: held, they raised the peak
+        RSS of 30 lockstep welded-beam bm runs (the perfbench table-30run
+        workload) by 128 KiB.
         """
         infeasible = np.flatnonzero(~feasible)
         moves = MAX_BATCH_ROWS // self.cht.max_repair_trials
@@ -376,33 +380,26 @@ class Swarm:
         for a in range(0, infeasible.size, moves):
             bad = infeasible[a : a + moves]
             bad_runs = bad // self.config.size
-            rep = repair_moves(
-                self.positions[bad],
-                v_new[bad],
-                raw[1:, bad],
+            accepted, charged = repair_moves(
+                bad,
+                self.positions,
+                x_new,
+                v_new,
+                raw,
+                box,
                 self.problem,
                 tol,
                 self.cht.kind,
                 self.rngs,
-                np.bincount(bad_runs, minlength=self.runs).tolist(),
+                bad_runs,
                 self.cht.max_repair_trials,
             )
             # Full steps are charged by the step count.
-            self.run_repair_evaluations += np.bincount(
-                bad_runs, weights=rep.trials_charged, minlength=self.runs
-            ).astype(np.int64)
-            x_new[bad] = rep.positions
-            v_new[bad] = rep.velocities
-            accepted = bad[rep.accepted]
-            raw[:, accepted] = rep.raw
-            box[accepted] = rep.box
-            kept[bad[~rep.accepted]] = True
-            # An accepted trial is feasible; a kept position keeps its mask.
-            feasible[bad] = rep.accepted | self.current_feasible[bad]
-            # Freed before the next batch evaluates its trials: held, it
-            # raised the peak RSS of 30 lockstep welded-beam bm runs (the
-            # perfbench table-30run workload) by 128 KiB.
-            del rep
+            np.add.at(self.run_repair_evaluations, bad_runs, charged)
+            feasible[bad] = accepted
+            kept[bad] = ~accepted
+        # An accepted trial is feasible; a kept position keeps its mask.
+        np.copyto(feasible, self.current_feasible, where=kept)
         return kept
 
     # -- results ------------------------------------------------------------

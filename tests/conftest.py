@@ -2,12 +2,13 @@
 synthetic evaluated rows."""
 
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from cpso.handlers import ChtConfig, replacement_mask, sort_keys
-from cpso.problem import BatchEval, Problem, Tolerances
+from cpso.handlers import ChtConfig, repair_moves, replacement_mask, sort_keys
+from cpso.problem import BatchEval, Problem, Tolerances, _raw_batch
 from cpso.swarm import Swarm, initial_positions
 
 
@@ -67,6 +68,30 @@ def start_swarm(problem, config, cht, max_attempts_per_particle=1_000_000) -> Sw
         problem, config, cht, max_attempts_per_particle
     )
     return Swarm(problem, config, cht, [rng], positions, [rejected])
+
+
+def repair_rows(x_old, v, problem, tolerances, variant, rng, max_trials):
+    """Repair one run's moves ``x_old + v``, whose full steps must all be
+    infeasible, in place as a swarm step hands them to ``repair_moves``.
+
+    Returns what the repair wrote and returned: every move's
+    ``positions`` and ``velocities``, ``accepted`` and
+    ``trials_charged``, and the accepted moves' ``raw`` columns and
+    ``box`` rows.
+    """
+    x_old = np.array(x_old, dtype=float)
+    v_new = np.array(v, dtype=float)
+    x_new, raw, box, feasible = _raw_batch(problem, problem._snap(x_old + v_new), tolerances)
+    assert not feasible.any()
+    rows = np.arange(len(x_old))
+    accepted, charged = repair_moves(
+        rows, x_old, x_new, v_new, raw, box, problem, tolerances, variant,
+        [rng], np.zeros(len(rows), dtype=np.intp), max_trials,
+    )
+    return SimpleNamespace(
+        positions=x_new, velocities=v_new, accepted=accepted,
+        trials_charged=charged, raw=raw[:, accepted], box=box[accepted],
+    )
 
 
 def batch(conflict, ineq=0.0, eq=0.0, box=0.0) -> BatchEval:

@@ -191,13 +191,16 @@ def test_property_repair_postcondition():
     ok = True
     for k, variant in enumerate(("bm", "bmem", "bmpem")):
         rows = np.arange(k, 1000, 3)
-        _, raw, _, feasible = _raw_batch(toy, x_old[rows] + v[rows], TOL)
-        bad = ~feasible
-        start = x_old[rows[bad]]
-        moves = v[rows[bad]], raw[1:, bad]
-        rep = repair_moves(start, *moves, toy, TOL, variant, [rng], [len(start)], 19)
-        ok &= bool(np.all(evaluate_batch(toy, rep.positions).feasible(TOL)))
-        ok &= bool(np.array_equal(rep.positions[~rep.accepted], start[~rep.accepted]))
+        start, v_new = x_old[rows], v[rows]
+        x_new, raw, box, feasible = _raw_batch(toy, start + v_new, TOL)
+        bad = np.flatnonzero(~feasible)
+        runs = np.zeros(bad.size, dtype=np.intp)
+        accepted, _ = repair_moves(
+            bad, start, x_new, v_new, raw, box, toy, TOL, variant, [rng], runs, 19
+        )
+        ok &= bool(np.all(evaluate_batch(toy, x_new[bad]).feasible(TOL)))
+        kept = bad[~accepted]
+        ok &= bool(np.array_equal(x_new[kept], start[kept]))
     report("repair feasibility postcondition", ok, "1000 cases")
 
 

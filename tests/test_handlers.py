@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from cpso.handlers import ChtConfig, KINDS, penalized_batch, priority_keys, repair_moves
-from cpso.problem import Problem, Tolerances, _raw_batch, evaluate_batch
+from cpso.handlers import ChtConfig, KINDS, penalized_batch, priority_keys
+from cpso.problem import Problem, Tolerances
 from cpso.swarm import Swarm, SwarmConfig, Topology, lbest_index
 
 from conftest import (
@@ -10,6 +10,7 @@ from conftest import (
     batch,
     make_halfline,
     random_batch,
+    repair_rows,
     replaces,
     start_swarm,
 )
@@ -160,10 +161,7 @@ def test_penalty_never_below_conflict():
 
 def repair_one(x_old, v, problem, tolerances, variant, rng, max_trials):
     """Repair one move whose full step is infeasible."""
-    x_old, v = np.array([x_old], dtype=float), np.array([v], dtype=float)
-    _, raw, _, feasible = _raw_batch(problem, problem._snap(x_old + v), tolerances)
-    assert not feasible[0]
-    return repair_moves(x_old, v, raw[1:], problem, tolerances, variant, [rng], [1], max_trials)
+    return repair_rows([x_old], [v], problem, tolerances, variant, rng, max_trials)
 
 
 def test_bm_halving_example():

@@ -358,10 +358,10 @@ def test_one_finish_carries_evaluate_batch_bits(monkeypatch, kind, runs):
     repair_moves = swarm_module.repair_moves
 
     def counted(*args):
-        rep = repair_moves(*args)
-        seen["repaired"] += len(rep.accepted)
-        seen["accepted"] += int(rep.accepted.sum())
-        return rep
+        accepted, charged = repair_moves(*args)
+        seen["repaired"] += len(accepted)
+        seen["accepted"] += int(accepted.sum())
+        return accepted, charged
 
     monkeypatch.setattr(swarm_module, "repair_moves", counted)
     rngs = [np.random.default_rng([4, r]) for r in range(runs)]

@@ -45,7 +45,7 @@ from cpso.swarm import (
     lbest_index,
 )
 
-from conftest import make_toy1, start_swarm, with_term
+from conftest import make_toy1, repair_rows, start_swarm, with_term
 
 TOL = Tolerances()
 TOY = make_toy1()
@@ -127,42 +127,37 @@ def infeasible_moves(draw):
         low, high = MOVES[draw(st.sampled_from(sorted(MOVES)))]
         v.append([draw(st.floats(low, high)) for _ in range(2)])
     x_old, v = np.array(x_old), np.array(v)
-    feasible, full = full_steps(x_old, v)
-    bad = ~feasible
-    return x_old[bad], v[bad], full[:, bad]
+    bad = ~full_steps(x_old, v)[3]
+    return x_old[bad], v[bad]
 
 
 def full_steps(x_old, v):
-    """The full steps' mask and raw constraint terms on the toy problem,
-    as a swarm step hands them to ``repair_moves``."""
-    _, raw, _, feasible = problem_module._raw_batch(TOY, x_old + v, TOL)
-    return feasible, raw[1:]
+    """The full steps' positions, raw terms, box excess and mask on the
+    toy problem, as a swarm step hands them to ``repair_moves``."""
+    return problem_module._raw_batch(TOY, x_old + v, TOL)
 
 
 def finished(rep):
     """The :class:`BatchEval` of a repair's accepted trials, from the raw
-    terms and box excess it returns, as a swarm step finishes them."""
+    terms and box excess it wrote, as a swarm step finishes them."""
     return problem_module._finish(TOY, rep.positions[rep.accepted], rep.raw, rep.box)
 
 
 def _repair(moves, variant, seed):
-    x_old, v, full = moves
+    x_old, v = moves
     rng = np.random.default_rng(seed)
-    rep = repair_moves(x_old, v, full, TOY, TOL, variant, [rng], [len(x_old)], 19)
-    return rep, rng
+    return repair_rows(x_old, v, TOY, TOL, variant, rng, 19), rng
 
 
 @settings(deadline=None)
 @given(infeasible_moves(), st.sampled_from(REPAIRS), st.integers(0, 2**32))
 def test_batched_repair_equals_one_row_calls(moves, variant, seed):
-    x_old, v, full = moves
+    x_old, v = moves
     rep, rng = _repair(moves, variant, seed)
     one_rng = np.random.default_rng(seed)
     raws, boxes = [rep.raw[:, :0]], [rep.box[:0]]
     for r in range(len(x_old)):
-        one = repair_moves(
-            x_old[r : r + 1], v[r : r + 1], full[:, [r]], TOY, TOL, variant, [one_rng], [1], 19
-        )
+        one = repair_rows(x_old[r : r + 1], v[r : r + 1], TOY, TOL, variant, one_rng, 19)
         assert np.array_equal(one.positions[0], rep.positions[r])
         assert np.array_equal(one.velocities[0], rep.velocities[r])
         assert one.accepted[0] == rep.accepted[r]
@@ -177,7 +172,7 @@ def test_batched_repair_equals_one_row_calls(moves, variant, seed):
 @settings(deadline=None)
 @given(infeasible_moves(), st.sampled_from(REPAIRS), st.integers(0, 2**32))
 def test_repair_postcondition(moves, variant, seed):
-    x_old, _, _ = moves
+    x_old, _ = moves
     rep, _ = _repair(moves, variant, seed)
     # The returned terms describe the accepted positions.
     evaluation = finished(rep)
@@ -198,7 +193,7 @@ BM_LADDER = [0.5**t for t in range(1, 20)]
 BMEM_LADDER = [0.9, 1.1, 0.8, 1.2, 0.7, 1.3, 0.6, 1.4, 0.5, 1.5]
 BMEM_LADDER += [0.4, 1.6, 0.3, 1.7, 0.2, 1.8, 0.1, 1.9, 0.0]
 BMEM_DOWN_LADDER = [0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1] + [0.0] * 10
-NO_MOVES = (np.zeros((0, 2)), np.zeros((0, 2)), full_steps(np.zeros((0, 2)), 0.0)[1])
+NO_MOVES = (np.zeros((0, 2)), np.zeros((0, 2)))
 
 
 def reference_repair(x_old, v, variant, rng, factors=None):
@@ -259,7 +254,7 @@ def assert_matches_reference(rep, reference):
 @example(NO_MOVES, "bmem", 0)
 @example(NO_MOVES, "bmpem", 0)
 def test_repair_matches_one_trial_reference(moves, variant, seed):
-    x_old, v, _ = moves
+    x_old, v = moves
     rep, rng = _repair(moves, variant, seed)
     one_rng = np.random.default_rng(seed)
     assert_matches_reference(rep, reference_repair(x_old, v, variant, one_rng))
@@ -273,27 +268,73 @@ def test_repair_with_mid_row_zero_factors_matches_reference(monkeypatch, variant
     gen = np.random.default_rng(17)
     x_old = gen.uniform(-2.0, 0.5, (40, 2))  # x1 + x2 <= 1: feasible
     v = gen.uniform(-4.0, 4.0, (40, 2))
-    feasible, full = full_steps(x_old, v)
-    bad = np.flatnonzero(~feasible)[:12]
-    x_old, v, full = x_old[bad], v[bad], full[:, bad]
+    bad = np.flatnonzero(~full_steps(x_old, v)[3])[:12]
+    x_old, v = x_old[bad], v[bad]
     factors = gen.uniform(0.0, 1.5, (12, 19))
     factors[::2, 5] = 0.0
     factors[3, 0] = 0.0
     monkeypatch.setattr(handlers, "_repair_factors", lambda *args: factors)
-    rep = repair_moves(x_old, v, full, TOY, TOL, variant, [np.random.default_rng(0)], [12], 19)
+    rep = repair_rows(x_old, v, TOY, TOL, variant, np.random.default_rng(0), 19)
     assert_matches_reference(rep, reference_repair(x_old, v, variant, None, factors))
     assert rep.accepted.any() and not rep.accepted.all()
     assert set(rep.trials_charged[::2]) <= {1, 2, 3, 4, 5} and rep.trials_charged[3] == 0
+
+
+@pytest.mark.parametrize("runs", [1, 3])
+@pytest.mark.parametrize("variant", REPAIRS)
+def test_repair_writes_its_moves_rows_in_place(variant, runs):
+    # A lockstep step of 300 toy rows from feasible starts, its infeasible
+    # moves repaired in the swarm's batches: more moves than one batch
+    # holds, and every tenth velocity so large that no trial is feasible,
+    # so some moves keep their old position.
+    gen = np.random.default_rng(29)
+    m, size = 300, 300 // runs
+    x_old = gen.uniform(-2.0, 0.5, (m, 2))  # x1 + x2 <= 1: feasible
+    v = gen.uniform(-4.0, 4.0, (m, 2))
+    v[::10] *= 1e9
+    x_new, raw, box, feasible = full_steps(x_old, v)
+    v_new = v.copy()
+    rngs = _run_generators(7, runs)
+    trials = ChtConfig(variant).max_repair_trials
+    moves = problem_module.MAX_BATCH_ROWS // trials
+    infeasible = np.flatnonzero(~feasible)
+    assert infeasible.size > moves
+    outcomes = []
+    for a in range(0, infeasible.size, moves):
+        bad = infeasible[a : a + moves]
+        before = x_new.copy(), v_new.copy(), raw.copy(), box.copy()
+        accepted, charged = repair_moves(
+            bad, x_old, x_new, v_new, raw, box, TOY, TOL, variant, rngs, bad // size, trials
+        )
+        outcomes += accepted.tolist()
+        assert charged.shape == accepted.shape and np.all((charged >= 1) & (charged <= trials))
+        # No row outside the batch is written.
+        out = np.setdiff1d(np.arange(m), bad)
+        for got, old in zip((x_new, v_new, raw.T, box), before[:2] + (before[2].T, before[3])):
+            assert same_bits(got[out], old[out])
+        # An accepted move's rows hold its trial: the raw terms and box
+        # excess of its position, which is the old one plus its velocity.
+        won = bad[accepted]
+        _, won_raw, won_box, won_feasible = problem_module._raw_batch(TOY, x_new[won], TOL)
+        assert won_feasible.all()
+        assert same_bits(raw[:, won], won_raw) and same_bits(box[won], won_box)
+        assert same_bits(x_new[won], TOY._snap(x_old[won] + v_new[won]))
+        # A kept move's rows hold the old position, a zero velocity and,
+        # unwritten, the full step's raw terms and box excess.
+        kept = bad[~accepted]
+        assert same_bits(x_new[kept], x_old[kept])
+        assert same_bits(v_new[kept], np.zeros((kept.size, 2)))
+        assert same_bits(raw[:, kept], before[2][:, kept]) and same_bits(box[kept], before[3][kept])
+    assert len(outcomes) == infeasible.size > moves
+    assert any(outcomes) and not all(outcomes)
 
 
 @pytest.mark.parametrize("max_trials", [0, -1])
 @pytest.mark.parametrize("variant", REPAIRS)
 def test_repair_needs_a_trial(variant, max_trials):
     x_old, v = np.zeros((1, 2)), np.full((1, 2), 2.0)  # x1 + x2 <= 1 broken
-    feasible, full = full_steps(x_old, v)
-    assert not feasible.any()
     with pytest.raises(ValueError, match="max_trials must be >= 1"):
-        repair_moves(x_old, v, full, TOY, TOL, variant, [np.random.default_rng(0)], [1], max_trials)
+        repair_rows(x_old, v, TOY, TOL, variant, np.random.default_rng(0), max_trials)
 
 
 # ------------------------------------------------------------ draw order
@@ -910,14 +951,12 @@ def test_repair_fault_at_a_rejected_trial_names_its_batch_row():
     problem = with_term(TOY, 0, lambda x: np.where(x.sum(axis=1) > 1.0, np.nan, x[:, 0]))
     x_old = np.zeros((2, 2))
     v = np.array([[-3.0, -3.0], [4.0, 4.0]])
-    feasible, full = full_steps(x_old, v)
-    assert not feasible.any()
     trials = (x_old[:, None] + np.array(BM_LADDER)[:, None] * v[:, None]).reshape(-1, 2)
     message = "non-finite objective at in-box point index 19"
     with pytest.raises(EvaluationFault, match=message):
         evaluate_batch(problem, trials)
     with pytest.raises(EvaluationFault, match=message):
-        repair_moves(x_old, v, full, problem, TOL, "bm", [np.random.default_rng(0)], [2], 19)
+        repair_rows(x_old, v, problem, TOL, "bm", np.random.default_rng(0), 19)
 
 
 # -------------------------------------------------------------- sampling
