@@ -294,7 +294,7 @@ def repair_moves(
     whose full steps are all infeasible; returns ``(accepted, charged)``.
 
     The step's arrays are its old positions ``x_old``, its full steps
-    ``x_new = x_old + v_new`` and their raw terms ``raw`` and box excess
+    ``x_new`` (``x_old + v_new``, snapped), their raw terms ``raw`` and box excess
     ``box`` (:func:`~cpso.problem._raw_batch`).  Move ``i`` belongs to
     run ``runs[i]`` of ``rngs``, run after run, whose generator draws
     its rows (:func:`draw_per_run`).  Trial factors scale the ORIGINAL
