@@ -302,7 +302,7 @@ def test_repair_writes_its_moves_rows_in_place(variant, runs):
     outcomes = []
     for a in range(0, infeasible.size, moves):
         bad = infeasible[a : a + moves]
-        before = x_new.copy(), v_new.copy(), raw.copy(), box.copy()
+        x_was, v_was, raw_was, box_was = x_new.copy(), v_new.copy(), raw.copy(), box.copy()
         accepted, charged = repair_moves(
             bad, x_old, x_new, v_new, raw, box, TOY, TOL, variant, rngs, bad // size, trials
         )
@@ -310,8 +310,8 @@ def test_repair_writes_its_moves_rows_in_place(variant, runs):
         assert charged.shape == accepted.shape and np.all((charged >= 1) & (charged <= trials))
         # No row outside the batch is written.
         out = np.setdiff1d(np.arange(m), bad)
-        for got, old in zip((x_new, v_new, raw.T, box), before[:2] + (before[2].T, before[3])):
-            assert same_bits(got[out], old[out])
+        assert same_bits(x_new[out], x_was[out]) and same_bits(v_new[out], v_was[out])
+        assert same_bits(raw[:, out], raw_was[:, out]) and same_bits(box[out], box_was[out])
         # An accepted move's rows hold its trial: the raw terms and box
         # excess of its position, which is the old one plus its velocity.
         won = bad[accepted]
@@ -324,7 +324,7 @@ def test_repair_writes_its_moves_rows_in_place(variant, runs):
         kept = bad[~accepted]
         assert same_bits(x_new[kept], x_old[kept])
         assert same_bits(v_new[kept], np.zeros((kept.size, 2)))
-        assert same_bits(raw[:, kept], before[2][:, kept]) and same_bits(box[kept], before[3][kept])
+        assert same_bits(raw[:, kept], raw_was[:, kept]) and same_bits(box[kept], box_was[kept])
     assert len(outcomes) == infeasible.size > moves
     assert any(outcomes) and not all(outcomes)
 
