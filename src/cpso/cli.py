@@ -71,7 +71,14 @@ _DEFAULTS = {
     "prob": ChtConfig.prob,
 }
 
-_SWEEP_KEYS = {"problem", "cht", *_DEFAULTS}
+# How a sweep file's value of each key reads; its keys are the keys a
+# sweep file may set.
+_PARSERS = {
+    "problem": str,
+    "cht": str,
+    **{key: type(default) for key, default in _DEFAULTS.items()},
+    "rec-decrease": _REC_DECREASE.__getitem__,
+}
 
 
 class UsageError(Exception):
@@ -209,24 +216,28 @@ def _entry(name: str, where: str = ""):
         raise UsageError(where + exc.args[0]) from None
 
 
-def _build_config(args: argparse.Namespace) -> ExperimentConfig:
-    _entry(args.problem)
+def _experiment(problem: str, kind: str, setting, where: str = "") -> ExperimentConfig:
+    """The experiment of ``problem`` and technique ``kind``, its other
+    settings read in a fixed order as ``setting(key)`` gives them, keyed
+    as ``_DEFAULTS``; an invalid one is a usage error prefixed by ``where``.
+    """
     try:
+        decrease = setting("rec-decrease")
         return ExperimentConfig(
-            problem=args.problem,
-            cht=ChtConfig(kind=args.cht, prob=args.prob),
-            nn=args.nn,
-            particles=args.particles,
-            steps=args.steps,
-            runs=args.runs,
-            master_seed=args.seed,
-            tolerances=Tolerances(ineq=args.tol_ineq, eq=args.tol_eq),
-            rec_switch=args.rec_switch,
-            rec_decrease=_REC_DECREASE[args.rec_decrease],
-            rec_rate=_DEFAULTS["rec-rate"],
+            problem=problem,
+            cht=ChtConfig(kind=kind, prob=setting("prob")),
+            nn=setting("nn"),
+            particles=setting("particles"),
+            steps=setting("steps"),
+            runs=setting("runs"),
+            master_seed=setting("seed"),
+            tolerances=Tolerances(ineq=setting("tol-ineq"), eq=setting("tol-eq")),
+            rec_switch=setting("rec-switch"),
+            rec_decrease=decrease,
+            rec_rate=setting("rec-rate"),
         )
     except ValueError as exc:
-        raise UsageError(str(exc)) from None
+        raise UsageError(where + str(exc)) from None
 
 
 def _check_jobs(args: argparse.Namespace) -> None:
@@ -235,7 +246,12 @@ def _check_jobs(args: argparse.Namespace) -> None:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    config = _build_config(args)
+    def setting(key):
+        # Flag values parse to themselves, rec-decrease's to its variant; no --rec-rate.
+        return _PARSERS[key](getattr(args, key.replace("-", "_"), _DEFAULTS[key]))
+
+    _entry(args.problem)
+    config = _experiment(args.problem, args.cht, setting)
     _check_jobs(args)
     tracing = contextlib.nullcontext() if args.trace is None else _output(args.trace)
     with _output(args.out) as out, tracing as trace_fh:
@@ -276,10 +292,10 @@ def parse_sweep_file(text: str) -> List[ExperimentConfig]:
         if "=" not in line:
             raise UsageError(f"line {lineno}: expected key = value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _SWEEP_KEYS:
+        if key not in _PARSERS:
             raise UsageError(
                 f"line {lineno}: unknown key {key!r}; "
-                f"valid keys: {', '.join(sorted(_SWEEP_KEYS))}"
+                f"valid keys: {', '.join(sorted(_PARSERS))}"
             )
         current[key] = (value, lineno)
     if not sections:
@@ -296,38 +312,17 @@ def _section_config(section: dict, header: int) -> ExperimentConfig:
             raise UsageError(f"{where}: missing required key {key!r}")
         return section[key]
 
-    def conv(key, fn):
-        if key not in section:
-            return fn(_DEFAULTS[key])
-        value, lineno = section[key]
+    def setting(key):
+        value, lineno = section.get(key, (_DEFAULTS[key], None))
         try:
-            return fn(value)
+            return _PARSERS[key](value)
         except (ValueError, KeyError):
             raise UsageError(f"line {lineno}: bad value for {key}: {value!r}") from None
 
     problem, lineno = need("problem")
     _entry(problem, f"line {lineno}: ")
     kind, _ = need("cht")
-    decrease = conv("rec-decrease", _REC_DECREASE.__getitem__)
-    try:
-        return ExperimentConfig(
-            problem=problem,
-            cht=ChtConfig(kind=kind, prob=conv("prob", float)),
-            nn=conv("nn", int),
-            particles=conv("particles", int),
-            steps=conv("steps", int),
-            runs=conv("runs", int),
-            master_seed=conv("seed", int),
-            tolerances=Tolerances(
-                ineq=conv("tol-ineq", float),
-                eq=conv("tol-eq", float),
-            ),
-            rec_switch=conv("rec-switch", float),
-            rec_decrease=decrease,
-            rec_rate=conv("rec-rate", float),
-        )
-    except ValueError as exc:
-        raise UsageError(f"{where}: {exc}") from None
+    return _experiment(problem, kind, setting, f"{where}: ")
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:

@@ -310,12 +310,10 @@ def summarize(config: ExperimentConfig, results: Sequence[RunResult]) -> Summary
         )
     # Best over runs by the priority keys; ties keep the lowest run
     # index, so an infeasible low-conflict run never outranks a feasible
-    # one.  A single completed run needs no ranking.
-    best = done[0]
-    if len(done) > 1:
-        primary, secondary = np.array([r.keys for r in done]).T
-        everyone = np.arange(len(done))[None]
-        best = done[int(lbest_index(everyone, primary, secondary)[0])]
+    # one.
+    primary, secondary = np.array([r.keys for r in done]).T
+    everyone = np.arange(len(done))[None]
+    best = done[int(lbest_index(everyone, primary, secondary)[0])]
     # Every evaluation beyond the step budget of the completed runs,
     # the failed runs' initialization samples included.
     extra = sum(r.evaluations for r in results) - len(done) * config.fes
@@ -396,31 +394,24 @@ def run_experiment(
 def sweep(configs: Sequence[ExperimentConfig], jobs: int = 1) -> List[SummaryRow]:
     """Run many experiments; one row per config, in input order.
 
-    A row-level error (bad problem name, evaluation fault) is recorded
-    in that row instead of aborting the sweep; any other exception
-    propagates, a ``KeyError`` from inside a run included.
+    An evaluation fault is recorded in that cell's row instead of
+    aborting the sweep; any other exception propagates.  (A config
+    checks its problem name when it is built.)
     """
     if not configs:
         raise ValueError("sweep needs at least one experiment")
     rows = []
     for config in configs:
         try:
-            get_problem(config.problem)
-        except KeyError as exc:  # str() would quote the lookup's message
-            error = f"KeyError: {exc.args[0]}"
-        else:
-            try:
-                rows.append(run_experiment(config, jobs=jobs))
-                continue
-            except EvaluationFault as exc:
-                error = f"{type(exc).__name__}: {exc}"
-        rows.append(
-            SummaryRow(
-                config=config,
-                failures=config.runs,
-                extra_evals=0,
-                elapsed=0.0,
-                error=error,
+            rows.append(run_experiment(config, jobs=jobs))
+        except EvaluationFault as exc:
+            rows.append(
+                SummaryRow(
+                    config=config,
+                    failures=config.runs,
+                    extra_evals=0,
+                    elapsed=0.0,
+                    error=f"{type(exc).__name__}: {exc}",
+                )
             )
-        )
     return rows

@@ -10,20 +10,18 @@ A problem's functions are one vectorized term kernel, ``terms(x, first)``:
 for a batch ``x`` of shape ``(m, n)`` it returns the function-major block
 of shape ``(1 + q + e - first, m)``, one row per function in the order
 objective, inequality 0.., equality 0.., from function ``first`` on, so
-``first=1`` skips the objective.  :meth:`Problem.from_functions` builds
-the kernel of separate ``(m, n) -> (m,)`` callables.
+``first=1`` skips the objective.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-Vectorized = Callable[[np.ndarray], np.ndarray]
 Terms = Callable[[np.ndarray, int], np.ndarray]
 
 
@@ -104,30 +102,6 @@ class Problem:
             if np.any(spans < steps[mask]):
                 raise ValueError("discrete dimensions need >= 2 grid values")
 
-    @classmethod
-    def from_functions(
-        cls,
-        name: str,
-        lower: np.ndarray,
-        upper: np.ndarray,
-        objective: Vectorized,
-        inequalities: tuple = (),
-        equalities: tuple = (),
-        **kwargs,
-    ) -> "Problem":
-        """A problem whose functions are separate vectorized callables,
-        ``(m, n) -> (m,)``, joined into one term kernel that calls each
-        of them once per batch."""
-        functions = (objective, *inequalities, *equalities)
-
-        def terms(x, first):
-            raw = np.empty((len(functions) - first, len(x)))
-            for k, f in enumerate(functions[first:]):
-                raw[k] = f(x)
-            return raw
-
-        return cls(name, lower, upper, terms, len(inequalities), len(equalities), **kwargs)
-
     @property
     def dimension(self) -> int:
         return self.lower.size
@@ -154,17 +128,11 @@ class Problem:
         }
         return {k: _read_only(np.tile(r, (_TILE_ROWS, 1))) for k, r in rows.items()}
 
-    @property
-    def discrete_mask(self) -> np.ndarray:
-        if self.grid_steps is None:
-            return np.zeros(self.dimension, dtype=bool)
-        return ~np.isnan(self.grid_steps)
-
     @functools.cached_property
     def _grid(self) -> tuple:
         """The discrete columns and their steps, read-only; built on
-        first use."""
-        cols = np.flatnonzero(self.discrete_mask)
+        first use by :meth:`_snap`, for a problem with ``grid_steps``."""
+        cols = np.flatnonzero(~np.isnan(self.grid_steps))
         return _read_only(cols), _read_only(self.grid_steps[cols])
 
     def _snap(self, x: np.ndarray) -> np.ndarray:
@@ -329,15 +297,16 @@ def _box_excess(problem: Problem, x: np.ndarray) -> np.ndarray:
     return box
 
 
-def _inf_outside_box(
-    problem: Problem, x: np.ndarray, raw: np.ndarray, first: int
-) -> np.ndarray:
-    """The +inf rule and the faults of :func:`evaluate_batch` on ``raw``,
-    the function-major values of functions ``first``, ``first + 1``, ...
-    at the rows of ``x``: ``raw`` itself when all are finite, else a new
-    array.  A row is in the box when its box excess is all 0.0, exactly
-    so for finite positions.
+def _raw_terms(problem: Problem, x: np.ndarray, first: int) -> np.ndarray:
+    """The raw terms of the rows of ``x``: the values of functions
+    ``first``, ``first + 1``, ..., function-major, one row per function
+    in the order objective, inequality 0.., equality 0.., under the +inf
+    rule and with the faults of :func:`evaluate_batch`.  ``first=1``
+    takes the constraints alone.  The kernel's block is returned itself
+    when all its values are finite, else a new array.  A row is in the
+    box when its box excess is all 0.0, exactly so for finite positions.
     """
+    raw = problem.terms(x, first)
     finite = np.isfinite(raw)
     if finite.all():
         return raw
@@ -352,15 +321,6 @@ def _inf_outside_box(
         )[first + k]
         raise EvaluationFault(f"non-finite {what} at in-box point index {idx}")
     return np.where(finite, raw, np.inf)
-
-
-def _raw_terms(problem: Problem, x: np.ndarray, first: int) -> np.ndarray:
-    """The raw terms of the rows of ``x``: the values of functions
-    ``first``, ``first + 1``, ..., function-major, one row per function
-    in the order objective, inequality 0.., equality 0.., under the +inf
-    rule and with the faults of :func:`evaluate_batch`.  ``first=1``
-    takes the constraints alone."""
-    return _inf_outside_box(problem, x, problem.terms(x, first), first)
 
 
 def _within(
@@ -548,13 +508,10 @@ class RecSchedule:
         """Initial tolerance: half the mean dynamic range of the box."""
         return cls(initial_tol=float(np.mean(problem.span)) / 2.0, **kwargs)
 
-    def switch_step(self, t_max: int) -> int:
-        return max(1, math.ceil(self.switch_fraction * t_max))
-
     def tolerance_at(self, t: int, t_max: int) -> float:
         if t < 1 or t_max < 1:
             raise ValueError("steps are 1-based and t_max must be >= 1")
-        t_switch = self.switch_step(t_max)
+        t_switch = max(1, math.ceil(self.switch_fraction * t_max))
         if t >= t_switch:
             return self.final_tol
         if self.decrease == "linear":

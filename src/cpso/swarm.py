@@ -222,12 +222,11 @@ class Swarm:
     ``run_evaluations`` counts, per run, every objective evaluation
     charged to it: ``run_init_evaluations`` (initialization, rejections
     included), one per particle and step, and ``run_repair_evaluations``
-    (repair trials).  ``evaluations``, ``init_evaluations`` and
-    ``repair_evaluations`` are their totals over the runs.
-    ``current_feasible`` is the feasibility mask of ``current`` under
-    ``tolerances`` (None for ``apm``), and ``pbest_primary`` and
-    ``pbest_secondary`` are the memories' :func:`~cpso.handlers.sort_keys`
-    under them, all kept up to date by each step.
+    (repair trials).  ``current_feasible`` is the feasibility mask of
+    ``current`` under ``tolerances`` (None for ``apm``), and
+    ``pbest_primary`` and ``pbest_secondary`` are the memories'
+    :func:`~cpso.handlers.sort_keys` under them, all kept up to date by
+    each step.
     """
 
     def __init__(
@@ -293,18 +292,6 @@ class Swarm:
     def run_evaluations(self) -> np.ndarray:
         steps = self.t * self.config.size
         return self.run_init_evaluations + steps + self.run_repair_evaluations
-
-    @property
-    def evaluations(self) -> int:
-        return int(self.run_evaluations.sum())
-
-    @property
-    def init_evaluations(self) -> int:
-        return int(self.run_init_evaluations.sum())
-
-    @property
-    def repair_evaluations(self) -> int:
-        return int(self.run_repair_evaluations.sum())
 
     # -- stepping -----------------------------------------------------------
 

@@ -3,6 +3,7 @@ synthetic evaluated rows."""
 
 import dataclasses
 from types import SimpleNamespace
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -11,13 +12,38 @@ from cpso.handlers import ChtConfig, repair_moves, replacement_mask, sort_keys
 from cpso.problem import BatchEval, Problem, Tolerances, _raw_batch
 from cpso.swarm import Swarm, initial_positions
 
+Vectorized = Callable[[np.ndarray], np.ndarray]
+
+
+def from_functions(
+    name: str,
+    lower: np.ndarray,
+    upper: np.ndarray,
+    objective: Vectorized,
+    inequalities: tuple = (),
+    equalities: tuple = (),
+    **kwargs,
+) -> Problem:
+    """A problem whose functions are separate vectorized callables,
+    ``(m, n) -> (m,)``, joined into one term kernel that calls each
+    of them once per batch."""
+    functions = (objective, *inequalities, *equalities)
+
+    def terms(x, first):
+        raw = np.empty((len(functions) - first, len(x)))
+        for k, f in enumerate(functions[first:]):
+            raw[k] = f(x)
+        return raw
+
+    return Problem(name, lower, upper, terms, len(inequalities), len(equalities), **kwargs)
+
 
 def make_toy1() -> Problem:
     """Minimize x1 + x2 subject to x1 + x2 <= 1 on the box [-2, 2]^2.
 
     The feasible region covers exactly 71.875% of the box area.
     """
-    return Problem.from_functions(
+    return from_functions(
         name="toy1",
         lower=np.array([-2.0, -2.0]),
         upper=np.array([2.0, 2.0]),
@@ -28,7 +54,7 @@ def make_toy1() -> Problem:
 
 def make_toy_eq() -> Problem:
     """Minimize x1 + x2 subject to x1 - x2 = 0 on the box [-2, 2]^2."""
-    return Problem.from_functions(
+    return from_functions(
         name="toy-eq",
         lower=np.array([-2.0, -2.0]),
         upper=np.array([2.0, 2.0]),
@@ -39,7 +65,7 @@ def make_toy_eq() -> Problem:
 
 def make_halfline(limit: float = 0.0, lower: float = -100.0, upper: float = 100.0):
     """1-D problem: minimize x subject to x <= limit."""
-    return Problem.from_functions(
+    return from_functions(
         name="halfline",
         lower=np.array([lower]),
         upper=np.array([upper]),

@@ -64,7 +64,7 @@ def test_declared_metadata(name, dim, ni, ne, ratio):
 
 def test_pressure_vessel_mixed_grid():
     p = get_problem("pressure-vessel-mixed")
-    assert np.array_equal(p.discrete_mask, [True, True, False, False])
+    assert np.array_equal(~np.isnan(p.grid_steps), [True, True, False, False])
     assert p.grid_steps[0] == 0.0625 and p.grid_steps[1] == 0.0625
     assert get_problem("pressure-vessel-continuous").grid_steps is None
 

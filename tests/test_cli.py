@@ -448,6 +448,70 @@ def test_sweep_section_errors_name_the_section(tmp_path, capsys, third, message)
     assert f"cpso: error: line 10 ([run]): {message}" in capsys.readouterr().err
 
 
+# A value other than the default for every setting ``cpso run`` has,
+# spelt as its flag and its sweep file key spell it.
+EVERY_SETTING = {
+    "nn": "3",
+    "particles": "12",
+    "steps": "7",
+    "runs": "3",
+    "seed": "9",
+    "tol-ineq": "1e-9",
+    "tol-eq": "1e-6",
+    "rec-switch": "0.5",
+    "rec-decrease": "exp",
+    "prob": "0.7",
+}
+
+
+def test_run_flags_and_a_sweep_section_build_the_same_experiment(monkeypatch, capsys):
+    built = []
+
+    def record(config, **kwargs):
+        built.append(config)
+        return harness.run_experiment(config, **kwargs)
+
+    monkeypatch.setattr(cli, "run_experiment", record)
+    argv = ["run", "--problem", "g11", "--cht", "pfppr+rec"]
+    for key, value in EVERY_SETTING.items():
+        argv += [f"--{key}", value]
+    assert main(argv) == 0
+    text = "[run]\nproblem = g11\ncht = pfppr+rec\n"
+    [swept] = parse_sweep_file(text + "".join(f"{k} = {v}\n" for k, v in EVERY_SETTING.items()))
+    [default] = parse_sweep_file(text)
+    [run] = built
+    assert run == swept
+
+    def settings(config):
+        return (
+            config.nn, config.particles, config.steps, config.runs, config.master_seed,
+            config.tolerances.ineq, config.tolerances.eq,
+            config.rec_switch, config.rec_decrease, config.cht.prob,
+        )
+
+    assert all(a != b for a, b in zip(settings(run), settings(default), strict=True))
+    # rec-rate is the one sweep key that run has no flag for.
+    assert run.rec_rate == default.rec_rate
+    with pytest.raises(SystemExit):
+        main(argv + ["--rec-rate", "0.9"])
+    assert "unrecognized arguments: --rec-rate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ("rec-decrease = bogus", "line 5: bad value for rec-decrease: 'bogus'"),
+        ("nn = x", "line 2 ([run]): unknown CHT 'nosuch'; valid names: "),
+    ],
+)
+def test_sweep_reports_the_first_bad_setting(tmp_path, capsys, setting, message):
+    # rec-decrease is read before the technique is checked, nn after it.
+    path = tmp_path / "order.cfg"
+    path.write_text(f"particles = 10\n[run]\nproblem = g08\ncht = nosuch\n{setting}\n")
+    assert main(["sweep", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"cpso: error: {message}")
+
+
 def test_sweep_invalid_rec_tolerance_is_usage_error(tmp_path, capsys):
     path = tmp_path / "rec.cfg"
     path.write_text("[run]\nproblem = g08\ncht = pfpr+rec\ntol-eq = 1000\n")

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from cpso.handlers import ChtConfig, KINDS, penalized_batch, priority_keys
-from cpso.problem import Problem, Tolerances
+from cpso.problem import Tolerances
 from cpso.swarm import Swarm, SwarmConfig, Topology, lbest_index
 
 from conftest import (
     FixedRng,
     batch,
+    from_functions,
     make_halfline,
     random_batch,
     repair_rows,
@@ -186,7 +187,7 @@ def test_bmem_alternating_example():
 
 
 def test_bmem_box_only_skips_upscaling():
-    box_only = Problem.from_functions(
+    box_only = from_functions(
         name="boxonly",
         lower=np.array([-1.0]),
         upper=np.array([1.0]),
@@ -237,7 +238,7 @@ def test_already_feasible_step_unchanged():
         swarm.step()
         assert np.array_equal(swarm.velocities[:, 0], swarm.w_rows[:, 0])
         assert np.array_equal(swarm.positions[:, 0], -3.0 + swarm.w_rows[:, 0])
-        assert swarm.repair_evaluations == 0
+        assert swarm.run_repair_evaluations.tolist() == [0]
         clone.random((9, 1, 2))  # the velocity block, and no repair draws
         assert swarm.rngs[0].bit_generator.state == clone.bit_generator.state
 
@@ -262,13 +263,13 @@ def test_repair_feasible_or_unchanged_property(toy1):
         ladder = ChtConfig(variant).max_repair_trials
         for _ in range(60):
             x_old = swarm.positions.copy()
-            charged = swarm.repair_evaluations
+            charged = swarm.run_repair_evaluations[0]
             swarm.step()
             assert np.all(swarm.current.feasible(TOL))
             assert np.array_equal(swarm.current.positions, swarm.positions)
             dropped = np.all(swarm.velocities == 0.0, axis=1)
             assert np.array_equal(swarm.positions[dropped], x_old[dropped])
-            assert swarm.repair_evaluations - charged <= 12 * ladder
+            assert swarm.run_repair_evaluations[0] - charged <= 12 * ladder
 
 
 # ------------------------------------------------------------- memory update

@@ -11,9 +11,9 @@ import cpso
 from cpso import harness
 from cpso.handlers import ChtConfig
 from cpso.harness import ExperimentConfig, run_experiment, summarize, sweep
-from cpso.problem import EvaluationFault, Problem, Tolerances
+from cpso.problem import EvaluationFault, Tolerances
 
-from conftest import start_swarm
+from conftest import from_functions, start_swarm, with_term
 
 
 def make_config(**overrides):
@@ -177,7 +177,7 @@ def test_fault_traces_the_steps_completed_before_it(monkeypatch):
     # A toy pfpr run whose objective is NaN at an in-box point that its
     # fourth step visits first: its three completed steps are traced,
     # as the clean run traces them, and then the fault is raised.
-    clean = Problem.from_functions("toy-plane", np.full(2, -2.0), np.full(2, 2.0), lambda x: x.sum(axis=1))
+    clean = from_functions("toy-plane", np.full(2, -2.0), np.full(2, 2.0), lambda x: x.sum(axis=1))
     # Patched before the config is built, which looks its problem up.
     monkeypatch.setattr(harness, "get_problem", lambda name: clean)
     config = make_config(problem="toy-plane", particles=6, steps=8, runs=1)
@@ -195,7 +195,7 @@ def test_fault_traces_the_steps_completed_before_it(monkeypatch):
     lines = []
     run_experiment(config, trace=lambda *line: lines.append(line))
     assert len(lines) == config.steps
-    bad = Problem.from_functions("toy-plane", clean.lower, clean.upper, faulty)
+    bad = from_functions("toy-plane", clean.lower, clean.upper, faulty)
     monkeypatch.setattr(harness, "get_problem", lambda name: bad)
     got = []
     with pytest.raises(EvaluationFault, match="non-finite objective"):
@@ -238,14 +238,19 @@ def test_rec_schedule_resolved_from_problem():
         make_config(problem="g11", cht=cht)
 
 
-def test_sweep_preserves_order_and_isolates_errors():
+def test_sweep_preserves_order_and_isolates_errors(monkeypatch):
+    # The middle cell's problem is g08 with a NaN objective, which its
+    # first initial position meets.
+    g08 = harness.get_problem("g08")
+    nan = with_term(g08, 0, lambda x: np.full(len(x), np.nan))
+    lookup = {"g08": g08, "g08-nan": nan}
+    monkeypatch.setattr(harness, "get_problem", lookup.__getitem__)
     good = make_config(steps=20)
-    bad = make_config(problem="g08", steps=20)
-    object.__setattr__(bad, "problem", "nosuch")
+    bad = make_config(problem="g08-nan", steps=20)
     rows = sweep([good, bad, good])
     assert len(rows) == 3
     assert rows[0].error is None and rows[2].error is None
-    assert rows[1].error is not None and "nosuch" in rows[1].error
+    assert rows[1].error == "EvaluationFault: non-finite objective at in-box point index 0"
     assert rows[1].failed
     assert rows[0].best_conflict == rows[2].best_conflict
 
@@ -260,20 +265,13 @@ def test_sweep_propagates_programming_errors(monkeypatch):
 
 
 def test_sweep_propagates_key_errors_raised_inside_a_run(monkeypatch):
-    # Only the problem lookup's KeyError is a row error.
+    # A KeyError is no row error.
     def broken(config, jobs=1):
         raise KeyError("bug")
 
     monkeypatch.setattr(harness, "run_experiment", broken)
     with pytest.raises(KeyError, match="bug"):
         sweep([make_config(steps=20)])
-
-
-def test_sweep_row_error_prints_the_lookup_message_unquoted():
-    bad = make_config(steps=20)
-    object.__setattr__(bad, "problem", "nosuch")
-    (row,) = sweep([bad])
-    assert row.error.startswith("KeyError: unknown problem 'nosuch'; valid names: ")
 
 
 @pytest.mark.parametrize("kind", ["pfpr", "pfpr+rec"])

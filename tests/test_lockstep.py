@@ -19,8 +19,10 @@ from hypothesis import strategies as st
 from cpso import harness, problem as problem_module, swarm as swarm_module
 from cpso.handlers import KINDS, ChtConfig
 from cpso.harness import ExperimentConfig, run_experiment, summarize
-from cpso.problem import MAX_BATCH_ROWS, BatchEval, EvaluationFault, Problem
+from cpso.problem import MAX_BATCH_ROWS, BatchEval, EvaluationFault
 from cpso.swarm import InitializationFailure, Swarm, initial_positions
+
+from conftest import from_functions
 
 FIELDS = (
     "positions",
@@ -122,7 +124,7 @@ def test_lockstep_equals_runs_alone(name, kind, full, size, runs, steps, budget,
             sw.step()
     for r, sw in enumerate(alone):
         assert_run_equals(group, r, sw)
-    assert group.evaluations == sum(sw.evaluations for sw in alone)
+    assert group.run_evaluations.tolist() == [sw.run_evaluations[0] for sw in alone]
 
     # The harness steps the same group: its rows equal one-run groups'.
     assert_row_equals_runs_alone(config, run_experiment(config))
@@ -142,7 +144,7 @@ def test_group_larger_than_a_tile_equals_runs_alone():
         group.step()
         for sw in alone:
             sw.step()
-    assert group.repair_evaluations > 0
+    assert group.run_repair_evaluations.sum() > 0
     for r, sw in enumerate(alone):
         assert_run_equals(group, r, sw)
 
@@ -295,7 +297,7 @@ def test_fault_only_run_1_reaches_raises_the_serial_error(monkeypatch):
     def plane(x):
         return x.sum(axis=1)
 
-    clean = Problem.from_functions("toy-plane", np.full(2, -2.0), np.full(2, 2.0), plane)
+    clean = from_functions("toy-plane", np.full(2, -2.0), np.full(2, 2.0), plane)
     monkeypatch.setattr(harness, "get_problem", lambda name: clean)
     config = ExperimentConfig("toy-plane", ChtConfig("pfpr"), 2, 6, 8, 3)
     visited = []
@@ -317,7 +319,7 @@ def test_fault_only_run_1_reaches_raises_the_serial_error(monkeypatch):
     def faulty(x):
         return np.where(np.all(x == target, axis=1), np.nan, x.sum(axis=1))
 
-    bad = Problem.from_functions("toy-plane", clean.lower, clean.upper, faulty)
+    bad = from_functions("toy-plane", clean.lower, clean.upper, faulty)
     monkeypatch.setattr(harness, "get_problem", lambda name: bad)
     with pytest.raises(EvaluationFault) as serial:
         harness._run_group(config, [1])
@@ -338,7 +340,7 @@ def test_fault_at_an_initial_position_of_run_1_raises_the_serial_error(
     def plane(x):
         return x.sum(axis=1)
 
-    clean = Problem.from_functions("toy-plane", np.full(2, -2.0), np.full(2, 2.0), plane)
+    clean = from_functions("toy-plane", np.full(2, -2.0), np.full(2, 2.0), plane)
     monkeypatch.setattr(harness, "get_problem", lambda name: clean)
     config = ExperimentConfig("toy-plane", ChtConfig(kind), 2, 6, 8, 3)
     starts = [one_run(config, i)[1] for i in range(3)]
@@ -350,7 +352,7 @@ def test_fault_at_an_initial_position_of_run_1_raises_the_serial_error(
     def faulty(x):
         return np.where(np.all(x == target, axis=1), np.nan, x.sum(axis=1))
 
-    bad = Problem.from_functions("toy-plane", clean.lower, clean.upper, faulty)
+    bad = from_functions("toy-plane", clean.lower, clean.upper, faulty)
     monkeypatch.setattr(harness, "get_problem", lambda name: bad)
     with pytest.raises(EvaluationFault) as serial:
         harness._run_group(config, [1])

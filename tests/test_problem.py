@@ -3,13 +3,12 @@ import pytest
 
 from cpso.problem import (
     EvaluationFault,
-    Problem,
     RecSchedule,
     Tolerances,
     evaluate_batch,
 )
 
-from conftest import make_toy1, make_toy_eq
+from conftest import from_functions, make_toy1, make_toy_eq
 
 TOL = Tolerances()
 
@@ -82,7 +81,7 @@ def test_non_finite_position_rejected(toy1):
 
 
 def test_non_finite_output_inside_box_faults():
-    bad = Problem.from_functions(
+    bad = from_functions(
         name="bad",
         lower=np.array([-1.0]),
         upper=np.array([1.0]),
@@ -93,7 +92,7 @@ def test_non_finite_output_inside_box_faults():
 
 
 def test_non_finite_output_outside_box_becomes_inf():
-    sqrt = Problem.from_functions(
+    sqrt = from_functions(
         name="sqrt",
         lower=np.array([1.0]),
         upper=np.array([2.0]),
@@ -150,7 +149,7 @@ def test_cv_zero_implies_nac_zero(toy1):
 
 
 def test_schedule_initial_value_from_box():
-    box = Problem.from_functions(
+    box = from_functions(
         name="box4",
         lower=np.zeros(4),
         upper=np.full(4, 10.0),
@@ -208,7 +207,7 @@ def test_schedule_validation():
 
 def test_bounds_must_be_ordered():
     with pytest.raises(ValueError):
-        Problem.from_functions(
+        from_functions(
             name="inverted",
             lower=np.array([1.0]),
             upper=np.array([0.0]),
@@ -221,7 +220,7 @@ def test_bounds_and_their_caches_are_read_only():
     # none of them may be written, and the caller's arrays are copied,
     # never frozen.
     lower, upper = np.array([-1.0, 0.0]), np.array([1.0, 3.0])
-    prob = Problem.from_functions("box", lower, upper, objective=lambda x: x[:, 0])
+    prob = from_functions("box", lower, upper, objective=lambda x: x[:, 0])
     lower[0] = upper[0] = 0.5
     assert prob.lower[0] == -1.0 and prob.upper[0] == 1.0
     arrays = [prob.lower, prob.upper, prob.span, prob.vmax, *prob._tiles.values()]
@@ -235,7 +234,7 @@ def test_bounds_and_their_caches_are_read_only():
 def test_grid_steps_are_a_read_only_copy():
     # _snap and the sampling proof derive from the steps.
     steps = np.array([0.0625, np.nan])
-    prob = Problem.from_functions("grid", np.array([0.0, 0.0]), np.array([10.0, 1.0]),
+    prob = from_functions("grid", np.array([0.0, 0.0]), np.array([10.0, 1.0]),
                                   objective=lambda x: x[:, 0], grid_steps=steps)
     assert prob.grid_steps is not steps
     steps[0] = 1.0
@@ -247,7 +246,7 @@ def test_grid_steps_are_a_read_only_copy():
 
 
 def test_grid_snap_rounding():
-    prob = Problem.from_functions(
+    prob = from_functions(
         name="grid",
         lower=np.array([0.0]),
         upper=np.array([10.0]),

@@ -1,7 +1,8 @@
 """Every cross-reference in the package's docstrings (``:func:``,
 ``:meth:``, ``:class:``, ...) and every module-qualified name in
 README.md resolves to a live attribute, so a renamed or deleted name
-leaves no stale mention behind."""
+leaves no stale mention behind; and the sweep file keys they list are
+the keys the sweep parser accepts."""
 
 import ast
 import importlib
@@ -9,7 +10,10 @@ import pathlib
 import pkgutil
 import re
 
+import pytest
+
 import cpso
+from cpso import cli
 
 PACKAGE = pathlib.Path(cpso.__file__).parent
 README = PACKAGE.parents[1] / "README.md"
@@ -69,6 +73,18 @@ def test_readme_module_names_resolve():
     assert len(names) > 10
     stale = [name for name in names if not _resolves(name, [cpso])]
     assert stale == []
+
+
+def test_documented_sweep_keys_are_the_accepted_keys():
+    # The parser names the keys it accepts when it meets another one.
+    with pytest.raises(cli.UsageError) as unknown:
+        cli.parse_sweep_file("[run]\nnosuch = 1\n")
+    accepted = unknown.value.args[0].split("valid keys: ")[1].split(", ")
+    readme = re.search(r"Valid keys: (.*?)\.\s", README.read_text(), re.S)[1]
+    doc = re.search(r"Keys: (.*?)\.\s", cli.parse_sweep_file.__doc__, re.S)[1]
+    assert len(accepted) > 10
+    assert sorted(re.findall(r"`([\w-]+)`", readme)) == accepted
+    assert sorted(re.findall(r"[\w-]+", doc)) == accepted
 
 
 # ``tol``, ``tol.ineq``, ``tolerances.eq``, ``self.tolerances.ineq``, ...

@@ -6,7 +6,7 @@ import pytest
 from cpso.benchmarks import get_problem
 from cpso.handlers import KINDS, ChtConfig, priority_keys, sort_keys
 from cpso import swarm as swarm_module
-from cpso.problem import BatchEval, Problem, RecSchedule, Tolerances, evaluate_batch
+from cpso.problem import BatchEval, RecSchedule, Tolerances, evaluate_batch
 from cpso.swarm import (
     COEFFICIENT_PRESETS,
     InitializationFailure,
@@ -17,7 +17,7 @@ from cpso.swarm import (
     lbest_index,
 )
 
-from conftest import FixedRng, make_toy1, start_swarm
+from conftest import FixedRng, from_functions, make_toy1, start_swarm
 
 TOL = Tolerances()
 
@@ -114,7 +114,7 @@ def test_topology_validation():
 
 def line(lower=-2.0, upper=2.0):
     """Unconstrained 1-D problem: minimize x on [lower, upper]."""
-    return Problem.from_functions(
+    return from_functions(
         name="line",
         lower=np.array([lower]),
         upper=np.array([upper]),
@@ -190,13 +190,13 @@ def test_init_positions_in_box_velocities_zero(toy1):
     assert np.all(swarm.positions >= toy1.lower)
     assert np.all(swarm.positions <= toy1.upper)
     assert np.all(swarm.velocities == 0.0)
-    assert swarm.evaluations == 9
+    assert swarm.run_evaluations.tolist() == [9]
 
 
 def test_feasible_init_rejection_sampling(toy1):
     swarm = start_swarm(toy1, make_config(size=20), ChtConfig("pf"))
     assert np.all(swarm.current.feasible(TOL))
-    assert swarm.evaluations >= 20
+    assert swarm.run_evaluations[0] >= 20
 
 
 def test_feasible_init_failure_on_empty_region():
@@ -254,7 +254,7 @@ def test_evaluation_count_per_step(toy1):
     swarm = start_swarm(toy1, make_config(size=9, steps=10, seed=5), ChtConfig("pfpr"))
     for t in range(1, 11):
         swarm.step()
-        assert swarm.evaluations == 9 * (t + 1)
+        assert swarm.run_evaluations.tolist() == [9 * (t + 1)]
 
 
 def test_bit_identical_trajectories(toy1):
@@ -399,7 +399,8 @@ def test_repair_keeps_positions_feasible(toy1):
     for _ in range(40):
         swarm.step()
         assert np.all(swarm.current.feasible(TOL))
-    assert swarm.evaluations >= 9 * 41
-    assert swarm.evaluations == 9 * 41 + swarm.repair_evaluations + (
-        swarm.init_evaluations - 9
+    [evaluations] = swarm.run_evaluations
+    assert evaluations >= 9 * 41
+    assert evaluations == 9 * 41 + swarm.run_repair_evaluations[0] + (
+        swarm.run_init_evaluations[0] - 9
     )

@@ -29,7 +29,6 @@ from cpso import problem as problem_module
 from cpso.problem import (
     BatchEval,
     EvaluationFault,
-    Problem,
     RecSchedule,
     Tolerances,
     evaluate_batch,
@@ -45,7 +44,7 @@ from cpso.swarm import (
     lbest_index,
 )
 
-from conftest import make_toy1, repair_rows, start_swarm, with_term
+from conftest import from_functions, make_toy1, repair_rows, start_swarm, with_term
 
 TOL = Tolerances()
 TOY = make_toy1()
@@ -510,7 +509,7 @@ def _faulty_halfline(bad_points):
         evaluated.extend(x[:, 0])
         return np.where(np.isin(x[:, 0], bad_points), np.nan, x[:, 0] + 99.9)
 
-    problem = Problem.from_functions(
+    problem = from_functions(
         name="faulty-halfline",
         lower=np.array([-100.0]),
         upper=np.array([100.0]),
@@ -636,7 +635,7 @@ def test_evaluate_batch_equals_per_function_sanitize(name, m):
 def test_evaluate_batch_non_finite_and_signed_zero_outputs():
     # Non-finite values outside the box become +inf; an inequality of
     # -0.0 is a violation of +0.0, as np.maximum(0.0, -0.0) gives.
-    problem = Problem.from_functions(
+    problem = from_functions(
         name="log",
         lower=np.array([1.0]),
         upper=np.array([2.0]),
@@ -664,7 +663,7 @@ def test_evaluate_batch_fault_names_first_faulty_function():
     def nan_at(rows):
         return lambda x: np.where(np.isin(np.arange(len(x)), rows), np.nan, x[:, 0])
 
-    problem = Problem.from_functions(
+    problem = from_functions(
         name="faulty",
         lower=np.array([0.0, 0.0]),
         upper=np.array([1.0, 1.0]),
@@ -809,7 +808,7 @@ def _non_finite_outside():
     """[0, 1]^2 with constraints that are -inf, NaN or +inf outside it:
     -inf left of the box, NaN below it and +inf right of it, and
     -inf far above it; its samples are not proven in the box."""
-    return Problem.from_functions(
+    return from_functions(
         name="non-finite-outside",
         lower=np.array([0.0, 0.0]),
         upper=np.array([1.0, 1.0]),
@@ -855,7 +854,7 @@ def test_feasible_mask_fault_names_first_faulty_constraint():
     def nan_at(rows):
         return lambda x: np.where(np.isin(np.arange(len(x)), rows), np.nan, x[:, 0])
 
-    problem = Problem.from_functions(
+    problem = from_functions(
         name="faulty",
         lower=np.array([0.0, 0.0]),
         upper=np.array([1.0, 1.0]),
@@ -998,7 +997,7 @@ def test_every_problem_proves_its_samples_in_the_box():
 def test_a_short_continuous_box_is_proven():
     # fl(-1 + fl(1.1)) is above 0.1, but the greatest draw is below 1, and
     # its sample fl(-1 + fl((1 - 2**-53) * fl(1.1))) is not.
-    problem = Problem.from_functions("short", np.array([-1.0]), np.array([0.1]),
+    problem = from_functions("short", np.array([-1.0]), np.array([0.1]),
                                      objective=lambda x: x[:, 0])
     assert (problem.lower + problem.span)[0] > problem.upper[0]
     assert problem._samples_in_box
@@ -1009,7 +1008,7 @@ def _off_grid():
     """A grid its extreme samples snap out of: 0.03 snaps to 0.0, below
     the box, and 1.6 to 2.0, above it; one constraint every point of the
     box satisfies."""
-    return Problem.from_functions(
+    return from_functions(
         name="off-grid",
         lower=np.array([0.03, 0.0, -1.0]),
         upper=np.array([1.0, 1.6, 1.0]),
@@ -1038,7 +1037,7 @@ def test_a_grid_its_samples_snap_out_of_is_not_proven():
 )
 def test_an_infinite_bound_or_span_is_not_proven(lower, upper):
     with np.errstate(over="ignore"):
-        problem = Problem.from_functions(
+        problem = from_functions(
             "wide", np.array([0.0, lower]), np.array([1.0, upper]), objective=lambda x: x[:, 0]
         )
         assert not problem._samples_in_box
@@ -1076,7 +1075,7 @@ def _tile_toy(n):
     """An n-D box whose bounds differ per dimension, with one inequality
     and one equality; the objective sums n terms, whose bits follow the
     memory layout from 8 terms on."""
-    return Problem.from_functions(
+    return from_functions(
         name=f"tile-toy-{n}",
         lower=-1.0 - np.arange(n) / 3.0,
         upper=0.5 + np.arange(n) / 7.0,
