@@ -260,7 +260,8 @@ def _run_group(
             log[:, t, 0] = group.pbest.conflict[rows]
             log[:, t, 1] = group.pbest.cv[rows]
     best = group.pbest.take(group.best_rows())
-    primary, secondary = priority_keys(best, best.feasible(config.tolerances))
+    # The last step's tolerances, which a +rec schedule ends at the cell's.
+    primary, secondary = priority_keys(best, best.feasible(group.tolerances))
     nac = best.nac(group.tolerances)
     share = (time.perf_counter() - start) / group.runs
     for r, i in enumerate(started):

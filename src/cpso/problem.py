@@ -65,8 +65,6 @@ class Problem:
     grid_steps : ndarray or None
         Per-dimension step for discrete dimensions, NaN for continuous
         ones.  None means all dimensions are continuous.
-    known_optimum : float or None
-        Reference conflict value (metadata only, never used in search).
     """
 
     name: str
@@ -76,7 +74,6 @@ class Problem:
     n_inequalities: int = 0
     n_equalities: int = 0
     grid_steps: Optional[np.ndarray] = None
-    known_optimum: Optional[float] = None
 
     def __post_init__(self):
         # Own, read-only copies: the spans, the tiles, the grid and the

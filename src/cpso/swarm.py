@@ -455,71 +455,63 @@ def _feasible_positions(
     Returns the positions and the rejected candidates, which cost one
     evaluation each; the accepted ones are charged by the swarm's
     initial batch evaluation.  Candidates are tested with
-    :func:`~cpso.problem.sampled_mask`: a block or a chunk of drawn
-    rows, never other points.  ``rows`` buffers drawn candidates, with
-    ``rows[c]`` the start of the current particle's next chunk and
-    ``start`` the stream index of ``rows[0]``; a block of whole chunks
-    is appended whenever the next chunk runs past its end.
-    A block tests rows that no chunk may read, so once a block's test
-    faults, chunks are tested one at a time as they are read: a fault
-    is raised only from a chunk that is read, with its in-chunk index.
+    :func:`~cpso.problem.sampled_mask`, a block of drawn rows at a time,
+    never other points.  ``rows`` and ``feas`` buffer the tested
+    candidates after the ``seen`` ones the current particle has
+    rejected; each pass searches the particle's whole chunks in the
+    buffer, all of it at the budget, and a block is drawn when they hold
+    no hit.  No block crosses a particle's budget.  A block tests rows
+    that no chunk may read, so once a block's test faults, the start is
+    walked again from the generator's state on entry, one chunk per
+    block: a fault is raised only from a chunk that is read, with its
+    in-chunk index.
     """
     n = problem.dimension
-    positions = np.empty((size, n))
-    rows, feas = np.empty((0, n)), np.empty(0, dtype=bool)
-    by_chunk = False
-    start = c = 0
-    state, block_at = rng.bit_generator.state, 0
-    chunks, seeded = 0, True
-    extra = 0
-    i, left = 0, budget
-    while i < size and left > 0:
-        m = min(_INIT_CHUNK, left)
-        if c + m > len(rows):
-            # One chunk per particle still to seed (none reads less but
-            # for a budget below a chunk), doubled after a block that
-            # seeded nobody; never more rows than the particles could
-            # still read.
-            chunks = min(_INIT_BLOCK_CHUNKS, size - i if seeded else 2 * chunks)
-            seeded = False
-            tail = len(rows) - c
-            count = min(chunks * _INIT_CHUNK, left + (size - i - 1) * budget - tail)
-            state, block_at = rng.bit_generator.state, start + len(rows)
-            block = problem.sample_uniform(rng, count)
-            start += c
-            rows = np.concatenate((rows[c:], block))
-            if not by_chunk:
-                try:
-                    fresh = sampled_mask(problem, block, tol)
-                    feas = np.concatenate((feas[c:], fresh))
-                except EvaluationFault:
-                    by_chunk = True
-            c = 0
-            continue
-        if by_chunk:
-            span = m
-            f = sampled_mask(problem, rows[c : c + m], tol)
+    entry = rng.bit_generator.state
+    for cap in (_INIT_BLOCK_CHUNKS, 1):
+        rng.bit_generator.state = entry
+        positions = np.empty((size, n))
+        rows, feas = np.empty((0, n)), np.empty(0, dtype=bool)
+        state, count = entry, 0
+        chunks, seeded = 0, True
+        extra = seen = i = 0
+        try:
+            while i < size and seen < budget:
+                whole = len(feas)
+                if seen + whole < budget:
+                    whole -= whole % _INIT_CHUNK
+                if not whole:
+                    # One chunk per particle still to seed, doubled
+                    # after a block that seeded nobody.
+                    chunks = min(cap, size - i if seeded else 2 * chunks)
+                    seeded = False
+                    state = rng.bit_generator.state
+                    count = min(chunks * _INIT_CHUNK, budget - seen) - len(rows)
+                    block = problem.sample_uniform(rng, count)
+                    rows = np.concatenate((rows, block))
+                    feas = np.concatenate((feas, sampled_mask(problem, block, tol)))
+                    continue
+                k = int(feas[:whole].argmax())
+                if feas[k]:
+                    positions[i] = rows[k]
+                    extra += seen + k
+                    # The hit's chunk is read to its end.
+                    end = min((k // _INIT_CHUNK + 1) * _INIT_CHUNK, budget - seen)
+                    rows, feas = rows[end:], feas[end:]
+                    i, seen, seeded = i + 1, 0, True
+                else:
+                    seen += whole
+                    rows, feas = rows[whole:], feas[whole:]
+        except EvaluationFault:
+            if cap == 1:
+                raise
         else:
-            # Every whole chunk of this particle that lies in the buffer.
-            if c + left <= len(rows):
-                span = left
-            else:
-                span = (len(rows) - c) // _INIT_CHUNK * _INIT_CHUNK
-            f = feas[c : c + span]
-        k = int(f.argmax())
-        if not f[k]:
-            c += span
-            left -= span
-            continue
-        positions[i] = rows[c + k]
-        extra += budget - left + k
-        c += min((k // _INIT_CHUNK + 1) * _INIT_CHUNK, left)
-        i, left, seeded = i + 1, budget, True
+            break
 
     # Redraw only what was read of the last block, so the generator ends
     # where drawing chunk by chunk leaves it.
     rng.bit_generator.state = state
-    rng.random((start + c - block_at, n))
+    rng.random((count - len(rows), n))
     if i < size:
         raise InitializationFailure(
             f"particle {i} found no feasible position in "

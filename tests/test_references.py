@@ -108,18 +108,42 @@ def _tolerance_tests(tree):
             yield node.lineno
 
 
-def test_the_tolerance_rule_is_written_once():
-    # Every feasibility mask and nac runs through problem._within: no
-    # other code of the package compares a term with a tolerance.
+def _sites_outside(find, module, function):
+    """``(module, line)`` of each site that ``find`` yields in a package
+    module's tree, but for those in ``function`` of ``module``, which
+    must hold one."""
     sites = []
     for name in MODULES:
         tree = ast.parse((PACKAGE / f"{name}.py").read_text())
-        sites.extend((name, line) for line in _tolerance_tests(tree))
-    rule = next(
+        sites.extend((name, line) for line in find(tree))
+    home = next(
         node
-        for node in ast.parse((PACKAGE / "problem.py").read_text()).body
-        if isinstance(node, ast.FunctionDef) and node.name == "_within"
+        for node in ast.parse((PACKAGE / f"{module}.py").read_text()).body
+        if isinstance(node, ast.FunctionDef) and node.name == function
     )
-    inside = [s for s in sites if s[0] == "problem" and rule.lineno <= s[1] <= rule.end_lineno]
+    inside = [s for s in sites if s[0] == module and home.lineno <= s[1] <= home.end_lineno]
     assert inside
-    assert sorted(set(sites) - set(inside)) == []
+    return sorted(set(sites) - set(inside))
+
+
+def test_the_tolerance_rule_is_written_once():
+    # Every feasibility mask and nac runs through problem._within: no
+    # other code of the package compares a term with a tolerance.
+    assert _sites_outside(_tolerance_tests, "problem", "_within") == []
+
+
+def _generator_rewinds(tree):
+    """Line numbers of the assignments to a ``bit_generator.state`` under
+    ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            re.search(r"\bbit_generator\.state\b", ast.unparse(t)) for t in node.targets
+        ):
+            yield node.lineno
+
+
+def test_a_generator_is_rewound_in_one_place():
+    # Only the feasible start sets a generator's state, to leave it
+    # where drawing chunk by chunk leaves it: the draw order of every
+    # run rests on that one function.
+    assert _sites_outside(_generator_rewinds, "swarm", "_feasible_positions") == []

@@ -6,13 +6,13 @@ the loop it replaces: the lbest lookup against a per-particle
 reference written from its docstring, one trial at a time, both blocks of
 per-particle draws against draws taken one particle at a time, the
 per-run draw against each generator's own block, the blocked feasible
-initialization against drawing and evaluating one 256-row chunk at a
-time, the fused evaluation against sanitizing each function's output on
-its own, the feasibility mask against row reductions, the mask from the
-constraints alone and the repair trials' mask from raw terms against the
-full evaluation's, the finish of any rows against their own evaluation,
-in-place sampling against its affine formula, and the row-tiled bounds
-against plain broadcasting.
+initialization, with and without faults, against drawing and evaluating
+one 256-row chunk at a time, the fused evaluation against sanitizing
+each function's output on its own, the feasibility mask against row
+reductions, the mask from the constraints alone and the repair trials'
+mask from raw terms against the full evaluation's, the finish of any
+rows against their own evaluation, in-place sampling against its affine
+formula, and the row-tiled bounds against plain broadcasting.
 """
 
 import dataclasses
@@ -336,6 +336,13 @@ def test_repair_needs_a_trial(variant, max_trials):
         repair_rows(x_old, v, TOY, TOL, variant, np.random.default_rng(0), max_trials)
 
 
+def test_repair_needs_a_repair_technique():
+    # Any other name would otherwise draw bmpem's random factors.
+    x_old, v = np.zeros((1, 2)), np.full((1, 2), 2.0)
+    with pytest.raises(ValueError, match="^not a repair technique: 'pfpr'$"):
+        repair_rows(x_old, v, TOY, TOL, "pfpr", np.random.default_rng(0), 1)
+
+
 # ------------------------------------------------------------ draw order
 
 
@@ -500,14 +507,15 @@ def test_feasible_init_equals_per_chunk_loop(name, size, budget, seed):
     assert got[3].bit_generator.state == expect[3].bit_generator.state
 
 
-def _faulty_halfline(bad_points):
-    """x <= -99.9 on [-100, 100] (0.05% feasible, ~8 chunks per particle),
-    with a non-finite constraint exactly at ``bad_points``, all in the box."""
+def _faulty_halfline(bad_points, edge=-99.9):
+    """x <= edge on [-100, 100] (at -99.9, 0.05% feasible, ~8 chunks per
+    particle), with a non-finite constraint exactly at ``bad_points``,
+    all in the box."""
     evaluated = []
 
     def constraint(x):
         evaluated.extend(x[:, 0])
-        return np.where(np.isin(x[:, 0], bad_points), np.nan, x[:, 0] + 99.9)
+        return np.where(np.isin(x[:, 0], bad_points), np.nan, x[:, 0] - edge)
 
     problem = from_functions(
         name="faulty-halfline",
@@ -520,6 +528,33 @@ def _faulty_halfline(bad_points):
 
 
 FAULT_SEED, FAULT_SIZE, FAULT_BUDGET = 7, 5, 20_000
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.sampled_from([-99.9, -90.0]),
+    st.integers(3, 12),
+    st.sampled_from(BUDGETS),
+    st.integers(0, 2**32),
+    st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=2),
+)
+def test_feasible_init_with_faults_equals_per_chunk_loop(edge, size, budget, seed, where):
+    # Faults anywhere in the rows a chunk reads or a block draws past
+    # them: the start ends as the per-chunk loop ends, raising or not.
+    clean, _ = _faulty_halfline([], edge)
+    drawn = per_chunk_init(clean, seed, size, budget)[4]
+    stream = clean.sample_uniform(np.random.default_rng(seed), drawn + 4096)
+    problem, _ = _faulty_halfline(stream[[int(w * len(stream)) for w in where], 0], edge)
+    outcomes = []
+    for init in (per_chunk_init, stream_init):
+        try:
+            positions, rejected, failure, rng = init(problem, seed, size, budget)[:4]
+        except EvaluationFault as fault:
+            outcomes.append(str(fault))
+        else:
+            bits = None if positions is None else positions.tobytes()
+            outcomes.append((bits, rejected, failure, rng.bit_generator.state))
+    assert outcomes[0] == outcomes[1]
 
 
 def test_feasible_init_ignores_faults_in_rows_never_read():
