@@ -460,14 +460,15 @@ def sampled_mask(problem: Problem, x: np.ndarray, tolerances: Tolerances) -> np.
 
 # Largest batch evaluated in one call: the harness groups a cell's runs
 # so that a lockstep step's rows fit in it (but for a single run of more
-# particles, whose steps evaluate them all), a step repairs its moves in
-# batches of at most this many trial rows, and the feasibility estimator
-# samples blocks of it.  The cost per row is at its floor by
-# then (2-core host, min of 7, ns per row at 512 / 2,048 / 4,096 rows:
-# g06 197 / 125 / 123, welded-beam 338 / 194 / 209, g04 193 / 120 /
-# 129), while each call's temporaries grow with its rows:
-# 30 welded-beam bm runs repairing in batches of 4,096 trial rows peaked
-# 0.45 MiB higher than in batches of 2,048.
+# particles, whose steps evaluate them all), and a step repairs its moves
+# in batches of at most this many trial rows.  The cost per row is at its
+# floor by then (2-core host, min of 7, ns per row at 512 / 2,048 / 4,096
+# rows: g06 197 / 125 / 123, welded-beam 338 / 194 / 209, g04 193 / 120 /
+# 129), while each call's temporaries grow with its rows: 30 welded-beam
+# bm runs repairing in batches of 4,096 trial rows peaked 0.45 MiB higher
+# than in batches of 2,048.  The feasibility estimator's sampled blocks,
+# whose draw and mask keep getting cheaper per row past this size, are
+# ``benchmarks._FEASIBILITY_BLOCK_ROWS`` (6,144) rows.
 MAX_BATCH_ROWS = 2048
 
 

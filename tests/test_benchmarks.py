@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from cpso import benchmarks
 from cpso.benchmarks import (
     all_entries,
     estimate_feasibility_ratio,
@@ -8,11 +11,13 @@ from cpso.benchmarks import (
     get_problem,
     registry_names,
 )
-from cpso.problem import Tolerances, evaluate_batch
+from cpso.problem import EvaluationFault, Tolerances, evaluate_batch, sampled_mask
 
-from conftest import make_toy1
+from conftest import make_toy1, with_term
 
 TOL = Tolerances()
+# Rows of each block the feasibility estimator draws and tests.
+BLOCK = benchmarks._FEASIBILITY_BLOCK_ROWS
 
 
 def test_registry_cardinality():
@@ -137,15 +142,59 @@ def test_ratio_reproducible_and_seed_stable():
     assert abs(c - 26.9552) < 4 * sigma
 
 
-@pytest.mark.parametrize("samples", [2_047, 6_145, 200_000])
+@pytest.mark.parametrize(
+    "samples", [2_047, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 7, 200_000]
+)
 @pytest.mark.parametrize("name", ["g04", "g11", "pressure-vessel-mixed"])
 def test_ratio_equals_one_block(name, samples):
-    # The estimator streams blocks of MAX_BATCH_ROWS rows; consecutive
-    # uniform blocks hold the values of one block of their total size.
+    # The estimator streams blocks of BLOCK rows; consecutive uniform
+    # blocks hold the values of one block of their total size.
     p = get_problem(name)
     block = p.sample_uniform(np.random.default_rng(13), samples)
     feasible = np.count_nonzero(evaluate_batch(p, block).feasible(TOL))
     assert estimate_feasibility_ratio(p, samples, TOL, seed=13) == 100.0 * feasible / samples
+
+
+def _traced_peak(f) -> int:
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_ratio_holds_one_block_at_a_time():
+    # g02's block of 20 dimensions is most of one block's peak, so a
+    # previous block held while the next is drawn (BLOCK * 20 * 8 bytes)
+    # lifts the estimator's peak to ~1.65 times one block's.
+    p = get_problem("g02")
+
+    def one_block():
+        sampled_mask(p, p.sample_uniform(np.random.default_rng(4), BLOCK), TOL)
+
+    one_block()  # the first call's one-off allocations are not a block's
+    one = _traced_peak(one_block)
+    streamed = _traced_peak(lambda: estimate_feasibility_ratio(p, 3 * BLOCK, TOL, seed=4))
+    assert streamed < 1.5 * one
+
+
+@pytest.mark.parametrize("index", [5, 2_053])
+def test_ratio_fault_names_its_index_in_a_later_block(index):
+    # Row BLOCK + index of the stream is row `index` of the second block;
+    # index 2,053 is past the first 2,048 rows of a block.
+    toy = make_toy1()
+    point = toy.sample_uniform(np.random.default_rng(21), BLOCK + index + 1)[-1]
+
+    def nan_at_point(x):
+        out = x[:, 0] + x[:, 1] - 1.0
+        out[(x == point).all(axis=1)] = np.nan
+        return out
+
+    faulty = with_term(toy, 1, nan_at_point)
+    message = f"non-finite inequality 0 at in-box point index {index}"
+    with pytest.raises(EvaluationFault, match=f"{message}$"):
+        estimate_feasibility_ratio(faulty, 2 * BLOCK, TOL, seed=21)
 
 
 def test_ratio_single_sample_is_all_or_nothing():
