@@ -29,7 +29,6 @@ from .swarm import (
     InitializationFailure,
     Swarm,
     SwarmConfig,
-    Topology,
 )
 
 __version__ = "0.1.0"

@@ -25,12 +25,14 @@ Each rule has one implementation, which the swarm engine calls on all
 particles at once: :func:`sort_keys` (how a technique ranks points:
 :func:`priority_keys`, the priority comparison as sort keys, or
 :func:`penalized_batch`, the ``apm`` penalty),
-:meth:`ChtConfig.tolerances_at` (the tolerances in force at each step),
 :func:`replacement_mask` (every technique's memory update) and
 :func:`repair_moves` (the repair ladders, each batch's trials built as
 one ``(k, T, n)`` block, taken in move-major order to their raw terms
 and masked there by the tolerance rule; each accepted trial is written
 into its move's rows of the step, to be finished with the other rows).
+The tolerances in force at each step, which a ``+rec`` technique's
+schedule moves, are the cell's
+:meth:`cpso.swarm.SwarmConfig.tolerances_at`.
 
 The rows they take belong to one or more runs, run after run, and
 ``rngs`` holds one generator per run.  Every random block, a one-run
@@ -50,7 +52,6 @@ import numpy as np
 from .problem import (
     BatchEval,
     Problem,
-    RecSchedule,
     Tolerances,
     _raw_batch,
     _within,
@@ -82,7 +83,6 @@ class ChtConfig:
 
     kind: str
     prob: float = 0.9
-    rec: Optional[RecSchedule] = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -116,18 +116,6 @@ class ChtConfig:
     @property
     def probabilistic_memory(self) -> bool:
         return self.kind in ("pfppr", "pfppr+rec")
-
-    def tolerances_at(self, base: Tolerances, t: int, steps: int) -> Tolerances:
-        """The tolerances in force at step ``t`` (1-based) of ``steps``.
-
-        ``base`` holds throughout, except that a ``+rec`` technique's
-        schedule sets the equality tolerance.
-        """
-        if not self.uses_rec:
-            return base
-        if self.rec is None:
-            raise ValueError("REC technique configured without a schedule")
-        return Tolerances(ineq=base.ineq, eq=self.rec.tolerance_at(t, steps))
 
 
 def draw_per_run(

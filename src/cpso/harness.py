@@ -19,7 +19,9 @@ make one :class:`~cpso.swarm.Swarm`, built and stepped in lockstep, so
 that one batch evaluates the group's initial positions and every step
 evaluates the group's particles in one batch.  Each run still draws
 from its own generator in its own order, so a run's results do not
-depend on the runs it steps with.  If an evaluation faults, the cell is
+depend on the runs it steps with.  Every group of a cell takes the
+cell's one :class:`~cpso.swarm.SwarmConfig`,
+:attr:`ExperimentConfig.swarm`.  If an evaluation faults, the cell is
 run again one run at a time, so the fault raised is the one the first
 faulting run raises alone, after its completed steps are traced.
 """
@@ -40,7 +42,6 @@ from .swarm import (
     InitializationFailure,
     Swarm,
     SwarmConfig,
-    Topology,
     initial_positions,
     lbest_index,
 )
@@ -55,12 +56,11 @@ class ExperimentConfig:
     ``nn`` counts neighbours excluding the particle itself; 2 and 10 map
     to ring windows 3 and 11, ``particles - 1`` to fully connected.
     The relaxed-equality schedule options apply only to ``*+rec``
-    techniques; their schedule is built against the problem box, so
-    ``cht`` carries none.  The config is validated when it is built,
-    the problem name (``KeyError``), the swarm config its runs use and
-    the schedule included; the
-    schedule options are reported for every technique, so they are
-    validated for every technique.
+    techniques, whose schedule :attr:`swarm` builds against the problem
+    box.  The config is validated when it is built, the problem name
+    (``KeyError``), the swarm config its runs share and the schedule
+    included; the schedule options are reported for every technique, so
+    they are validated for every technique.
     """
 
     problem: str
@@ -84,11 +84,6 @@ class ExperimentConfig:
             raise ValueError("runs must be >= 1")
         if self.master_seed < 0:
             raise ValueError("master_seed must be nonnegative")
-        if self.cht.rec is not None:
-            raise ValueError(
-                "cht must not carry a schedule: rec_switch, rec_decrease "
-                "and rec_rate build it"
-            )
         # The schedule's own checks of the options; equal tolerances
         # always pass its initial_tol >= final_tol check.
         RecSchedule(
@@ -98,9 +93,8 @@ class ExperimentConfig:
             self.rec_decrease,
             self.rec_rate,
         )
-        self.swarm_config(0)
+        self.swarm
         get_problem(self.problem)
-        self.resolved_cht()
 
     @property
     def fes(self) -> int:
@@ -108,29 +102,13 @@ class ExperimentConfig:
         return self.particles * self.steps
 
     @functools.cached_property
-    def _topology(self) -> Topology:
-        return Topology.from_nn(self.nn, self.particles)
-
-    def swarm_config(self, run_index: int) -> SwarmConfig:
-        """The swarm config of run ``run_index``, seeded as the module says.
-
-        The seed is the pair, which ``default_rng`` turns into that
-        ``SeedSequence``, so building a config does not import
-        ``numpy.random``.  The runs share one topology, and so one
-        set of neighbour lists (:attr:`~cpso.swarm.Topology.neighbors`).
-        """
-        return SwarmConfig(
-            size=self.particles,
-            steps=self.steps,
-            topology=self._topology,
-            seed=(self.master_seed, run_index),
-            tolerances=self.tolerances,
-        )
-
-    def resolved_cht(self) -> ChtConfig:
-        """Technique config with the equality schedule attached if needed."""
+    def swarm(self) -> SwarmConfig:
+        """The swarm config every run of the cell shares, built once: its
+        neighbour lists, its tolerances and, for a ``+rec`` technique
+        only, the equality schedule built against the problem box."""
+        config = SwarmConfig(self.particles, self.steps, self.nn, self.tolerances)
         if not self.cht.uses_rec:
-            return self.cht
+            return config
         schedule = RecSchedule.for_problem(
             get_problem(self.problem),
             final_tol=self.tolerances.eq,
@@ -138,7 +116,7 @@ class ExperimentConfig:
             decrease=self.rec_decrease,
             rate=self.rec_rate,
         )
-        return replace(self.cht, rec=schedule)
+        return replace(config, rec=schedule)
 
 
 @dataclass
@@ -216,16 +194,16 @@ def _run_group(
     :func:`run_experiment` calls it once per group, and once per run,
     one run alone, to rerun a cell that faulted.
     """
-    problem = get_problem(config.problem)
-    cht = config.resolved_cht()
+    problem, swarm, cht = get_problem(config.problem), config.swarm, config.cht
     results, started, starts, init_s = {}, [], [], []
     for i in indices:
         start = time.perf_counter()
+        # default_rng turns the pair into the module's SeedSequence, so
+        # seeding a run does not import numpy.random.
+        seed = (config.master_seed, i)
         try:
             starts.append(
-                initial_positions(
-                    problem, config.swarm_config(i), cht, config.max_init_attempts
-                )
+                initial_positions(problem, swarm, cht, seed, config.max_init_attempts)
             )
         except InitializationFailure as failure:
             results[i] = RunResult(
@@ -244,8 +222,7 @@ def _run_group(
 
     start = time.perf_counter()
     rngs, positions, rejected = zip(*starts)
-    first = config.swarm_config(started[0])
-    group = Swarm(problem, first, cht, rngs, np.concatenate(positions), rejected)
+    group = Swarm(problem, swarm, cht, rngs, np.concatenate(positions), rejected)
     log = np.empty((group.runs, config.steps, 2)) if trace else None
     for t in range(config.steps):
         try:

@@ -224,7 +224,7 @@ class BatchEval:
     positions: np.ndarray        # (m, n)
     conflict: np.ndarray         # (m,)
     ineq_violations: np.ndarray  # (m, q)
-    eq_violations: np.ndarray    # (m, m-q)
+    eq_violations: np.ndarray    # (m, e)
     box_violations: np.ndarray   # (m, n)
     cv: np.ndarray               # (m,)
 

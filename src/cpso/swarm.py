@@ -1,11 +1,13 @@
-"""Particle swarm state machine with pluggable topologies and strategies.
+"""Particle swarm state machine with ring or fully connected neighbourhoods.
 
 The swarm advances synchronously: every neighbourhood-best lookup in
 step ``t`` reads memories as they stood at the end of step ``t - 1``, so
 the processing order of particles within a step is immaterial.  A step
 applies the technique's rules from :mod:`cpso.handlers` to all particles
 at once, and :func:`lbest_index` picks every neighbourhood best from the
-topology's neighbour lists.
+neighbour lists of the cell's :class:`SwarmConfig`, which all its runs
+share with its tolerances and, for a ``+rec`` technique, its equality
+schedule.
 
 A :class:`Swarm` holds one or more independent runs of one cell, their
 rows one run after another, and steps them in lockstep: one lbest
@@ -51,8 +53,8 @@ block of their total size.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
-from typing import Sequence, Tuple
+from dataclasses import dataclass
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -67,6 +69,7 @@ from .problem import (
     MAX_BATCH_ROWS,
     EvaluationFault,
     Problem,
+    RecSchedule,
     Tolerances,
     _finish,
     _raw_batch,
@@ -112,72 +115,54 @@ COEFFICIENT_PRESETS.flags.writeable = False
 
 
 @dataclass(frozen=True)
-class Topology:
-    """Neighbourhood structure over particle indices.
+class SwarmConfig:
+    """What every run of a cell shares: its size, step budget,
+    neighbourhood and tolerances.
 
-    kinds: ``ring`` (cyclic window of ``window`` indices centred on each
-    particle, the extra neighbour on the successor side when the window
-    is even) and ``fully-connected`` (one neighbourhood, shared by every
-    particle).
+    ``nn`` counts neighbours excluding the particle itself.  ``rec``,
+    the equality schedule of a ``+rec`` technique, is None for every
+    other technique; the :class:`Swarm` checks that it matches.
     """
 
-    kind: str
-    swarm_size: int
-    window: int = 3
+    size: int
+    steps: int
+    nn: int
+    tolerances: Tolerances
+    rec: Optional[RecSchedule] = None
 
     def __post_init__(self):
-        if self.kind not in ("ring", "fully-connected"):
-            raise ValueError(f"unknown topology kind {self.kind!r}")
-        if self.swarm_size < 1:
-            raise ValueError("swarm_size must be positive")
-        if self.kind == "ring":
-            if not 3 <= self.window <= self.swarm_size:
-                raise ValueError("ring window must be in [3, swarm_size]")
-
-    @classmethod
-    def from_nn(cls, nn: int, swarm_size: int) -> "Topology":
-        """Topology for ``nn`` neighbours per particle excluding itself."""
-        if nn < 2:
+        if self.nn < 2:
             raise ValueError("nn must be >= 2")
-        if nn >= swarm_size - 1:
-            return cls("fully-connected", swarm_size)
-        return cls("ring", swarm_size, window=nn + 1)
+        # With nn >= 2, size >= 3: the coefficient thirds are each nonempty.
+        if self.nn + 1 > self.size:
+            raise ValueError("nn + 1 must not exceed the swarm size")
+        if self.steps < 1:
+            raise ValueError("steps must be >= 1")
 
     @functools.cached_property
     def neighbors(self) -> np.ndarray:
-        """Integer index lists: ``(s, window)`` for a ring, whose row i
-        holds {i} and its neighbours, and ``(1, s)`` for the one shared
-        neighbourhood of a fully connected swarm.
+        """Integer index lists: ``(s, nn + 1)``, whose row i holds {i} and
+        a ring window of its neighbours (the extra neighbour on the
+        successor side when ``nn`` is odd), or, once ``nn >= s - 1``,
+        ``(1, s)``, one neighbourhood shared by every particle.
 
-        Built once and read-only: the runs of a cell share one topology,
-        and so one list.
+        Built once and read-only: the runs of a cell share one list.
         """
-        s = self.swarm_size
-        if self.kind == "fully-connected":
+        s, left = self.size, self.nn // 2
+        if self.nn >= s - 1:
             out = np.arange(s)[None]
         else:
-            left = (self.window - 1) // 2
-            out = (np.arange(s)[:, None] + np.arange(-left, self.window - left)) % s
+            out = (np.arange(s)[:, None] + np.arange(-left, self.nn + 1 - left)) % s
         out.flags.writeable = False
         return out
 
-
-@dataclass(frozen=True)
-class SwarmConfig:
-    size: int
-    steps: int
-    topology: Topology
-    seed: object  # int or anything np.random.default_rng accepts
-    tolerances: Tolerances = field(default_factory=Tolerances)
-
-    def __post_init__(self):
-        # Three sub-swarms must each be nonempty.
-        if self.size < 3:
-            raise ValueError("swarm size must be >= 3")
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
-        if self.topology.swarm_size != self.size:
-            raise ValueError("topology size must match swarm size")
+    def tolerances_at(self, t: int) -> Tolerances:
+        """The tolerances in force at step ``t`` (1-based): ``tolerances``
+        throughout, but for the equality tolerance that ``rec`` sets."""
+        if self.rec is None:
+            return self.tolerances
+        eq = self.rec.tolerance_at(t, self.steps)
+        return Tolerances(ineq=self.tolerances.ineq, eq=eq)
 
 
 def lbest_index(
@@ -211,7 +196,9 @@ class Swarm:
     candidates), as :func:`initial_positions` gives them, and takes
     every run's initial positions in one batch through a step's pipeline
     (:func:`~cpso.problem._raw_batch` under the step-1 tolerances, then
-    one :func:`~cpso.problem._finish`).  With ``s``
+    one :func:`~cpso.problem._finish`).  It raises ``ValueError`` unless
+    ``config.rec`` matches ``cht``: a ``+rec`` technique needs a
+    schedule, and no other takes one.  With ``s``
     particles per run, the rows of ``positions``, ``velocities``,
     ``current``, ``pbest``, the coefficients and the masks are
     run-major: run ``r`` owns rows ``r * s`` to ``(r + 1) * s - 1``, so
@@ -238,6 +225,10 @@ class Swarm:
         positions: np.ndarray,
         init_evaluations: Sequence[int],
     ):
+        if cht.uses_rec and config.rec is None:
+            raise ValueError("REC technique configured without a schedule")
+        if config.rec is not None and not cht.uses_rec:
+            raise ValueError(f"{cht.kind} takes no equality schedule")
         self.problem = problem
         self.config = config
         self.cht = cht
@@ -258,7 +249,7 @@ class Swarm:
         # lbest_index's candidates: every run's neighbour lists, naming rows
         # of all runs, in the Fortran order it gathers fastest; and how many
         # particles share a list (a fully connected run has one).
-        lists = config.topology.neighbors
+        lists = config.neighbors
         firsts = np.arange(0, len(positions), s)[:, None, None]
         self._lbest = (
             np.asfortranarray((firsts + lists).reshape(-1, lists.shape[1])),
@@ -266,7 +257,7 @@ class Swarm:
         )
         # Rows per run: the blocks of every draw over all rows.
         self._run_rows = [s] * len(self.rngs)
-        self.tolerances = cht.tolerances_at(config.tolerances, 1, config.steps)
+        self.tolerances = config.tolerances_at(1)
         # The initial positions take a step's path: raw terms, the mask
         # under the step-1 tolerances and one finish.  The current
         # positions' mask (None for apm, which never reads it) and the
@@ -298,7 +289,7 @@ class Swarm:
     def step(self) -> None:
         """Advance every run one synchronous step."""
         t = self.t + 1
-        tol = self.cht.tolerances_at(self.config.tolerances, t, self.config.steps)
+        tol = self.config.tolerances_at(t)
         if tol != self.tolerances:
             self.tolerances = tol
             self.pbest_primary, self.pbest_secondary = sort_keys(
@@ -405,18 +396,20 @@ def initial_positions(
     problem: Problem,
     config: SwarmConfig,
     cht: ChtConfig,
+    seed: object,
     max_attempts_per_particle: int = 1_000_000,
 ) -> Tuple[np.random.Generator, np.ndarray, int]:
     """A run's start: ``(rng, positions, rejected)``, uniform in the box.
 
-    ``rng`` is the run's generator, seeded by ``config.seed`` and left
+    ``rng`` is the run's generator, ``np.random.default_rng(seed)`` left
     where initialization leaves it, and ``rejected`` counts the
     candidates rejected before the accepted positions, one evaluation
     each; the :class:`Swarm` built from them charges the accepted ones.
 
     When the technique requires a feasible start, each particle takes
-    the first candidate feasible under the tolerances in force at step 1
-    (the relaxed equality tolerance when that schedule is active).  The
+    the first candidate feasible under ``config.tolerances_at(1)``.  No
+    ``+rec`` technique needs one, so a missing schedule is left to the
+    :class:`Swarm` to reject.  The
     candidates form one uniform stream, read in chunks of 256 rows per
     particle; a particle's search starts at the chunk boundary after the
     chunk where the previous particle found its position, and a chunk
@@ -433,12 +426,11 @@ def initial_positions(
     the accepted positions only, by the :class:`Swarm` constructor, so a
     non-finite objective at a rejected candidate raises nothing.
     """
-    tol = cht.tolerances_at(config.tolerances, 1, config.steps)
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     if not cht.requires_feasible_init:
         return rng, problem.sample_uniform(rng, config.size), 0
     positions, rejected = _feasible_positions(
-        problem, rng, config.size, max_attempts_per_particle, tol
+        problem, rng, config.size, max_attempts_per_particle, config.tolerances_at(1)
     )
     return rng, positions, rejected
 

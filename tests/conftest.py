@@ -88,10 +88,11 @@ def with_term(problem: Problem, k: int, f) -> Problem:
     return dataclasses.replace(problem, terms=terms)
 
 
-def start_swarm(problem, config, cht, max_attempts_per_particle=1_000_000) -> Swarm:
-    """A one-run swarm of ``config``, built as the harness builds a group."""
+def start_swarm(problem, config, cht, seed=0, max_attempts_per_particle=1_000_000) -> Swarm:
+    """A one-run swarm of ``config`` seeded by ``seed``, built as the
+    harness builds a group."""
     rng, positions, rejected = initial_positions(
-        problem, config, cht, max_attempts_per_particle
+        problem, config, cht, seed, max_attempts_per_particle
     )
     return Swarm(problem, config, cht, [rng], positions, [rejected])
 

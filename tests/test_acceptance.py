@@ -13,7 +13,7 @@ from cpso.benchmarks import estimate_feasibility_ratio, get_problem
 from cpso.handlers import ChtConfig, penalized_batch, repair_moves
 from cpso.problem import RecSchedule, Tolerances, _raw_batch, evaluate_batch
 from cpso.harness import ExperimentConfig, run_experiment
-from cpso.swarm import SwarmConfig, Topology
+from cpso.swarm import SwarmConfig
 
 from conftest import make_toy1, random_batch, replaces, start_swarm
 
@@ -206,10 +206,8 @@ def test_property_repair_postcondition():
 
 def test_property_velocity_clamp():
     prob = get_problem("g04")
-    config = SwarmConfig(
-        size=12, steps=60, topology=Topology.from_nn(2, 12), seed=SEED
-    )
-    swarm = start_swarm(prob, config, ChtConfig("pfpr"))
+    config = SwarmConfig(size=12, steps=60, nn=2, tolerances=TOL)
+    swarm = start_swarm(prob, config, ChtConfig("pfpr"), SEED)
     ok = True
     for _ in range(60):
         swarm.step()
@@ -259,10 +257,8 @@ def test_property_equality_schedule_switch():
 
 def test_property_discrete_grid():
     prob = get_problem("pressure-vessel-mixed")
-    config = SwarmConfig(
-        size=12, steps=50, topology=Topology.from_nn(2, 12), seed=SEED
-    )
-    swarm = start_swarm(prob, config, ChtConfig("pfpr"))
+    config = SwarmConfig(size=12, steps=50, nn=2, tolerances=TOL)
+    swarm = start_swarm(prob, config, ChtConfig("pfpr"), SEED)
     ok = True
     for _ in range(50):
         swarm.step()

@@ -8,7 +8,8 @@ from cpso import cli, harness
 from cpso.benchmarks import get_entry, get_problem
 from cpso.cli import main, parse_sweep_file, CSV_COLUMNS, UsageError
 from cpso.handlers import ChtConfig
-from cpso.swarm import SwarmConfig, Topology
+from cpso.problem import Tolerances
+from cpso.swarm import SwarmConfig
 
 from conftest import start_swarm, with_term
 
@@ -101,8 +102,8 @@ def test_run_trace_logs_every_step(tmp_path, capsys):
     problem = get_problem("g08")
     expect = [lines[0]]
     for i in range(2):
-        config = SwarmConfig(10, 50, Topology.from_nn(2, 10), np.random.SeedSequence([7, i]))
-        swarm = start_swarm(problem, config, ChtConfig("pfpr"))
+        config = SwarmConfig(10, 50, 2, Tolerances())
+        swarm = start_swarm(problem, config, ChtConfig("pfpr"), np.random.SeedSequence([7, i]))
         for t in range(1, 51):
             swarm.step()
             best = swarm.best_rows()[0]

@@ -3,7 +3,7 @@ import pytest
 
 from cpso.handlers import ChtConfig, KINDS, penalized_batch, priority_keys
 from cpso.problem import Tolerances
-from cpso.swarm import Swarm, SwarmConfig, Topology, lbest_index
+from cpso.swarm import Swarm, SwarmConfig, lbest_index
 
 from conftest import (
     FixedRng,
@@ -229,7 +229,7 @@ def test_already_feasible_step_unchanged():
     # step is inertia alone: -3 + w <= -2.27 stays inside x <= 0.
     prob = make_halfline()
     for variant in REPAIRS:
-        config = SwarmConfig(size=9, steps=5, topology=Topology.from_nn(2, 9), seed=0)
+        config = SwarmConfig(size=9, steps=5, nn=2, tolerances=TOL)
         collapsed = np.full((9, 1), -3.0)
         swarm = Swarm(prob, config, ChtConfig(variant), [np.random.default_rng(0)], collapsed, [0])
         swarm.velocities[:] = 1.0
@@ -257,9 +257,8 @@ def test_repair_feasible_or_unchanged_property(toy1):
     # feasible, a particle whose move was dropped (zero velocity) keeps
     # its position, and a step charges at most a full ladder per particle.
     for variant in REPAIRS:
-        topology = Topology.from_nn(2, 12)
-        config = SwarmConfig(size=12, steps=60, topology=topology, seed=10)
-        swarm = start_swarm(toy1, config, ChtConfig(variant))
+        config = SwarmConfig(size=12, steps=60, nn=2, tolerances=TOL)
+        swarm = start_swarm(toy1, config, ChtConfig(variant), seed=10)
         ladder = ChtConfig(variant).max_repair_trials
         for _ in range(60):
             x_old = swarm.positions.copy()

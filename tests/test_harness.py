@@ -9,9 +9,9 @@ import pytest
 
 import cpso
 from cpso import harness
-from cpso.handlers import ChtConfig
+from cpso.handlers import KINDS, ChtConfig
 from cpso.harness import ExperimentConfig, run_experiment, summarize, sweep
-from cpso.problem import EvaluationFault, Tolerances
+from cpso.problem import EvaluationFault, RecSchedule, Tolerances
 
 from conftest import from_functions, start_swarm, with_term
 
@@ -181,7 +181,7 @@ def test_fault_traces_the_steps_completed_before_it(monkeypatch):
     # Patched before the config is built, which looks its problem up.
     monkeypatch.setattr(harness, "get_problem", lambda name: clean)
     config = make_config(problem="toy-plane", particles=6, steps=8, runs=1)
-    sw = start_swarm(clean, config.swarm_config(0), config.resolved_cht())
+    sw = start_swarm(clean, config.swarm, config.cht, (config.master_seed, 0))
     seen = [sw.positions.copy()]
     for _ in range(4):
         sw.step()
@@ -221,10 +221,9 @@ def test_best_tie_keeps_lowest_run_index():
 
 def test_rec_schedule_resolved_from_problem():
     cfg = make_config(problem="g11", cht=ChtConfig("pfpr+rec"), steps=40)
-    cht = cfg.resolved_cht()
     # half the mean span of the [-1, 1] x [-1, 1] box
-    assert cht.rec.initial_tol == pytest.approx(1.0)
-    assert cht.kind == "pfpr+rec" and cht.prob == cfg.cht.prob
+    assert cfg.swarm.rec.initial_tol == pytest.approx(1.0)
+    assert cfg.swarm.rec.final_tol == cfg.tolerances.eq
     row = run_experiment(cfg)
     assert row.failures == 0
     # a final tolerance above the initial one is rejected when the config is built
@@ -232,10 +231,42 @@ def test_rec_schedule_resolved_from_problem():
         make_config(
             problem="g11", cht=ChtConfig("pfpr+rec"), tolerances=Tolerances(eq=2.0)
         )
-    # A technique carrying its own schedule would ignore rec_switch,
-    # rec_decrease and rec_rate, which the row reports.
-    with pytest.raises(ValueError, match="must not carry a schedule"):
-        make_config(problem="g11", cht=cht)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_schedule_attached_for_exactly_the_rec_kinds(kind):
+    cfg = make_config(
+        problem="g11", cht=ChtConfig(kind), rec_switch=0.5, rec_decrease="exponential"
+    )
+    swarm = cfg.swarm
+    assert (swarm.size, swarm.steps, swarm.nn) == (cfg.particles, cfg.steps, cfg.nn)
+    assert swarm.tolerances == cfg.tolerances
+    if kind.endswith("+rec"):
+        assert swarm.rec == RecSchedule.for_problem(
+            harness.get_problem("g11"),
+            final_tol=cfg.tolerances.eq,
+            switch_fraction=0.5,
+            decrease="exponential",
+            rate=cfg.rec_rate,
+        )
+    else:
+        assert swarm.rec is None
+
+
+def test_every_serial_group_shares_the_cell_swarm_config(monkeypatch):
+    seen = []
+
+    class Recorded(harness.Swarm):
+        def __init__(self, problem, config, *args):
+            seen.append(config)
+            super().__init__(problem, config, *args)
+
+    monkeypatch.setattr(harness, "Swarm", Recorded)
+    # Three runs of 700 particles make two groups under MAX_BATCH_ROWS.
+    cfg = make_config(particles=700, steps=2, runs=3)
+    assert len(harness._groups(cfg, 1)) == 2
+    run_experiment(cfg)
+    assert len(seen) == 2 and all(config is cfg.swarm for config in seen)
 
 
 def test_sweep_preserves_order_and_isolates_errors(monkeypatch):
@@ -329,7 +360,6 @@ def test_public_names_are_pinned():
         "InitializationFailure",
         "Swarm",
         "SwarmConfig",
-        "Topology",
     }
 
 

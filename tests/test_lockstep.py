@@ -45,8 +45,9 @@ def one_run(config, i):
     try:
         return initial_positions(
             harness.get_problem(config.problem),
-            config.swarm_config(i),
-            config.resolved_cht(),
+            config.swarm,
+            config.cht,
+            (config.master_seed, i),
             config.max_init_attempts,
         )
     except InitializationFailure:
@@ -62,9 +63,8 @@ def build(config, starts):
     """One swarm of the runs of ``starts``, as the harness builds a group."""
     rngs, positions, rejected = zip(*starts)
     problem = harness.get_problem(config.problem)
-    cht = config.resolved_cht()
     return Swarm(
-        problem, config.swarm_config(0), cht, rngs, np.concatenate(positions), rejected
+        problem, config.swarm, config.cht, rngs, np.concatenate(positions), rejected
     )
 
 
@@ -220,10 +220,10 @@ def test_group_needs_one_row_per_particle_of_each_run():
     config = ExperimentConfig("g04", ChtConfig("pfpr"), 2, 6, 5, 2)
     rngs, positions, rejected = zip(*started_runs(config))
     x = np.concatenate(positions)
-    problem, cht = harness.get_problem("g04"), config.resolved_cht()
+    problem = harness.get_problem("g04")
     for rows in (x[:-1], x[:6], np.concatenate((x, x[:1]))):
         with pytest.raises(ValueError, match="one row per particle of each run"):
-            Swarm(problem, config.swarm_config(0), cht, rngs, rows, rejected)
+            Swarm(problem, config.swarm, config.cht, rngs, rows, rejected)
 
 
 @pytest.mark.parametrize("name, kind", [("g06", "pf"), ("g04", "pfpr")])

@@ -12,7 +12,6 @@ from cpso.swarm import (
     InitializationFailure,
     Swarm,
     SwarmConfig,
-    Topology,
     initial_positions,
     lbest_index,
 )
@@ -22,13 +21,8 @@ from conftest import FixedRng, from_functions, make_toy1, start_swarm
 TOL = Tolerances()
 
 
-def make_config(size=9, steps=5, seed=0, nn=2):
-    return SwarmConfig(
-        size=size,
-        steps=steps,
-        topology=Topology.from_nn(nn, size),
-        seed=seed,
-    )
+def make_config(size=9, steps=5, nn=2, rec=None):
+    return SwarmConfig(size=size, steps=steps, nn=nn, tolerances=TOL, rec=rec)
 
 
 # -------------------------------------------------------------- coefficients
@@ -68,45 +62,68 @@ def test_coefficient_remainder_joins_last_third():
     assert np.array_equal(coefficients(20, runs=3), np.tile(groups, (3, 1)))
 
 
-# ------------------------------------------------------------------ topology
+# ---------------------------------------------------------------- neighbours
 
 
-def candidates(topology, i):
-    """Sorted candidate indices of particle ``i``: row ``i`` of the lists."""
-    return sorted(topology.neighbors[i].tolist())
+def neighbors(size, nn):
+    return make_config(size=size, nn=nn).neighbors.tolist()
 
 
 def test_ring_window3_candidates():
-    topo = Topology("ring", 5, window=3)
-    assert candidates(topo, 0) == [0, 1, 4]
-    assert candidates(topo, 2) == [1, 2, 3]
+    # nn = 2: a window of 3, row i holding i - 1, i and i + 1.
+    assert neighbors(5, 2) == [[4, 0, 1], [0, 1, 2], [1, 2, 3], [2, 3, 4], [3, 4, 0]]
 
 
 def test_ring_even_window_favors_successor():
-    topo = Topology("ring", 6, window=4)
-    assert candidates(topo, 0) == [0, 1, 2, 5]
+    # nn = 3: a window of 4, the extra neighbour on the successor side.
+    assert neighbors(6, 3) == [
+        [5, 0, 1, 2],
+        [0, 1, 2, 3],
+        [1, 2, 3, 4],
+        [2, 3, 4, 5],
+        [3, 4, 5, 0],
+        [4, 5, 0, 1],
+    ]
+
+
+def test_widest_ring_window():
+    # nn = size - 2, the widest ring: each particle misses one other.
+    assert neighbors(5, 3) == [
+        [4, 0, 1, 2],
+        [0, 1, 2, 3],
+        [1, 2, 3, 4],
+        [2, 3, 4, 0],
+        [3, 4, 0, 1],
+    ]
+    assert neighbors(6, 4) == [
+        [4, 5, 0, 1, 2],
+        [5, 0, 1, 2, 3],
+        [0, 1, 2, 3, 4],
+        [1, 2, 3, 4, 5],
+        [2, 3, 4, 5, 0],
+        [3, 4, 5, 0, 1],
+    ]
 
 
 def test_fully_connected_sees_everyone():
-    # One list, shared by every particle.
-    topo = Topology("fully-connected", 7)
-    assert len(topo.neighbors) == 1
-    assert candidates(topo, 0) == list(range(7))
+    # nn = size - 1: one list, shared by every particle.
+    assert neighbors(7, 6) == [[0, 1, 2, 3, 4, 5, 6]]
 
 
-def test_from_nn_mapping():
-    assert Topology.from_nn(2, 20).kind == "ring"
-    assert Topology.from_nn(2, 20).window == 3
-    assert Topology.from_nn(10, 40).window == 11
-    assert Topology.from_nn(19, 20).kind == "fully-connected"
-    assert Topology.from_nn(39, 40).kind == "fully-connected"
+def test_neighbors_are_built_once_and_read_only():
+    config = make_config(size=7, nn=2)
+    assert config.neighbors is config.neighbors
+    for nn in (2, 6):
+        lists = make_config(size=7, nn=nn).neighbors
+        with pytest.raises(ValueError, match="read-only"):
+            lists[0, 0] = 1
 
 
-def test_topology_validation():
-    with pytest.raises(ValueError):
-        Topology("ring", 5, window=7)
-    with pytest.raises(ValueError):
-        Topology("mesh", 5)
+def test_nn_validation():
+    with pytest.raises(ValueError, match="nn must be >= 2"):
+        make_config(size=9, nn=1)
+    with pytest.raises(ValueError, match="nn \\+ 1 must not exceed the swarm size"):
+        make_config(size=9, nn=9)
 
 
 # ------------------------------------------------------------------- updates
@@ -213,12 +230,11 @@ def test_mixed_discrete_init_on_grid():
 
 
 def test_config_validation():
+    # A swarm of fewer than three particles has no nn >= 2.
     with pytest.raises(ValueError):
         make_config(size=2)
-    with pytest.raises(ValueError):
-        SwarmConfig(size=9, steps=0, topology=Topology.from_nn(2, 9), seed=0)
-    with pytest.raises(ValueError):
-        SwarmConfig(size=9, steps=5, topology=Topology.from_nn(2, 8), seed=0)
+    with pytest.raises(ValueError, match="steps must be >= 1"):
+        make_config(steps=0)
 
 
 # ------------------------------------------------------------------ stepping
@@ -235,7 +251,7 @@ def test_zero_attraction_fixed_point(toy1):
 
 
 def test_velocity_clamp_invariant(toy1):
-    swarm = start_swarm(toy1, make_config(steps=50, seed=3), ChtConfig("pfpr"))
+    swarm = start_swarm(toy1, make_config(steps=50), ChtConfig("pfpr"), seed=3)
     for _ in range(50):
         swarm.step()
         assert np.all(np.abs(swarm.velocities) <= toy1.vmax + 1e-15)
@@ -243,7 +259,7 @@ def test_velocity_clamp_invariant(toy1):
 
 def test_discrete_grid_invariant_during_search():
     vessel = get_problem("pressure-vessel-mixed")
-    swarm = start_swarm(vessel, make_config(size=12, steps=30, seed=4), ChtConfig("pfpr"))
+    swarm = start_swarm(vessel, make_config(size=12, steps=30), ChtConfig("pfpr"), seed=4)
     for _ in range(30):
         swarm.step()
         ratio = swarm.positions[:, :2] / 0.0625
@@ -251,7 +267,7 @@ def test_discrete_grid_invariant_during_search():
 
 
 def test_evaluation_count_per_step(toy1):
-    swarm = start_swarm(toy1, make_config(size=9, steps=10, seed=5), ChtConfig("pfpr"))
+    swarm = start_swarm(toy1, make_config(size=9, steps=10), ChtConfig("pfpr"), seed=5)
     for t in range(1, 11):
         swarm.step()
         assert swarm.run_evaluations.tolist() == [9 * (t + 1)]
@@ -260,7 +276,7 @@ def test_evaluation_count_per_step(toy1):
 def test_bit_identical_trajectories(toy1):
     runs = []
     for _ in range(2):
-        swarm = start_swarm(toy1, make_config(size=9, steps=20, seed=6), ChtConfig("pfpr"))
+        swarm = start_swarm(toy1, make_config(size=9, steps=20), ChtConfig("pfpr"), seed=6)
         for _ in range(20):
             swarm.step()
         runs.append((swarm.positions.copy(), swarm.pbest.conflict.copy()))
@@ -271,8 +287,8 @@ def test_bit_identical_trajectories(toy1):
 def test_step_reproducible_from_documented_rng_order(toy1):
     # Replaying the documented draw order against a pre-step snapshot
     # must reproduce the step exactly, confirming synchronous lbest use.
-    config = make_config(size=9, steps=5, seed=7)
-    swarm = start_swarm(toy1, config, ChtConfig("pfpr"))
+    config = make_config(size=9, steps=5)
+    swarm = start_swarm(toy1, config, ChtConfig("pfpr"), seed=7)
     for _ in range(3):
         swarm.step()
 
@@ -280,7 +296,7 @@ def test_step_reproducible_from_documented_rng_order(toy1):
     v0 = swarm.velocities.copy()
     pbest0 = swarm.pbest.positions.copy()
     keys = priority_keys(swarm.pbest, swarm.pbest.feasible(swarm.tolerances))
-    lbest = pbest0[lbest_index(swarm.config.topology.neighbors, *keys)]
+    lbest = pbest0[lbest_index(swarm.config.neighbors, *keys)]
     rng_clone = np.random.default_rng(np.random.SeedSequence(7))
     # consume exactly what init and the three steps consumed
     rng_clone.random((9, 2))
@@ -300,7 +316,7 @@ def test_step_reproducible_from_documented_rng_order(toy1):
 
 
 def test_pf_memory_stays_feasible(toy1):
-    swarm = start_swarm(toy1, make_config(size=9, steps=40, seed=8), ChtConfig("pf"))
+    swarm = start_swarm(toy1, make_config(size=9, steps=40), ChtConfig("pf"), seed=8)
     for _ in range(40):
         swarm.step()
         assert np.all(swarm.pbest.feasible(TOL))
@@ -316,10 +332,9 @@ def test_carried_feasibility_masks_describe_the_state(name, kind):
     # positions, and g11's equality makes the +rec tolerance move.
     problem = get_problem(name)
     cht = ChtConfig(kind)
-    if cht.uses_rec:
-        cht = dataclasses.replace(cht, rec=RecSchedule.for_problem(problem))
+    rec = RecSchedule.for_problem(problem) if cht.uses_rec else None
     rng = np.random.default_rng(3)
-    config = make_config(size=12, steps=30)
+    config = make_config(size=12, steps=30, rec=rec)
     swarm = Swarm(problem, config, cht, [rng], problem.sample_uniform(rng, 12), [0])
     for t in range(31):  # the constructor's state, then each step's
         if t:
@@ -380,22 +395,28 @@ def test_one_finish_carries_evaluate_batch_bits(monkeypatch, kind, runs):
 
 
 def test_rec_without_schedule_is_rejected():
-    # Drawing a run's start and building its swarm both state the
-    # tolerances in force at step 1, which a +rec technique cannot
-    # without its schedule.
+    # Building the swarm states the tolerances in force at step 1, which
+    # a +rec technique cannot without its schedule.  Its start needs no
+    # tolerances: no +rec technique starts feasible.
     problem = get_problem("g11")
-    cht = ChtConfig("pfpr+rec", rec=None)
+    cht = ChtConfig("pfpr+rec")
     config = make_config(size=6, steps=10)
-    message = "REC technique configured without a schedule"
-    with pytest.raises(ValueError, match=message):
-        initial_positions(problem, config, cht)
+    rng, positions, rejected = initial_positions(problem, config, cht, 0)
+    with pytest.raises(ValueError, match="REC technique configured without a schedule"):
+        Swarm(problem, config, cht, [rng], positions, [rejected])
+
+
+@pytest.mark.parametrize("kind", [k for k in KINDS if not k.endswith("+rec")])
+def test_schedule_on_another_technique_is_rejected(kind):
+    problem = get_problem("g11")
+    config = make_config(size=6, steps=10, rec=RecSchedule.for_problem(problem))
     rng = np.random.default_rng(0)
-    with pytest.raises(ValueError, match=message):
-        Swarm(problem, config, cht, [rng], problem.sample_uniform(rng, 6), [0])
+    with pytest.raises(ValueError, match=f"{kind} takes no equality schedule"):
+        Swarm(problem, config, ChtConfig(kind), [rng], problem.sample_uniform(rng, 6), [0])
 
 
 def test_repair_keeps_positions_feasible(toy1):
-    swarm = start_swarm(toy1, make_config(size=9, steps=40, seed=9), ChtConfig("bm"))
+    swarm = start_swarm(toy1, make_config(size=9, steps=40), ChtConfig("bm"), seed=9)
     for _ in range(40):
         swarm.step()
         assert np.all(swarm.current.feasible(TOL))

@@ -39,7 +39,6 @@ from cpso.swarm import (
     InitializationFailure,
     Swarm,
     SwarmConfig,
-    Topology,
     initial_positions,
     lbest_index,
 )
@@ -56,41 +55,37 @@ KEY_VALUES = st.sampled_from([-np.inf, -1.5, -0.0, 0.0, 0.5, 2.0, np.inf])
 
 
 @st.composite
-def topologies(draw):
+def sizes_and_nn(draw):
     s = draw(st.integers(3, 12))
-    kind = draw(st.sampled_from(["ring", "fully-connected"]))
-    if kind == "ring":
-        return Topology("ring", s, window=draw(st.integers(3, s)))
-    return Topology(kind, s)
+    return s, draw(st.integers(2, s - 1))
 
 
-def neighbourhood(topology, i):
-    """Particle ``i``'s candidates, from the topology's definition."""
-    s = topology.swarm_size
-    if topology.kind == "fully-connected":
+def neighbourhood(s, nn, i):
+    """Particle ``i``'s candidates among ``s`` for ``nn`` neighbours:
+    everyone once ``nn >= s - 1``, else a ring window of ``nn // 2``
+    predecessors, itself and ``nn - nn // 2`` successors."""
+    if nn >= s - 1:
         return list(range(s))
-    left = (topology.window - 1) // 2
-    right = topology.window - 1 - left
-    return sorted({(i + off) % s for off in range(-left, right + 1)})
+    return sorted({(i + off) % s for off in range(-(nn // 2), nn - nn // 2 + 1)})
 
 
 @settings(deadline=None)
-@given(topologies(), st.sampled_from([1, 2, 5]), st.data())
-def test_lbest_index_matches_lexsort(topology, runs, data):
+@given(sizes_and_nn(), st.sampled_from([1, 2, 5]), st.data())
+def test_lbest_index_matches_lexsort(size_and_nn, runs, data):
     # A swarm's candidate lists, as its step reads them, against a
     # lexsort of each particle's candidates among its own run's rows.
-    s = topology.swarm_size
+    s, nn = size_and_nn
     m = runs * s
     keys = st.lists(KEY_VALUES | st.floats(-3, 3), min_size=m, max_size=m)
     primary = np.array(data.draw(keys))
     secondary = np.array(data.draw(keys))
-    config = SwarmConfig(size=s, steps=1, topology=topology, seed=0)
+    config = SwarmConfig(size=s, steps=1, nn=nn, tolerances=TOL)
     rngs = [np.random.default_rng(r) for r in range(runs)]
     swarm = Swarm(TOY, config, ChtConfig("pfpr"), rngs, np.zeros((m, 2)), [0] * runs)
     expect = []
     for r in range(runs):
         for i in range(s):
-            c = np.array(neighbourhood(topology, i)) + r * s
+            c = np.array(neighbourhood(s, nn, i)) + r * s
             # lexsort: last key is most significant; ties keep the lowest index.
             expect.append(c[np.lexsort((c, secondary[c], primary[c]))[0]])
     candidates, share = swarm._lbest
@@ -480,9 +475,9 @@ def stream_init(problem, seed, size, budget):
     """The first four results of :func:`per_chunk_init`, by ``initial_positions``."""
     # default_rng returns a Generator unaltered, so rng is the run's.
     rng = np.random.default_rng(seed)
-    config = SwarmConfig(size, 1, Topology.from_nn(2, size), rng)
+    config = SwarmConfig(size, 1, 2, TOL)
     try:
-        _, positions, rejected = initial_positions(problem, config, ChtConfig("pf"), budget)
+        _, positions, rejected = initial_positions(problem, config, ChtConfig("pf"), rng, budget)
     except InitializationFailure as failure:
         return None, failure.evaluations, str(failure), rng
     return positions, rejected, None, rng
@@ -604,9 +599,9 @@ def test_feasible_init_objective_is_read_at_accepted_positions_only():
     nan_objective = with_term(clean, 0, lambda x: np.full(len(x), np.nan))
     got = stream_init(nan_objective, FAULT_SEED, FAULT_SIZE, FAULT_BUDGET)
     assert np.array_equal(got[0], expect[0])
-    config = SwarmConfig(FAULT_SIZE, 1, Topology.from_nn(2, FAULT_SIZE), FAULT_SEED)
+    config = SwarmConfig(FAULT_SIZE, 1, 2, TOL)
     with pytest.raises(EvaluationFault, match="non-finite objective at in-box point index 0"):
-        start_swarm(nan_objective, config, ChtConfig("pf"), FAULT_BUDGET)
+        start_swarm(nan_objective, config, ChtConfig("pf"), FAULT_SEED, FAULT_BUDGET)
 
 
 # ------------------------------------------------------------ evaluation
@@ -822,7 +817,7 @@ def test_feasible_mask_equals_evaluate_batch(name):
     inside = problem.sample_uniform(rng, 600)
     # The tolerances of a +rec cell at step 1: its relaxed equality one.
     cell = ExperimentConfig(name, ChtConfig("pfpr+rec"), 2, 6, 100, 1)
-    relaxed = cell.resolved_cht().tolerances_at(cell.tolerances, 1, cell.steps)
+    relaxed = cell.swarm.tolerances_at(1)
     for tol in (TOL, Tolerances(ineq=1e-6), relaxed):
         batches = (
             inside,
@@ -960,7 +955,7 @@ def test_raw_term_mask_and_finish_equal_evaluate_batch(name, m, reach, seed):
         + rng.random((m, problem.dimension)) * (1 + 2 * reach) * problem.span
     )
     cell = ExperimentConfig(name, ChtConfig("pfpr+rec"), 2, 6, 100, 1)
-    relaxed = cell.resolved_cht().tolerances_at(cell.tolerances, 1, cell.steps)
+    relaxed = cell.swarm.tolerances_at(1)
     with np.errstate(all="ignore"):  # functions outside the box
         whole = evaluate_batch(problem, x)
         for tol in (TOL, relaxed):
@@ -1083,7 +1078,7 @@ def test_sampled_mask_equals_evaluate_batch(name):
     problem = get_problem(name)
     x = problem.sample_uniform(np.random.default_rng(registry_names().index(name)), 3000)
     cell = ExperimentConfig(name, ChtConfig("pfpr+rec"), 2, 6, 100, 1)
-    relaxed = cell.resolved_cht().tolerances_at(cell.tolerances, 1, cell.steps)
+    relaxed = cell.swarm.tolerances_at(1)
     for tol in (TOL, relaxed):
         got = sampled_mask(problem, x, tol)
         assert got.dtype == bool
