@@ -45,7 +45,7 @@ the technique needs a feasible start, one stream of uniform candidates
 consumed in chunks of 256 rows per particle: each particle keeps the
 first feasible candidate of its chunks, and the next particle starts at
 the following chunk.  The stream is drawn and tested in blocks of up
-to 16 chunks, but the generator is left where drawing it one chunk at a
+to 32 chunks, but the generator is left where drawing it one chunk at a
 time leaves it: consecutive uniform blocks hold the same values as one
 block of their total size.
 """
@@ -80,15 +80,32 @@ from .problem import (
 _INIT_CHUNK = 256
 # Largest feasible-initialization block, in chunks.  Each sampled_mask
 # call has a fixed cost that a bigger block spreads over more rows, but
-# a block's temporaries add to peak memory, and a block holds every
-# constraint's values at once (8 bytes per row and constraint): a
-# 64-chunk cap ran the perfbench table-30run workload ~1% faster at
-# 4.2% more peak RSS, and an 8-chunk cap ran it ~16% slower.  Init
-# blocks (up to 16 * 256 = 4,096 rows) are not bound by MAX_BATCH_ROWS:
-# that cap bounds the rows of a lockstep group, which the harness forms
-# with at most MAX_BATCH_ROWS rows in all, while an init block belongs
-# to one run and this cap bounds it.
-_INIT_BLOCK_CHUNKS = 16
+# a block's temporaries add to peak memory (a block holds every
+# constraint's values at once, 8 bytes per row and constraint), and a
+# start tests up to one block past the last chunk it reads.  Measured on
+# a 2-core host: perfbench table-30run wall_s (--seconds 8, median of 3
+# to 7 alternating rounds, each tree in a fresh copy), and the minimum
+# time of 30 g06 starts of 10 particles in one process (a doubling ramp
+# after each miss, at 16 chunks, read 0.181 / 0.173 s and 100 / 88 ms):
+#
+#   chunks  rows    wall_s seed 13 / 17  g06 ms seed 13 / 17
+#   16       4,096  0.170 / 0.160         91 / 80
+#   24       6,144  0.154 / 0.152         81 / 74
+#   32       8,192  0.146 / 0.163         78 / 70
+#   64      16,384  0.197 / 0.177         99 / 84
+#
+# At 8,192 rows, g06's candidate block and raw terms reach 128 KiB, where
+# glibc's malloc may trim the heap top at each block's free, so the next
+# block faults its pages in again: in 8 of 12 fresh processes, each after
+# a different allocation history, a table-30run sweep at 32 chunks took
+# 16,800 to 27,000 minor faults in place of 600 to 5,300 (24 chunks: 1
+# of 12; 64: 12 of 12).  perfbench's rounds did not: 14,200 faults a
+# round at 32 chunks, 11,300 at 24 and 13,600 for the ramp.  Init blocks
+# are not bound by MAX_BATCH_ROWS: that cap bounds the rows of a
+# lockstep group, which the harness forms with at most MAX_BATCH_ROWS
+# rows in all, while an init block belongs to one run and this cap
+# bounds it.
+_INIT_BLOCK_CHUNKS = 32
 
 
 class InitializationFailure(RuntimeError):
@@ -465,7 +482,7 @@ def _feasible_positions(
         positions = np.empty((size, n))
         rows, feas = np.empty((0, n)), np.empty(0, dtype=bool)
         state, count = entry, 0
-        chunks, seeded = 0, True
+        seeded = True
         extra = seen = i = 0
         try:
             while i < size and seen < budget:
@@ -473,15 +490,20 @@ def _feasible_positions(
                 if seen + whole < budget:
                     whole -= whole % _INIT_CHUNK
                 if not whole:
-                    # One chunk per particle still to seed, doubled
-                    # after a block that seeded nobody.
-                    chunks = min(cap, size - i if seeded else 2 * chunks)
+                    # One chunk per particle still to seed after a hit,
+                    # the full cap after a block that seeded nobody.
+                    chunks = min(cap, size - i) if seeded else cap
                     seeded = False
                     state = rng.bit_generator.state
                     count = min(chunks * _INIT_CHUNK, budget - seen) - len(rows)
                     block = problem.sample_uniform(rng, count)
-                    rows = np.concatenate((rows, block))
-                    feas = np.concatenate((feas, sampled_mask(problem, block, tol)))
+                    mask = sampled_mask(problem, block, tol)
+                    # Only a chunk that a budget cut short leaves rows over.
+                    if len(rows):
+                        rows = np.concatenate((rows, block))
+                        feas = np.concatenate((feas, mask))
+                    else:
+                        rows, feas = block, mask
                     continue
                 k = int(feas[:whole].argmax())
                 if feas[k]:

@@ -7,12 +7,13 @@ reference written from its docstring, one trial at a time, both blocks of
 per-particle draws against draws taken one particle at a time, the
 per-run draw against each generator's own block, the blocked feasible
 initialization, with and without faults, against drawing and evaluating
-one 256-row chunk at a time, the fused evaluation against sanitizing
-each function's output on its own, the feasibility mask against row
-reductions, the mask from the constraints alone and the repair trials'
-mask from raw terms against the full evaluation's, the finish of any
-rows against their own evaluation, in-place sampling against its affine
-formula, and the row-tiled bounds against plain broadcasting.
+one 256-row chunk at a time, and its blocks against the cap, the fused
+evaluation against sanitizing each function's output on its own, the
+feasibility mask against row reductions, the mask from the constraints
+alone and the repair trials' mask from raw terms against the full
+evaluation's, the finish of any rows against their own evaluation,
+in-place sampling against its affine formula, and the row-tiled bounds
+against plain broadcasting.
 """
 
 import dataclasses
@@ -26,6 +27,7 @@ from cpso.benchmarks import estimate_feasibility_ratio, get_problem, registry_na
 from cpso.handlers import ChtConfig, priority_keys, repair_moves, replacement_mask
 from cpso import handlers
 from cpso import problem as problem_module
+from cpso import swarm as swarm_module
 from cpso.problem import (
     BatchEval,
     EvaluationFault,
@@ -602,6 +604,69 @@ def test_feasible_init_objective_is_read_at_accepted_positions_only():
     config = SwarmConfig(FAULT_SIZE, 1, 2, TOL)
     with pytest.raises(EvaluationFault, match="non-finite objective at in-box point index 0"):
         start_swarm(nan_objective, config, ChtConfig("pf"), FAULT_SEED, FAULT_BUDGET)
+
+
+BLOCK_ROWS = swarm_module._INIT_BLOCK_CHUNKS * swarm_module._INIT_CHUNK
+
+
+def init_blocks(monkeypatch, problem, seed, size, budget):
+    """The masks of the blocks the feasible start tests, in order, and
+    the stream rows each particle starts at, walked chunk by chunk
+    through them; the start raises or not as :func:`stream_init`."""
+    blocks = []
+
+    def recording(problem, x, tol):
+        blocks.append(sampled_mask(problem, x, tol))
+        return blocks[-1]
+
+    monkeypatch.setattr(swarm_module, "sampled_mask", recording)
+    stream_init(problem, seed, size, budget)
+    feasible, starts = np.concatenate(blocks), [0]
+    for _ in range(size):
+        hits = np.flatnonzero(feasible[starts[-1] : starts[-1] + budget])
+        if not hits.size:
+            break
+        read = (hits[0] // swarm_module._INIT_CHUNK + 1) * swarm_module._INIT_CHUNK
+        starts.append(starts[-1] + min(read, budget))
+    return blocks, starts
+
+
+@pytest.mark.parametrize("seed", [FAULT_SEED, 11, 12])
+@pytest.mark.parametrize("size", [FAULT_SIZE, 12])
+@pytest.mark.parametrize("budget", [5_120, 1 << 20])
+@pytest.mark.parametrize("edge", [-99.9, -99.99])
+def test_feasible_init_draws_the_full_cap_after_a_miss(monkeypatch, edge, seed, size, budget):
+    # At 0.05% or 0.005% feasible most blocks seed nobody.  The block
+    # after one that seeded nobody holds the cap or the rest of the
+    # particle's budget, never a ramp back up to the cap after each hit.
+    problem = _faulty_halfline([], edge)[0]
+    blocks, starts = init_blocks(monkeypatch, problem, seed, size, budget)
+    ends = np.cumsum([len(b) for b in blocks])
+    # A particle is seeded once a block reaches the end of its last chunk.
+    seeding = set(np.searchsorted(ends, starts[1:]).tolist())
+    misses = [j for j in range(1, len(blocks)) if j - 1 not in seeding]
+    assert misses
+    for j in misses:
+        i = np.searchsorted(starts[1:], ends[j - 1], side="right")
+        left = starts[i] + budget - ends[j - 1]
+        assert len(blocks[j]) == min(BLOCK_ROWS, left)
+    if budget >= size * BLOCK_ROWS:
+        # A budget this large cuts no block here, so every block but the
+        # first after each hit holds the full cap.
+        assert len(blocks) <= -(-int(ends[-1]) // BLOCK_ROWS) + size + 1
+
+
+@pytest.mark.parametrize("seed", [FAULT_SEED, 11, 12])
+@pytest.mark.parametrize(
+    "problem", [INIT_PROBLEMS["g06"], _faulty_halfline([])[0]], ids=["g06", "halfline"]
+)
+def test_feasible_init_overdraws_at_most_one_block(monkeypatch, problem, seed):
+    # Rows tested past the last chunk read are the last block's rest:
+    # a bigger cap wastes at most one bigger block per run, and no more.
+    blocks, _ = init_blocks(monkeypatch, problem, seed, 10, FAULT_BUDGET)
+    drawn = per_chunk_init(problem, seed, 10, FAULT_BUDGET)[4]
+    tested = sum(len(b) for b in blocks)
+    assert 0 <= tested - drawn < len(blocks[-1]) <= BLOCK_ROWS
 
 
 # ------------------------------------------------------------ evaluation
